@@ -171,16 +171,16 @@ type Cache struct {
 	// Write-back state. The watermarks and the bypass threshold are
 	// atomics: the tuning controller (or an operator goroutine) adjusts
 	// them live via SetMaxDirtyFrac/SetBypassBytes.
-	dirtyBytes  int64
+	dirtyBytes int64
 	// dirtyByTenant partitions dirtyBytes by the tenant that dirtied
 	// each line (only maintained when TenantDirtyFrac is configured).
 	dirtyByTenant map[string]int64
 	capBytes      int64
-	hiWater     atomic.Int64
-	loWater     atomic.Int64
-	bypassBytes atomic.Int64
-	kickQ      *sim.Queue[struct{}]
-	flushing   bool
+	hiWater       atomic.Int64
+	loWater       atomic.Int64
+	bypassBytes   atomic.Int64
+	kickQ         *sim.Queue[struct{}]
+	flushing      bool
 	// flushMu serializes flushBatch between the background flusher and
 	// Flush barriers: batches share the scratch slabs, and a barrier must
 	// not issue the backing flush while a daemon batch is in flight.

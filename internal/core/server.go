@@ -102,11 +102,13 @@ func (s *Server) Pool() *mempool.Pool { return s.pool }
 type oafTargetWire Server
 
 func (s *oafTargetWire) NewConn(c *session.Conn) session.ConnWire {
-	return &oafConnWire{
+	w := &oafConnWire{
 		s:        (*Server)(s),
 		c:        c,
 		readAcks: make(map[uint16]*sim.Queue[struct{}]),
 	}
+	w.onRead = w.sendRead
+	return w
 }
 
 // oafConnWire is the per-connection adaptive wire: the Connection
@@ -120,6 +122,7 @@ type oafConnWire struct {
 	// readAcks routes the client's per-chunk acknowledgements to the
 	// read worker driving a conservative chunked transfer.
 	readAcks map[uint16]*sim.Queue[struct{}]
+	onRead   session.ReadDone // w.sendRead
 }
 
 // OnICReq is the Connection Manager's locality check: the client's
@@ -144,7 +147,7 @@ func (w *oafConnWire) OnICReq(req *pdu.ICReq) {
 	if !resp.AFEnabled {
 		tel.Inc(telemetry.CtrSrvTCPConns)
 	}
-	w.c.Post(nil, resp)
+	w.c.Post(resp)
 }
 
 func (w *oafConnWire) TrType() uint8 { return nvme.TrTypeAdaptive }
@@ -165,7 +168,7 @@ func (w *oafConnWire) onRegionRevoked() {
 		ctx := w.c.Writes[cid]
 		session.FreeBufs(ctx.Bufs)
 		delete(w.c.Writes, cid)
-		w.c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cid, Status: nvme.StatusDataTransferErr}})
+		w.c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cid, Status: nvme.StatusDataTransferErr}})
 	}
 	for _, cid := range sortedAckCIDs(w.readAcks) {
 		w.readAcks[cid].Close()
@@ -186,14 +189,16 @@ func sortedAckCIDs(m map[uint16]*sim.Queue[struct{}]) []uint16 {
 // DispatchRead serves a read: over shared memory when negotiated (payload
 // copied once from the DPDK buffer into C2H slots), over TCP otherwise.
 func (w *oafConnWire) DispatchRead(cmd nvme.Command, transit time.Duration) {
-	w.c.StartRead(cmd, transit, func(p *sim.Proc, res target.ExecResult, size int, bufs []*mempool.Buf) {
-		region := w.region
-		if region != nil && !region.Revoked() && (w.s.cfg.Design.Chunked() || size <= region.SlotSize) {
-			w.sendReadOverSHM(p, region, cmd, size, res, transit, bufs)
-			return
-		}
-		w.c.SendReadOverTCP(cmd, size, res, transit, bufs)
-	})
+	w.c.StartRead(cmd, transit, w.onRead)
+}
+
+func (w *oafConnWire) sendRead(p *sim.Proc, cmd nvme.Command, size int, res target.ExecResult, transit time.Duration, bufs []*mempool.Buf) {
+	region := w.region
+	if region != nil && !region.Revoked() && (w.s.cfg.Design.Chunked() || size <= region.SlotSize) {
+		w.sendReadOverSHM(p, region, cmd, size, res, transit, bufs)
+		return
+	}
+	w.c.SendReadOverTCP(cmd, size, res, transit, bufs)
 }
 
 func (w *oafConnWire) DispatchWrite(cap *pdu.CapsuleCmd, size int, transit time.Duration) {
@@ -251,7 +256,7 @@ func (w *oafConnWire) startSHMWrite(cmd nvme.Command, size int, transit time.Dur
 			if region == nil {
 				session.FreeBufs(bufs)
 				c.Kick()
-				c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusDataTransferErr}})
+				c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusDataTransferErr}})
 				return
 			}
 			slot, err := region.Open(shm.H2C, slotIdx)
@@ -260,7 +265,7 @@ func (w *oafConnWire) startSHMWrite(cmd nvme.Command, size int, transit time.Dur
 				// client-side timeout: the payload is unreachable.
 				session.FreeBufs(bufs)
 				c.Kick()
-				c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusDataTransferErr}})
+				c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusDataTransferErr}})
 				return
 			}
 			var data []byte
@@ -274,7 +279,7 @@ func (w *oafConnWire) startSHMWrite(cmd nvme.Command, size int, transit time.Dur
 			res := c.Target().Subsys().ExecuteAs(p, w.s.cfg.NQN, c.Tenant(), cmd, data)
 			session.FreeBufs(bufs)
 			c.Kick()
-			c.Post(nil, c.Resp(res, transit, copyTime))
+			c.Post(c.Resp(res, transit, copyTime))
 		})
 	})
 }
@@ -301,7 +306,7 @@ func (w *oafConnWire) onSHMNotify(p *sim.Proc, n *pdu.SHMNotify, transit time.Du
 		session.FreeBufs(ctx.Bufs)
 		delete(c.Writes, n.CID)
 		c.Kick()
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: n.CID, Status: nvme.StatusDataTransferErr}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: n.CID, Status: nvme.StatusDataTransferErr}})
 		return
 	}
 	var dst, tmp []byte
@@ -333,7 +338,7 @@ func (w *oafConnWire) onSHMNotify(p *sim.Proc, n *pdu.SHMNotify, transit time.Du
 	}
 	// Conservative flow control: acknowledge so the client sends the
 	// next chunk.
-	c.Post(nil, &pdu.SHMRelease{CID: n.CID, Slot: n.Slot})
+	c.Post(&pdu.SHMRelease{CID: n.CID, Slot: n.Slot})
 }
 
 // sendReadOverSHM moves the payload through C2H slots: per-chunk slots
@@ -357,7 +362,7 @@ func (w *oafConnWire) sendReadOverSHM(p *sim.Proc, region *shm.Region, cmd nvme.
 		copyTime := p.Now().Sub(t0)
 		session.FreeBufs(bufs)
 		c.Kick()
-		c.Post(nil,
+		c.Post(
 			&pdu.SHMNotify{CID: cmd.CID, Slot: slot.Index, Offset: 0, Length: uint32(size), Last: true},
 			c.Resp(res, transit, copyTime))
 		return
@@ -400,9 +405,9 @@ func (w *oafConnWire) sendReadOverSHM(p *sim.Proc, region *shm.Region, cmd nvme.
 		last := off+n >= size
 		nf := &pdu.SHMNotify{CID: cmd.CID, Slot: slot.Index, Offset: uint64(off), Length: uint32(n), Last: last}
 		if last {
-			c.Post(nil, nf, c.Resp(res, transit, copyTime))
+			c.Post(nf, c.Resp(res, transit, copyTime))
 		} else {
-			c.Post(nil, nf)
+			c.Post(nf)
 			if _, ok := ackQ.Get(p); !ok {
 				// Teardown, revocation, or a CID-reusing retry closed the
 				// ack queue: abandon the transfer, reclaim the buffers.

@@ -53,20 +53,21 @@ func TestBatchedBeatsUnbatchedAtQD64(t *testing.T) {
 	ba, baAllocs := measured(t, batchCfg(TCP25G, 16, 1, window))
 
 	unIOPS, baIOPS := un.Agg.Throughput.IOPS(), ba.Agg.Throughput.IOPS()
-	t.Logf("unbatched: %.0f IOPS, %.1f allocs/op; batched: %.0f IOPS, %.1f allocs/op",
+	t.Logf("unbatched: %.0f IOPS, %.1f allocs/op (62.6 before the coroutine kernel); batched: %.0f IOPS, %.1f allocs/op (49.2 before)",
 		unIOPS, unAllocs, baIOPS, baAllocs)
 	if baIOPS < 1.2*unIOPS {
 		t.Errorf("batched IOPS %.0f < 1.2x unbatched %.0f: coalescing gain regressed", baIOPS, unIOPS)
 	}
 	// Allocation budget: the freelists (pending ops, capsule/PDU scratch,
-	// recycled IO structs) must keep the batched hot path at or below the
-	// unbatched path's allocation rate, and under an absolute ceiling
-	// (measured ~49/op; headroom for toolchain drift).
+	// recycled IO structs, the per-host future slice) must keep the
+	// batched hot path at or below the unbatched path's allocation rate,
+	// and under an absolute ceiling 10% above the measured 13.3/op.
 	if baAllocs > unAllocs {
 		t.Errorf("batched path allocates more than unbatched: %.1f vs %.1f allocs/op", baAllocs, unAllocs)
 	}
-	if baAllocs > 60 {
-		t.Errorf("batched path exceeds allocation budget: %.1f allocs/op > 60", baAllocs)
+	const budget = 14.6
+	if baAllocs > budget {
+		t.Errorf("batched path exceeds allocation budget: %.1f allocs/op > %.1f", baAllocs, budget)
 	}
 }
 

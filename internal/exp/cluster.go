@@ -144,6 +144,7 @@ func runCluster(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("exp: cluster spares must be in [0, %d)", n)
 	}
 	e := sim.NewEngine(cfg.Seed)
+	defer e.Close()
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()

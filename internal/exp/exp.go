@@ -351,6 +351,7 @@ func Run(cfg Config) (*Result, error) {
 		return runCluster(cfg)
 	}
 	e := sim.NewEngine(cfg.Seed)
+	defer e.Close()
 	tgt := target.New(e, model.DefaultHost())
 
 	tel := cfg.Telemetry

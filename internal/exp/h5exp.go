@@ -158,6 +158,7 @@ type H5Result struct {
 // client/target pair (Figs 16 and 17).
 func RunH5(cfg H5Config) (H5Result, error) {
 	e := sim.NewEngine(cfg.Seed)
+	defer e.Close()
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	host := newNode(e, "host0")
 	var out H5Result
@@ -208,6 +209,7 @@ func RunH5Scale(scase ScaleCase, shmKernels int, seed int64) (writeGBps, readGBp
 		return 0, 0, fmt.Errorf("exp: shmKernels %d out of range", shmKernels)
 	}
 	e := sim.NewEngine(seed)
+	defer e.Close()
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	clientNode := newNode(e, "nodeA")
 	remotes := []*node{newNode(e, "nodeB"), newNode(e, "nodeC"), newNode(e, "nodeD"), newNode(e, "nodeE")}
@@ -263,6 +265,7 @@ func RunH5Scale(scase ScaleCase, shmKernels int, seed int64) (writeGBps, readGBp
 // measures four concurrent read kernels.
 func runH5ScaleReads(scase ScaleCase, shmKernels int, seed int64) (float64, error) {
 	e := sim.NewEngine(seed + 1)
+	defer e.Close()
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	clientNode := newNode(e, "nodeA")
 	remotes := []*node{newNode(e, "nodeB"), newNode(e, "nodeC"), newNode(e, "nodeD"), newNode(e, "nodeE")}

@@ -69,7 +69,46 @@ type Message struct {
 	Data   []byte
 	Wire   int
 	SentAt sim.Time
+	// owner is the endpoint whose NewMessage produced this message, nil
+	// for a message built as a literal.
+	owner *Endpoint
 }
+
+// NewMessage returns an empty message to fill and Send on this endpoint,
+// reusing — struct and Data capacity — one the receiver has Released. The
+// pool therefore holds as many messages as this sender ever had in flight.
+func (ep *Endpoint) NewMessage() *Message {
+	n := len(ep.spare)
+	if n == 0 {
+		return &Message{owner: ep}
+	}
+	m := ep.spare[n-1]
+	ep.spare[n-1] = nil
+	ep.spare = ep.spare[:n-1]
+	return m
+}
+
+// Release hands a received message back to its sender for reuse. The caller
+// must hold no reference to the message or to its Data afterwards. Messages
+// that did not come from NewMessage are left to the collector.
+func (m *Message) Release() {
+	ep := m.owner
+	if ep == nil {
+		return
+	}
+	if ep.poison {
+		for i := range m.Data {
+			m.Data[i] = 0xDB
+		}
+	}
+	m.Data, m.Wire = m.Data[:0], 0
+	ep.spare = append(ep.spare, m)
+}
+
+// SetPoison makes Release overwrite the bytes of this endpoint's messages
+// with 0xDB (as mempool's poison-on-free does), so a receiver that still
+// reads a released message's Data sees corruption instead of stale bytes.
+func (ep *Endpoint) SetPoison(on bool) { ep.poison = on }
 
 // wireSize returns the byte count charged to the network.
 func (m *Message) wireSize() int {
@@ -88,6 +127,13 @@ type Endpoint struct {
 	rx     *Wire // our NIC's receive wire
 	peer   *Endpoint
 	inbox  *sim.Queue[*Message]
+	// inflight holds messages booked onto this endpoint's RX wire and not
+	// yet delivered. A wire completes in booking order, so each deliver
+	// event takes the head; deliverFn is ep.deliver, bound once.
+	inflight  *sim.Queue[*Message]
+	deliverFn func()
+	spare     []*Message // released messages, see NewMessage
+	poison    bool       // see SetPoison
 
 	// lossProb drops a transmitted segment with this probability; TCP
 	// recovers it after rto. Zero (the default) disables loss, keeping
@@ -185,10 +231,28 @@ func (l *Link) SetExtraLatency(d time.Duration) {
 // traffic hairpins through the port and both directions contend for it,
 // exactly the single-host setup of the paper's §3.1 characterization.
 func NewLink(e *sim.Engine, params model.LinkParams, nicA, nicB *NIC) *Link {
-	a := &Endpoint{e: e, params: params, tx: nicA.TX, rx: nicA.RX, inbox: sim.NewQueue[*Message](e, 0)}
-	b := &Endpoint{e: e, params: params, tx: nicB.TX, rx: nicB.RX, inbox: sim.NewQueue[*Message](e, 0)}
+	a := newEndpoint(e, params, nicA)
+	b := newEndpoint(e, params, nicB)
 	a.peer, b.peer = b, a
 	return &Link{A: a, B: b}
+}
+
+func newEndpoint(e *sim.Engine, params model.LinkParams, nic *NIC) *Endpoint {
+	ep := &Endpoint{
+		e: e, params: params, tx: nic.TX, rx: nic.RX,
+		inbox: sim.NewQueue[*Message](e, 0), inflight: sim.NewQueue[*Message](e, 0),
+	}
+	ep.deliverFn = ep.deliver
+	return ep
+}
+
+// deliver moves the oldest in-flight message into the inbox.
+func (ep *Endpoint) deliver() {
+	msg, _ := ep.inflight.TryGet()
+	ep.inbox.TryPut(msg)
+	if ep.OnDeliver != nil {
+		ep.OnDeliver()
+	}
 }
 
 // NewLoopLink creates a link on a dedicated pair of NICs at the link
@@ -246,13 +310,8 @@ func (ep *Endpoint) Send(p *sim.Proc, msg *Message) {
 		ep.tracer.record(p.Now(), "tx", msg)
 	}
 
-	peer := ep.peer
-	ep.e.At(rxDone, func() {
-		peer.inbox.TryPut(msg)
-		if peer.OnDeliver != nil {
-			peer.OnDeliver()
-		}
-	})
+	ep.peer.inflight.TryPut(msg)
+	ep.e.At(rxDone, ep.peer.deliverFn)
 }
 
 // Recv blocks until a message arrives (interrupt mode). If the process had

@@ -26,10 +26,10 @@ const (
 	// StatusTenantThrottled marks a command rejected at the target because
 	// the submitting tenant's QoS token budget is exhausted. Retryable:
 	// tokens refill and ledger borrowing may admit the retry.
-	StatusTenantThrottled Status = 0x023
-	StatusLBAOutOfRange   Status = 0x080
-	StatusCapacityExceeded   Status = 0x081
-	StatusNamespaceNotRdy    Status = 0x082
+	StatusTenantThrottled  Status = 0x023
+	StatusLBAOutOfRange    Status = 0x080
+	StatusCapacityExceeded Status = 0x081
+	StatusNamespaceNotRdy  Status = 0x082
 	// StatusWriteFault (media status, SCT 2) marks data the device
 	// accepted but could not commit to media — e.g. write-back cache
 	// contents lost to a crash or a failed flush. Not retryable: the

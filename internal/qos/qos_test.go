@@ -22,10 +22,10 @@ func testRegistry(t *testing.T, specs ...Spec) *Registry {
 func TestSpecValidation(t *testing.T) {
 	reg := NewRegistry()
 	for _, bad := range []Spec{
-		{},                                     // no name
-		{Name: "a,b"},                          // comma collides with hostNQN encoding
-		{Name: "x", RateBps: -1},               // negative rate
-		{Name: "x", RateBps: 2e12},             // above the arithmetic bound
+		{},                                      // no name
+		{Name: "a,b"},                           // comma collides with hostNQN encoding
+		{Name: "x", RateBps: -1},                // negative rate
+		{Name: "x", RateBps: 2e12},              // above the arithmetic bound
 		{Name: "x", RateBps: 1, BurstBytes: -1}, // negative burst
 	} {
 		if err := reg.Add(bad); err == nil {

@@ -691,7 +691,7 @@ type rdmaConnWire struct {
 
 func (w *rdmaConnWire) OnICReq(req *pdu.ICReq) {
 	w.c.Target().Telemetry().Inc(telemetry.CtrSrvTCPConns)
-	w.c.Post(nil, &pdu.ICResp{PFV: req.PFV})
+	w.c.Post(&pdu.ICResp{PFV: req.PFV})
 }
 
 func (w *rdmaConnWire) TrType() uint8 { return nvme.TrTypeRDMA }
@@ -704,7 +704,7 @@ func (w *rdmaConnWire) DispatchRead(cmd nvme.Command, transit time.Duration) {
 	c.Target().Engine().Go("rdma-read-worker", func(p *sim.Proc) {
 		res := c.Target().Subsys().ExecuteAs(p, w.s.cfg.NQN, c.Tenant(), cmd, nil)
 		if res.CQE.Status.IsError() {
-			c.Post(nil, c.Resp(res, transit, 0))
+			c.Post(c.Resp(res, transit, 0))
 			return
 		}
 		// One RDMA write moves the whole payload; the completion
@@ -715,7 +715,7 @@ func (w *rdmaConnWire) DispatchRead(cmd nvme.Command, transit time.Duration) {
 		} else {
 			d.VirtualLen = size
 		}
-		c.Post(nil, d, c.Resp(res, transit, 0))
+		c.Post(d, c.Resp(res, transit, 0))
 	})
 }
 

@@ -142,6 +142,8 @@ type Host struct {
 	// only touched by the reactor (SendPDUs serializes before yielding).
 	freePends   []*Pending
 	pendScratch []*Pending
+	futScratch  []*sim.Future[*transport.Result] // backs SubmitBatch's result
+	rxPDUs      []pdu.PDU
 	batch       pdu.CmdBatch
 	capsule     pdu.CapsuleCmd
 	entry       pdu.BatchEntry
@@ -288,7 +290,7 @@ func (h *Host) pollBudget() time.Duration {
 func (h *Host) Handshake(p *sim.Proc) error {
 	transport.SendPDUs(p, h.ep, h.wire.BuildICReq(false))
 	msg := h.ep.Recv(p)
-	pdus, err := transport.DecodeAll(msg)
+	pdus, err := transport.DecodeAll(msg, nil)
 	if err != nil {
 		return fmt.Errorf("%s: handshake: %w", h.cfg.Label, err)
 	}
@@ -306,7 +308,7 @@ func (h *Host) fabricsConnect(p *sim.Proc) error {
 	cmd := nvme.Command{Opcode: nvme.FabricsCommandType, CID: ConnectCID, CDW10: nvme.FctypeConnect}
 	transport.SendPDUs(p, h.ep, &pdu.CapsuleCmd{Cmd: cmd, Data: nvme.EncodeConnectData(h.connectHostNQN(), h.cfg.NQN)})
 	msg := h.ep.Recv(p)
-	pdus, err := transport.DecodeAll(msg)
+	pdus, err := transport.DecodeAll(msg, nil)
 	if err != nil {
 		return fmt.Errorf("%s: connect: %w", h.cfg.Label, err)
 	}
@@ -531,13 +533,14 @@ func (h *Host) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Resu
 // a single submit-CPU charge and a single reactor kick (one doorbell),
 // so the reactor can coalesce the train into batch capsules. Bindings
 // with amortized staging (the adaptive fabric's multi-slot claim)
-// shadow this with their own override.
+// shadow this with their own override. The returned slice is the host's
+// scratch (see transport.BatchQueue).
 func (h *Host) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	futs := make([]*sim.Future[*transport.Result], len(ios))
+	futs := h.futScratch[:0]
 	pends := h.pendScratch[:0]
-	for i, io := range ios {
+	for _, io := range ios {
 		fut := sim.NewFuture[*transport.Result](h.e)
-		futs[i] = fut
+		futs = append(futs, fut)
 		if !h.AdmitIO(io, fut) {
 			continue
 		}
@@ -545,7 +548,7 @@ func (h *Host) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*tran
 		h.wire.StageSubmit(p, pend)
 		pends = append(pends, pend)
 	}
-	h.pendScratch = pends[:0]
+	h.futScratch, h.pendScratch = futs[:0], pends[:0]
 	if len(pends) == 0 {
 		return futs
 	}
@@ -967,7 +970,8 @@ func (h *Host) startTrain(p *sim.Proc, depth int) bool {
 // handle processes one received network message.
 func (h *Host) handle(p *sim.Proc, msg *netsim.Message) {
 	transit := p.Now().Sub(msg.SentAt)
-	pdus, err := transport.DecodeAll(msg)
+	pdus, err := transport.DecodeAll(msg, h.rxPDUs)
+	h.rxPDUs = pdus
 	if err != nil {
 		panic(fmt.Sprintf("%s client: bad message: %v", h.cfg.Label, err))
 	}
@@ -997,6 +1001,7 @@ func (h *Host) handle(p *sim.Proc, msg *netsim.Message) {
 		// were coalesced into it.
 		transit = 0
 	}
+	msg.Release()
 	if reaped > 0 {
 		// Completions harvested per wakeup: the completion-reap analogue
 		// of HistBatchSize (the target coalesces responses when batching).

@@ -171,7 +171,7 @@ func (t *Target) startConn(ep *netsim.Endpoint) *Conn {
 	conn := &Conn{
 		t:        t,
 		ep:       ep,
-		txQ:      sim.NewQueue[*txBatch](t.e, 0),
+		txQ:      sim.NewQueue[txBatch](t.e, 0),
 		kick:     sim.NewSignal(t.e),
 		Writes:   make(map[uint16]*WriteCtx),
 		WaitsQ:   sim.NewQueue[*AllocWait](t.e, 0),
@@ -220,11 +220,13 @@ func (t *Target) Restart() {
 	}
 }
 
-// txBatch is a set of PDUs to transmit as one message, with an optional
-// post-send callback (used to release buffers once data is on the wire).
+// txBatch is a set of PDUs to transmit as one message — no caller posts
+// more than two — and the pool buffers to release once they are on the
+// wire. It travels through the transmit queue by value.
 type txBatch struct {
-	pdus  []pdu.PDU
-	after func()
+	pdus [2]pdu.PDU
+	n    int
+	bufs []*mempool.Buf
 }
 
 // WriteCtx tracks reassembly of one conservative-flow write command.
@@ -263,7 +265,7 @@ type Conn struct {
 	t    *Target
 	wire ConnWire
 	ep   *netsim.Endpoint
-	txQ  *sim.Queue[*txBatch]
+	txQ  *sim.Queue[txBatch]
 	kick *sim.Signal
 	// Writes tracks in-progress conservative-flow writes by CID.
 	Writes map[uint16]*WriteCtx
@@ -282,8 +284,11 @@ type Conn struct {
 	Expired bool
 	// Completion-reap scratch (run-loop only; reused so the coalesced
 	// transmit path stays allocation-free).
-	txPDUs   []pdu.PDU
-	txAfters []func()
+	txPDUs []pdu.PDU
+	txBufs []*mempool.Buf
+	rxPDUs []pdu.PDU
+	// freeReads recycles read ops, see readOp.
+	freeReads []*readOp
 }
 
 // Target returns the owning engine core.
@@ -308,7 +313,7 @@ func (c *Conn) qosAdmit(cmd nvme.Command) bool {
 	}
 	c.tview.Inc(telemetry.TCtrThrottled)
 	c.t.tel.Trace(now, telemetry.EvTenantThrottle, cmd.CID, "", c.tenant)
-	c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusTenantThrottled}})
+	c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusTenantThrottled}})
 	return false
 }
 
@@ -345,18 +350,18 @@ func (c *Conn) watchdog(p *sim.Proc) {
 	}
 }
 
-// Post enqueues an outbound batch and wakes the handler. The optional
-// callback runs after the bytes are on the wire (used to release
-// buffers); on a dead connection it still runs so late worker
-// completions cannot leak pool buffers.
-func (c *Conn) Post(after func(), pdus ...pdu.PDU) {
+// Post enqueues one or two PDUs as an outbound message and wakes the
+// handler; a dead connection drops them.
+func (c *Conn) Post(pdus ...pdu.PDU) {
 	if c.dead {
-		if after != nil {
-			after()
-		}
 		return
 	}
-	c.txQ.TryPut(&txBatch{pdus: pdus, after: after})
+	var b txBatch
+	if len(pdus) > len(b.pdus) {
+		panic("session: Post of more PDUs than a txBatch holds")
+	}
+	b.n = copy(b.pdus[:], pdus)
+	c.txQ.TryPut(b)
 	c.kick.Fire()
 }
 
@@ -410,7 +415,7 @@ func (c *Conn) run(p *sim.Proc) {
 // enabled (BatchSize > 1) up to BatchSize ready batches merge into one
 // network message — the target-side mirror of doorbell batching: one
 // per-message CPU charge and one client wakeup reap a whole train of
-// completions. Every merged batch's cleanup callback still runs after
+// completions. Every merged batch's buffers are still released after
 // its bytes are on the wire.
 func (c *Conn) drainTx(p *sim.Proc) bool {
 	reap := 1
@@ -425,44 +430,35 @@ func (c *Conn) drainTx(p *sim.Proc) bool {
 		}
 		worked = true
 		if reap <= 1 {
-			transport.SendPDUs(p, c.ep, batch.pdus...)
-			c.t.tel.Add(telemetry.CtrPDUsTx, int64(len(batch.pdus)))
-			if batch.after != nil {
-				batch.after()
-			}
+			transport.SendPDUs(p, c.ep, batch.pdus[:batch.n]...)
+			c.t.tel.Add(telemetry.CtrPDUsTx, int64(batch.n))
+			FreeBufs(batch.bufs)
 			continue
 		}
-		pdus := append(c.txPDUs[:0], batch.pdus...)
-		afters := c.txAfters[:0]
-		if batch.after != nil {
-			afters = append(afters, batch.after)
-		}
+		pdus := append(c.txPDUs[:0], batch.pdus[:batch.n]...)
+		bufs := append(c.txBufs[:0], batch.bufs...)
 		merged := 1
 		for merged < reap {
 			next, ok := c.txQ.TryGet()
 			if !ok {
 				break
 			}
-			pdus = append(pdus, next.pdus...)
-			if next.after != nil {
-				afters = append(afters, next.after)
-			}
+			pdus = append(pdus, next.pdus[:next.n]...)
+			bufs = append(bufs, next.bufs...)
 			merged++
 		}
 		transport.SendPDUs(p, c.ep, pdus...)
 		c.t.tel.Add(telemetry.CtrPDUsTx, int64(len(pdus)))
 		c.t.tel.Observe(telemetry.HistReapDepth, int64(merged))
-		for i, fn := range afters {
-			fn()
-			afters[i] = nil
-		}
-		c.txPDUs, c.txAfters = pdus[:0], afters[:0]
+		FreeBufs(bufs)
+		clear(bufs)
+		c.txPDUs, c.txBufs = pdus[:0], bufs[:0]
 	}
 	return worked
 }
 
 // teardown reclaims every connection resource: queued transmissions are
-// flushed (their cleanup callbacks always run; the bytes only transmit
+// flushed (their buffers are always released; the bytes only transmit
 // on a graceful close), half-received writes free their pool buffers,
 // parked buffer-waiters drain, and the wire reclaims its own state —
 // a KATO expiry mid-transfer must not leak pool credits the other
@@ -475,12 +471,10 @@ func (c *Conn) teardown(p *sim.Proc, transmit bool) {
 			break
 		}
 		if transmit {
-			transport.SendPDUs(p, c.ep, batch.pdus...)
-			c.t.tel.Add(telemetry.CtrPDUsTx, int64(len(batch.pdus)))
+			transport.SendPDUs(p, c.ep, batch.pdus[:batch.n]...)
+			c.t.tel.Add(telemetry.CtrPDUsTx, int64(batch.n))
 		}
-		if batch.after != nil {
-			batch.after()
-		}
+		FreeBufs(batch.bufs)
 	}
 	for _, cid := range SortedWriteCIDs(c.Writes) {
 		FreeBufs(c.Writes[cid].Bufs)
@@ -571,7 +565,7 @@ func (c *Conn) WithBufs(cid uint16, n int, fn func(bufs []*mempool.Buf)) {
 				sh.Bucket(c.tenant, now).Penalize(now, int64(n*c.t.cfg.ChunkSize))
 			}
 		}
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cid, Status: nvme.StatusCommandInterrupted}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cid, Status: nvme.StatusCommandInterrupted}})
 		return
 	}
 	c.t.BufferWaits++
@@ -590,7 +584,8 @@ func FreeBufs(bufs []*mempool.Buf) {
 func (c *Conn) handle(p *sim.Proc, msg *netsim.Message) {
 	c.lastSeen = p.Now()
 	transit := p.Now().Sub(msg.SentAt)
-	pdus, err := transport.DecodeAll(msg)
+	pdus, err := transport.DecodeAll(msg, c.rxPDUs)
+	c.rxPDUs = pdus
 	if err != nil {
 		panic(fmt.Sprintf("%s server: bad message: %v", c.t.cfg.Label, err))
 	}
@@ -632,6 +627,7 @@ func (c *Conn) handle(p *sim.Proc, msg *netsim.Message) {
 		}
 		transit = 0 // attribute a message's transit once
 	}
+	msg.Release()
 }
 
 // onCommand dispatches a command capsule.
@@ -652,7 +648,7 @@ func (c *Conn) onCommand(p *sim.Proc, cap *pdu.CapsuleCmd, transit time.Duration
 				c.tview = c.t.tel.Tenant(c.tenant)
 			}
 		}
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: status}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: status}})
 		return
 	}
 	if cmd.Flags&transport.AdminFlag != 0 {
@@ -676,10 +672,10 @@ func (c *Conn) onCommand(p *sim.Proc, cap *pdu.CapsuleCmd, transit time.Duration
 		fcmd := cmd
 		c.t.e.Go(c.t.flushWorker, func(w *sim.Proc) {
 			res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, fcmd, nil)
-			c.Post(nil, c.Resp(res, transit, 0))
+			c.Post(c.Resp(res, transit, 0))
 		})
 	default:
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidOpcode}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidOpcode}})
 	}
 }
 
@@ -691,23 +687,23 @@ func (c *Conn) onAdmin(cmd nvme.Command, transit time.Duration) {
 	case nvme.AdminGetLogPage:
 		c.execGetLogPage(cmd, transit)
 	case nvme.AdminKeepAlive:
-		c.Post(nil, &pdu.CapsuleResp{
+		c.Post(&pdu.CapsuleResp{
 			Rsp:       nvme.Completion{CID: cmd.CID, Status: nvme.StatusSuccess},
 			TgtCommNs: uint64(transit),
 		})
 	default:
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidOpcode}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidOpcode}})
 	}
 }
 
 // execGetLogPage serves the discovery log page (Get Log Page, LID 0x70).
 func (c *Conn) execGetLogPage(cmd nvme.Command, comm time.Duration) {
 	if cmd.CDW10&0xFF != nvme.LIDDiscovery&0xFF {
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
 		return
 	}
 	page := c.t.tgt.DiscoveryLog(c.wire.TrType(), "storage-host")
-	c.Post(nil,
+	c.Post(
 		&pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Payload: page, Last: true},
 		&pdu.CapsuleResp{
 			Rsp:       nvme.Completion{CID: cmd.CID, Status: nvme.StatusSuccess},
@@ -722,28 +718,28 @@ func (c *Conn) execIdentify(cmd nvme.Command, comm time.Duration) {
 	case nvme.CNSController:
 		id, err := c.t.tgt.IdentifyController(c.t.cfg.NQN)
 		if err != nil {
-			c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
+			c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
 			return
 		}
 		page = id.Encode()
 	case nvme.CNSNamespace:
 		sub, ok := c.t.tgt.Subsystem(c.t.cfg.NQN)
 		if !ok {
-			c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
+			c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
 			return
 		}
 		ns, ok := sub.Namespace(cmd.NSID)
 		if !ok {
-			c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidNamespace}})
+			c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidNamespace}})
 			return
 		}
 		idns := ns.Identify()
 		page = idns.Encode()
 	default:
-		c.Post(nil, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
+		c.Post(&pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID, Status: nvme.StatusInvalidField}})
 		return
 	}
-	c.Post(nil,
+	c.Post(
 		&pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Payload: page, Last: true},
 		&pdu.CapsuleResp{
 			Rsp:       nvme.Completion{CID: cmd.CID, Status: nvme.StatusSuccess},
@@ -766,7 +762,7 @@ func (c *Conn) StartConservativeWrite(cmd nvme.Command, size int, transit time.D
 	c.WithBufs(cmd.CID, need, func(bufs []*mempool.Buf) {
 		ctx := &WriteCtx{Cmd: cmd, Size: size, Bufs: bufs, Comm: transit, Real: cmd.PRP2 == 1}
 		c.Writes[cmd.CID] = ctx
-		c.Post(nil, &pdu.R2T{CID: cmd.CID, TTag: cmd.CID, Offset: 0, Length: uint32(size)})
+		c.Post(&pdu.R2T{CID: cmd.CID, TTag: cmd.CID, Offset: 0, Length: uint32(size)})
 	})
 }
 
@@ -803,78 +799,92 @@ func (c *Conn) ExecWrite(cmd nvme.Command, size int, data []byte, comm time.Dura
 			FreeBufs(bufs)
 			c.kick.Fire() // buffer credits freed: retry waiters
 		}
-		c.Post(nil, c.Resp(res, comm, copyTime))
+		c.Post(c.Resp(res, comm, copyTime))
 	})
 }
 
-// StartRead reserves chunk buffers and runs the read on a device worker;
-// done receives the execute result (with the reserved buffers) unless
-// the device failed, in which case the engine responds directly.
-func (c *Conn) StartRead(cmd nvme.Command, transit time.Duration, done func(w *sim.Proc, res target.ExecResult, size int, bufs []*mempool.Buf)) {
-	size := int(cmd.NLB()) * transport.BlockSize
-	need := transport.Chunks(size, c.t.cfg.ChunkSize)
-	c.WithBufs(cmd.CID, need, func(bufs []*mempool.Buf) {
-		c.t.e.Go(c.t.readWorker, func(w *sim.Proc) {
-			res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, cmd, nil)
-			if res.CQE.Status.IsError() {
-				FreeBufs(bufs)
-				c.kick.Fire()
-				c.Post(nil, c.Resp(res, transit, 0))
-				return
-			}
-			done(w, res, size, bufs)
-		})
-	})
+// readOp is one read between dispatch and its worker's hand-off: what
+// StartRead would otherwise capture in two closures. Ops go back to
+// Conn.freeReads with their callbacks bound, so a read allocates neither.
+type readOp struct {
+	c       *Conn
+	cmd     nvme.Command
+	transit time.Duration
+	size    int
+	bufs    []*mempool.Buf
+	done    ReadDone
+	onBufs  func(bufs []*mempool.Buf) // op.spawn
+	onProc  func(w *sim.Proc)         // op.exec
 }
 
-// StartReadTCP is StartRead composed with SendReadOverTCP in one closure
-// chain (no done indirection): the plain-TCP read path, kept allocation-
-// equivalent to a hand-written binding for wires with no alternate read
-// route.
-func (c *Conn) StartReadTCP(cmd nvme.Command, transit time.Duration) {
-	size := int(cmd.NLB()) * transport.BlockSize
-	need := transport.Chunks(size, c.t.cfg.ChunkSize)
-	c.WithBufs(cmd.CID, need, func(bufs []*mempool.Buf) {
-		c.t.e.Go(c.t.readWorker, func(w *sim.Proc) {
-			res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, cmd, nil)
-			if res.CQE.Status.IsError() {
-				FreeBufs(bufs)
-				c.kick.Fire()
-				c.Post(nil, c.Resp(res, transit, 0))
-				return
-			}
-			c.SendReadOverTCP(cmd, size, res, transit, bufs)
-		})
-	})
+// ReadDone receives a read's execute result on its device worker, with the
+// reserved buffers: SendReadOverTCP's arguments plus the worker. A wire
+// passes one bound once, not a closure per command.
+type ReadDone func(w *sim.Proc, cmd nvme.Command, size int, res target.ExecResult, transit time.Duration, bufs []*mempool.Buf)
+
+// StartRead reserves chunk buffers and runs the read on a device worker,
+// which hands the result to done, or streams it with SendReadOverTCP when
+// done is nil — the whole read path of a wire with no alternate route. A
+// device failure is answered directly.
+func (c *Conn) StartRead(cmd nvme.Command, transit time.Duration, done ReadDone) {
+	var op *readOp
+	if n := len(c.freeReads); n > 0 {
+		op, c.freeReads = c.freeReads[n-1], c.freeReads[:n-1]
+	} else {
+		op = &readOp{c: c}
+		op.onBufs, op.onProc = op.spawn, op.exec
+	}
+	op.cmd, op.transit, op.done = cmd, transit, done
+	op.size = int(cmd.NLB()) * transport.BlockSize
+	c.WithBufs(cmd.CID, transport.Chunks(op.size, c.t.cfg.ChunkSize), op.onBufs)
+}
+
+func (op *readOp) spawn(bufs []*mempool.Buf) {
+	op.bufs = bufs
+	op.c.t.e.Go(op.c.t.readWorker, op.onProc)
+}
+
+func (op *readOp) exec(w *sim.Proc) {
+	c, cmd, transit, size, bufs, done := op.c, op.cmd, op.transit, op.size, op.bufs, op.done
+	op.bufs, op.done = nil, nil
+	c.freeReads = append(c.freeReads, op)
+	res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, cmd, nil)
+	switch {
+	case res.CQE.Status.IsError():
+		FreeBufs(bufs)
+		c.kick.Fire()
+		c.Post(c.Resp(res, transit, 0))
+	case done == nil:
+		c.SendReadOverTCP(cmd, size, res, transit, bufs)
+	default:
+		done(w, cmd, size, res, transit, bufs)
+	}
 }
 
 // SendReadOverTCP streams the payload as chunked C2HData PDUs; the final
 // chunk travels with the response capsule in one message, and the
-// reserved buffers release once the bytes are on the wire.
+// reserved buffers release once those bytes are on the wire.
 func (c *Conn) SendReadOverTCP(cmd nvme.Command, size int, res target.ExecResult, transit time.Duration, bufs []*mempool.Buf) {
-	chunk := c.t.cfg.ChunkSize
-	var batches []*txBatch
-	transport.ChunkSizes(size, chunk, func(off, n int) {
-		d := &pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Offset: uint32(off), Last: off+n >= size}
-		if res.Data != nil {
-			d.Payload = res.Data[off : off+n]
-		} else {
-			d.VirtualLen = n
-		}
-		batches = append(batches, &txBatch{pdus: []pdu.PDU{d}})
-	})
-	last := batches[len(batches)-1]
-	last.pdus = append(last.pdus, c.Resp(res, transit, 0))
-	last.after = func() { FreeBufs(bufs) }
 	if c.dead {
 		// Connection torn down while the read executed: reclaim without
 		// transmitting.
 		FreeBufs(bufs)
 		return
 	}
-	for _, b := range batches {
+	transport.ChunkSizes(size, c.t.cfg.ChunkSize, func(off, n int) {
+		d := &pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Offset: uint32(off), Last: off+n >= size}
+		if res.Data != nil {
+			d.Payload = res.Data[off : off+n]
+		} else {
+			d.VirtualLen = n
+		}
+		b := txBatch{n: 1}
+		b.pdus[0] = d
+		if d.Last {
+			b.pdus[1], b.n, b.bufs = c.Resp(res, transit, 0), 2, bufs
+		}
 		c.txQ.TryPut(b)
-	}
+	})
 	c.kick.Fire()
 }
 

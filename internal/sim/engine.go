@@ -1,31 +1,54 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel provides a virtual clock, an event queue, and a cooperative
-// process model: each process is a real goroutine, but exactly one process
-// runs at a time and control is handed back to the engine whenever the
-// process blocks (Sleep, queue operations, semaphores, ...). Events with
-// equal timestamps fire in scheduling (FIFO) order, so every run is
-// bit-reproducible for a given seed.
+// process model. A process is a function running on a coroutine (iter.Pull):
+// the engine loop resumes it with a direct runtime coroutine switch, and the
+// process switches straight back whenever it blocks (Sleep, queue operations,
+// semaphores, ...). No channel, lock or scheduler pass is involved, and
+// exactly one flow of control — the engine loop or one process — runs at any
+// instant, so simulation state needs no synchronisation.
+//
+// Coroutines are pooled. A carrier is bound to a process when the process is
+// first resumed and goes back to the engine's idle list when the process
+// function returns, so spawning a short-lived worker (one per target read,
+// say) reuses a parked coroutine instead of creating a goroutine. Carriers
+// are created on demand, never ahead of time.
+//
+// Ordering does not depend on any of that. Every Sleep, spawn, wake-up and
+// timer is one event keyed (time, sequence number); the sequence number is
+// taken when the event is scheduled, and events fire in key order. Events
+// with equal timestamps therefore fire in scheduling (FIFO) order and every
+// run is bit-reproducible for a given seed. In steady state the kernel
+// allocates nothing: events live by value in a typed heap, waiter lists are
+// linked through the parked processes themselves, a timeout timer names its
+// wait by a {process, wait generation} pair, and queues buffer their items
+// in rings.
 //
 // All NVMe-oAF subsystems (links, SSDs, transports, reactors) are built as
 // processes on this kernel. Real bytes move through real data structures;
 // only time is virtual, which gives microsecond-exact, GC-independent
 // measurements that Go's wall-clock timers cannot provide at this scale.
 //
-// Lifecycle note: daemon processes (GoDaemon) that are still parked when
-// the event queue drains remain blocked on their wake channels for the
-// life of the host process. An engine is therefore meant to be used for
-// one simulation run and then dropped; the parked goroutines hold only
-// their (small) stacks and are reclaimed when the process exits. Tests
-// and benchmarks that create thousands of engines stay well under normal
-// memory budgets.
+// Lifecycle note: idle carriers are stopped — their goroutines exit — when
+// Run or RunUntil drains the event queue, so a finished engine holds none; a
+// RunUntil that stops at its limit keeps them for the next step. A process
+// that is still parked when the queue drains (typically a GoDaemon server
+// waiting for work that never comes) keeps its carrier, because a later
+// After/Go followed by another Run may still wake it. If the engine is
+// simply dropped, that coroutine stays parked for the life of the host
+// process and pins whatever its stack references — as a goroutine blocked on
+// a channel did under the previous kernel. A host process that runs many
+// simulations calls Close instead, which unwinds the parked processes so
+// that the world becomes collectable.
 package sim
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"iter"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -54,56 +77,79 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 func (t Time) String() string { return fmt.Sprintf("%.3fus", float64(t)/1e3) }
 
-// waitToken arbitrates between competing wakeup paths (for example a queue
-// Put and a timeout timer) for one blocked process. The first path to fire
-// consumes the token; the loser is skipped when its event pops.
-type waitToken struct {
-	consumed bool
-	timedOut bool
-}
-
-// event is a single entry in the engine's priority queue. Either wake or fn
-// is set: wake resumes a blocked process, fn runs a callback inline.
+// event is one entry of the engine's priority queue, held by value. With fn
+// set it is a callback; otherwise it resumes p. gen is zero for an
+// unconditional resume (spawn, Sleep, a wake-up) and, for a timeout timer,
+// the wait generation it competes for.
 type event struct {
-	at      Time
-	seq     uint64
-	wake    *Proc
-	tok     *waitToken
-	timeout bool
-	fn      func()
+	at  Time
+	seq uint64
+	fn  func()
+	p   *Proc
+	gen uint64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventHeap is a 4-ary min-heap on (at, seq). Keys are unique, so the pop
+// order is the sorted order whatever the heap's shape.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = ev
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top, n := s[0], len(s)-1
+	last := s[n]
+	s[n] = event{} // drop the fn and proc references
+	*h = s[:n]
+	i := 0
+	for first := 1; first < n; first = 4*i + 1 {
+		m, end := first, min(first+4, n)
+		for c := first + 1; c < end; c++ {
+			if s[c].before(&s[m]) {
+				m = c
+			}
+		}
+		if !s[m].before(&last) {
+			break
+		}
+		s[i] = s[m]
+		i = m
+	}
+	if n > 0 {
+		s[i] = last
+	}
+	return top
 }
 
 // Engine owns the virtual clock and the event queue and drives all
 // processes. Exactly one flow of control is active at any instant: either
-// the engine loop or a single process goroutine.
+// the engine loop or a single process.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	yield  chan struct{}
-	cur    *Proc
-	live   int
-	parked map[*Proc]struct{}
+	procs  []*Proc    // spawned and not finished; Proc.idx is the index
+	idle   []*carrier // carriers whose process returned, most recent last
 	seed   int64
 	err    error
 	fatal  bool
@@ -112,11 +158,7 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero. The seed drives every
 // random stream derived via Rand, so runs are reproducible per seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-		seed:   seed,
-	}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -135,25 +177,22 @@ func (e *Engine) Rand(stream string) *rand.Rand {
 }
 
 // schedule inserts an event at absolute time t (clamped to now).
-func (e *Engine) schedule(t Time, ev *event) {
-	if t < e.now {
-		t = e.now
-	}
-	ev.at = t
+func (e *Engine) schedule(t Time, ev event) {
+	ev.at = max(t, e.now)
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // After schedules fn to run at Now()+d. fn executes in engine context; it
 // may spawn processes or schedule further events but must not block.
 func (e *Engine) After(d time.Duration, fn func()) {
-	e.schedule(e.now.Add(d), &event{fn: fn})
+	e.schedule(e.now.Add(d), event{fn: fn})
 }
 
 // At schedules fn at the absolute virtual time t (or now, if t is past).
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, &event{fn: fn})
+	e.schedule(t, event{fn: fn})
 }
 
 // Go spawns a new process running fn. The process starts at the current
@@ -170,53 +209,59 @@ func (e *Engine) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	p := &Proc{
-		engine: e,
-		name:   name,
-		wake:   make(chan struct{}),
-		daemon: daemon,
-	}
-	e.live++
-	go func() {
-		<-p.wake
-		defer func() {
-			if r := recover(); r != nil {
-				if e.err == nil {
-					e.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-				e.fatal = true
-			}
-			p.done = true
-			e.live--
-			for _, w := range p.joiners {
-				e.wakeWaiter(w)
-			}
-			p.joiners = nil
-			e.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	e.schedule(e.now, &event{wake: p})
+	p := &Proc{engine: e, name: name, fn: fn, daemon: daemon, gen: 1, idx: len(e.procs)}
+	e.procs = append(e.procs, p)
+	e.schedule(e.now, event{p: p})
 	return p
 }
 
-// wakeWaiter consumes a wait token (if not already consumed) and schedules
-// the owning process to resume at the current time. It reports whether the
-// token was won.
-func (e *Engine) wakeWaiter(w *blocked) bool {
-	if w.tok.consumed {
-		return false
+// waitList is a FIFO of parked processes, linked through the processes
+// themselves: a process waits in at most one list at a time.
+type waitList struct{ head, tail *Proc }
+
+func (l *waitList) push(p *Proc) {
+	p.prev, p.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = p
+	} else {
+		l.head = p
 	}
-	w.tok.consumed = true
-	delete(e.parked, w.p)
-	e.schedule(e.now, &event{wake: w.p})
-	return true
+	l.tail = p
 }
 
-// blocked records one parked process together with its arbitration token.
-type blocked struct {
-	p   *Proc
-	tok *waitToken
+func (l *waitList) remove(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		l.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		l.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
+}
+
+// wakeOne ends the wait of the first process in the list, if any, and
+// schedules it to resume at the current time. Advancing its generation
+// makes a timeout timer still pending for that wait stale.
+func (e *Engine) wakeOne(l *waitList) {
+	p := l.head
+	if p == nil {
+		return
+	}
+	l.remove(p)
+	p.gen++
+	p.timedOut = false
+	e.schedule(e.now, event{p: p})
+}
+
+// wakeAll resumes every process in the list, in list order.
+func (e *Engine) wakeAll(l *waitList) {
+	for l.head != nil {
+		e.wakeOne(l)
+	}
 }
 
 // Run drives the simulation until no events remain or a process panics. It
@@ -225,38 +270,40 @@ func (e *Engine) Run() error { return e.RunUntil(MaxTime) }
 
 // RunUntil drives the simulation until the event queue is exhausted or the
 // next event lies beyond the limit; in the latter case the clock is set to
-// the limit and no deadlock check is performed.
+// the limit, the event stays queued for the next call, and no deadlock
+// check is performed.
 func (e *Engine) RunUntil(limit Time) error {
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.at > limit {
+	for len(e.events) > 0 {
+		if e.events[0].at > limit {
 			e.now = limit
 			return e.err
 		}
+		ev := e.events.pop()
 		e.now = ev.at
-		switch {
-		case ev.fn != nil:
+		if ev.fn != nil {
 			ev.fn()
-		case ev.wake != nil:
-			if ev.wake.done {
-				continue
+			continue
+		}
+		p := ev.p
+		if p.done {
+			continue
+		}
+		if ev.gen != 0 {
+			if ev.gen != p.gen {
+				continue // the wait this timer guarded already ended
 			}
-			if ev.tok != nil {
-				if ev.tok.consumed {
-					continue // lost the race against another waker
-				}
-				ev.tok.consumed = true
-				ev.tok.timedOut = ev.timeout
-				delete(e.parked, ev.wake)
-			}
-			e.resume(ev.wake)
-			if e.fatal {
-				return e.err
-			}
+			p.gen++
+			p.timedOut = true
+		}
+		e.resume(p)
+		if e.fatal {
+			return e.err
 		}
 	}
+	e.stopIdle() // the simulation has run dry
+	// With no event left, every unfinished process is parked for good.
 	var stuck []string
-	for p := range e.parked {
+	for _, p := range e.procs {
 		if !p.daemon {
 			stuck = append(stuck, p.name)
 		}
@@ -268,17 +315,106 @@ func (e *Engine) RunUntil(limit Time) error {
 	return e.err
 }
 
-// resume hands control to p and blocks until p yields back.
+// carrier is a reusable coroutine. It runs one process function at a time;
+// between processes it sits in Engine.idle, parked in its own yield.
+type carrier struct {
+	e     *Engine
+	p     *Proc
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// resume switches to p, binding it to a carrier on its first run, and
+// returns when p blocks or finishes.
 func (e *Engine) resume(p *Proc) {
-	e.cur = p
-	p.wake <- struct{}{}
-	<-e.yield
-	e.cur = nil
+	c := p.c
+	if c == nil {
+		if n := len(e.idle); n > 0 {
+			c = e.idle[n-1]
+			e.idle[n-1] = nil
+			e.idle = e.idle[:n-1]
+		} else {
+			c = &carrier{e: e}
+			c.next, c.stop = iter.Pull(c.loop)
+		}
+		c.p, p.c = p, c
+	}
+	c.next()
+}
+
+// loop is the body of a carrier's coroutine: run the bound process, go
+// idle, and wait to be bound again. yield returns false once the carrier is
+// stopped: idle by stopIdle, or blocked in a process (see Proc.block) by
+// Close.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run(c.p)
+		c.p = nil
+		c.e.idle = append(c.e.idle, c)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes p to completion. A panic becomes the engine's error; a
+// runtime.Goexit (t.FailNow inside a process) unwinds through loop, so the
+// carrier is never reused, and iter.Pull re-raises it in the Run caller.
+func (c *carrier) run(p *Proc) {
+	e := c.e
+	defer func() {
+		if r := recover(); r != nil && r != errClosed {
+			if e.err == nil {
+				e.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			}
+			e.fatal = true
+		}
+		p.done = true
+		p.c, p.fn = nil, nil
+		last := e.procs[len(e.procs)-1]
+		e.procs[p.idx], last.idx = last, p.idx
+		e.procs[len(e.procs)-1] = nil
+		e.procs = e.procs[:len(e.procs)-1]
+		e.wakeAll(&p.joiners)
+	}()
+	p.fn(p)
+}
+
+// stopIdle lets the goroutines of all idle carriers exit.
+func (e *Engine) stopIdle() {
+	for i, c := range e.idle {
+		c.stop()
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
+}
+
+// errClosed unwinds a process that was still blocked when its engine closed.
+var errClosed = errors.New("sim: engine closed")
+
+// Close tears a finished simulation down: every process that is still
+// blocked is unwound (its deferred calls run, at the final virtual time) and
+// every coroutine exits, so nothing but the caller's own references keeps
+// the engine and the world built on it alive. It is optional — an engine may
+// simply be dropped — and matters to a host process that runs many
+// simulations. Call it from outside any process, after the last Run; the
+// engine must not be used afterwards.
+func (e *Engine) Close() {
+	// Unwinding a process may finish or spawn others: walk a snapshot.
+	for _, p := range slices.Clone(e.procs) {
+		if p.c != nil {
+			p.c.stop() // block panics with errClosed; carrier.run recovers it
+		}
+	}
+	e.events, e.procs = nil, nil
+	e.stopIdle()
 }
 
 // Live reports the number of processes that have been spawned and not yet
 // finished.
-func (e *Engine) Live() int { return e.live }
+func (e *Engine) Live() int { return len(e.procs) }
 
 // Err returns the first process panic recorded, if any.
 func (e *Engine) Err() error { return e.err }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -111,8 +112,8 @@ func TestPanicSurfacesAsError(t *testing.T) {
 		panic("kaboom")
 	})
 	err := e.Run()
-	if err == nil {
-		t.Fatal("expected panic error")
+	if err == nil || !strings.Contains(err.Error(), `"boom"`) || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("err = %v, want the process name and the panic value", err)
 	}
 }
 

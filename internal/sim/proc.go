@@ -2,20 +2,28 @@ package sim
 
 import "time"
 
-// Proc is a simulation process: a goroutine that runs cooperatively under
-// the engine. Blocking methods (Sleep, and the queue/semaphore operations
-// that take a *Proc) suspend the goroutine and return control to the engine
-// until the wakeup condition fires.
+// Proc is a simulation process: a function that runs cooperatively under
+// the engine on a pooled coroutine. Blocking methods (Sleep, and the
+// queue/semaphore operations that take a *Proc) switch back to the engine
+// loop until the wakeup condition fires.
 //
-// A Proc must only be used from its own goroutine (the function passed to
-// Engine.Go).
+// A Proc must only be used from its own process (the function passed to
+// Engine.Go). The *Proc stays valid after the function returns — Done and
+// Join keep working — even though its coroutine has moved on to another
+// process by then.
 type Proc struct {
-	engine  *Engine
-	name    string
-	wake    chan struct{}
-	done    bool
-	daemon  bool
-	joiners []*blocked
+	engine   *Engine
+	name     string
+	fn       func(p *Proc)
+	c        *carrier // nil before the first run and after the last
+	gen      uint64   // wait generation: each park that ends advances it; starts at 1
+	idx      int      // index in Engine.procs while the process is live
+	timedOut bool     // whether a timer ended the last park
+	done     bool
+	daemon   bool
+	prev     *Proc // neighbours in the waitList p is parked in
+	next     *Proc
+	joiners  waitList
 }
 
 // Daemon reports whether this is a background service process.
@@ -33,10 +41,12 @@ func (p *Proc) Now() Time { return p.engine.now }
 // Done reports whether the process function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// block yields control to the engine and waits to be resumed.
+// block switches to the engine loop and returns when it resumes p. The
+// yield fails only when Engine.Close stops the carrier of a blocked process.
 func (p *Proc) block() {
-	p.engine.yield <- struct{}{}
-	<-p.wake
+	if !p.c.yield(struct{}{}) {
+		panic(errClosed)
+	}
 }
 
 // Sleep suspends the process for the given virtual duration. Non-positive
@@ -46,7 +56,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.engine.schedule(p.engine.now.Add(d), &event{wake: p})
+	p.engine.schedule(p.engine.now.Add(d), event{p: p})
 	p.block()
 }
 
@@ -54,18 +64,21 @@ func (p *Proc) Sleep(d time.Duration) {
 // already queued for this instant.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// park suspends the process until another party wins its wait token via
-// Engine.wakeWaiter. If timeout is positive a timer competes for the token;
-// park reports true if the timer won (the wait timed out). A non-positive
-// timeout parks indefinitely.
-func (p *Proc) park(tok *waitToken, timeout time.Duration) (timedOut bool) {
+// park queues the process on list and suspends it until another party ends
+// the wait via Engine.wakeOne/wakeAll. If timeout is positive a timer
+// competes for the wait; park reports true if the timer won (the wait timed
+// out). A non-positive timeout parks indefinitely.
+func (p *Proc) park(list *waitList, timeout time.Duration) (timedOut bool) {
+	e := p.engine
+	list.push(p)
 	if timeout > 0 {
-		p.engine.schedule(p.engine.now.Add(timeout), &event{wake: p, tok: tok, timeout: true})
-	} else {
-		p.engine.parked[p] = struct{}{}
+		e.schedule(e.now.Add(timeout), event{p: p, gen: p.gen})
 	}
 	p.block()
-	return tok.timedOut
+	if p.timedOut {
+		list.remove(p) // a waker would have unlinked p; the timer does not
+	}
+	return p.timedOut
 }
 
 // Join blocks until q has finished. Joining a finished process returns
@@ -74,9 +87,7 @@ func (p *Proc) Join(q *Proc) {
 	if q.done {
 		return
 	}
-	w := &blocked{p: p, tok: &waitToken{}}
-	q.joiners = append(q.joiners, w)
-	p.park(w.tok, 0)
+	p.park(&q.joiners, 0)
 }
 
 // JoinAll blocks until every process in qs has finished.

@@ -7,10 +7,10 @@ import "time"
 // while a bounded queue is full. Wakeups are FIFO among waiters.
 type Queue[T any] struct {
 	e       *Engine
-	items   []T
+	items   ring[T]
 	cap     int
-	getters []*blocked
-	putters []*blocked
+	getters waitList
+	putters waitList
 	closed  bool
 }
 
@@ -21,112 +21,65 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // Closed reports whether Close has been called.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
-// wakeOne resumes the first waiter whose token is still live.
-func wakeOne(e *Engine, list *[]*blocked) {
-	for len(*list) > 0 {
-		w := (*list)[0]
-		*list = (*list)[1:]
-		if e.wakeWaiter(w) {
-			return
-		}
-	}
-}
-
-// wakeAll resumes every live waiter in the list.
-func wakeAll(e *Engine, list *[]*blocked) {
-	for len(*list) > 0 {
-		w := (*list)[0]
-		*list = (*list)[1:]
-		e.wakeWaiter(w)
-	}
-}
-
 // Put appends v, blocking while a bounded queue is full. Putting to a
 // closed queue panics.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && len(q.items) >= q.cap {
-		if q.closed {
-			panic("sim: Put on closed queue")
-		}
-		w := &blocked{p: p, tok: &waitToken{}}
-		q.putters = append(q.putters, w)
-		p.park(w.tok, 0)
+	for q.cap > 0 && q.items.n >= q.cap && !q.closed {
+		p.park(&q.putters, 0)
 	}
-	if q.closed {
+	if !q.TryPut(v) {
 		panic("sim: Put on closed queue")
 	}
-	q.items = append(q.items, v)
-	wakeOne(q.e, &q.getters)
 }
 
 // TryPut appends v without blocking; it reports whether the item was
 // accepted.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || (q.cap > 0 && len(q.items) >= q.cap) {
+	if q.closed || (q.cap > 0 && q.items.n >= q.cap) {
 		return false
 	}
-	q.items = append(q.items, v)
-	wakeOne(q.e, &q.getters)
+	q.items.push(v)
+	q.e.wakeOne(&q.getters)
 	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is
 // empty. ok is false if the queue was closed and drained.
-func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			return v, false
-		}
-		w := &blocked{p: p, tok: &waitToken{}}
-		q.getters = append(q.getters, w)
-		p.park(w.tok, 0)
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	wakeOne(q.e, &q.putters)
-	return v, true
-}
+func (q *Queue[T]) Get(p *Proc) (v T, ok bool) { return q.GetTimeout(p, 0) }
 
 // GetTimeout is Get with a deadline: ok is false on timeout or on a closed,
 // drained queue. A non-positive timeout blocks indefinitely.
 func (q *Queue[T]) GetTimeout(p *Proc, timeout time.Duration) (v T, ok bool) {
-	if timeout <= 0 {
-		return q.Get(p)
-	}
 	deadline := q.e.now.Add(timeout)
-	for len(q.items) == 0 {
+	for q.items.n == 0 {
 		if q.closed {
 			return v, false
 		}
-		remain := deadline.Sub(q.e.now)
-		if remain <= 0 {
-			return v, false
+		var remain time.Duration // zero parks without a timer
+		if timeout > 0 {
+			if remain = deadline.Sub(q.e.now); remain <= 0 {
+				return v, false
+			}
 		}
-		w := &blocked{p: p, tok: &waitToken{}}
-		q.getters = append(q.getters, w)
-		if p.park(w.tok, remain) {
+		if p.park(&q.getters, remain) {
 			return v, false
 		}
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	wakeOne(q.e, &q.putters)
-	return v, true
+	return q.TryGet()
 }
 
 // TryGet removes and returns the head item without blocking.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	wakeOne(q.e, &q.putters)
+	v = q.items.pop()
+	q.e.wakeOne(&q.putters)
 	return v, true
 }
 
@@ -137,6 +90,36 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	wakeAll(q.e, &q.getters)
-	wakeAll(q.e, &q.putters)
+	q.e.wakeAll(&q.getters)
+	q.e.wakeAll(&q.putters)
+}
+
+// ring is a growable ring buffer. Its length stays a power of two and is
+// never given back, so a queue that has reached its working depth pushes
+// and pops without allocating.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest element; the ring must not be empty.
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
 }

@@ -7,7 +7,7 @@ import "time"
 type Semaphore struct {
 	e       *Engine
 	permits int
-	waiters []*blocked
+	waiters waitList
 }
 
 // NewSemaphore creates a semaphore holding the given number of permits.
@@ -18,9 +18,7 @@ func NewSemaphore(e *Engine, permits int) *Semaphore {
 // Acquire takes one permit, blocking until one is available.
 func (s *Semaphore) Acquire(p *Proc) {
 	for s.permits <= 0 {
-		w := &blocked{p: p, tok: &waitToken{}}
-		s.waiters = append(s.waiters, w)
-		p.park(w.tok, 0)
+		p.park(&s.waiters, 0)
 	}
 	s.permits--
 }
@@ -37,7 +35,7 @@ func (s *Semaphore) TryAcquire() bool {
 // Release returns one permit and wakes a blocked acquirer, if any.
 func (s *Semaphore) Release() {
 	s.permits++
-	wakeOne(s.e, &s.waiters)
+	s.e.wakeOne(&s.waiters)
 }
 
 // Available returns the number of free permits.
@@ -48,7 +46,7 @@ func (s *Semaphore) Available() int { return s.permits }
 type Signal struct {
 	e       *Engine
 	fired   bool
-	waiters []*blocked
+	waiters waitList
 }
 
 // NewSignal creates an unfired signal.
@@ -61,28 +59,12 @@ func (s *Signal) Fired() bool { return s.fired }
 // fired. Each Wait parks at most once: a wakeup always corresponds to a
 // Fire call, even if the signal was Reset again before the waiter resumed
 // (edge-triggered wakeup, level-triggered fast path).
-func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
-	}
-	w := &blocked{p: p, tok: &waitToken{}}
-	s.waiters = append(s.waiters, w)
-	p.park(w.tok, 0)
-}
+func (s *Signal) Wait(p *Proc) { s.WaitTimeout(p, 0) }
 
 // WaitTimeout is Wait with a deadline; it reports whether the signal fired
 // (false = timed out). A non-positive timeout blocks indefinitely.
 func (s *Signal) WaitTimeout(p *Proc, timeout time.Duration) bool {
-	if s.fired {
-		return true
-	}
-	if timeout <= 0 {
-		s.Wait(p)
-		return true
-	}
-	w := &blocked{p: p, tok: &waitToken{}}
-	s.waiters = append(s.waiters, w)
-	return !p.park(w.tok, timeout)
+	return s.fired || !p.park(&s.waiters, timeout)
 }
 
 // Fire fires the signal, waking all waiters. Idempotent.
@@ -91,7 +73,7 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	wakeAll(s.e, &s.waiters)
+	s.e.wakeAll(&s.waiters)
 }
 
 // Reset returns a fired signal to the unfired state.
@@ -100,14 +82,15 @@ func (s *Signal) Reset() { s.fired = false }
 // Future carries a single value set exactly once; processes can block until
 // it resolves. It is the simulation analogue of a one-shot channel.
 type Future[T any] struct {
-	sig       *Signal
-	val       T
-	callbacks []func(T)
+	sig  Signal
+	val  T
+	cb   func(T)   // the first registered callback: most futures have one
+	more []func(T) // the rest, in registration order
 }
 
 // NewFuture creates an unresolved future.
 func NewFuture[T any](e *Engine) *Future[T] {
-	return &Future[T]{sig: NewSignal(e)}
+	return &Future[T]{sig: Signal{e: e}}
 }
 
 // Resolve sets the value, wakes all waiters, and runs registered
@@ -118,12 +101,15 @@ func (f *Future[T]) Resolve(v T) {
 	}
 	f.val = v
 	f.sig.Fire()
-	for _, cb := range f.callbacks {
+	if f.cb != nil {
+		f.cb(v)
+	}
+	for _, cb := range f.more {
 		cb(v)
 	}
 	// Truncate rather than nil: a renewed future re-registers callbacks
 	// into the retained capacity, keeping recycled futures allocation-free.
-	f.callbacks = f.callbacks[:0]
+	f.cb, f.more = nil, f.more[:0]
 }
 
 // Renew re-arms a RESOLVED future for reuse, dropping its value and
@@ -137,7 +123,6 @@ func (f *Future[T]) Renew() {
 	f.sig.Reset()
 	var zero T
 	f.val = zero
-	f.callbacks = f.callbacks[:0]
 }
 
 // OnResolve registers fn to run when the future resolves (immediately if
@@ -148,7 +133,11 @@ func (f *Future[T]) OnResolve(fn func(T)) {
 		fn(f.val)
 		return
 	}
-	f.callbacks = append(f.callbacks, fn)
+	if f.cb == nil {
+		f.cb = fn
+		return
+	}
+	f.more = append(f.more, fn)
 }
 
 // Resolved reports whether the future carries a value.
@@ -181,14 +170,13 @@ func (f *Future[T]) Value() (v T, ok bool) {
 
 // WaitGroup waits for a collection of processes or operations to finish.
 type WaitGroup struct {
-	e     *Engine
 	count int
-	sig   *Signal
+	sig   Signal
 }
 
 // NewWaitGroup creates a wait group with a zero count.
 func NewWaitGroup(e *Engine) *WaitGroup {
-	return &WaitGroup{e: e, sig: NewSignal(e)}
+	return &WaitGroup{sig: Signal{e: e}}
 }
 
 // Add increments the pending-operation count by n (n may be negative, as

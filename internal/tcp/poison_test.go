@@ -56,3 +56,58 @@ func TestPoisonPoolConfig(t *testing.T) {
 		t.Fatal("PoisonPool did not enable poison-on-free")
 	}
 }
+
+// TestRealDataRoundTripPoisonedMessages is the same guard one layer down:
+// both endpoints overwrite a network message with 0xDB when its receiver
+// releases it. Several I/Os stay in flight, so released messages are
+// re-encoded while earlier payloads are still staged or waiting for the
+// application; a decoder that aliased the message's bytes instead of
+// copying them would read back poison or a later message.
+func TestRealDataRoundTripPoisonedMessages(t *testing.T) {
+	r := newRig(t, true, nil)
+	r.link.A.SetPoison(true)
+	r.link.B.SetPoison(true)
+	// Odd I/Os travel in their command capsule, even ones as two chunks
+	// at the default 128K.
+	const ios, slot = 8, 192 << 10
+	payload := func(i int) []byte {
+		b := make([]byte, slot-i%2*(slot-4096))
+		for j := range b {
+			b[j] = byte(j*7 + i*31 + 1)
+		}
+		return b
+	}
+	r.e.Go("app", func(p *sim.Proc) {
+		c := r.connect(t, p, ios)
+		for round := 0; round < 3; round++ {
+			futs := make([]*sim.Future[*transport.Result], ios)
+			for i := range futs {
+				data := payload(i)
+				futs[i] = c.Submit(p, &transport.IO{Write: true, Offset: int64(i * slot), Size: len(data), Data: data})
+			}
+			for i, f := range futs {
+				if res := f.Wait(p); res.Err() != nil {
+					t.Fatalf("round %d write %d: %v", round, i, res.Err())
+				}
+			}
+			for i := range futs {
+				size := len(payload(i))
+				futs[i] = c.Submit(p, &transport.IO{Offset: int64(i * slot), Size: size, Data: make([]byte, size)})
+			}
+			for i, f := range futs {
+				res := f.Wait(p)
+				if res.Err() != nil {
+					t.Fatalf("round %d read %d: %v", round, i, res.Err())
+				}
+				if !bytes.Equal(res.Data, payload(i)) {
+					t.Fatalf("round %d read %d: payload corrupted through poisoned messages", round, i)
+				}
+			}
+		}
+		c.Close()
+		c.WaitClosed(p)
+	})
+	if err := r.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -102,7 +102,7 @@ type tcpConnWire struct {
 
 func (w *tcpConnWire) OnICReq(req *pdu.ICReq) {
 	w.c.Target().Telemetry().Inc(telemetry.CtrSrvTCPConns)
-	w.c.Post(nil, &pdu.ICResp{
+	w.c.Post(&pdu.ICResp{
 		PFV:        req.PFV,
 		CPDA:       4,
 		MaxH2CData: uint32(w.s.cfg.TP.ChunkSize),
@@ -114,7 +114,7 @@ func (w *tcpConnWire) TrType() uint8 { return nvme.TrTypeTCP }
 func (w *tcpConnWire) PreLoop() {}
 
 func (w *tcpConnWire) DispatchRead(cmd nvme.Command, transit time.Duration) {
-	w.c.StartReadTCP(cmd, transit)
+	w.c.StartRead(cmd, transit, nil)
 }
 
 func (w *tcpConnWire) DispatchWrite(cap *pdu.CapsuleCmd, size int, transit time.Duration) {

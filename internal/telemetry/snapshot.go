@@ -9,14 +9,14 @@ import (
 // HistSnapshot is the exported summary of one distribution. Latency
 // histograms are in nanoseconds; the *_us fields convert for humans.
 type HistSnapshot struct {
-	Count  int64   `json:"count"`
-	Mean   float64 `json:"mean"`
-	Min    int64   `json:"min"`
-	Max    int64   `json:"max"`
-	P50    int64   `json:"p50"`
-	P99    int64   `json:"p99"`
-	P999   int64   `json:"p999"`
-	P9999  int64   `json:"p9999"`
+	Count   int64   `json:"count"`
+	Mean    float64 `json:"mean"`
+	Min     int64   `json:"min"`
+	Max     int64   `json:"max"`
+	P50     int64   `json:"p50"`
+	P99     int64   `json:"p99"`
+	P999    int64   `json:"p999"`
+	P9999   int64   `json:"p9999"`
 	MeanUs  float64 `json:"mean_us"`
 	P50Us   float64 `json:"p50_us"`
 	P99Us   float64 `json:"p99_us"`

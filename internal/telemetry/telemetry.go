@@ -109,58 +109,58 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	CtrSubmitsSHM:        "client.submits.shm",
-	CtrSubmitsTCP:        "client.submits.tcp",
-	CtrCompletions:       "client.completions",
-	CtrRetries:           "client.retries",
-	CtrTimeouts:          "client.timeouts",
-	CtrFailovers:         "client.failovers",
-	CtrReconnects:        "client.reconnects",
-	CtrLateMsgs:          "client.late_msgs",
-	CtrSrvSHMConns:       "server.conns.shm",
-	CtrSrvTCPConns:       "server.conns.tcp",
-	CtrSrvShed:           "server.shed",
-	CtrSrvBufWaits:       "server.buffer_waits",
-	CtrSrvKATOExpiry:     "server.kato_expirations",
-	CtrSrvStaleMsgs:      "server.stale_msgs",
-	CtrSHMClaims:         "shm.claims",
-	CtrSHMReleases:       "shm.releases",
-	CtrSHMRevocations:    "shm.revocations",
-	CtrSHMFutexStalls:    "shm.futex_stalls",
-	CtrPDUsTx:            "tcp.pdus.tx",
-	CtrPDUsRx:            "tcp.pdus.rx",
-	CtrProvisionOK:       "fabric.provision.ok",
-	CtrProvisionFailed:   "fabric.provision.failed",
-	CtrCacheHit:          "cache.hit",
-	CtrCacheMiss:         "cache.miss",
-	CtrCacheFill:         "cache.fill",
-	CtrCacheEvict:        "cache.evict",
-	CtrCacheBypass:       "cache.bypass",
-	CtrCacheWriteBack:    "cache.writeback",
-	CtrCacheWriteThrough: "cache.writethrough",
-	CtrCacheThrottled:    "cache.wb_throttled",
-	CtrCacheDirtyBytes:   "cache.dirty_bytes",
-	CtrCacheDirtyLost:    "cache.dirty_lost",
-	CtrReplWrites:        "cluster.writes",
-	CtrReplReads:         "cluster.reads",
-	CtrReplReplicaWrites: "cluster.replica_writes",
-	CtrReplQuorumFails:   "cluster.quorum_failures",
-	CtrReplReadFailovers: "cluster.read_failovers",
-	CtrReplDegraded:      "cluster.degraded_ios",
-	CtrReplicaDown:       "cluster.replica_down",
-	CtrReplicaUp:         "cluster.replica_up",
-	CtrRebuildRounds:     "cluster.rebuild_rounds",
-	CtrRebuildExtents:    "cluster.rebuild_extents",
-	CtrRebuildBytes:      "cluster.rebuild_bytes",
-	CtrRingSubmits:       "ring.submits",
-	CtrRingReaps:         "ring.reaps",
-	CtrRingSQFull:        "ring.sq_full_stalls",
-	CtrRingBufStalls:     "ring.buf_stalls",
-	CtrRDMARegHits:       "rdma.reg_hits",
-	CtrRDMARegMisses:     "rdma.reg_misses",
-	CtrRDMARegEvictions:  "rdma.reg_evictions",
-	CtrRDMAPreregBytes:   "rdma.prereg_bytes",
-	CtrRDMAMergedOps:     "rdma.merged_ops",
+	CtrSubmitsSHM:         "client.submits.shm",
+	CtrSubmitsTCP:         "client.submits.tcp",
+	CtrCompletions:        "client.completions",
+	CtrRetries:            "client.retries",
+	CtrTimeouts:           "client.timeouts",
+	CtrFailovers:          "client.failovers",
+	CtrReconnects:         "client.reconnects",
+	CtrLateMsgs:           "client.late_msgs",
+	CtrSrvSHMConns:        "server.conns.shm",
+	CtrSrvTCPConns:        "server.conns.tcp",
+	CtrSrvShed:            "server.shed",
+	CtrSrvBufWaits:        "server.buffer_waits",
+	CtrSrvKATOExpiry:      "server.kato_expirations",
+	CtrSrvStaleMsgs:       "server.stale_msgs",
+	CtrSHMClaims:          "shm.claims",
+	CtrSHMReleases:        "shm.releases",
+	CtrSHMRevocations:     "shm.revocations",
+	CtrSHMFutexStalls:     "shm.futex_stalls",
+	CtrPDUsTx:             "tcp.pdus.tx",
+	CtrPDUsRx:             "tcp.pdus.rx",
+	CtrProvisionOK:        "fabric.provision.ok",
+	CtrProvisionFailed:    "fabric.provision.failed",
+	CtrCacheHit:           "cache.hit",
+	CtrCacheMiss:          "cache.miss",
+	CtrCacheFill:          "cache.fill",
+	CtrCacheEvict:         "cache.evict",
+	CtrCacheBypass:        "cache.bypass",
+	CtrCacheWriteBack:     "cache.writeback",
+	CtrCacheWriteThrough:  "cache.writethrough",
+	CtrCacheThrottled:     "cache.wb_throttled",
+	CtrCacheDirtyBytes:    "cache.dirty_bytes",
+	CtrCacheDirtyLost:     "cache.dirty_lost",
+	CtrReplWrites:         "cluster.writes",
+	CtrReplReads:          "cluster.reads",
+	CtrReplReplicaWrites:  "cluster.replica_writes",
+	CtrReplQuorumFails:    "cluster.quorum_failures",
+	CtrReplReadFailovers:  "cluster.read_failovers",
+	CtrReplDegraded:       "cluster.degraded_ios",
+	CtrReplicaDown:        "cluster.replica_down",
+	CtrReplicaUp:          "cluster.replica_up",
+	CtrRebuildRounds:      "cluster.rebuild_rounds",
+	CtrRebuildExtents:     "cluster.rebuild_extents",
+	CtrRebuildBytes:       "cluster.rebuild_bytes",
+	CtrRingSubmits:        "ring.submits",
+	CtrRingReaps:          "ring.reaps",
+	CtrRingSQFull:         "ring.sq_full_stalls",
+	CtrRingBufStalls:      "ring.buf_stalls",
+	CtrRDMARegHits:        "rdma.reg_hits",
+	CtrRDMARegMisses:      "rdma.reg_misses",
+	CtrRDMARegEvictions:   "rdma.reg_evictions",
+	CtrRDMAPreregBytes:    "rdma.prereg_bytes",
+	CtrRDMAMergedOps:      "rdma.merged_ops",
 	CtrRDMADoorbellsSaved: "rdma.doorbells_saved",
 }
 

@@ -105,7 +105,9 @@ type Queue interface {
 // of I/Os with one submit-CPU charge and one reactor kick, and the
 // queue's reactor coalesces the train into batch capsules on the wire
 // (when the transport's BatchSize permits). The returned futures align
-// with ios; completion semantics match Submit exactly.
+// with ios; completion semantics match Submit exactly. The slice itself
+// may be the queue's scratch: it is valid until the next SubmitBatch on
+// this queue, so a caller that keeps futures longer copies them out.
 type BatchQueue interface {
 	Queue
 	SubmitBatch(p *sim.Proc, ios []*IO) []*sim.Future[*Result]
@@ -167,18 +169,19 @@ func (pd *Pending) Finish(now sim.Time, resp *pdu.CapsuleResp, data []byte) {
 // message (TCP coalescing) and transmits it. The message's wire size
 // includes virtual payload lengths.
 func SendPDUs(p *sim.Proc, ep *netsim.Endpoint, pdus ...pdu.PDU) {
-	var data []byte
-	wire := 0
+	msg := ep.NewMessage()
 	for _, q := range pdus {
-		data = q.Encode(data)
-		wire += q.WireLen()
+		msg.Data = q.Encode(msg.Data)
+		msg.Wire += q.WireLen()
 	}
-	ep.Send(p, &netsim.Message{Data: data, Wire: wire})
+	ep.Send(p, msg)
 }
 
-// DecodeAll parses every PDU in a received message.
-func DecodeAll(msg *netsim.Message) ([]pdu.PDU, error) {
-	var out []pdu.PDU
+// DecodeAll parses every PDU in a received message, appending to into[:0]
+// (the connection's scratch, valid until its next DecodeAll). Decoded PDUs
+// own copies of their payloads, so the caller may Release msg afterwards.
+func DecodeAll(msg *netsim.Message, into []pdu.PDU) ([]pdu.PDU, error) {
+	out := into[:0]
 	buf := msg.Data
 	for len(buf) > 0 {
 		p, n, err := pdu.Decode(buf)

@@ -19,7 +19,7 @@
 # regressions on the batched and ring hot paths show up in CI artifacts.
 #
 # Environment knobs (all optional):
-#   BENCH_OUT      output file            (default BENCH_pr7.json)
+#   BENCH_OUT      output file            (default BENCH_pr10.json)
 #   BENCH_DURATION measured window        (default 500ms; CI smoke: 50ms)
 #   BENCH_QD       queue depth            (default 64)
 #   BENCH_SIZE     I/O size               (default 128K)

@@ -6,7 +6,7 @@
 #      (internal/{core,tcp,rdma,session} must share the session engine,
 #      not carry private copies of it); also prints the LoC report
 #   4. go test -race — full suite under the race detector (the sim engine
-#      runs procs one at a time, but real goroutines, channels, and the
+#      runs procs one at a time, but coroutine switches, the bench tooling and the
 #      shared-memory atomics still get exercised); this includes the
 #      replicated-namespace chaos suite (internal/integration
 #      TestClusterChaos*) and the replication scaling gate
