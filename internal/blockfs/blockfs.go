@@ -112,7 +112,7 @@ func (f *File) doSync(p *sim.Proc, write bool, off int64, data []byte, size int)
 	if data != nil {
 		io.Data = data[:size]
 	}
-	res := f.q.Submit(p, io).Wait(p)
+	res := transport.Submit(p, f.q, io).Wait(p)
 	if err := res.Err(); err != nil {
 		return fmt.Errorf("blockfs: %s at %d+%d: %w", opName(write), off, size, err)
 	}
@@ -158,7 +158,7 @@ func (f *File) Stream(p *sim.Proc, write bool, off int64, data []byte, size, xfe
 		if data != nil {
 			io.Data = data[chunkOff-off : chunkOff-off+int64(n)]
 		}
-		fut := f.q.Submit(p, io)
+		fut := transport.Submit(p, f.q, io)
 		local := io
 		fut.OnResolve(func(r *transport.Result) {
 			if err := r.Err(); err != nil {

@@ -206,6 +206,9 @@ type Cache struct {
 	// re-dirtying of the same lines (Retain only).
 	scratch [][]byte
 
+	// freeFills recycles miss-fill ops (request + bound completion).
+	freeFills []*readFill
+
 	stats Stats
 }
 
@@ -717,27 +720,56 @@ func (c *Cache) submitRead(req *ssd.Request) *sim.Future[ssd.Result] {
 	if capacity := c.backing.Blocks() * int64(c.backing.BlockSize()); spanEnd > capacity {
 		spanEnd = capacity
 	}
-	off, size := req.Offset, req.Size
-	fill := &ssd.Request{Op: ssd.OpRead, Offset: spanOff, Size: int(spanEnd - spanOff)}
-	c.backing.Submit(fill).OnResolve(func(r ssd.Result) {
-		if r.Err != nil {
-			// Errors never populate the cache.
-			fut.Resolve(ssd.Result{Err: r.Err})
-			return
-		}
-		// Resident dirty lines are newer than the span just read; lay
-		// them over the span before installing and slicing the reply.
-		if r.Data != nil {
-			c.overlayDirty(spanOff, len(r.Data), r.Data)
-		}
-		c.install(first, last, spanOff, r.Data)
-		var data []byte
-		if r.Data != nil {
-			data = r.Data[off-spanOff : off-spanOff+int64(size)]
-		}
-		fut.Resolve(ssd.Result{Data: data})
-	})
+	var f *readFill
+	if n := len(c.freeFills); n > 0 {
+		f, c.freeFills = c.freeFills[n-1], c.freeFills[:n-1]
+	} else {
+		f = &readFill{c: c}
+		f.done = f.complete
+	}
+	f.fut, f.first, f.last, f.off, f.size = fut, first, last, req.Offset, req.Size
+	f.req = ssd.Request{Op: ssd.OpRead, Offset: spanOff, Size: int(spanEnd - spanOff)}
+	c.backing.Submit(&f.req).OnResolve(f.done)
 	return fut
+}
+
+// readFill is one in-flight miss fill: the aligned-span request handed to
+// the backing device and what its completion needs. It is recycled with
+// done bound once, so a miss allocates neither the request nor a closure
+// (without that a cached run allocates more per read than an uncached
+// one, which internal/exp gates).
+type readFill struct {
+	c                *Cache
+	req              ssd.Request
+	fut              *sim.Future[ssd.Result]
+	first, last, off int64
+	size             int
+	done             func(ssd.Result)
+}
+
+func (f *readFill) complete(r ssd.Result) {
+	c, fut := f.c, f.fut
+	first, last, spanOff, off, size := f.first, f.last, f.req.Offset, f.off, f.size
+	// Back on the freelist before fut resolves: a callback may submit the
+	// next read, and the backing device is done with the request.
+	f.fut = nil
+	c.freeFills = append(c.freeFills, f)
+	if r.Err != nil {
+		// Errors never populate the cache.
+		fut.Resolve(ssd.Result{Err: r.Err})
+		return
+	}
+	// Resident dirty lines are newer than the span just read; lay
+	// them over the span before installing and slicing the reply.
+	if r.Data != nil {
+		c.overlayDirty(spanOff, len(r.Data), r.Data)
+	}
+	c.install(first, last, spanOff, r.Data)
+	var data []byte
+	if r.Data != nil {
+		data = r.Data[off-spanOff : off-spanOff+int64(size)]
+	}
+	fut.Resolve(ssd.Result{Data: data})
 }
 
 func (c *Cache) submitWrite(req *ssd.Request) *sim.Future[ssd.Result] {

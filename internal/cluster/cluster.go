@@ -160,8 +160,8 @@ type extentState struct {
 }
 
 // Cluster is the replicated namespace router. It implements
-// transport.Queue and transport.BatchQueue, so perf streams, the oaf
-// facade, and striped groups stack on it unchanged.
+// transport.Queue, so perf streams, rings, the oaf facade, and striped
+// groups stack on it unchanged.
 type Cluster struct {
 	e       *sim.Engine
 	opts    Options
@@ -304,66 +304,82 @@ func (c *Cluster) eligible(st *extentState, ri int) bool {
 	return rs.gen == c.seats[rs.seat].gen && rs.acked >= st.committed
 }
 
-// Submit implements transport.Queue: writes replicate to quorum, reads
-// route to an up-to-date replica, I/Os spanning extents split and
-// aggregate, admin commands probe the first live member, and flush fans
-// out to every live seated member (the durability barrier must drain
-// every replica it may have dirtied).
-func (c *Cluster) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	if io.Admin != 0 {
-		return c.submitAdmin(p, io)
+// SubmitInto implements transport.Queue. A read contained in one extent
+// is staged on an up-to-date replica's queue and goes out with the
+// cluster's doorbell. Everything else is submitted on p right away, each
+// member command staged and rung at once: writes replicate to quorum,
+// I/Os spanning extents split and aggregate, admin commands probe the
+// first live member, and flush fans out to every live seated member (the
+// durability barrier must drain every replica it may have dirtied).
+func (c *Cluster) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
+	switch {
+	case io.Admin != 0:
+		c.submitAdmin(p, io, fut)
+	case io.Flush:
+		c.submitFlush(p, io, fut)
+	case transport.SpanCount(io, c.opts.ExtentSize) > 1:
+		segs := transport.SplitAt(io, c.opts.ExtentSize)
+		futs := make([]*sim.Future[*transport.Result], len(segs))
+		for i, seg := range segs {
+			futs[i] = sim.NewFuture[*transport.Result](c.e)
+			if seg.Write {
+				c.submitWrite(p, seg, futs[i])
+			} else if ms := c.stageRead(p, seg, futs[i]); ms != nil {
+				ms.q.RingDoorbell(p)
+			}
+		}
+		transport.AggregateResults(fut, io, segs, futs)
+	case io.Write:
+		c.submitWrite(p, io, fut)
+	default:
+		c.stageRead(p, io, fut)
 	}
-	if io.Flush {
-		return c.submitFlush(p, io)
-	}
-	segs := transport.SplitAt(io, c.opts.ExtentSize)
-	if len(segs) == 1 {
-		return c.submitSeg(p, io)
-	}
-	futs := make([]*sim.Future[*transport.Result], len(segs))
-	for i, seg := range segs {
-		futs[i] = c.submitSeg(p, seg)
-	}
-	return transport.AggregateResults(c.e, io, segs, futs)
 }
 
-func (c *Cluster) submitSeg(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	if io.Write {
-		return c.submitWrite(p, io)
+// RingDoorbell implements transport.Queue: one doorbell per member, in
+// attachment order, for the reads staged since the last one (a member
+// with nothing staged costs nothing).
+func (c *Cluster) RingDoorbell(p *sim.Proc) {
+	for _, ms := range c.members {
+		ms.q.RingDoorbell(p)
 	}
-	return c.submitRead(p, io)
+}
+
+// submitNow stages one command on a member queue to complete into fut
+// and rings that member at once.
+func submitNow(p *sim.Proc, q transport.Queue, io *transport.IO, fut *sim.Future[*transport.Result]) {
+	q.SubmitInto(p, io, fut)
+	q.RingDoorbell(p)
 }
 
 // submitAdmin forwards an admin command to the first live member.
-func (c *Cluster) submitAdmin(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+func (c *Cluster) submitAdmin(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	for _, ms := range c.members {
 		if ms.alive {
-			return ms.q.Submit(p, io)
+			submitNow(p, ms.q, io, fut)
+			return
 		}
 	}
-	fut := sim.NewFuture[*transport.Result](c.e)
 	fut.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-	return fut
 }
 
 // submitFlush fans the barrier out to every live seated member.
-func (c *Cluster) submitFlush(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+func (c *Cluster) submitFlush(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	var futs []*sim.Future[*transport.Result]
 	for s := range c.seats {
 		ms := c.occupant(s)
 		if ms == nil || !ms.alive {
 			continue
 		}
-		futs = append(futs, ms.q.Submit(p, &transport.IO{Flush: true, NSID: io.NSID, Tenant: io.Tenant}))
+		futs = append(futs, transport.Submit(p, ms.q, &transport.IO{Flush: true, NSID: io.NSID, Tenant: io.Tenant}))
 	}
 	if len(futs) == 0 {
-		fut := sim.NewFuture[*transport.Result](c.e)
 		fut.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-		return fut
+		return
 	}
 	// A flush fan-out carries no offsets; seat order is the deterministic
 	// tie-break for the merged status.
-	return transport.AggregateResults(c.e, io, nil, futs)
+	transport.AggregateResults(fut, io, nil, futs)
 }
 
 // writeOp tracks one replicated write until quorum (or until quorum
@@ -434,10 +450,10 @@ func (w *writeOp) fail(st nvme.Status) {
 }
 
 // submitWrite fans one extent-contained write out to its R replicas and
-// completes at the write quorum. Each replica write rides that
+// resolves out at the write quorum. Each replica write rides that
 // replica's per-extent chain, so two overlapping writes to the same
 // extent apply in version order on every replica.
-func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO, out *sim.Future[*transport.Result]) {
 	st := c.extent(c.extentFor(io.Offset))
 	st.ver++
 	v := st.ver
@@ -446,7 +462,7 @@ func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO) *sim.Future[*transp
 	}
 	w := &writeOp{
 		c: c, st: st, v: v,
-		out:    sim.NewFuture[*transport.Result](c.e),
+		out:    out,
 		start:  p.Now(),
 		needed: c.opts.WriteQuorum,
 	}
@@ -485,7 +501,6 @@ func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO) *sim.Future[*transp
 		c.tel.Inc(telemetry.CtrReplQuorumFails)
 		w.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
 	}
-	return w.out
 }
 
 // replicaWrite issues one replica's copy of write v through the
@@ -547,13 +562,11 @@ func (c *Cluster) chainSubmit(p *sim.Proc, rs *replState, q transport.Queue, io 
 	prev := rs.chain
 	rs.chain = out
 	if prev == nil || prev.Resolved() {
-		q.Submit(p, io).OnResolve(out.Resolve)
+		submitNow(p, q, io, out)
 		return out
 	}
 	prev.OnResolve(func(*transport.Result) {
-		c.defer_(func(dp *sim.Proc) {
-			q.Submit(dp, io).OnResolve(out.Resolve)
-		})
+		c.defer_(func(dp *sim.Proc) { submitNow(dp, q, io, out) })
 	})
 	return out
 }
@@ -608,84 +621,27 @@ func (op *readOp) attach(ri int, ms *memberState, fut *sim.Future[*transport.Res
 		op.c.tel.Inc(telemetry.CtrReplReadFailovers)
 		nm := op.c.occupant(op.st.repl[next].seat)
 		op.c.defer_(func(dp *sim.Proc) {
-			op.attach(next, nm, nm.q.Submit(dp, op.io))
+			op.attach(next, nm, transport.Submit(dp, nm.q, op.io))
 		})
 	})
 }
 
-// submitRead routes one extent-contained read to an up-to-date replica.
-func (c *Cluster) submitRead(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
+// stageRead routes one extent-contained read to an up-to-date replica:
+// it is staged on that member's queue, which is returned for the caller
+// to ring (nil when no replica can serve the read; out is resolved then).
+func (c *Cluster) stageRead(p *sim.Proc, io *transport.IO, out *sim.Future[*transport.Result]) *memberState {
 	st := c.extent(c.extentFor(io.Offset))
-	op := &readOp{
-		c: c, st: st, io: io,
-		out:   sim.NewFuture[*transport.Result](c.e),
-		tried: make([]bool, len(st.repl)),
-	}
 	ri := c.pickReplica(st, nil)
 	if ri < 0 {
-		op.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-		return op.out
+		out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
+		return nil
 	}
+	op := &readOp{c: c, st: st, io: io, out: out, tried: make([]bool, len(st.repl))}
 	ms := c.occupant(st.repl[ri].seat)
-	op.attach(ri, ms, ms.q.Submit(p, io))
-	return op.out
-}
-
-// SubmitBatch implements transport.BatchQueue: single-extent reads are
-// grouped per chosen replica and submitted as one doorbell per member;
-// everything else (writes, split I/Os, admin) falls back to Submit
-// semantics within the same call. Futures align with ios.
-func (c *Cluster) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	out := make([]*sim.Future[*transport.Result], len(ios))
-	type slot struct {
-		idx int // ios index
-		ri  int // replica index within its extent
-		op  *readOp
-	}
-	perMember := make(map[*memberState][]slot)
-	memberIOs := make(map[*memberState][]*transport.IO)
-	for i, io := range ios {
-		if io.Admin != 0 || io.Flush || io.Write ||
-			transport.SpanCount(io, c.opts.ExtentSize) > 1 {
-			out[i] = c.Submit(p, io)
-			continue
-		}
-		st := c.extent(c.extentFor(io.Offset))
-		op := &readOp{
-			c: c, st: st, io: io,
-			out:   sim.NewFuture[*transport.Result](c.e),
-			tried: make([]bool, len(st.repl)),
-		}
-		out[i] = op.out
-		ri := c.pickReplica(st, nil)
-		if ri < 0 {
-			op.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
-			continue
-		}
-		ms := c.occupant(st.repl[ri].seat)
-		perMember[ms] = append(perMember[ms], slot{idx: i, ri: ri, op: op})
-		memberIOs[ms] = append(memberIOs[ms], io)
-	}
-	// Iterate members in attachment order for determinism (map order is
-	// randomized; member slices are not).
-	for _, ms := range c.members {
-		slots := perMember[ms]
-		if len(slots) == 0 {
-			continue
-		}
-		list := memberIOs[ms]
-		if bq, ok := ms.q.(transport.BatchQueue); ok {
-			futs := bq.SubmitBatch(p, list)
-			for k, sl := range slots {
-				sl.op.attach(sl.ri, ms, futs[k])
-			}
-			continue
-		}
-		for k, sl := range slots {
-			sl.op.attach(sl.ri, ms, ms.q.Submit(p, list[k]))
-		}
-	}
-	return out
+	fut := sim.NewFuture[*transport.Result](c.e)
+	ms.q.SubmitInto(p, io, fut)
+	op.attach(ri, ms, fut)
+	return ms
 }
 
 // probeOutcome applies one probe's result to the member's health streak.
@@ -854,7 +810,7 @@ func (c *Cluster) probeLoop(p *sim.Proc, ms *memberState) {
 		}
 		ms.probeGen++
 		gen := ms.probeGen
-		fut := ms.q.Submit(p, &transport.IO{Admin: nvme.AdminKeepAlive})
+		fut := transport.Submit(p, ms.q, &transport.IO{Admin: nvme.AdminKeepAlive})
 		r, ok := fut.WaitTimeout(p, c.opts.ProbeTimeout)
 		if c.closing {
 			return

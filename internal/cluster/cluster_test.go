@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/nvme"
+	"nvmeoaf/internal/ring"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/transport"
 )
@@ -29,8 +30,7 @@ func newFakeTarget(e *sim.Engine, name string, capacity int, lat time.Duration) 
 	return &fakeTarget{e: e, name: name, store: make([]byte, capacity), lat: lat}
 }
 
-func (q *fakeTarget) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](q.e)
+func (q *fakeTarget) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	q.submits++
 	lat := q.lat
 	down := q.down
@@ -55,10 +55,10 @@ func (q *fakeTarget) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transpor
 		}
 		fut.Resolve(res)
 	})
-	return fut
 }
 
-func (q *fakeTarget) Close() {}
+func (q *fakeTarget) RingDoorbell(*sim.Proc) {}
+func (q *fakeTarget) Close()                 {}
 
 // rig builds a cluster over n fake targets with the given options.
 func rig(t *testing.T, e *sim.Engine, n int, capacity int, opts Options) (*Cluster, []*fakeTarget) {
@@ -115,11 +115,11 @@ func TestQuorumWriteThenReadYourWrite(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		want := pattern(0xAB, 4096)
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 8192, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 8192, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Fatalf("write: %v", r.Status)
 		}
 		buf := make([]byte, 4096)
-		r := c.Submit(p, &transport.IO{Offset: 8192, Size: 4096, Data: buf}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Offset: 8192, Size: 4096, Data: buf}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Fatalf("read: %v", r.Status)
 		}
@@ -150,11 +150,11 @@ func TestLargeIOSplitsAcrossExtentsAndReassembles(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i / 512)
 		}
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 4096, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 4096, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Fatalf("write: %v", r.Status)
 		}
 		buf := make([]byte, len(want))
-		r := c.Submit(p, &transport.IO{Offset: 4096, Size: len(buf), Data: buf}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Offset: 4096, Size: len(buf), Data: buf}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Fatalf("read: %v", r.Status)
 		}
@@ -175,9 +175,9 @@ func TestWriteFailsFastWhenQuorumUnreachable(t *testing.T) {
 		// Kill member 1 and let a first write burn its misses so the
 		// cluster declares it dead.
 		fakes[1].down = true
-		c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)}).Wait(p)
+		transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)}).Wait(p)
 		// Now only one live replica remains; W=2 is unreachable.
-		r := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)}).Wait(p)
 		if r.Status == nvme.StatusSuccess {
 			t.Fatalf("write succeeded with quorum unreachable")
 		}
@@ -197,7 +197,7 @@ func TestReadFailsOverToSurvivingReplica(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		want := pattern(0x5A, 4096)
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Fatalf("write: %v", r.Status)
 		}
 		p.Sleep(time.Millisecond) // let the lagging third replica ack
@@ -207,7 +207,7 @@ func TestReadFailsOverToSurvivingReplica(t *testing.T) {
 		// failing over from a dead pick.
 		for i := 0; i < 6; i++ {
 			buf := make([]byte, 4096)
-			r := c.Submit(p, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
+			r := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
 			if r.Status != nvme.StatusSuccess {
 				t.Fatalf("read %d: %v", i, r.Status)
 			}
@@ -233,7 +233,7 @@ func TestSpareInheritsSeatAndRebuildCopies(t *testing.T) {
 		defer c.Close()
 		for i := 0; i < extents; i++ {
 			data := pattern(byte(i+1), 4096)
-			if r := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: data}).Wait(p); r.Status != nvme.StatusSuccess {
+			if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: data}).Wait(p); r.Status != nvme.StatusSuccess {
 				t.Fatalf("write %d: %v", i, r.Status)
 			}
 		}
@@ -247,7 +247,7 @@ func TestSpareInheritsSeatAndRebuildCopies(t *testing.T) {
 		// Every extent must read back correctly with member 0 still down.
 		for i := 0; i < extents; i++ {
 			buf := make([]byte, 4096)
-			r := c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: buf}).Wait(p)
+			r := transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: buf}).Wait(p)
 			if r.Status != nvme.StatusSuccess {
 				t.Fatalf("read %d after failover: %v", i, r.Status)
 			}
@@ -285,7 +285,7 @@ func TestRevivedMemberResumesSeatAndCatchesUp(t *testing.T) {
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
 		writeAt := func(i int, b byte) {
-			if r := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(b, 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
+			if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(b, 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
 				t.Fatalf("write %d: %v", i, r.Status)
 			}
 		}
@@ -334,8 +334,8 @@ func TestOverlappingWritesApplyInVersionOrder(t *testing.T) {
 	fakes[1].lat = 500 * time.Microsecond
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
-		a := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)})
-		b := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)})
+		a := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)})
+		b := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(2, 4096)})
 		a.Wait(p)
 		b.Wait(p)
 		p.Sleep(5 * time.Millisecond) // drain the slow replica's chain
@@ -354,12 +354,12 @@ func TestBatchReadsGroupPerMember(t *testing.T) {
 		defer c.Close()
 		var ios []*transport.IO
 		for i := 0; i < 16; i++ {
-			if r := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(byte(i+1), 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
+			if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: pattern(byte(i+1), 4096)}).Wait(p); r.Status != nvme.StatusSuccess {
 				t.Fatalf("write %d: %v", i, r.Status)
 			}
 			ios = append(ios, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: make([]byte, 4096)})
 		}
-		futs := c.SubmitBatch(p, ios)
+		futs := transport.SubmitBatch(p, c, ios, nil)
 		for i, f := range futs {
 			r := f.Wait(p)
 			if r.Status != nvme.StatusSuccess {
@@ -372,5 +372,88 @@ func TestBatchReadsGroupPerMember(t *testing.T) {
 	})
 	if got := c.Stats().Reads; got != 16 {
 		t.Fatalf("reads = %d, want 16", got)
+	}
+}
+
+// The same I/O list — reads and writes, extent-contained and spanning —
+// completes once each and with the same statuses whether the future
+// adapters or a ring drive it, over a striped group (one member down, so
+// its stripe units fail under both drivers) and over the replicated
+// router.
+func TestRingMatchesFuturesOverCompositions(t *testing.T) {
+	const unit = 64 << 10
+	var ios []transport.IO
+	for i := 0; i < 6; i++ {
+		ios = append(ios,
+			transport.IO{Write: true, Offset: int64(i) * unit, Size: 4096},
+			transport.IO{Offset: int64(i) * unit, Size: 4096},
+			transport.IO{Write: i%2 == 0, Offset: int64(i+1)*unit - 4096, Size: 8192}) // spans two units
+	}
+	compositions := map[string]func(e *sim.Engine) transport.Queue{
+		"striped": func(e *sim.Engine) transport.Queue {
+			members := make([]transport.Queue, 3)
+			for i := range members {
+				members[i] = newFakeTarget(e, fmt.Sprintf("m%d", i), 1<<20, 10*time.Microsecond)
+			}
+			members[1].(*fakeTarget).down = true
+			return transport.NewStriped(unit, members...)
+		},
+		"replicated": func(e *sim.Engine) transport.Queue {
+			c, _ := rig(t, e, 3, 1<<20, Options{Replicas: 2, ExtentSize: unit})
+			return c
+		},
+	}
+	for name, build := range compositions {
+		t.Run(name, func(t *testing.T) {
+			drive := func(ringMode bool) []nvme.Status {
+				e := sim.NewEngine(9)
+				q := build(e)
+				got := make([]nvme.Status, 0, len(ios))
+				run(t, e, func(p *sim.Proc) {
+					defer q.Close()
+					if !ringMode {
+						list := make([]*transport.IO, len(ios))
+						for i := range ios {
+							io := ios[i]
+							list[i] = &io
+						}
+						for _, fut := range transport.SubmitBatch(p, q, list, nil) {
+							got = append(got, fut.Wait(p).Status)
+						}
+						return
+					}
+					r := ring.New(e, q, ring.Config{SQSize: len(ios), Buffers: 1, BufSize: 512})
+					for i, io := range ios {
+						r.Push(ring.SQE{Write: io.Write, Offset: io.Offset, Size: io.Size, UserData: uint64(i)})
+					}
+					if n := r.Submit(p); n != len(ios) {
+						t.Fatalf("ring admitted %d of %d", n, len(ios))
+					}
+					cq := make([]ring.CQE, 2*len(ios))
+					n := r.Reap(p, cq, len(ios))
+					if extra := r.Reap(p, cq[n:], 1); n != len(ios) || extra != 0 {
+						t.Fatalf("ring completed %d+%d of %d", n, extra, len(ios))
+					}
+					got = got[:len(ios)]
+					for _, c := range cq[:n] {
+						got[c.UserData] = c.Status
+					}
+				})
+				return got
+			}
+			fu, ri := drive(false), drive(true)
+			failed := 0
+			for i := range ios {
+				if fu[i] != ri[i] {
+					t.Errorf("io %d (%+v): futures %v, ring %v", i, ios[i], fu[i], ri[i])
+				}
+				if fu[i] != nvme.StatusSuccess {
+					failed++
+				}
+			}
+			if wantFail := name == "striped"; (failed > 0) != wantFail {
+				t.Errorf("%d failed commands", failed)
+			}
+		})
 	}
 }

@@ -20,20 +20,19 @@ type hangTarget struct {
 	parked []*sim.Future[*transport.Result]
 }
 
-func (q *hangTarget) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](q.e)
+func (q *hangTarget) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
 	if q.hang {
 		q.parked = append(q.parked, fut)
-		return fut
+		return
 	}
 	lat := q.lat
 	q.e.After(lat, func() {
 		fut.Resolve(&transport.Result{Status: nvme.StatusSuccess, Latency: lat})
 	})
-	return fut
 }
 
-func (q *hangTarget) Close() {}
+func (q *hangTarget) RingDoorbell(*sim.Proc) {}
+func (q *hangTarget) Close()                 {}
 
 // hangRig builds a 2-member cluster whose second member hangs on demand.
 func hangRig(t *testing.T, e *sim.Engine, opts Options) (*Cluster, *hangTarget) {
@@ -119,7 +118,7 @@ func TestCloseFencesLateFeedbackFromHungMember(t *testing.T) {
 		// The member hangs BEFORE the write, so one replica copy parks on
 		// it while the quorum completes on the survivor.
 		ht.hang = true
-		r := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(7, 4096)}).Wait(p)
+		r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(7, 4096)}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Fatalf("quorum write: %v", r.Status)
 		}

@@ -140,7 +140,7 @@ func (c *Cluster) rebuildExtent(p *sim.Proc, st *extentState, ri int) bool {
 	if c.opts.RetainData {
 		rio.Data = make([]byte, size)
 	}
-	rr := srcMS.q.Submit(p, rio).Wait(p)
+	rr := transport.Submit(p, srcMS.q, rio).Wait(p)
 	if rr.Status != nvme.StatusSuccess {
 		c.noteFailure(srcMS, rr.Status)
 		return false

@@ -17,7 +17,7 @@ func TestReviewSpareDiesAndRevivesDuplicatesSpareEntry(t *testing.T) {
 	})
 	run(t, e, func(p *sim.Proc) {
 		defer c.Close()
-		if r := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)}).Wait(p); r.Status != 0 {
+		if r := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4096, Data: pattern(1, 4096)}).Wait(p); r.Status != 0 {
 			t.Fatalf("write: %v", r.Status)
 		}
 		// Spare m2 dies and revives.

@@ -32,9 +32,7 @@ const confNQN = "nqn.conformance"
 // client is the cross-transport host-side surface: every binding embeds
 // *session.Host, so these methods promote on all three client types.
 type client interface {
-	Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result]
-	SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result]
-	Close()
+	transport.Queue
 	WaitClosed(p *sim.Proc)
 }
 
@@ -229,9 +227,10 @@ func TestConformanceConnectIdentifyIO(t *testing.T) {
 		r.e.Go("app", func(p *sim.Proc) {
 			c, _ := r.connect(p, clientOpts{queueDepth: 8})
 			buf := make([]byte, 4096)
-			res := c.Submit(p, &transport.IO{
+			res := transport.Submit(p, c, &transport.IO{
 				Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: buf, Size: 4096,
-			}).Wait(p)
+			}).
+				Wait(p)
 			if err := res.Err(); err != nil {
 				t.Fatalf("identify: %v", err)
 			}
@@ -242,11 +241,11 @@ func TestConformanceConnectIdentifyIO(t *testing.T) {
 			for i := range payload {
 				payload[i] = byte(i % 251)
 			}
-			if res := c.Submit(p, &transport.IO{Write: true, Size: len(payload), Data: payload}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Write: true, Size: len(payload), Data: payload}).Wait(p); res.Err() != nil {
 				t.Fatalf("write: %v", res.Err())
 			}
 			into := make([]byte, len(payload))
-			got := c.Submit(p, &transport.IO{Size: len(into), Data: into}).Wait(p)
+			got := transport.Submit(p, c, &transport.IO{Size: len(into), Data: into}).Wait(p)
 			if got.Err() != nil {
 				t.Fatalf("read: %v", got.Err())
 			}
@@ -270,11 +269,11 @@ func TestConformanceFlush(t *testing.T) {
 		r.e.Go("app", func(p *sim.Proc) {
 			c, _ := r.connect(p, clientOpts{queueDepth: 8})
 			for i := 0; i < 4; i++ {
-				if res := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
+				if res := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
 					t.Fatalf("write %d: %v", i, res.Err())
 				}
 			}
-			if res := c.Submit(p, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
 				t.Fatalf("flush: %v", res.Err())
 			}
 			c.Close()
@@ -298,7 +297,7 @@ func TestConformanceBatch(t *testing.T) {
 			for i := range ios {
 				ios[i] = &transport.IO{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096, NoFill: true}
 			}
-			for i, f := range c.SubmitBatch(p, ios) {
+			for i, f := range transport.SubmitBatch(p, c, ios, nil) {
 				if res := f.Wait(p); res.Err() != nil {
 					t.Fatalf("batched io %d: %v", i, res.Err())
 				}
@@ -336,9 +335,10 @@ func TestConformanceTimeoutRecovery(t *testing.T) {
 			})
 			oks := 0
 			for i := 0; p.Now() < sim.Time(10*time.Millisecond); i++ {
-				res := c.Submit(p, &transport.IO{
+				res := transport.Submit(p, c, &transport.IO{
 					Write: i%3 == 0, Offset: int64(i%32) * 4096, Size: 4096, NoFill: true,
-				}).Wait(p)
+				}).
+					Wait(p)
 				switch res.Status {
 				case nvme.StatusSuccess:
 					oks++
@@ -380,7 +380,7 @@ func TestConformanceShed(t *testing.T) {
 			size := 2 * r.pool.ElemSize()
 			futs := make([]*sim.Future[*transport.Result], 0, 32)
 			for i := 0; i < 32; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i%8) * int64(size), Size: size}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i%8) * int64(size), Size: size}))
 			}
 			oks, typed := 0, 0
 			for _, f := range futs {
@@ -422,11 +422,11 @@ func TestConformanceKATOExpiry(t *testing.T) {
 					queueDepth: 4, keepAlive: keepAlive,
 					timeout: 1500 * time.Microsecond, maxRetries: 10, backoff: 200 * time.Microsecond,
 				})
-				if res := c.Submit(p, &transport.IO{Write: true, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
+				if res := transport.Submit(p, c, &transport.IO{Write: true, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
 					t.Fatalf("pre-idle write: %v", res.Err())
 				}
 				p.Sleep(10 * time.Millisecond)
-				if res := c.Submit(p, &transport.IO{Size: 4096}).Wait(p); res.Err() != nil {
+				if res := transport.Submit(p, c, &transport.IO{Size: 4096}).Wait(p); res.Err() != nil {
 					t.Errorf("post-idle read (keepAlive=%v): %v", keepAlive, res.Err())
 				}
 				c.Close()

@@ -32,7 +32,7 @@ func runBatchWorkload(t *testing.T, r *rig, o clientOpts) [][]byte {
 			}
 			writes[i] = &transport.IO{Write: true, Offset: int64(i) * bs, Size: bs, Data: data}
 		}
-		for i, fut := range c.SubmitBatch(p, writes) {
+		for i, fut := range transport.SubmitBatch(p, c, writes, nil) {
 			if res := fut.Wait(p); res.Err() != nil {
 				t.Fatalf("write %d: %v", i, res.Err())
 			}
@@ -42,7 +42,7 @@ func runBatchWorkload(t *testing.T, r *rig, o clientOpts) [][]byte {
 			reads[i] = make([]byte, bs)
 			ios[i] = &transport.IO{Offset: int64(i) * bs, Size: bs, Data: reads[i]}
 		}
-		for i, fut := range c.SubmitBatch(p, ios) {
+		for i, fut := range transport.SubmitBatch(p, c, ios, nil) {
 			if res := fut.Wait(p); res.Err() != nil {
 				t.Fatalf("read %d: %v", i, res.Err())
 			}
@@ -121,7 +121,7 @@ func TestConformanceRDMAMergeCompletionOrder(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i % 241)
 		}
-		if res := c.Submit(p, &transport.IO{Write: true, Size: len(payload), Data: payload}).Wait(p); res.Err() != nil {
+		if res := transport.Submit(p, c, &transport.IO{Write: true, Size: len(payload), Data: payload}).Wait(p); res.Err() != nil {
 			t.Fatalf("write: %v", res.Err())
 		}
 		ios := make([]*transport.IO, n)
@@ -129,7 +129,7 @@ func TestConformanceRDMAMergeCompletionOrder(t *testing.T) {
 			reads[i] = make([]byte, bs)
 			ios[i] = &transport.IO{Offset: int64(i) * bs, Size: bs, Data: reads[i]}
 		}
-		futs := c.SubmitBatch(p, ios)
+		futs := transport.SubmitBatch(p, c, ios, nil)
 		done := make([]*sim.Future[*transport.Result], n)
 		for i := range futs {
 			i := i

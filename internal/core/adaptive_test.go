@@ -125,13 +125,13 @@ func TestAutoBusyPollAdaptsOnLiveTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 64; i++ {
-			c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096}).Wait(p)
+			transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096}).Wait(p)
 		}
 		if got := c.wire.PollBudget(); got != 100*time.Microsecond {
 			t.Errorf("after writes budget %v, want 100us", got)
 		}
 		for i := 0; i < 128; i++ {
-			c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}).Wait(p)
+			transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096}).Wait(p)
 		}
 		if got := c.wire.PollBudget(); got != 25*time.Microsecond {
 			t.Errorf("after reads budget %v, want 25us", got)

@@ -82,11 +82,11 @@ func runBurst(t *testing.T, design Design, batch int) burstOutcome {
 // submitAll issues the burst singly or as one batched doorbell.
 func submitAll(p *sim.Proc, c *Client, batch int, ios []*transport.IO) []*sim.Future[*transport.Result] {
 	if batch > 1 {
-		return c.SubmitBatch(p, ios)
+		return transport.SubmitBatch(p, c, ios, nil)
 	}
 	futs := make([]*sim.Future[*transport.Result], len(ios))
 	for i, io := range ios {
-		futs[i] = c.Submit(p, io)
+		futs[i] = transport.Submit(p, c, io)
 	}
 	return futs
 }
@@ -177,7 +177,7 @@ func TestStripedQueueOrderingAndSpread(t *testing.T) {
 			qs[i], clients[i] = c, c
 		}
 		unit := 64 << 10
-		sq := transport.NewStriped(r0.e, unit, qs...)
+		sq := transport.NewStriped(unit, qs...)
 
 		// Per-offset read-your-write: write then immediately read the same
 		// offset; the deterministic offset->member mapping serializes them
@@ -185,8 +185,8 @@ func TestStripedQueueOrderingAndSpread(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			off := int64(i) * int64(unit)
 			data := bytes.Repeat([]byte{byte(0xA0 + i)}, 4096)
-			wf := sq.Submit(p, &transport.IO{Write: true, Offset: off, Size: 4096, Data: data})
-			rf := sq.Submit(p, &transport.IO{Offset: off, Size: 4096, Data: make([]byte, 4096)})
+			wf := transport.Submit(p, sq, &transport.IO{Write: true, Offset: off, Size: 4096, Data: data})
+			rf := transport.Submit(p, sq, &transport.IO{Offset: off, Size: 4096, Data: make([]byte, 4096)})
 			if err := wf.Wait(p).Err(); err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}
@@ -210,11 +210,11 @@ func TestStripedQueueOrderingAndSpread(t *testing.T) {
 		for i := range big {
 			big[i] = byte(i % 251)
 		}
-		if err := sq.Submit(p, &transport.IO{Write: true, Offset: 0, Size: len(big), Data: big}).Wait(p).Err(); err != nil {
+		if err := transport.Submit(p, sq, &transport.IO{Write: true, Offset: 0, Size: len(big), Data: big}).Wait(p).Err(); err != nil {
 			t.Fatalf("large write: %v", err)
 		}
 		back := make([]byte, len(big))
-		res := sq.Submit(p, &transport.IO{Offset: 0, Size: len(back), Data: back}).Wait(p)
+		res := transport.Submit(p, sq, &transport.IO{Offset: 0, Size: len(back), Data: back}).Wait(p)
 		if err := res.Err(); err != nil {
 			t.Fatalf("large read: %v", err)
 		}

@@ -79,11 +79,11 @@ func TestPoisonedPoolRoundTripThroughCachedTarget(t *testing.T) {
 				c := r.connect(t, p, design, 8)
 				for round := 0; round < 3; round++ {
 					// Large stream: bypasses the cache in both directions.
-					res := c.Submit(p, &transport.IO{Write: true, Offset: 1 << 20, Size: len(large), Data: large}).Wait(p)
+					res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 1 << 20, Size: len(large), Data: large}).Wait(p)
 					if res.Err() != nil {
 						t.Fatalf("round %d large write: %v", round, res.Err())
 					}
-					res = c.Submit(p, &transport.IO{Offset: 1 << 20, Size: len(large), Data: make([]byte, len(large))}).Wait(p)
+					res = transport.Submit(p, c, &transport.IO{Offset: 1 << 20, Size: len(large), Data: make([]byte, len(large))}).Wait(p)
 					if res.Err() != nil {
 						t.Fatalf("round %d large read: %v", round, res.Err())
 					}
@@ -91,11 +91,11 @@ func TestPoisonedPoolRoundTripThroughCachedTarget(t *testing.T) {
 						t.Fatalf("round %d: large payload corrupted through cached target", round)
 					}
 					// Small hot line: absorbed write-back, then served from DRAM.
-					res = c.Submit(p, &transport.IO{Write: true, Offset: 8192, Size: len(small), Data: small}).Wait(p)
+					res = transport.Submit(p, c, &transport.IO{Write: true, Offset: 8192, Size: len(small), Data: small}).Wait(p)
 					if res.Err() != nil {
 						t.Fatalf("round %d small write: %v", round, res.Err())
 					}
-					res = c.Submit(p, &transport.IO{Offset: 8192, Size: len(small), Data: make([]byte, len(small))}).Wait(p)
+					res = transport.Submit(p, c, &transport.IO{Offset: 8192, Size: len(small), Data: make([]byte, len(small))}).Wait(p)
 					if res.Err() != nil {
 						t.Fatalf("round %d small read: %v", round, res.Err())
 					}
@@ -104,7 +104,7 @@ func TestPoisonedPoolRoundTripThroughCachedTarget(t *testing.T) {
 					}
 				}
 				// Drain dirt so nothing is lost when the rig is torn down.
-				if res := c.Submit(p, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
+				if res := transport.Submit(p, c, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
 					t.Fatalf("flush: %v", res.Err())
 				}
 				c.Close()
@@ -143,7 +143,7 @@ func TestFlushBarrierDrainsDirtyOverFabric(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, DesignSHMZeroCopy, 8)
 		for i := 0; i < 16; i++ {
-			res := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: payload}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: payload}).Wait(p)
 			if res.Err() != nil {
 				t.Fatalf("write %d: %v", i, res.Err())
 			}
@@ -151,7 +151,7 @@ func TestFlushBarrierDrainsDirtyOverFabric(t *testing.T) {
 		if ca.Stats().DirtyBytes == 0 {
 			t.Fatal("write-back absorbed nothing: dirty bytes is zero before the barrier")
 		}
-		if res := c.Submit(p, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
+		if res := transport.Submit(p, c, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
 			t.Fatalf("flush: %v", res.Err())
 		}
 		if got := ca.Stats().DirtyBytes; got != 0 {
@@ -197,7 +197,7 @@ func TestCrashLosesDirtyAndFlushReportsWriteFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 8; i++ {
-			res := c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: payload}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: payload}).Wait(p)
 			if res.Err() != nil {
 				t.Fatalf("write %d: %v", i, res.Err())
 			}
@@ -212,12 +212,12 @@ func TestCrashLosesDirtyAndFlushReportsWriteFault(t *testing.T) {
 			t.Fatal("crash hook did not drop dirty lines")
 		}
 		// The host's durability barrier must learn about the loss.
-		res := c.Submit(p, &transport.IO{Flush: true}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Flush: true}).Wait(p)
 		if res.Status != nvme.StatusWriteFault {
 			t.Fatalf("flush after crash: status %v, want write fault", res.Status)
 		}
 		// Reported once: the next barrier on a clean cache succeeds.
-		if res := c.Submit(p, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
+		if res := transport.Submit(p, c, &transport.IO{Flush: true}).Wait(p); res.Err() != nil {
 			t.Errorf("second flush: %v", res.Err())
 		}
 		c.Close()

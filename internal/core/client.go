@@ -98,7 +98,7 @@ type oafWire struct {
 	// the tuning controller or an operator goroutine mid-run).
 	chunkB atomic.Int64
 
-	// slotScratch backs the amortized multi-slot claim in SubmitBatch.
+	// slotScratch backs the amortized multi-slot claim in StageSubmit.
 	slotScratch []*shm.Slot
 }
 
@@ -213,75 +213,6 @@ func (c *Client) AllocBuffer(size int) []byte {
 	return make([]byte, size)
 }
 
-// SubmitBatch shadows the engine's generic override: the whole train pays
-// one submit-CPU charge and one reactor doorbell, and H2C payload slots
-// for whole-I/O shared-memory writes are claimed with one amortized
-// ClaimN (falling back to per-slot claims for whatever the train did not
-// cover). Per-I/O validation and staging costs match Submit.
-func (c *Client) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	w := c.wire
-	futs := make([]*sim.Future[*transport.Result], len(ios))
-	staged := 0
-	for i, io := range ios {
-		fut := sim.NewFuture[*transport.Result](c.Engine())
-		futs[i] = fut
-		if !c.AdmitIO(io, fut) {
-			continue
-		}
-		if io.Admin == 0 && !io.Flush {
-			w.policy.observe(io.Write)
-		}
-		staged++
-	}
-	if staged == 0 {
-		return futs
-	}
-	// Claim the train's H2C slots up front, paying SlotOverhead once.
-	region := w.region
-	claimSlots := region != nil && !w.cfg.Design.Chunked()
-	var slots []*shm.Slot
-	if claimSlots {
-		need := 0
-		for i, io := range ios {
-			if io.Write && io.Admin == 0 && !futs[i].Resolved() {
-				need++
-			}
-		}
-		if need > 0 {
-			slots = region.ClaimN(p, shm.H2C, need, w.slotScratch[:0])
-			w.slotScratch = slots[:0]
-		}
-	}
-	nextSlot := 0
-	for i, io := range ios {
-		if futs[i].Resolved() {
-			continue // rejected by admission
-		}
-		pend := c.TakePending(io, futs[i])
-		if io.Write && io.Admin == 0 {
-			if !claimSlots {
-				w.stageWrite(p, pend, nil)
-			} else if nextSlot < len(slots) {
-				w.stageWrite(p, pend, slots[nextSlot])
-				slots[nextSlot] = nil
-				nextSlot++
-			} else if region.Revoked() {
-				// Revoked mid-train: remaining writes fall to TCP.
-				w.stageWrite(p, pend, nil)
-			} else {
-				// The amortized train ran out of immediate credits;
-				// claim the remainder one by one (blocking, classic
-				// per-slot overhead).
-				w.stageWrite(p, pend, region.Claim(p, shm.H2C))
-			}
-		}
-		c.Push(p, pend)
-	}
-	p.Sleep(w.cfg.Host.SubmitCPU)
-	c.Kick()
-	return futs
-}
-
 // BuildICReq proposes the hotplugged region in the handshake; on
 // reconnect a revoked region is no longer proposed (the data path
 // renegotiates to TCP).
@@ -314,32 +245,60 @@ func (w *oafWire) Admit(io *transport.IO) nvme.Status {
 	return nvme.StatusSuccess
 }
 
-// StageSubmit feeds the adaptive busy-poll policy and produces/stages the
-// write payload for the selected data path.
-func (w *oafWire) StageSubmit(p *sim.Proc, pend *session.Pending) {
-	io := pend.IO
-	if io.Admin == 0 && !io.Flush {
-		w.policy.observe(io.Write)
+// StageSubmit feeds the adaptive busy-poll policy and produces and stages
+// the train's write payloads for the selected data path. The whole-I/O
+// slot designs claim the train's H2C slots with one amortized ClaimN
+// (SlotOverhead paid once; shared-memory flow control blocks here while
+// all slots are busy) and claim one by one whatever that did not cover.
+func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
+	writes := 0
+	for pend := train; pend != nil; pend = pend.Next {
+		io := pend.IO
+		if io.Admin == 0 && !io.Flush {
+			w.policy.observe(io.Write)
+		}
+		if io.Write && io.Admin == 0 {
+			writes++
+		}
 	}
-	if io.Write && io.Admin == 0 {
-		w.prepareWrite(p, pend)
-	}
-}
-
-// prepareWrite produces the payload and stages it for the selected data
-// path.
-func (w *oafWire) prepareWrite(p *sim.Proc, pend *session.Pending) {
-	region := w.region
-	if region == nil || w.cfg.Design.Chunked() {
-		// TCP path, or chunked SHM (slots claimed after R2T): payload is
-		// produced into a private buffer now.
-		w.stageWrite(p, pend, nil)
+	if writes == 0 {
 		return
 	}
-	// Whole-I/O slot designs: claim the slot up front (shared-memory flow
-	// control: this blocks while all slots are busy). A nil slot means
-	// the region was revoked while claiming: fall back to the TCP path.
-	w.stageWrite(p, pend, region.Claim(p, shm.H2C))
+	// TCP path, or chunked SHM (slots claimed after R2T): payload is
+	// produced into a private buffer, no slot.
+	region := w.region
+	var slots []*shm.Slot
+	if region != nil && !w.cfg.Design.Chunked() {
+		// Another process may ring this queue while this one blocks in the
+		// claim, so the scratch is taken, not shared.
+		scratch := w.slotScratch
+		w.slotScratch = nil
+		slots = region.ClaimN(p, shm.H2C, writes, scratch[:0])
+	} else {
+		region = nil
+	}
+	next := 0
+	for pend := train; pend != nil; pend = pend.Next {
+		if io := pend.IO; !io.Write || io.Admin != 0 {
+			continue
+		}
+		switch {
+		case next < len(slots):
+			w.stageWrite(p, pend, slots[next])
+			slots[next] = nil
+			next++
+		case region == nil || region.Revoked():
+			// A nil slot is the TCP path (revoked mid-train included).
+			w.stageWrite(p, pend, nil)
+		default:
+			// The amortized claim ran out of immediate credits: claim
+			// the rest one by one (blocking, classic per-slot overhead).
+			w.stageWrite(p, pend, region.Claim(p, shm.H2C))
+		}
+	}
+	if slots != nil {
+		w.slotScratch = slots[:0]
+	}
 }
 
 // stageWrite produces the write payload and moves it into the given

@@ -94,7 +94,7 @@ func TestRemotePairFallsBackToTCP(t *testing.T) {
 		if c.SHMEnabled() {
 			t.Error("remote pair must not negotiate shared memory")
 		}
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("fallback write: %v", res.Err())
 		}
@@ -164,13 +164,13 @@ func TestRealDataAllDesigns(t *testing.T) {
 			}
 			r.e.Go("app", func(p *sim.Proc) {
 				c := r.connect(t, p, design, 8)
-				res := c.Submit(p, &transport.IO{Write: true, Offset: 8192, Size: len(payload), Data: payload}).Wait(p)
+				res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 8192, Size: len(payload), Data: payload}).Wait(p)
 				if res.Err() != nil {
 					t.Errorf("write: %v", res.Err())
 					return
 				}
 				into := make([]byte, len(payload))
-				res = c.Submit(p, &transport.IO{Offset: 8192, Size: len(payload), Data: into}).Wait(p)
+				res = transport.Submit(p, c, &transport.IO{Offset: 8192, Size: len(payload), Data: into}).Wait(p)
 				if res.Err() != nil {
 					t.Errorf("read: %v", res.Err())
 					return
@@ -195,7 +195,7 @@ func TestSHMWriteSkipsR2T(t *testing.T) {
 	r := newRig(t, DesignSHMZeroCopy, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, DesignSHMZeroCopy, 8)
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 512 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 512 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -220,7 +220,7 @@ func TestChunkedDesignSendsPerChunkNotifies(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, DesignSHMLockFree, 8)
 		// 512KB write at 128KB chunks: capsule, R2T back, 4 notifies, resp.
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 512 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 512 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -242,7 +242,7 @@ func TestFlowCtlEliminatesControlMessages(t *testing.T) {
 		r.e.Go("app", func(p *sim.Proc) {
 			c := r.connect(t, p, design, 8)
 			for i := 0; i < 8; i++ {
-				c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * (512 << 10), Size: 512 << 10}).Wait(p)
+				transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * (512 << 10), Size: 512 << 10}).Wait(p)
 			}
 			c.Close()
 			c.WaitClosed(p)
@@ -272,7 +272,7 @@ func TestSlotCreditsBlockSubmit(t *testing.T) {
 		c := r.connect(t, p, DesignSHMZeroCopy, 8)
 		var futs []*sim.Future[*transport.Result]
 		for i := 0; i < 3; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{Write: true, Offset: int64(i) << 20, Size: 1 << 20, NoFill: true}))
+			futs = append(futs, transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) << 20, Size: 1 << 20, NoFill: true}))
 			submitted = append(submitted, p.Now())
 		}
 		for _, f := range futs {
@@ -302,7 +302,7 @@ func TestZeroCopyAvoidsClientCopyTime(t *testing.T) {
 			c := r.connect(t, p, design, 16)
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 32; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * (512 << 10), Size: 512 << 10}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * (512 << 10), Size: 512 << 10}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -331,7 +331,7 @@ func TestLockedDesignSlowerThanLockFree(t *testing.T) {
 			c := r.connect(t, p, design, 16)
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 32; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * (512 << 10), Size: 512 << 10}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (512 << 10), Size: 512 << 10}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -363,7 +363,7 @@ func TestSHMFasterThanTCPIntraNode(t *testing.T) {
 			c := r.connect(t, p, design, 32)
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 64; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * (512 << 10), Size: 512 << 10}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (512 << 10), Size: 512 << 10}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -391,7 +391,7 @@ func TestNoSlotLeaksAfterWorkload(t *testing.T) {
 			c := r.connect(t, p, design, 8)
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 20; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Write: i%2 == 0, Offset: int64(i) * (256 << 10), Size: 256 << 10}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Write: i%2 == 0, Offset: int64(i) * (256 << 10), Size: 256 << 10}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -421,7 +421,7 @@ func TestMixedReadWriteWorkload(t *testing.T) {
 		rng := r.e.Rand("mix")
 		var futs []*sim.Future[*transport.Result]
 		for i := 0; i < 200; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{
+			futs = append(futs, transport.Submit(p, c, &transport.IO{
 				Write:  rng.Float64() < 0.3,
 				Offset: int64(rng.Intn(1000)) * 4096,
 				Size:   4096 * (1 + rng.Intn(32)),
@@ -444,7 +444,7 @@ func TestBreakdownAddsUp(t *testing.T) {
 	r := newRig(t, DesignSHMZeroCopy, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, DesignSHMZeroCopy, 4)
-		res := c.Submit(p, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -467,7 +467,7 @@ func TestIdentifyOverAF(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, DesignSHMZeroCopy, 4)
 		buf := make([]byte, 4096)
-		res := c.Submit(p, &transport.IO{Admin: 0x06, CDW10: 1, Data: buf, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Admin: 0x06, CDW10: 1, Data: buf, Size: 4096}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("identify: %v", res.Err())
 		}
@@ -497,7 +497,7 @@ func TestBusyPollOnAF(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
-			if res := c.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096}).Wait(p); res.Err() != nil {
 				t.Fatal(res.Err())
 			}
 		}
@@ -522,13 +522,13 @@ func TestEncryptedChannelRealData(t *testing.T) {
 			}
 			r.e.Go("app", func(p *sim.Proc) {
 				c := r.connect(t, p, design, 8)
-				res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: len(payload), Data: payload}).Wait(p)
+				res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: len(payload), Data: payload}).Wait(p)
 				if res.Err() != nil {
 					t.Errorf("write: %v", res.Err())
 					return
 				}
 				into := make([]byte, len(payload))
-				res = c.Submit(p, &transport.IO{Offset: 0, Size: len(payload), Data: into}).Wait(p)
+				res = transport.Submit(p, c, &transport.IO{Offset: 0, Size: len(payload), Data: into}).Wait(p)
 				if res.Err() != nil {
 					t.Errorf("read: %v", res.Err())
 					return
@@ -557,7 +557,7 @@ func TestEncryptionCostsThroughput(t *testing.T) {
 			c := r.connect(t, p, DesignSHMZeroCopy, 16)
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 32; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Write: true, Offset: int64(i) * (512 << 10), Size: 512 << 10, NoFill: true}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * (512 << 10), Size: 512 << 10, NoFill: true}))
 			}
 			for _, f := range futs {
 				f.Wait(p)

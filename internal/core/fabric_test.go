@@ -54,12 +54,12 @@ func TestProvisionFailureDegradesToTCP(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i)
 		}
-		res := c.Submit(p, &transport.IO{Write: true, Size: len(payload), Data: payload}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Size: len(payload), Data: payload}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("degraded write: %v", res.Err())
 		}
 		back := make([]byte, len(payload))
-		res = c.Submit(p, &transport.IO{Size: len(back), Data: back}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Size: len(back), Data: back}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("degraded read: %v", res.Err())
 		}

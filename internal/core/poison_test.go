@@ -30,12 +30,12 @@ func TestRealDataAllDesignsPoisonedPool(t *testing.T) {
 			r.e.Go("app", func(p *sim.Proc) {
 				c := r.connect(t, p, design, 8)
 				for round := 0; round < 3; round++ {
-					res := c.Submit(p, &transport.IO{Write: true, Offset: 8192, Size: len(payload), Data: payload}).Wait(p)
+					res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 8192, Size: len(payload), Data: payload}).Wait(p)
 					if res.Err() != nil {
 						t.Fatalf("round %d write: %v", round, res.Err())
 					}
 					into := make([]byte, len(payload))
-					res = c.Submit(p, &transport.IO{Offset: 8192, Size: len(payload), Data: into}).Wait(p)
+					res = transport.Submit(p, c, &transport.IO{Offset: 8192, Size: len(payload), Data: into}).Wait(p)
 					if res.Err() != nil {
 						t.Fatalf("round %d read: %v", round, res.Err())
 					}

@@ -55,8 +55,8 @@ func TestClusterReadScalingAtFourTargets(t *testing.T) {
 	}
 }
 
-// TestClusterSurvivesMidRunCrash exercises the chaos-bench configuration
-// scripts/bench.sh sweeps: a member crash mid-window on a replicated
+// TestClusterSurvivesMidRunCrash exercises the chaos-bench
+// configuration: a member crash mid-window on a replicated
 // namespace must not produce a single failed I/O — reads fail over, and
 // the restarted member is healed by background re-replication.
 func TestClusterSurvivesMidRunCrash(t *testing.T) {

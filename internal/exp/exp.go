@@ -566,7 +566,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			var q transport.Queue = members[0]
 			if len(members) > 1 {
-				q = transport.NewStriped(e, 0, members...)
+				q = transport.NewStriped(0, members...)
 			}
 			streams[i] = perf.NewStream(e, q, w)
 		}

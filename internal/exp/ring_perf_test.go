@@ -63,19 +63,46 @@ func TestRingBeatsFuturesAtQD256(t *testing.T) {
 }
 
 // TestRingMatchesFuturesResults pins that ring mode measures the same
-// physics, not a different workload: same fabric, same pattern, same
-// QD — mean latency and throughput land within 20% of the future-based
-// driver (the remaining difference IS the submission-path saving).
+// physics, not a different workload, on a direct connection, a striped
+// group and a replicated namespace alike: same fabric, same pattern, same
+// QD — every command completes with the same (success) status under both
+// drivers, and mean latency and throughput land within 20% of the
+// future-based driver (the remaining difference IS the submission-path
+// saving).
 func TestRingMatchesFuturesResults(t *testing.T) {
 	const window = 200 * time.Millisecond
-	fu, _ := measured(t, ringCfg(TCP25G, 64, false, window))
-	ri, _ := measured(t, ringCfg(TCP25G, 64, true, window))
-	fuLat, riLat := fu.Agg.BD.MeanTotal(), ri.Agg.BD.MeanTotal()
-	if riLat > fuLat*1.2 || riLat < fuLat*0.5 {
-		t.Errorf("ring mean latency %.1fus implausible vs futures %.1fus", riLat, fuLat)
-	}
-	if ri.Agg.Throughput.Ops == 0 || ri.Agg.Throughput.IOPS() < fu.Agg.Throughput.IOPS()*0.8 {
-		t.Errorf("ring throughput %.0f IOPS fell below futures %.0f", ri.Agg.Throughput.IOPS(), fu.Agg.Throughput.IOPS())
+	for _, row := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"direct", func(*Config) {}},
+		{"striped", func(c *Config) { c.Kind, c.Queues = OAF, 4 }},
+		// rdma-ib56 at QD 32: on tcp-25g at QD 64 a command outlives the
+		// replicated namespace's 500us member time-out.
+		{"replicated", func(c *Config) {
+			c.Kind, c.ClusterTargets, c.ClusterReplicas = RDMA56, 3, 2
+			c.Workload.QueueDepth, c.Workload.ReadPct = 32, 70
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(ring bool) *Result {
+				cfg := ringCfg(TCP25G, 64, ring, window)
+				row.mut(&cfg)
+				res, _ := measured(t, cfg)
+				return res
+			}
+			fu, ri := run(false), run(true)
+			if fu.Agg.Errors != 0 || ri.Agg.Errors != 0 {
+				t.Errorf("failed commands: futures %d, ring %d; want none under either driver", fu.Agg.Errors, ri.Agg.Errors)
+			}
+			fuLat, riLat := fu.Agg.BD.MeanTotal(), ri.Agg.BD.MeanTotal()
+			if riLat > fuLat*1.2 || riLat < fuLat*0.5 {
+				t.Errorf("ring mean latency %.1fus implausible vs futures %.1fus", riLat, fuLat)
+			}
+			if ri.Agg.Throughput.Ops == 0 || ri.Agg.Throughput.IOPS() < fu.Agg.Throughput.IOPS()*0.8 {
+				t.Errorf("ring throughput %.0f IOPS fell below futures %.0f", ri.Agg.Throughput.IOPS(), fu.Agg.Throughput.IOPS())
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package host implements the NVMe-oF host (initiator) layer above the
-// transports: controller discovery through identify admin commands, and
-// multi-queue-pair controllers that spread I/O across connections the way
-// SPDK's host driver pins qpairs to cores.
+// Package host holds the admin flows an NVMe-oF host (initiator) runs
+// over an established queue before doing I/O: fetching the discovery log
+// and identifying the controller and its namespace. Spreading I/O across
+// several queue pairs is transport.StripedQueue's job.
 package host
 
 import (
@@ -16,7 +16,7 @@ import (
 // returns the subsystems the target exposes.
 func Discover(p *sim.Proc, q transport.Queue) ([]nvme.DiscoveryEntry, error) {
 	buf := make([]byte, 64<<10)
-	res := q.Submit(p, &transport.IO{
+	res := transport.Submit(p, q, &transport.IO{
 		Admin: nvme.AdminGetLogPage, CDW10: nvme.LIDDiscovery, Data: buf, Size: len(buf),
 	}).Wait(p)
 	if err := res.Err(); err != nil {
@@ -25,82 +25,44 @@ func Discover(p *sim.Proc, q transport.Queue) ([]nvme.DiscoveryEntry, error) {
 	return nvme.DecodeDiscoveryLog(res.Data)
 }
 
-// Controller is a connected NVMe-oF controller: identify data plus one or
-// more I/O queue pairs.
-type Controller struct {
+// Identity is what the identify flow learns about a controller.
+type Identity struct {
 	// Info is the controller identify page.
 	Info nvme.IdentifyController
 	// NS is the namespace-1 identify page.
 	NS nvme.IdentifyNamespace
-
-	queues []transport.Queue
-	rr     int
-}
-
-// Probe connects a controller over already-established queues: it runs
-// the identify flow on the first queue and validates the namespace.
-func Probe(p *sim.Proc, queues ...transport.Queue) (*Controller, error) {
-	if len(queues) == 0 {
-		return nil, fmt.Errorf("host: no queues")
-	}
-	c := &Controller{queues: queues}
-	ctrlBuf := make([]byte, 4096)
-	res := queues[0].Submit(p, &transport.IO{
-		Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: ctrlBuf, Size: 4096,
-	}).Wait(p)
-	if err := res.Err(); err != nil {
-		return nil, fmt.Errorf("host: identify controller: %w", err)
-	}
-	info, err := nvme.DecodeIdentifyController(res.Data)
-	if err != nil {
-		return nil, err
-	}
-	c.Info = info
-
-	nsBuf := make([]byte, 4096)
-	res = queues[0].Submit(p, &transport.IO{
-		Admin: nvme.AdminIdentify, CDW10: nvme.CNSNamespace, NSID: 1, Data: nsBuf, Size: 4096,
-	}).Wait(p)
-	if err := res.Err(); err != nil {
-		return nil, fmt.Errorf("host: identify namespace: %w", err)
-	}
-	ns, err := nvme.DecodeIdentifyNamespace(res.Data)
-	if err != nil {
-		return nil, err
-	}
-	if ns.BlockSize == 0 || ns.NSZE == 0 {
-		return nil, fmt.Errorf("host: namespace not ready: %+v", ns)
-	}
-	c.NS = ns
-	return c, nil
 }
 
 // CapacityBytes returns the namespace capacity.
-func (c *Controller) CapacityBytes() int64 {
-	return int64(c.NS.NSZE) * int64(c.NS.BlockSize)
+func (id Identity) CapacityBytes() int64 {
+	return int64(id.NS.NSZE) * int64(id.NS.BlockSize)
 }
 
-// Queues returns the number of I/O queue pairs.
-func (c *Controller) Queues() int { return len(c.queues) }
-
-// Submit issues an I/O on the next queue pair (round-robin), validating
-// the range against the discovered namespace geometry first.
-func (c *Controller) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	if io.Admin == 0 {
-		if io.Offset < 0 || io.Offset+int64(io.Size) > c.CapacityBytes() {
-			fut := sim.NewFuture[*transport.Result](p.Engine())
-			fut.Resolve(&transport.Result{Status: nvme.StatusLBAOutOfRange})
-			return fut
-		}
+// Identify runs the identify flow on q, as a host does during controller
+// initialization, and validates namespace 1.
+func Identify(p *sim.Proc, q transport.Queue) (Identity, error) {
+	var id Identity
+	page := func(cns, nsid uint32) (*transport.Result, error) {
+		res := transport.Submit(p, q, &transport.IO{
+			Admin: nvme.AdminIdentify, CDW10: cns, NSID: nsid, Data: make([]byte, 4096), Size: 4096,
+		}).Wait(p)
+		return res, res.Err()
 	}
-	q := c.queues[c.rr%len(c.queues)]
-	c.rr++
-	return q.Submit(p, io)
-}
-
-// Close shuts down all queue pairs.
-func (c *Controller) Close() {
-	for _, q := range c.queues {
-		q.Close()
+	res, err := page(nvme.CNSController, 0)
+	if err != nil {
+		return id, fmt.Errorf("host: identify controller: %w", err)
 	}
+	if id.Info, err = nvme.DecodeIdentifyController(res.Data); err != nil {
+		return id, err
+	}
+	if res, err = page(nvme.CNSNamespace, 1); err != nil {
+		return id, fmt.Errorf("host: identify namespace: %w", err)
+	}
+	if id.NS, err = nvme.DecodeIdentifyNamespace(res.Data); err != nil {
+		return id, err
+	}
+	if id.NS.BlockSize == 0 || id.NS.NSZE == 0 {
+		return id, fmt.Errorf("host: namespace not ready: %+v", id.NS)
+	}
+	return id, nil
 }

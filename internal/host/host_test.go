@@ -7,7 +7,6 @@ import (
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
-	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/transport"
@@ -57,76 +56,21 @@ func rig(t *testing.T, n int) (*sim.Engine, func(p *sim.Proc) []transport.Queue)
 	}
 }
 
-func TestProbeDiscoversGeometry(t *testing.T) {
+func TestIdentifyDiscoversGeometry(t *testing.T) {
 	e, connect := rig(t, 1)
 	e.Go("app", func(p *sim.Proc) {
-		ctrl, err := Probe(p, connect(p)...)
+		q := connect(p)[0]
+		id, err := Identify(p, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ctrl.CapacityBytes() != 512<<20 {
-			t.Errorf("capacity %d", ctrl.CapacityBytes())
+		if id.CapacityBytes() != 512<<20 {
+			t.Errorf("capacity %d", id.CapacityBytes())
 		}
-		if ctrl.Info.MN == "" || ctrl.Info.NN != 1 {
-			t.Errorf("controller info: %+v", ctrl.Info)
+		if id.Info.MN == "" || id.Info.NN != 1 {
+			t.Errorf("controller info: %+v", id.Info)
 		}
-		ctrl.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiQueueRoundRobin(t *testing.T) {
-	e, connect := rig(t, 4)
-	e.Go("app", func(p *sim.Proc) {
-		ctrl, err := Probe(p, connect(p)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ctrl.Queues() != 4 {
-			t.Fatalf("queues %d", ctrl.Queues())
-		}
-		var futs []*sim.Future[*transport.Result]
-		for i := 0; i < 32; i++ {
-			futs = append(futs, ctrl.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
-		}
-		for _, f := range futs {
-			if res := f.Wait(p); res.Err() != nil {
-				t.Errorf("io: %v", res.Err())
-			}
-		}
-		ctrl.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHostRangeValidation(t *testing.T) {
-	e, connect := rig(t, 1)
-	e.Go("app", func(p *sim.Proc) {
-		ctrl, err := Probe(p, connect(p)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := ctrl.Submit(p, &transport.IO{Offset: 512 << 20, Size: 4096}).Wait(p)
-		if res.Status != nvme.StatusLBAOutOfRange {
-			t.Errorf("status %v", res.Status)
-		}
-		ctrl.Close()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProbeNoQueues(t *testing.T) {
-	e := sim.NewEngine(1)
-	e.Go("app", func(p *sim.Proc) {
-		if _, err := Probe(p); err == nil {
-			t.Error("probe with no queues should fail")
-		}
+		q.Close()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

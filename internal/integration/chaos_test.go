@@ -119,7 +119,7 @@ func mixedUntil(t *testing.T, p *sim.Proc, c *core.Client, deadline time.Duratio
 				Offset: int64((total+i)%64) * int64(size),
 				Size:   size,
 			}
-			futs = append(futs, c.Submit(p, io))
+			futs = append(futs, transport.Submit(p, c, io))
 		}
 		total += wave
 		flushWave(futs)
@@ -314,14 +314,14 @@ func TestChaosRegionRevocationMidStreamRead(t *testing.T) {
 			t.Fatal("co-located pair did not negotiate shared memory")
 		}
 		// Seed the device over the healthy shared-memory path.
-		if res := c.Submit(p, &transport.IO{Write: true, Size: size, Data: seed}).Wait(p); res.Status.IsError() {
+		if res := transport.Submit(p, c, &transport.IO{Write: true, Size: size, Data: seed}).Wait(p); res.Status.IsError() {
 			t.Fatalf("seed write failed: %v", res.Status)
 		}
 		// Revoke mid-read: the transfer below takes hundreds of
 		// microseconds of per-chunk round trips.
 		rig.inj.RevokeRegion(rig.region, 100*time.Microsecond)
 		buf := make([]byte, size)
-		res := c.Submit(p, &transport.IO{Size: size, Data: buf}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Size: size, Data: buf}).Wait(p)
 		if res.Status.IsError() {
 			t.Fatalf("read across revocation failed: %v", res.Status)
 		}
@@ -332,7 +332,7 @@ func TestChaosRegionRevocationMidStreamRead(t *testing.T) {
 			t.Error("client still on shared memory after revocation")
 		}
 		// The fabric keeps serving over TCP.
-		if res := c.Submit(p, &transport.IO{Size: 8 << 10, Data: make([]byte, 8<<10)}).Wait(p); res.Status.IsError() {
+		if res := transport.Submit(p, c, &transport.IO{Size: 8 << 10, Data: make([]byte, 8<<10)}).Wait(p); res.Status.IsError() {
 			t.Errorf("post-failover read failed: %v", res.Status)
 		}
 		c.Close()
@@ -367,12 +367,12 @@ func TestChaosRegionRevocationMidStreamWrite(t *testing.T) {
 		}
 		cl = c
 		rig.inj.RevokeRegion(rig.region, 100*time.Microsecond)
-		if res := c.Submit(p, &transport.IO{Write: true, Size: size, Data: seed}).Wait(p); res.Status.IsError() {
+		if res := transport.Submit(p, c, &transport.IO{Write: true, Size: size, Data: seed}).Wait(p); res.Status.IsError() {
 			t.Fatalf("write across revocation failed: %v", res.Status)
 		}
 		// Read back over the failed-over TCP path and verify content.
 		buf := make([]byte, size)
-		if res := c.Submit(p, &transport.IO{Size: size, Data: buf}).Wait(p); res.Status.IsError() {
+		if res := transport.Submit(p, c, &transport.IO{Size: size, Data: buf}).Wait(p); res.Status.IsError() {
 			t.Fatalf("verification read failed: %v", res.Status)
 		} else if !equalBytes(buf, seed) {
 			t.Fatal("write across revocation persisted corrupt data")
@@ -449,7 +449,7 @@ func TestChaosKATOTeardownOnAFPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Sleep(10 * time.Millisecond) // idle through several KATO windows
-			res := c.Submit(p, &transport.IO{Size: 8 << 10}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Size: 8 << 10}).Wait(p)
 			ioOK = !res.Status.IsError()
 			c.Close()
 			c.WaitClosed(p)

@@ -100,7 +100,7 @@ func TestDeviceFailurePropagatesToApplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 25; i++ {
-			res := c.Submit(p, &transport.IO{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096}).Wait(p)
 			switch res.Status {
 			case nvme.StatusSuccess:
 				oks++
@@ -162,11 +162,11 @@ func TestCrossFabricDataConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := tc.Submit(p, &transport.IO{Write: true, Offset: 65536, Size: len(payload), Data: payload}).Wait(p); res.Err() != nil {
+		if res := transport.Submit(p, tc, &transport.IO{Write: true, Offset: 65536, Size: len(payload), Data: payload}).Wait(p); res.Err() != nil {
 			t.Fatal(res.Err())
 		}
 		into := make([]byte, len(payload))
-		res := oc.Submit(p, &transport.IO{Offset: 65536, Size: len(payload), Data: into}).Wait(p)
+		res := transport.Submit(p, oc, &transport.IO{Offset: 65536, Size: len(payload), Data: into}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -231,12 +231,12 @@ func TestEightTenantsConcurrently(t *testing.T) {
 			}
 			pattern := bytes.Repeat([]byte{byte(i + 1)}, 64<<10)
 			for j := 0; j < 8; j++ {
-				if res := c.Submit(p, &transport.IO{Write: true, Offset: int64(j) * (64 << 10), Size: len(pattern), Data: pattern}).Wait(p); res.Err() != nil {
+				if res := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(j) * (64 << 10), Size: len(pattern), Data: pattern}).Wait(p); res.Err() != nil {
 					t.Error(res.Err())
 				}
 			}
 			into := make([]byte, 64<<10)
-			res := c.Submit(p, &transport.IO{Offset: 0, Size: len(into), Data: into}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: len(into), Data: into}).Wait(p)
 			if res.Err() != nil {
 				t.Error(res.Err())
 			} else {
@@ -281,18 +281,18 @@ func TestDiscoveryThenProbeFlow(t *testing.T) {
 		if len(entries) != 1 || entries[0].SubNQN != "nqn.prod" {
 			t.Fatalf("discovery: %+v", entries)
 		}
-		ctrl, err := host.Probe(p, c)
+		id, err := host.Identify(p, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ctrl.CapacityBytes() != 1<<30 {
-			t.Fatalf("capacity %d", ctrl.CapacityBytes())
+		if id.CapacityBytes() != 1<<30 {
+			t.Fatalf("capacity %d", id.CapacityBytes())
 		}
-		res := ctrl.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
-		ctrl.Close()
+		c.Close()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

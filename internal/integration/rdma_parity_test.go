@@ -66,7 +66,7 @@ func rdmaMixedUntil(t *testing.T, p *sim.Proc, c *rdma.Client, deadline time.Dur
 	for p.Now() < end || total == 0 {
 		futs := make([]*sim.Future[*transport.Result], 0, wave)
 		for i := 0; i < wave; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{
+			futs = append(futs, transport.Submit(p, c, &transport.IO{
 				Write:  (total+i)%3 == 0,
 				Offset: int64((total+i)%64) * int64(size),
 				Size:   size,
@@ -175,14 +175,14 @@ func TestChaosRDMAKATOExpiry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res := c.Submit(p, &transport.IO{Write: true, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Write: true, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
 				t.Fatalf("pre-idle write: %v", res.Err())
 			}
 			p.Sleep(10 * time.Millisecond) // idle through several KATO windows
 			// After the idle gap the connection either survived
 			// (keep-alive) or was torn down; the recovery stack must get
 			// this I/O through either way, as on the TCP path.
-			if res := c.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096}).Wait(p); res.Err() != nil {
 				t.Errorf("post-idle read (keepAlive=%v): %v", keepAlive, res.Err())
 			}
 			c.Close()
@@ -221,7 +221,7 @@ func TestChaosRDMABatchTelemetryParity(t *testing.T) {
 		for i := range ios {
 			ios[i] = &transport.IO{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096, NoFill: true}
 		}
-		futs := c.SubmitBatch(p, ios)
+		futs := transport.SubmitBatch(p, c, ios, nil)
 		for i, f := range futs {
 			if res := f.Wait(p); res.Err() != nil {
 				t.Fatalf("batched io %d: %v", i, res.Err())

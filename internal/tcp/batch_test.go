@@ -52,11 +52,11 @@ func runBurst(t *testing.T, batch int) (reads [][]byte, msgs int64) {
 
 func submitAll(p *sim.Proc, c *Client, batch int, ios []*transport.IO) []*sim.Future[*transport.Result] {
 	if batch > 1 {
-		return c.SubmitBatch(p, ios)
+		return transport.SubmitBatch(p, c, ios, nil)
 	}
 	futs := make([]*sim.Future[*transport.Result], len(ios))
 	for i, io := range ios {
-		futs[i] = c.Submit(p, io)
+		futs[i] = transport.Submit(p, c, io)
 	}
 	return futs
 }

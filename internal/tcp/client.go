@@ -112,14 +112,9 @@ func (w *tcpWire) AdoptICResp(resp *pdu.ICResp) {}
 
 func (w *tcpWire) Admit(io *transport.IO) nvme.Status { return nvme.StatusSuccess }
 
-// StageSubmit charges payload generation for writes on the submitting
+// StageSubmit charges payload generation for writes on the ringing
 // process.
-func (w *tcpWire) StageSubmit(p *sim.Proc, pend *session.Pending) {
-	io := pend.IO
-	if io.Write && !io.NoFill {
-		p.Sleep(time.Duration(float64(io.Size) * w.cfg.Host.FillPerByteNanos))
-	}
-}
+func (w *tcpWire) StageSubmit(p *sim.Proc, train *session.Pending) { w.h.ChargeFill(p, train) }
 
 // MakeIOEntry builds the read/write entry; small writes ride in-capsule
 // with the command (§4.4.2).
@@ -223,31 +218,3 @@ func (c *Client) SetChunkSize(n int) {
 // LiveChunkSize returns the host-side chunk size knob (which may exceed
 // the per-connection negotiated ceiling; see SetChunkSize).
 func (c *Client) LiveChunkSize() int { return int(c.wire.chunkB.Load()) }
-
-// Identify fetches the controller and namespace-1 identify pages through
-// admin commands, as a host does during controller initialization.
-func (c *Client) Identify(p *sim.Proc) (nvme.IdentifyController, nvme.IdentifyNamespace, error) {
-	ctrlBuf := make([]byte, 4096)
-	res := c.Submit(p, &transport.IO{
-		Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: ctrlBuf, Size: 4096,
-	}).Wait(p)
-	if err := res.Err(); err != nil {
-		return nvme.IdentifyController{}, nvme.IdentifyNamespace{}, err
-	}
-	ctrl, err := nvme.DecodeIdentifyController(res.Data)
-	if err != nil {
-		return nvme.IdentifyController{}, nvme.IdentifyNamespace{}, err
-	}
-	nsBuf := make([]byte, 4096)
-	res = c.Submit(p, &transport.IO{
-		Admin: nvme.AdminIdentify, CDW10: nvme.CNSNamespace, NSID: 1, Data: nsBuf, Size: 4096,
-	}).Wait(p)
-	if err := res.Err(); err != nil {
-		return nvme.IdentifyController{}, nvme.IdentifyNamespace{}, err
-	}
-	ns, err := nvme.DecodeIdentifyNamespace(res.Data)
-	if err != nil {
-		return nvme.IdentifyController{}, nvme.IdentifyNamespace{}, err
-	}
-	return ctrl, ns, nil
-}

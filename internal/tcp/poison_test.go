@@ -24,12 +24,12 @@ func TestRealDataRoundTripPoisonedPool(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
 		for round := 0; round < 3; round++ {
-			res := c.Submit(p, &transport.IO{Write: true, Offset: 4096, Size: len(payload), Data: payload}).Wait(p)
+			res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 4096, Size: len(payload), Data: payload}).Wait(p)
 			if res.Err() != nil {
 				t.Fatalf("round %d write: %v", round, res.Err())
 			}
 			into := make([]byte, len(payload))
-			res = c.Submit(p, &transport.IO{Offset: 4096, Size: len(payload), Data: into}).Wait(p)
+			res = transport.Submit(p, c, &transport.IO{Offset: 4096, Size: len(payload), Data: into}).Wait(p)
 			if res.Err() != nil {
 				t.Fatalf("round %d read: %v", round, res.Err())
 			}
@@ -83,7 +83,7 @@ func TestRealDataRoundTripPoisonedMessages(t *testing.T) {
 			futs := make([]*sim.Future[*transport.Result], ios)
 			for i := range futs {
 				data := payload(i)
-				futs[i] = c.Submit(p, &transport.IO{Write: true, Offset: int64(i * slot), Size: len(data), Data: data})
+				futs[i] = transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i * slot), Size: len(data), Data: data})
 			}
 			for i, f := range futs {
 				if res := f.Wait(p); res.Err() != nil {
@@ -92,7 +92,7 @@ func TestRealDataRoundTripPoisonedMessages(t *testing.T) {
 			}
 			for i := range futs {
 				size := len(payload(i))
-				futs[i] = c.Submit(p, &transport.IO{Offset: int64(i * slot), Size: size, Data: make([]byte, size)})
+				futs[i] = transport.Submit(p, c, &transport.IO{Offset: int64(i * slot), Size: size, Data: make([]byte, size)})
 			}
 			for i, f := range futs {
 				res := f.Wait(p)

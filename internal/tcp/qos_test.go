@@ -62,7 +62,7 @@ func TestTargetSideThrottleRejectsAndRedrives(t *testing.T) {
 		defer c.Close()
 		for i := 0; i < 8; i++ {
 			io := &transport.IO{Write: true, NSID: 1, Offset: int64(i) << 12, Size: 4 << 10, Tenant: "capped"}
-			fut := c.Submit(p, io)
+			fut := transport.Submit(p, c, io)
 			res := fut.Wait(p)
 			if err := res.Err(); err != nil {
 				t.Fatalf("write %d failed despite retryable throttle: %v", i, err)

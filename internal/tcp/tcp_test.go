@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/bdev"
+	"nvmeoaf/internal/host"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
@@ -82,7 +83,7 @@ func TestReadWriteVirtualPayload(t *testing.T) {
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
 		// Large write: conservative flow with R2T.
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("write: %v", res.Err())
 		}
@@ -90,7 +91,7 @@ func TestReadWriteVirtualPayload(t *testing.T) {
 			t.Errorf("write timing: %+v", res)
 		}
 		// Read back (virtual).
-		res = c.Submit(p, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 0, Size: 128 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Errorf("read: %v", res.Err())
 		}
@@ -116,12 +117,12 @@ func TestRealDataRoundTrip(t *testing.T) {
 	}
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
-		res := c.Submit(p, &transport.IO{Write: true, Offset: 4096, Size: len(payload), Data: payload}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Write: true, Offset: 4096, Size: len(payload), Data: payload}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("write: %v", res.Err())
 		}
 		into := make([]byte, len(payload))
-		res = c.Submit(p, &transport.IO{Offset: 4096, Size: len(payload), Data: into}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 4096, Size: len(payload), Data: into}).Wait(p)
 		if res.Err() != nil {
 			t.Fatalf("read: %v", res.Err())
 		}
@@ -140,11 +141,11 @@ func TestInCapsuleWriteSkipsR2T(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 8)
-		small := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 4 << 10}).Wait(p)
+		small := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 4 << 10}).Wait(p)
 		if small.Err() != nil {
 			t.Fatal(small.Err())
 		}
-		large := c.Submit(p, &transport.IO{Write: true, Offset: 0, Size: 64 << 10}).Wait(p)
+		large := transport.Submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 64 << 10}).Wait(p)
 		if large.Err() != nil {
 			t.Fatal(large.Err())
 		}
@@ -171,7 +172,7 @@ func TestQueueDepthLimitsOutstanding(t *testing.T) {
 		c := r.connect(t, p, qd)
 		futs := make([]*sim.Future[*transport.Result], 0, total)
 		for i := 0; i < total; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
+			futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
 		}
 		for _, f := range futs {
 			if res := f.Wait(p); res.Err() != nil {
@@ -193,7 +194,7 @@ func TestChunkingSplitsLargeIO(t *testing.T) {
 	r := newRig(t, false, func(tp *model.TCPTransportParams) { tp.ChunkSize = 64 << 10 })
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		res := c.Submit(p, &transport.IO{Offset: 0, Size: 512 << 10}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 0, Size: 512 << 10}).Wait(p)
 		if res.Err() != nil {
 			t.Fatal(res.Err())
 		}
@@ -215,11 +216,11 @@ func TestUnalignedIORejected(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		res := c.Submit(p, &transport.IO{Offset: 3, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 3, Size: 4096}).Wait(p)
 		if res.Err() == nil {
 			t.Error("unaligned offset accepted")
 		}
-		res = c.Submit(p, &transport.IO{Offset: 0, Size: 100}).Wait(p)
+		res = transport.Submit(p, c, &transport.IO{Offset: 0, Size: 100}).Wait(p)
 		if res.Err() == nil {
 			t.Error("unaligned size accepted")
 		}
@@ -235,7 +236,7 @@ func TestLBAOutOfRangeStatus(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		res := c.Submit(p, &transport.IO{Offset: 1 << 30, Size: 4096}).Wait(p)
+		res := transport.Submit(p, c, &transport.IO{Offset: 1 << 30, Size: 4096}).Wait(p)
 		if res.Status != nvme.StatusLBAOutOfRange {
 			t.Errorf("status %v, want LBA out of range", res.Status)
 		}
@@ -255,7 +256,7 @@ func TestBufferPoolBackpressure(t *testing.T) {
 		c := r.connect(t, p, 8)
 		var futs []*sim.Future[*transport.Result]
 		for i := 0; i < 8; i++ {
-			futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
+			futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
 		}
 		for _, f := range futs {
 			if res := f.Wait(p); res.Err() != nil {
@@ -280,15 +281,15 @@ func TestIdentifyAdminCommand(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		c := r.connect(t, p, 4)
-		ctrl, ns, err := c.Identify(p)
+		id, err := host.Identify(p, c)
 		if err != nil {
 			t.Fatalf("identify: %v", err)
 		}
-		if ctrl.NN != 1 {
-			t.Errorf("controller NN = %d", ctrl.NN)
+		if id.Info.NN != 1 {
+			t.Errorf("controller NN = %d", id.Info.NN)
 		}
-		if ns.BlockSize != transport.BlockSize || ns.NSZE != uint64((1<<30)/transport.BlockSize) {
-			t.Errorf("namespace: %+v", ns)
+		if id.NS.BlockSize != transport.BlockSize || id.NS.NSZE != uint64((1<<30)/transport.BlockSize) {
+			t.Errorf("namespace: %+v", id.NS)
 		}
 		c.Close()
 		c.WaitClosed(p)
@@ -319,7 +320,7 @@ func TestFasterLinkIsFaster(t *testing.T) {
 			}
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 64; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -362,7 +363,7 @@ func TestBusyPollEliminatesWakeupPenalties(t *testing.T) {
 			// mode pays a wakeup.
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 50; i++ {
-				futs = append(futs, c.Submit(p, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
+				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * 4096, Size: 4096}))
 			}
 			for _, f := range futs {
 				f.Wait(p)
@@ -449,3 +450,75 @@ func TestFabricsConnectRejectsWrongNQN(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Two processes share one queue. A stages a 128 KiB write and sleeps in
+// its doorbell (payload fill, then submit CPU); B stages and rings a
+// 4 KiB read while A sleeps there. Each doorbell publishes exactly its
+// own process's command, after that process's own submit CPU: B does not
+// wait out A's fill, A's write does not go out on B's doorbell, and each
+// latency clock starts when its own command was published. The absolute
+// completion times are those of the per-command Submit method this
+// schedule ran on before the stage-then-doorbell primitive replaced it.
+func TestInterleavedSubmitsPublishAfterOwnSubmitCPU(t *testing.T) {
+	r := newRig(t, false, nil)
+	hp := model.DefaultHost()
+	const bDelay = 10 * time.Microsecond
+	fill := time.Duration(float64(128<<10) * hp.FillPerByteNanos)
+	if fill <= bDelay+hp.SubmitCPU {
+		t.Fatalf("fill %v too short for B to ring inside A's doorbell", fill)
+	}
+	type outcome struct {
+		rang, done sim.Time // Submit returned; command completed
+		res        *transport.Result
+	}
+	var t0 sim.Time
+	var a, b outcome
+	closed := sim.NewWaitGroup(r.e)
+	closed.Add(2)
+	submit := func(p *sim.Proc, c *Client, io *transport.IO, o *outcome) {
+		fut := transport.Submit(p, c, io)
+		o.rang = p.Now()
+		o.res = fut.Wait(p)
+		o.done = p.Now()
+		closed.Done()
+	}
+	r.e.Go("a", func(p *sim.Proc) {
+		c := r.connect(t, p, 8)
+		t0 = p.Now()
+		r.e.Go("b", func(q *sim.Proc) {
+			q.Sleep(bDelay)
+			submit(q, c, &transport.IO{Offset: 1 << 20, Size: 4096}, &b)
+		})
+		submit(p, c, &transport.IO{Write: true, Offset: 0, Size: 128 << 10}, &a)
+		closed.Wait(p)
+		c.Close()
+		c.WaitClosed(p)
+	})
+	if err := r.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.res.Err() != nil || b.res.Err() != nil {
+		t.Fatalf("write: %v, read: %v", a.res.Err(), b.res.Err())
+	}
+	if want := t0.Add(bDelay + hp.SubmitCPU); b.rang != want {
+		t.Errorf("B's doorbell returned at %v, want %v: its own submit CPU and nothing of A's fill", b.rang, want)
+	}
+	if want := t0.Add(fill + hp.SubmitCPU); a.rang != want {
+		t.Errorf("A's doorbell returned at %v, want %v", a.rang, want)
+	}
+	if got := b.done.Add(-b.res.Latency); got != b.rang {
+		t.Errorf("read published at %v, want %v (the end of B's own doorbell)", got, b.rang)
+	}
+	if got := a.done.Add(-a.res.Latency); got != a.rang {
+		t.Errorf("write published at %v, want %v (the end of A's own doorbell)", got, a.rang)
+	}
+	if gotA, gotB := a.done.Sub(t0), b.done.Sub(t0); gotA != goldenInterleavedWrite || gotB != goldenInterleavedRead {
+		t.Errorf("completions at +%v (write) and +%v (read), want +%v and +%v", gotA, gotB, goldenInterleavedWrite, goldenInterleavedRead)
+	}
+}
+
+// Completion offsets of the schedule above at the parent commit.
+const (
+	goldenInterleavedWrite = 1171796 * time.Nanosecond
+	goldenInterleavedRead  = 307423 * time.Nanosecond
+)

@@ -53,10 +53,11 @@ func SplitAt(io *IO, unit int64) []*IO {
 	return segs
 }
 
-// AggregateResults resolves one future once every segment future of a
-// split io completes. segs[i] is the segment whose completion futs[i]
-// carries (a nil segs means futs are already in ascending offset order,
-// as SplitAt emits them). Timing reflects the slowest segment.
+// AggregateResults resolves out (the caller's future for the whole io)
+// once every segment future of the split io completes. segs[i] is the
+// segment whose completion futs[i] carries (a nil segs means futs are
+// already in ascending offset order, as SplitAt emits them). Timing
+// reflects the slowest segment.
 //
 // Status contract: on any failure the merged status is the status of the
 // FAILING SEGMENT WITH THE LOWEST OFFSET, regardless of the order the
@@ -68,8 +69,7 @@ func SplitAt(io *IO, unit int64) []*IO {
 // the buffer holds an unspecified mix of freshly-read bytes and prior
 // contents. Result.Data is nil unless every segment succeeded — callers
 // must treat the buffer as garbage whenever Status != StatusSuccess.
-func AggregateResults(e *sim.Engine, io *IO, segs []*IO, futs []*sim.Future[*Result]) *sim.Future[*Result] {
-	out := sim.NewFuture[*Result](e)
+func AggregateResults(out *sim.Future[*Result], io *IO, segs []*IO, futs []*sim.Future[*Result]) {
 	remaining := len(futs)
 	for _, f := range futs {
 		f.OnResolve(func(*Result) {
@@ -110,5 +110,4 @@ func AggregateResults(e *sim.Engine, io *IO, segs []*IO, futs []*sim.Future[*Res
 			out.Resolve(merged)
 		})
 	}
-	return out
 }

@@ -27,7 +27,8 @@ func TestAggregateResultsLowestOffsetErrorWins(t *testing.T) {
 	for i := range futs {
 		futs[i] = sim.NewFuture[*Result](e)
 	}
-	agg := AggregateResults(e, io, segs, futs)
+	agg := sim.NewFuture[*Result](e)
+	AggregateResults(agg, io, segs, futs)
 	e.Go("resolve", func(p *sim.Proc) {
 		// The highest-offset segment fails first and sits first in the
 		// slice; the lowest-offset failure arrives last.
@@ -56,7 +57,8 @@ func TestAggregateResultsNoDataOnPartialFailure(t *testing.T) {
 		t.Fatalf("split into %d segments, want 2", len(segs))
 	}
 	futs := []*sim.Future[*Result]{sim.NewFuture[*Result](e), sim.NewFuture[*Result](e)}
-	agg := AggregateResults(e, io, segs, futs)
+	agg := sim.NewFuture[*Result](e)
+	AggregateResults(agg, io, segs, futs)
 	e.Go("resolve", func(p *sim.Proc) {
 		copy(segs[0].Data, bytes.Repeat([]byte{0x11}, 4096))
 		futs[0].Resolve(&Result{Status: nvme.StatusSuccess, Data: segs[0].Data})

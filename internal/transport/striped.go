@@ -22,7 +22,6 @@ const DefaultStripeUnit = 128 << 10
 // owning members concurrently, and completed through an aggregated future
 // (status: first error; timing: slowest segment).
 type StripedQueue struct {
-	e          *sim.Engine
 	members    []Queue
 	stripeUnit int64
 }
@@ -30,7 +29,7 @@ type StripedQueue struct {
 // NewStriped builds a striped queue over members. stripeUnit <= 0 selects
 // DefaultStripeUnit; the unit is rounded up to a BlockSize multiple so
 // segment cuts stay block-aligned.
-func NewStriped(e *sim.Engine, stripeUnit int, members ...Queue) *StripedQueue {
+func NewStriped(stripeUnit int, members ...Queue) *StripedQueue {
 	if len(members) == 0 {
 		panic("transport: striped queue needs at least one member")
 	}
@@ -40,7 +39,7 @@ func NewStriped(e *sim.Engine, stripeUnit int, members ...Queue) *StripedQueue {
 	if rem := stripeUnit % BlockSize; rem != 0 {
 		stripeUnit += BlockSize - rem
 	}
-	return &StripedQueue{e: e, members: members, stripeUnit: int64(stripeUnit)}
+	return &StripedQueue{members: members, stripeUnit: int64(stripeUnit)}
 }
 
 // Members exposes the member queues (for snapshots and tests).
@@ -68,99 +67,36 @@ func (s *StripedQueue) queueFor(offset int64) int {
 	return int(u % int64(len(s.members)))
 }
 
-// segCount reports how many stripe segments io spans (1 = forward whole).
-func (s *StripedQueue) segCount(io *IO) int {
-	if len(s.members) == 1 {
-		return 1
+// SubmitInto implements Queue. An I/O contained in one stripe unit is
+// forwarded whole, caller-owned future and all, to the member owning its
+// offset (admin commands to member 0). A larger one is cut at stripe
+// boundaries, each segment staged on its owning member, and fut resolves
+// once every segment has (AggregateResults).
+func (s *StripedQueue) SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result]) {
+	if len(s.members) == 1 || SpanCount(io, s.stripeUnit) == 1 {
+		m := 0
+		if io.Admin == 0 {
+			m = s.queueFor(io.Offset)
+		}
+		s.members[m].SubmitInto(p, io, fut)
+		return
 	}
-	return SpanCount(io, s.stripeUnit)
-}
-
-// split cuts io at stripe boundaries (SplitAt at the stripe unit).
-func (s *StripedQueue) split(io *IO) []*IO { return SplitAt(io, s.stripeUnit) }
-
-// Submit implements Queue. Admin commands go to member 0; data I/O routes
-// by offset, splitting across members when it spans stripe boundaries.
-func (s *StripedQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] {
-	if s.segCount(io) == 1 {
-		return s.memberFor(io).Submit(p, io)
-	}
-	segs := s.split(io)
+	segs := SplitAt(io, s.stripeUnit)
 	futs := make([]*sim.Future[*Result], len(segs))
 	for i, seg := range segs {
-		futs[i] = s.members[s.queueFor(seg.Offset)].Submit(p, seg)
+		futs[i] = sim.NewFuture[*Result](p.Engine())
+		s.members[s.queueFor(seg.Offset)].SubmitInto(p, seg, futs[i])
 	}
-	return s.aggregate(io, segs, futs)
+	AggregateResults(fut, io, segs, futs)
 }
 
-// SubmitBatch implements BatchQueue: I/Os are routed per offset like
-// Submit, but each member receives its share as one batched doorbell
-// (when the member supports batching). Futures align with ios.
-func (s *StripedQueue) SubmitBatch(p *sim.Proc, ios []*IO) []*sim.Future[*Result] {
-	perMember := make([][]*IO, len(s.members))
-	// route[i] records where io i went: a single member segment or a
-	// list of (member, position) pairs for a split I/O.
-	type slot struct{ member, pos int }
-	routes := make([][]slot, len(ios))
-	for i, io := range ios {
-		if s.segCount(io) == 1 {
-			m := s.memberIndexFor(io)
-			routes[i] = []slot{{m, len(perMember[m])}}
-			perMember[m] = append(perMember[m], io)
-			continue
-		}
-		for _, seg := range s.split(io) {
-			m := s.queueFor(seg.Offset)
-			routes[i] = append(routes[i], slot{m, len(perMember[m])})
-			perMember[m] = append(perMember[m], seg)
-		}
+// RingDoorbell implements Queue: each member's share of the staged train
+// is one doorbell, rung in member order (a member with nothing staged
+// costs nothing).
+func (s *StripedQueue) RingDoorbell(p *sim.Proc) {
+	for _, m := range s.members {
+		m.RingDoorbell(p)
 	}
-	memberFuts := make([][]*sim.Future[*Result], len(s.members))
-	for m, list := range perMember {
-		if len(list) == 0 {
-			continue
-		}
-		if bq, ok := s.members[m].(BatchQueue); ok {
-			memberFuts[m] = bq.SubmitBatch(p, list)
-			continue
-		}
-		futs := make([]*sim.Future[*Result], len(list))
-		for i, io := range list {
-			futs[i] = s.members[m].Submit(p, io)
-		}
-		memberFuts[m] = futs
-	}
-	out := make([]*sim.Future[*Result], len(ios))
-	for i, route := range routes {
-		if len(route) == 1 {
-			out[i] = memberFuts[route[0].member][route[0].pos]
-			continue
-		}
-		futs := make([]*sim.Future[*Result], len(route))
-		for j, sl := range route {
-			futs[j] = memberFuts[sl.member][sl.pos]
-		}
-		// split is deterministic, so re-cutting yields segments aligned
-		// with the route (and therefore with futs).
-		out[i] = s.aggregate(ios[i], s.split(ios[i]), futs)
-	}
-	return out
-}
-
-// memberFor returns the queue owning io (admin pins to member 0).
-func (s *StripedQueue) memberFor(io *IO) Queue { return s.members[s.memberIndexFor(io)] }
-
-func (s *StripedQueue) memberIndexFor(io *IO) int {
-	if io.Admin != 0 {
-		return 0
-	}
-	return s.queueFor(io.Offset)
-}
-
-// aggregate resolves one future once every segment completes
-// (AggregateResults on this queue's engine).
-func (s *StripedQueue) aggregate(io *IO, segs []*IO, futs []*sim.Future[*Result]) *sim.Future[*Result] {
-	return AggregateResults(s.e, io, segs, futs)
 }
 
 // Close closes every member; outstanding requests complete first.

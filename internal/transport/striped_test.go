@@ -10,24 +10,27 @@ import (
 )
 
 // memQueue is an in-memory member for striping tests: it stores write
-// payloads, serves reads, and reports a settable health.
+// payloads, serves reads after a settable latency with a settable status,
+// counts doorbells, and reports a settable health.
 type memQueue struct {
-	e      *sim.Engine
-	store  []byte
-	health Health
-	ios    int
+	e         *sim.Engine
+	store     []byte
+	health    Health
+	ios       int
+	doorbells int
+	lat       time.Duration
+	status    nvme.Status
 }
 
 func newMemQueue(e *sim.Engine, capacity int) *memQueue {
-	return &memQueue{e: e, store: make([]byte, capacity)}
+	return &memQueue{e: e, store: make([]byte, capacity), lat: time.Microsecond}
 }
 
-func (q *memQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] {
-	fut := sim.NewFuture[*Result](q.e)
+func (q *memQueue) SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result]) {
 	q.ios++
-	q.e.After(time.Microsecond, func() {
-		res := &Result{Status: nvme.StatusSuccess, Latency: time.Microsecond}
-		if io.Admin == 0 && !io.Flush {
+	q.e.After(q.lat, func() {
+		res := &Result{Status: q.status, Latency: q.lat}
+		if q.status == nvme.StatusSuccess && io.Admin == 0 && !io.Flush {
 			if io.Write {
 				copy(q.store[io.Offset:], io.Data)
 			} else if io.Data != nil {
@@ -37,11 +40,11 @@ func (q *memQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] {
 		}
 		fut.Resolve(res)
 	})
-	return fut
 }
 
-func (q *memQueue) Close()         {}
-func (q *memQueue) Health() Health { return q.health }
+func (q *memQueue) RingDoorbell(*sim.Proc) { q.doorbells++ }
+func (q *memQueue) Close()                 {}
+func (q *memQueue) Health() Health         { return q.health }
 
 func TestStripedMemberHealthReportsPerMember(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -52,7 +55,7 @@ func TestStripedMemberHealthReportsPerMember(t *testing.T) {
 		fakes[i] = newMemQueue(e, 1<<20)
 		members[i] = fakes[i]
 	}
-	s := NewStriped(e, unit, members...)
+	s := NewStriped(unit, members...)
 
 	for _, h := range s.MemberHealth() {
 		if h != HealthHealthy {
@@ -73,11 +76,11 @@ func TestStripedMemberHealthReportsPerMember(t *testing.T) {
 		want := bytes.Repeat([]byte{0x7E}, 512)
 		// Offset unit*1 belongs to the degraded member 1.
 		off := int64(unit)
-		if r := s.Submit(p, &IO{Write: true, Offset: off, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
+		if r := Submit(p, s, &IO{Write: true, Offset: off, Size: len(want), Data: want}).Wait(p); r.Status != nvme.StatusSuccess {
 			t.Errorf("write on degraded member: %v", r.Status)
 		}
 		buf := make([]byte, len(want))
-		r := s.Submit(p, &IO{Offset: off, Size: len(buf), Data: buf}).Wait(p)
+		r := Submit(p, s, &IO{Offset: off, Size: len(buf), Data: buf}).Wait(p)
 		if r.Status != nvme.StatusSuccess {
 			t.Errorf("read on degraded member: %v", r.Status)
 		}
@@ -109,7 +112,8 @@ func TestHealthOfAssumesHealthyForPlainQueues(t *testing.T) {
 
 type nopQueue struct{}
 
-func (nopQueue) Submit(p *sim.Proc, io *IO) *sim.Future[*Result] { return nil }
+func (nopQueue) SubmitInto(*sim.Proc, *IO, *sim.Future[*Result]) {}
+func (nopQueue) RingDoorbell(*sim.Proc)                          {}
 func (nopQueue) Close()                                          {}
 
 func TestSpanCountAndSplitAt(t *testing.T) {
@@ -172,7 +176,8 @@ func TestAggregateResultsMergesErrorAndTiming(t *testing.T) {
 	io := &IO{Offset: 0, Size: 8192, Data: make([]byte, 8192)}
 	a := sim.NewFuture[*Result](e)
 	b := sim.NewFuture[*Result](e)
-	agg := AggregateResults(e, io, nil, []*sim.Future[*Result]{a, b})
+	agg := sim.NewFuture[*Result](e)
+	AggregateResults(agg, io, nil, []*sim.Future[*Result]{a, b})
 	e.Go("resolve", func(p *sim.Proc) {
 		a.Resolve(&Result{Status: nvme.StatusSuccess, Latency: time.Microsecond, IOTime: time.Microsecond})
 		b.Resolve(&Result{Status: nvme.StatusDataTransferErr, Latency: 3 * time.Microsecond})
@@ -186,5 +191,53 @@ func TestAggregateResultsMergesErrorAndTiming(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A split I/O staged through SubmitInto resolves the CALLER's future —
+// nothing is returned to swap in — with the slowest segment's timing and
+// the lowest-offset failing segment's status; an unsplit one is handed to
+// its member with that same future. One doorbell reaches every member.
+func TestStripedSubmitIntoResolvesCallersFuture(t *testing.T) {
+	e := sim.NewEngine(5)
+	const unit = 4096
+	fakes := make([]*memQueue, 3)
+	members := make([]Queue, 3)
+	for i := range fakes {
+		fakes[i] = newMemQueue(e, 1<<20)
+		members[i] = fakes[i]
+	}
+	fakes[1].lat, fakes[1].status = 7*time.Microsecond, nvme.StatusDataTransferErr
+	fakes[2].lat, fakes[2].status = 3*time.Microsecond, nvme.StatusInvalidField
+	s := NewStriped(unit, members...)
+	e.Go("io", func(p *sim.Proc) {
+		split := sim.NewFuture[*Result](e)
+		whole := sim.NewFuture[*Result](e)
+		// Units 0, 1, 2: one segment per member.
+		s.SubmitInto(p, &IO{Offset: 0, Size: 3 * unit, Data: make([]byte, 3*unit)}, split)
+		// Unit 3 belongs to member 0 again.
+		s.SubmitInto(p, &IO{Offset: 3 * unit, Size: unit}, whole)
+		s.RingDoorbell(p)
+		r := split.Wait(p)
+		if r.Status != nvme.StatusDataTransferErr {
+			t.Errorf("split status = %v, want the lowest-offset failure (member 1's)", r.Status)
+		}
+		if r.Latency != 7*time.Microsecond {
+			t.Errorf("split latency = %v, want the slowest segment's 7µs", r.Latency)
+		}
+		if r.Data != nil {
+			t.Error("failed split read returned Data")
+		}
+		if r := whole.Wait(p); r.Status != nvme.StatusSuccess || r.Latency != time.Microsecond {
+			t.Errorf("unsplit I/O: %+v, want member 0's own completion", r)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range fakes {
+		if want := []int{2, 1, 1}[i]; f.ios != want || f.doorbells != 1 {
+			t.Errorf("member %d: %d I/Os, %d doorbells; want %d and 1", i, f.ios, f.doorbells, want)
+		}
 	}
 }

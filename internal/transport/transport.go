@@ -1,7 +1,10 @@
 // Package transport defines the host-facing I/O interface shared by every
 // NVMe-oF transport in this repository (TCP, RDMA, and the adaptive
-// fabric), together with the helpers they build on: PDU batching onto the
-// simulated network and per-request latency bookkeeping.
+// fabric) and every composition of them (striped groups, the replicated
+// router): Queue, whose one submission primitive is stage-then-doorbell,
+// and the Submit/SubmitBatch adapters over it. It also holds the helpers
+// the transports build on: PDU batching onto the simulated network and
+// per-request latency bookkeeping.
 package transport
 
 import (
@@ -89,46 +92,48 @@ type Result struct {
 // Err returns the status as an error (nil on success).
 func (r *Result) Err() error { return r.Status.Error() }
 
-// Queue is one host-side I/O queue pair bound to a transport connection.
-// Submit never blocks the caller beyond CPU accounting; completion is
-// delivered through the returned future.
+// Queue is one host-side I/O queue pair bound to a transport connection,
+// or a composition of them (StripedQueue, the replicated cluster router).
+// There is one way in: stage commands, then ring the doorbell. Submit and
+// SubmitBatch below are the future-allocating adapters over that pair.
 type Queue interface {
-	// Submit enqueues an I/O. The returned future resolves with the
-	// request's result. p is the submitting process (pays submit CPU).
-	Submit(p *sim.Proc, io *IO) *sim.Future[*Result]
+	// SubmitInto stages io to complete into the caller-owned, unresolved
+	// fut WITHOUT ringing the doorbell; an I/O that cannot be admitted
+	// resolves fut at once with a typed error. A connection stages without
+	// yielding; a composition may submit what it cannot stage (a
+	// replicated write) right away, on p.
+	SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result])
+	// RingDoorbell submits everything staged since the previous doorbell:
+	// p pays payload staging for the train and one submit-CPU charge, then
+	// the commands become visible to the queue's reactor, which is woken
+	// once. With nothing staged it does nothing and costs nothing.
+	RingDoorbell(p *sim.Proc)
 	// Close tears the queue down; outstanding requests complete first.
 	Close()
 }
 
-// BatchQueue is implemented by queues that additionally support
-// doorbell-batched submission: SubmitBatch stages and enqueues a train
-// of I/Os with one submit-CPU charge and one reactor kick, and the
-// queue's reactor coalesces the train into batch capsules on the wire
-// (when the transport's BatchSize permits). The returned futures align
-// with ios; completion semantics match Submit exactly. The slice itself
-// may be the queue's scratch: it is valid until the next SubmitBatch on
-// this queue, so a caller that keeps futures longer copies them out.
-type BatchQueue interface {
-	Queue
-	SubmitBatch(p *sim.Proc, ios []*IO) []*sim.Future[*Result]
+// Submit stages one I/O on q and rings the doorbell: the future-based
+// form of the submission primitive. p pays staging and submit CPU.
+func Submit(p *sim.Proc, q Queue, io *IO) *sim.Future[*Result] {
+	fut := sim.NewFuture[*Result](p.Engine())
+	q.SubmitInto(p, io, fut)
+	q.RingDoorbell(p)
+	return fut
 }
 
-// RingSubmitter is implemented by queues that additionally support
-// ring-native submission: the CALLER owns the completion future (a ring
-// recycles one per slot instead of allocating one per op) and rings the
-// doorbell once per staged train, so steady-state submission costs no
-// allocation and no per-op reactor wakeup. Queues without it (striped
-// groups, the replicated router) are still ring-drivable through
-// Submit/SubmitBatch, just not allocation-free.
-type RingSubmitter interface {
-	Queue
-	// SubmitInto stages io to complete into fut WITHOUT ringing the
-	// doorbell. fut must be unresolved; on admission failure it resolves
-	// immediately with a typed error. Completion semantics match Submit.
-	SubmitInto(p *sim.Proc, io *IO, fut *sim.Future[*Result])
-	// RingDoorbell charges one submit-CPU for everything staged since
-	// the previous doorbell and wakes the queue's reactor once.
-	RingDoorbell(p *sim.Proc)
+// SubmitBatch stages a train of I/Os on q and rings the doorbell once, so
+// the queue's reactor can coalesce the train into batch capsules. The
+// futures align with ios and are appended to into[:0] (a caller that
+// submits train after train passes the previous result back as scratch).
+func SubmitBatch(p *sim.Proc, q Queue, ios []*IO, into []*sim.Future[*Result]) []*sim.Future[*Result] {
+	futs := into[:0]
+	for _, io := range ios {
+		fut := sim.NewFuture[*Result](p.Engine())
+		q.SubmitInto(p, io, fut)
+		futs = append(futs, fut)
+	}
+	q.RingDoorbell(p)
+	return futs
 }
 
 // Pending tracks one in-flight request on the client side.

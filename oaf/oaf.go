@@ -548,7 +548,7 @@ func (ctx *Ctx) ConnectGroup(targetNQN string, opts ConnectOptions) (*QueueGroup
 		members = append(members, q)
 		inners = append(inners, q.inner)
 	}
-	striped := transport.NewStriped(ctx.cluster.engine, opts.StripeUnit, inners...)
+	striped := transport.NewStriped(opts.StripeUnit, inners...)
 	shm := true
 	for _, m := range members {
 		shm = shm && m.SharedMemory
@@ -722,20 +722,20 @@ func (q *Queue) Read(offset int64, size int) (*Result, error) {
 // drains dirty lines; if a crash already lost unflushed data, the flush
 // fails with a write-fault error instead of succeeding silently.
 func (q *Queue) Flush() (*Result, error) {
-	fut := q.inner.Submit(q.ctx.proc, &transport.IO{Flush: true})
+	fut := transport.Submit(q.ctx.proc, q.inner, &transport.IO{Flush: true})
 	return q.wait(&Async{fut: fut})
 }
 
 // WriteModeled issues a write whose payload is modeled (timing charged,
 // no bytes materialized) — for bandwidth experiments.
 func (q *Queue) WriteModeled(offset int64, size int) (*Result, error) {
-	fut := q.inner.Submit(q.ctx.proc, &transport.IO{Write: true, Offset: offset, Size: size})
+	fut := transport.Submit(q.ctx.proc, q.inner, &transport.IO{Write: true, Offset: offset, Size: size})
 	return q.wait(&Async{fut: fut})
 }
 
 // ReadModeled issues a modeled read.
 func (q *Queue) ReadModeled(offset int64, size int) (*Result, error) {
-	fut := q.inner.Submit(q.ctx.proc, &transport.IO{Offset: offset, Size: size})
+	fut := transport.Submit(q.ctx.proc, q.inner, &transport.IO{Offset: offset, Size: size})
 	return q.wait(&Async{fut: fut})
 }
 
@@ -746,7 +746,7 @@ type Async struct {
 
 // WriteAsync issues a write without waiting.
 func (q *Queue) WriteAsync(offset int64, data []byte) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Write: true, Offset: offset, Size: len(data), Data: data,
 	})}
 }
@@ -754,21 +754,21 @@ func (q *Queue) WriteAsync(offset int64, data []byte) *Async {
 // WriteAsyncModeled issues a modeled write (no bytes materialized)
 // without waiting.
 func (q *Queue) WriteAsyncModeled(offset int64, size int) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Write: true, Offset: offset, Size: size,
 	})}
 }
 
 // ReadAsyncModeled issues a modeled read without waiting.
 func (q *Queue) ReadAsyncModeled(offset int64, size int) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Offset: offset, Size: size,
 	})}
 }
 
 // ReadAsync issues a read without waiting.
 func (q *Queue) ReadAsync(offset int64, size int) *Async {
-	return &Async{fut: q.inner.Submit(q.ctx.proc, &transport.IO{
+	return &Async{fut: transport.Submit(q.ctx.proc, q.inner, &transport.IO{
 		Offset: offset, Size: size, Data: make([]byte, size),
 	})}
 }

@@ -299,34 +299,3 @@ func TestEncryptedSHMOption(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestConnectMultiSpreadsIO(t *testing.T) {
-	c := cluster(t)
-	err := c.Run(func(ctx *oaf.Ctx) error {
-		q, err := ctx.ConnectMulti("nqn.demo", oaf.ConnectOptions{Queues: 4, QueueDepth: 8})
-		if err != nil {
-			return err
-		}
-		defer q.Close()
-		if !q.SharedMemory {
-			t.Error("multi-queue connection should keep shared memory")
-		}
-		var asyncs []*oaf.Async
-		for i := 0; i < 32; i++ {
-			asyncs = append(asyncs, q.ReadAsyncModeled(int64(i)*4096, 4096))
-		}
-		for _, a := range asyncs {
-			if _, err := q.Wait(a); err != nil {
-				return err
-			}
-		}
-		// The controller enforces the discovered capacity.
-		if _, err := q.ReadModeled(1<<40, 4096); err == nil {
-			t.Error("capacity bound not enforced")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

@@ -30,10 +30,11 @@ type RingOptions struct {
 // application claims fixed-size buffers from the connection's registered
 // region, describes I/O by pushing fixed-size SQ entries, flushes a
 // train with one doorbell (Submit), and reaps completions in batches.
-// On session-engine connections (Connect, any fabric) the steady state
-// allocates nothing per op and wakes the reactor once per train instead
-// of once per I/O; striped groups and replicated namespaces run the same
-// ring semantics through their batch path.
+// Every entry completes into its slot's recycled future, so the steady
+// state allocates no future or result per op and wakes each connection's
+// reactor once per train instead of once per I/O — on a direct
+// connection, a striped group and a replicated namespace alike (the
+// last still allocates what replication itself needs).
 //
 // Ownership: a buffer moves Claim -> Push/Submit -> Reap -> Release.
 // Between Submit and the CQE it belongs to the transport — do not touch
@@ -47,10 +48,9 @@ type Ring struct {
 	q     *Queue
 }
 
-// Ring builds a submission/completion ring over this queue. It works on
-// every Queue-shaped facade — Connect, ConnectGroup, ConnectReplicated —
-// and uses the allocation-free native path whenever the underlying
-// connection supports it (Native reports which).
+// Ring builds a submission/completion ring over this queue. It works the
+// same way on every Queue-shaped facade — Connect, ConnectGroup,
+// ConnectReplicated.
 func (q *Queue) Ring(opts RingOptions) *Ring {
 	return &Ring{
 		inner: ring.New(q.ctx.cluster.engine, q.inner, ring.Config{
@@ -63,11 +63,6 @@ func (q *Queue) Ring(opts RingOptions) *Ring {
 		q: q,
 	}
 }
-
-// Native reports whether the ring runs the allocation-free fast path
-// (true on direct connections; false over striped/replicated facades,
-// which are driven through their batch interface instead).
-func (r *Ring) Native() bool { return r.inner.Native() }
 
 // BufSize returns the registered buffer size.
 func (r *Ring) BufSize() int { return r.inner.BufSize() }

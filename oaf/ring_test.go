@@ -7,8 +7,8 @@ import (
 
 // The public quick-start flow from the README: claim a registered
 // buffer, push, submit the train, reap, release — over a shared-memory
-// adaptive connection (the native, allocation-free path).
-func TestRingQuickstartNative(t *testing.T) {
+// adaptive connection.
+func TestRingQuickstart(t *testing.T) {
 	c := NewCluster(Config{Seed: 21})
 	if err := c.AddHost("hostA"); err != nil {
 		t.Fatal(err)
@@ -25,9 +25,6 @@ func TestRingQuickstartNative(t *testing.T) {
 		}
 		defer q.Close()
 		r := q.Ring(RingOptions{SQSize: 16, BufSize: 8192})
-		if !r.Native() {
-			t.Error("adaptive connection should take the native ring path")
-		}
 
 		// Write a train of 8 buffers, each filled in place (zero-copy:
 		// the bytes written here are the bytes on the wire).
@@ -96,7 +93,7 @@ func TestRingQuickstartNative(t *testing.T) {
 }
 
 // Rings compose with the replicated facade: same semantics over the
-// placement/replication router, driven through its batch path.
+// placement/replication router.
 func TestRingOverReplicatedNamespace(t *testing.T) {
 	c := replicatedCluster(t, 22, 3)
 	err := c.Run(func(ctx *Ctx) error {
@@ -108,9 +105,6 @@ func TestRingOverReplicatedNamespace(t *testing.T) {
 		}
 		defer rq.Close()
 		r := rq.Ring(RingOptions{SQSize: 8, BufSize: 4096})
-		if r.Native() {
-			t.Error("replicated router should use the batch fallback, not the native path")
-		}
 		for i := 0; i < 8; i++ {
 			buf, _ := r.Claim()
 			copy(buf.Bytes(), bytes.Repeat([]byte{byte(i + 1)}, 4096))
@@ -148,7 +142,7 @@ func TestRingOverReplicatedNamespace(t *testing.T) {
 }
 
 // Rings compose with striped queue groups (ConnectGroup): entries split
-// across members by offset through the striped batch path.
+// across members by offset.
 func TestRingOverQueueGroup(t *testing.T) {
 	c := NewCluster(Config{Seed: 23})
 	if err := c.AddHost("hostA"); err != nil {
@@ -166,9 +160,6 @@ func TestRingOverQueueGroup(t *testing.T) {
 		}
 		defer g.Close()
 		r := g.Ring(RingOptions{SQSize: 8, BufSize: 16384})
-		if r.Native() {
-			t.Error("striped group should use the batch fallback, not the native path")
-		}
 		buf, _ := r.Claim()
 		for j := range buf.Bytes()[:16384] {
 			buf.Bytes()[j] = 0x5C

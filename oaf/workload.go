@@ -4,11 +4,8 @@ import (
 	"time"
 
 	nvhost "nvmeoaf/internal/host"
-	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
-	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/stats"
-	"nvmeoaf/internal/transport"
 )
 
 // Workload describes a microbenchmark pattern for RunWorkload, mirroring
@@ -111,55 +108,3 @@ func (q *Queue) Discover() ([]DiscoveredSubsystem, error) {
 	}
 	return out, nil
 }
-
-// ConnectMulti opens opts.Queues (default 2) queue pairs to the target
-// and probes the controller through the host layer, returning a Queue
-// that spreads I/O across the connections round-robin. The controller's
-// discovered capacity bounds requests.
-func (ctx *Ctx) ConnectMulti(targetNQN string, opts ConnectOptions) (*Queue, error) {
-	n := opts.Queues
-	if n <= 0 {
-		n = 2
-	}
-	single := opts
-	single.Queues = 1
-	inner := make([]transport.Queue, 0, n)
-	var tracer *netsim.Tracer
-	shm := true
-	for i := 0; i < n; i++ {
-		q, err := ctx.Connect(targetNQN, single)
-		if err != nil {
-			for _, prev := range inner {
-				prev.Close()
-			}
-			return nil, err
-		}
-		inner = append(inner, q.inner)
-		shm = shm && q.SharedMemory
-		if tracer == nil {
-			tracer = q.tracer
-		}
-	}
-	ctrl, err := nvhost.Probe(ctx.proc, inner...)
-	if err != nil {
-		for _, q := range inner {
-			q.Close()
-		}
-		return nil, err
-	}
-	return &Queue{inner: &controllerQueue{ctrl: ctrl}, ctx: ctx, tracer: tracer, SharedMemory: shm}, nil
-}
-
-// controllerQueue adapts a multi-qpair controller to the transport.Queue
-// interface.
-type controllerQueue struct {
-	ctrl *nvhost.Controller
-}
-
-// Submit implements transport.Queue.
-func (c *controllerQueue) Submit(p *sim.Proc, io *transport.IO) *sim.Future[*transport.Result] {
-	return c.ctrl.Submit(p, io)
-}
-
-// Close implements transport.Queue.
-func (c *controllerQueue) Close() { c.ctrl.Close() }
