@@ -275,10 +275,17 @@ func (w *rdmaWire) Transmit(p *sim.Proc, e *pdu.BatchEntry) {
 	}
 	if delay := w.postDelay(e); delay > 0 {
 		// Registration runs on a kernel helper: only this command waits;
-		// the reactor keeps serving the queue.
+		// the reactor keeps serving the queue. If its deadline reaps the
+		// command meanwhile, the CID may have a new owner by the time the
+		// registration is done: the capsule must not go out under it.
 		ep := w.ep
+		m := w.owner(e)
 		w.h.Engine().Go("rdma-memreg", func(q *sim.Proc) {
 			q.Sleep(delay)
+			if !w.h.StillPending(m.cid, m.pend, m.gen) {
+				w.h.NoteLate()
+				return
+			}
 			transport.SendPDUs(q, ep, capsule)
 		})
 		return
@@ -307,16 +314,39 @@ func (w *rdmaWire) TransmitTrain(p *sim.Proc, b *pdu.CmdBatch) {
 	}
 	if delay > 0 {
 		// The engine reuses its batch scratch: copy the entries before
-		// handing them to the delayed helper.
+		// handing them to the delayed helper, and note who owns each CID
+		// now — entries whose command was reaped during the delay are
+		// dropped from the train (see Transmit).
 		cp := &pdu.CmdBatch{Entries: append([]pdu.BatchEntry(nil), b.Entries...)}
+		owners := make([]mergeMember, len(cp.Entries))
+		for i := range cp.Entries {
+			owners[i] = w.owner(&cp.Entries[i])
+		}
 		ep := w.ep
 		w.h.Engine().Go("rdma-memreg", func(q *sim.Proc) {
 			q.Sleep(delay)
-			transport.SendPDUs(q, ep, cp)
+			live := cp.Entries[:0]
+			for i, m := range owners {
+				if w.h.StillPending(m.cid, m.pend, m.gen) {
+					live = append(live, cp.Entries[i])
+				} else {
+					w.h.NoteLate()
+				}
+			}
+			if cp.Entries = live; len(live) > 0 {
+				transport.SendPDUs(q, ep, cp)
+			}
 		})
 		return
 	}
 	transport.SendPDUs(p, w.ep, b)
+}
+
+// owner records which attempt of which command an entry about to be
+// posted belongs to (the engine allocated its CID just before).
+func (w *rdmaWire) owner(e *pdu.BatchEntry) mergeMember {
+	pend, _ := w.h.LookupPending(e.Cmd.CID)
+	return mergeMember{pend: pend, cid: e.Cmd.CID, gen: pend.Gen}
 }
 
 // TrainSize implements session.TrainSizer: dynamic doorbell coalescing.
@@ -553,8 +583,7 @@ func (w *rdmaWire) liveGroup(cid uint16) *mergeGroup {
 	if !ok {
 		return nil
 	}
-	lead := g.members[0]
-	if pend, ok := w.h.LookupPending(cid); !ok || pend != lead.pend || pend.Gen != lead.gen {
+	if lead := g.members[0]; !w.h.StillPending(cid, lead.pend, lead.gen) {
 		delete(w.groups, cid)
 		return nil
 	}
@@ -571,7 +600,7 @@ func (w *rdmaWire) InterceptData(p *sim.Proc, d *pdu.Data, transit time.Duration
 	}
 	off := 0
 	for _, m := range g.members {
-		if pend, ok := w.h.LookupPending(m.cid); ok && pend == m.pend && pend.Gen == m.gen {
+		if pend := m.pend; w.h.StillPending(m.cid, pend, m.gen) {
 			if d.Payload != nil && pend.IO.Data != nil && off < len(d.Payload) {
 				end := off + m.size
 				if end > len(d.Payload) {
@@ -601,8 +630,7 @@ func (w *rdmaWire) InterceptResp(p *sim.Proc, r *pdu.CapsuleResp, transit time.D
 	}
 	delete(w.groups, r.Rsp.CID)
 	for i, m := range g.members {
-		pend, ok := w.h.LookupPending(m.cid)
-		if !ok || pend != m.pend || pend.Gen != m.gen {
+		if !w.h.StillPending(m.cid, m.pend, m.gen) {
 			w.h.NoteLate()
 			continue
 		}

@@ -483,6 +483,15 @@ func (h *Host) LookupPending(cid uint16) (*Pending, bool) {
 	return ctx.(*Pending), true
 }
 
+// StillPending reports whether cid still maps to pend at generation gen.
+// CIDs are reissued and pending ops recycled, so only that pair names one
+// attempt of one command: a wire that comes back to a command after
+// yielding (a delayed post, a merged completion) checks it first.
+func (h *Host) StillPending(cid uint16, pend *Pending, gen int) bool {
+	cur, ok := h.LookupPending(cid)
+	return ok && cur == pend && cur.Gen == gen
+}
+
 // admit validates one I/O against the engine's common limits and the
 // wire's own, resolving the future with a typed error when it cannot be
 // queued. It returns false when the command must not proceed.

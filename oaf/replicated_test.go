@@ -3,6 +3,7 @@ package oaf
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -181,5 +182,66 @@ func TestReplicatedSurvivesScheduledTargetCrash(t *testing.T) {
 	}
 	if snap.Faults[0].Kind != "target-crash" || snap.Faults[1].Kind != "target-restart" {
 		t.Errorf("fault log = %v", snap.Faults)
+	}
+}
+
+// Regression: a command that the replicated namespace's 500 µs member
+// time-out reaped while its capsule sat out a ~2 ms cold memory
+// registration must not go out late under its old CID — the CID has been
+// reissued by then, and the stale completion used to be matched to its
+// next owner, so a read "succeeded" with no data (seed 6) or with another
+// read's bytes (seed 1) on this exact write-then-read pass, which is
+// oafbench's pre-flight check at the namespace's own time-out.
+func TestReplicatedRDMAReadsSurviveMemRegStallPastTimeout(t *testing.T) {
+	const ioSize, offsets, capacity = 4096, 64, 256 << 20
+	for _, seed := range []int64{1, 6} {
+		c := NewCluster(Config{Seed: seed})
+		if err := c.AddHost("client"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			host := fmt.Sprintf("storage%d", i)
+			if err := c.AddHost(host); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddTarget(host, fmt.Sprintf("nqn.verify.%d", i), TargetConfig{SSDCapacity: capacity, RetainData: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		slots := rng.Perm(capacity / ioSize)[:offsets]
+		pattern := make([][]byte, offsets)
+		for i := range pattern {
+			pattern[i] = make([]byte, ioSize)
+			rng.Read(pattern[i])
+		}
+		err := c.Run(func(ctx *Ctx) error {
+			q, err := ctx.On("client").ConnectReplicated("nqn.verify", ReplicaOptions{
+				Targets: 4, Replicas: 3,
+				Connect: ConnectOptions{Fabric: FabricRDMA56G, QueueDepth: 32, CommandTimeout: 500 * time.Microsecond},
+			})
+			if err != nil {
+				return err
+			}
+			defer q.Close()
+			for i, s := range slots {
+				if _, err := q.Write(int64(s)*ioSize, pattern[i]); err != nil {
+					return fmt.Errorf("write %d: %w", i, err)
+				}
+			}
+			for i, s := range slots {
+				res, err := q.Read(int64(s)*ioSize, ioSize)
+				if err != nil {
+					return fmt.Errorf("read %d: %w", i, err)
+				}
+				if !bytes.Equal(res.Data, pattern[i]) {
+					return fmt.Errorf("read %d at offset %d returned other bytes than were written", i, int64(s)*ioSize)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }
