@@ -229,8 +229,7 @@ func TestConformanceConnectIdentifyIO(t *testing.T) {
 			buf := make([]byte, 4096)
 			res := transport.Submit(p, c, &transport.IO{
 				Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: buf, Size: 4096,
-			}).
-				Wait(p)
+			}).Wait(p)
 			if err := res.Err(); err != nil {
 				t.Fatalf("identify: %v", err)
 			}
@@ -337,8 +336,7 @@ func TestConformanceTimeoutRecovery(t *testing.T) {
 			for i := 0; p.Now() < sim.Time(10*time.Millisecond); i++ {
 				res := transport.Submit(p, c, &transport.IO{
 					Write: i%3 == 0, Offset: int64(i%32) * 4096, Size: 4096, NoFill: true,
-				}).
-					Wait(p)
+				}).Wait(p)
 				switch res.Status {
 				case nvme.StatusSuccess:
 					oks++

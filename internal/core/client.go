@@ -264,18 +264,18 @@ func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
 	if writes == 0 {
 		return
 	}
-	// TCP path, or chunked SHM (slots claimed after R2T): payload is
-	// produced into a private buffer, no slot.
+	// Whole-I/O slot designs claim up front; on the TCP path and in the
+	// chunked designs (slots claimed after R2T) the payload is produced
+	// into a private buffer, which is what a nil slot means.
 	region := w.region
+	whole := region != nil && !w.cfg.Design.Chunked()
 	var slots []*shm.Slot
-	if region != nil && !w.cfg.Design.Chunked() {
+	if whole {
 		// Another process may ring this queue while this one blocks in the
 		// claim, so the scratch is taken, not shared.
 		scratch := w.slotScratch
 		w.slotScratch = nil
 		slots = region.ClaimN(p, shm.H2C, writes, scratch[:0])
-	} else {
-		region = nil
 	}
 	next := 0
 	for pend := train; pend != nil; pend = pend.Next {
@@ -287,8 +287,8 @@ func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
 			w.stageWrite(p, pend, slots[next])
 			slots[next] = nil
 			next++
-		case region == nil || region.Revoked():
-			// A nil slot is the TCP path (revoked mid-train included).
+		case !whole || region.Revoked():
+			// Revoked mid-train: the remaining writes fall to TCP.
 			w.stageWrite(p, pend, nil)
 		default:
 			// The amortized claim ran out of immediate credits: claim

@@ -115,9 +115,10 @@ func (c *Client) AllocBuffer(size int) []byte {
 	return buf
 }
 
-// mergeMember records one command folded into a merged work request.
+// mergeMember records one command folded into a merged work request (or,
+// size unused, one entry of a post delayed by memory registration).
 // Liveness across CID recycling is fenced by pointer identity plus the
-// pending generation (the same discipline armDeadline uses).
+// pending generation (Host.StillPending).
 type mergeMember struct {
 	pend *session.Pending
 	cid  uint16

@@ -4,12 +4,12 @@
 //
 // The future-based adapters (transport.Submit) cost one future
 // allocation, one result allocation, and one wakeup per I/O — fine at
-// QD 8, the wall at QD 256. A Ring recycles everything: applications claim fixed-size
-// buffers from the arena, describe I/O by writing fixed-size SQ entries,
-// flush them with one doorbell per train, and reap completions in
-// batches from the CQ. On the steady state nothing on the submit or reap
-// path allocates (CI-gated via testing.AllocsPerRun), and the reactor is
-// woken once per doorbell, not once per op.
+// QD 8, the wall at QD 256. A Ring recycles everything: applications
+// claim fixed-size buffers from the arena, describe I/O by writing
+// fixed-size SQ entries, flush them with one doorbell per train, and reap
+// completions in batches from the CQ. On the steady state nothing on the
+// submit or reap path allocates (CI-gated via testing.AllocsPerRun), and
+// the reactor is woken once per doorbell, not once per op.
 //
 // Ownership discipline (enforced by the arena bitmap): a buffer moves
 // claim -> submit -> reap -> release. Between submit and reap it belongs
@@ -119,9 +119,9 @@ type CQE struct {
 func (c *CQE) Err() error { return c.Status.Error() }
 
 // slot is one inflight operation's recycled state: the IO descriptor,
-// the completion future, the pre-bound completion callback
-// (created once, never per-op), and a copy of the submitted entry so the
-// CQE can carry UserData and the buffer back.
+// the completion future, the pre-bound completion callback (created
+// once, never per-op), and a copy of the submitted entry so the CQE can
+// carry UserData and the buffer back.
 type slot struct {
 	io  transport.IO
 	fut *sim.Future[*transport.Result]
