@@ -562,18 +562,23 @@ func (w *oafWire) onSHMNotify(p *sim.Proc, n *pdu.SHMNotify, transit time.Durati
 		pend.DataLost = true
 		return
 	}
-	io := pend.IO
+	dst, ok := pend.Window(n.Offset)
+	if !ok || (dst != nil && len(dst) < int(n.Length)) {
+		// Not this command's payload (see Host.onData); the slot still
+		// goes back to the target.
+		slot.TryRelease()
+		w.h.NoteLate()
+		pend.DataLost = true
+		return
+	}
+	if dst != nil {
+		dst = dst[:n.Length]
+	}
 	if w.cfg.Design.ZeroCopy() && !region.Encrypted() {
 		// The app buffer is shared-memory resident: no copy-out. The Go
 		// copy below only materializes the bytes for the caller's view.
-		if io.Data != nil {
-			copy(io.Data[n.Offset:], slot.Bytes()[:n.Length])
-		}
+		copy(dst, slot.Bytes())
 	} else {
-		var dst []byte
-		if io.Data != nil {
-			dst = io.Data[n.Offset : uint32(n.Offset)+n.Length]
-		}
 		slot.CopyOut(p, dst, int(n.Length))
 	}
 	slot.TryRelease()

@@ -1,7 +1,7 @@
 // Package nvme implements the NVMe protocol structures shared by the host
 // and controller sides of the NVMe-oF stack: 64-byte submission queue
-// entries, 16-byte completion queue entries, opcodes, status codes,
-// identify data, and per-queue command-ID tracking.
+// entries, 16-byte completion queue entries, opcodes, status codes, and
+// identify data. Queue state (who holds a CID) is internal/session's.
 //
 // Encodings follow the NVMe 1.4 base specification layout so that capsules
 // moving through the fabric are real protocol bytes.
@@ -174,4 +174,21 @@ func DecodeCompletion(buf []byte) (Completion, error) {
 		CID:    le.Uint16(buf[12:]),
 		Status: Status(le.Uint16(buf[14:]) >> 1),
 	}, nil
+}
+
+// LBARange validates a read/write command against a namespace geometry
+// and converts it into a byte offset and size.
+func LBARange(cmd *Command, blockSize int, blocks int64) (offset int64, size int, status Status) {
+	if !cmd.IsIO() {
+		return 0, 0, StatusInvalidOpcode
+	}
+	slba := cmd.SLBA()
+	nlb := cmd.NLB()
+	if nlb == 0 {
+		return 0, 0, StatusInvalidField
+	}
+	if slba+uint64(nlb) > uint64(blocks) {
+		return 0, 0, StatusLBAOutOfRange
+	}
+	return int64(slba) * int64(blockSize), int(nlb) * blockSize, StatusSuccess
 }

@@ -111,93 +111,6 @@ func TestStatusStringsAndErrors(t *testing.T) {
 	}
 }
 
-func TestCIDTableAllocCompleteCycle(t *testing.T) {
-	tab := NewCIDTable(4)
-	if tab.Depth() != 4 || tab.Outstanding() != 0 || tab.Full() {
-		t.Fatal("fresh table state")
-	}
-	cids := map[uint16]bool{}
-	for i := 0; i < 4; i++ {
-		cid, err := tab.Alloc(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cids[cid] {
-			t.Fatalf("duplicate CID %d", cid)
-		}
-		cids[cid] = true
-	}
-	if !tab.Full() {
-		t.Fatal("table should be full")
-	}
-	if _, err := tab.Alloc(nil); err == nil {
-		t.Fatal("alloc on full table should fail")
-	}
-	for cid := range cids {
-		ctx, err := tab.Complete(cid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := ctx.(int); !ok {
-			t.Fatalf("lost context for CID %d", cid)
-		}
-	}
-	if tab.Outstanding() != 0 {
-		t.Fatal("outstanding after draining")
-	}
-}
-
-func TestCIDTableUnknownCompletion(t *testing.T) {
-	tab := NewCIDTable(2)
-	if _, err := tab.Complete(0); err == nil {
-		t.Fatal("unknown CID completion accepted")
-	}
-	cid, _ := tab.Alloc("x")
-	if ctx, ok := tab.Lookup(cid); !ok || ctx.(string) != "x" {
-		t.Fatal("lookup failed")
-	}
-	tab.Complete(cid)
-	if _, err := tab.Complete(cid); err == nil {
-		t.Fatal("double completion accepted")
-	}
-}
-
-func TestCIDTableProperty(t *testing.T) {
-	// Property: any interleaving of allocs and completes keeps CIDs unique
-	// among in-flight commands and never exceeds depth.
-	f := func(ops []bool) bool {
-		tab := NewCIDTable(8)
-		var live []uint16
-		for _, alloc := range ops {
-			if alloc {
-				cid, err := tab.Alloc(nil)
-				if err != nil {
-					if len(live) != 8 {
-						return false
-					}
-					continue
-				}
-				for _, l := range live {
-					if l == cid {
-						return false // duplicate in-flight CID
-					}
-				}
-				live = append(live, cid)
-			} else if len(live) > 0 {
-				cid := live[0]
-				live = live[1:]
-				if _, err := tab.Complete(cid); err != nil {
-					return false
-				}
-			}
-		}
-		return tab.Outstanding() == len(live)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLBARange(t *testing.T) {
 	const bs, blocks = 512, 1000
 	ok := NewRead(1, 1, 10, 4)

@@ -115,14 +115,11 @@ func (c *Client) AllocBuffer(size int) []byte {
 	return buf
 }
 
-// mergeMember records one command folded into a merged work request (or,
-// size unused, one entry of a post delayed by memory registration).
-// Liveness across CID recycling is fenced by pointer identity plus the
-// pending generation (Host.StillPending).
+// mergeMember records one command folded into a merged work request: the
+// attempt (the CID may have a new owner by the time the completion comes
+// back) and its share of the payload.
 type mergeMember struct {
-	pend *session.Pending
-	cid  uint16
-	gen  int
+	session.Ticket
 	size int
 }
 
@@ -280,10 +277,10 @@ func (w *rdmaWire) Transmit(p *sim.Proc, e *pdu.BatchEntry) {
 		// command meanwhile, the CID may have a new owner by the time the
 		// registration is done: the capsule must not go out under it.
 		ep := w.ep
-		m := w.owner(e)
+		tk, _ := w.h.TicketOf(e.Cmd.CID)
 		w.h.Engine().Go("rdma-memreg", func(q *sim.Proc) {
 			q.Sleep(delay)
-			if !w.h.StillPending(m.cid, m.pend, m.gen) {
+			if _, ok := w.h.Live(tk); !ok {
 				w.h.NoteLate()
 				return
 			}
@@ -319,16 +316,16 @@ func (w *rdmaWire) TransmitTrain(p *sim.Proc, b *pdu.CmdBatch) {
 		// now — entries whose command was reaped during the delay are
 		// dropped from the train (see Transmit).
 		cp := &pdu.CmdBatch{Entries: append([]pdu.BatchEntry(nil), b.Entries...)}
-		owners := make([]mergeMember, len(cp.Entries))
+		owners := make([]session.Ticket, len(cp.Entries))
 		for i := range cp.Entries {
-			owners[i] = w.owner(&cp.Entries[i])
+			owners[i], _ = w.h.TicketOf(cp.Entries[i].Cmd.CID)
 		}
 		ep := w.ep
 		w.h.Engine().Go("rdma-memreg", func(q *sim.Proc) {
 			q.Sleep(delay)
 			live := cp.Entries[:0]
-			for i, m := range owners {
-				if w.h.StillPending(m.cid, m.pend, m.gen) {
+			for i, tk := range owners {
+				if _, ok := w.h.Live(tk); ok {
 					live = append(live, cp.Entries[i])
 				} else {
 					w.h.NoteLate()
@@ -341,13 +338,6 @@ func (w *rdmaWire) TransmitTrain(p *sim.Proc, b *pdu.CmdBatch) {
 		return
 	}
 	transport.SendPDUs(p, w.ep, b)
-}
-
-// owner records which attempt of which command an entry about to be
-// posted belongs to (the engine allocated its CID just before).
-func (w *rdmaWire) owner(e *pdu.BatchEntry) mergeMember {
-	pend, _ := w.h.LookupPending(e.Cmd.CID)
-	return mergeMember{pend: pend, cid: e.Cmd.CID, gen: pend.Gen}
 }
 
 // TrainSize implements session.TrainSizer: dynamic doorbell coalescing.
@@ -557,12 +547,12 @@ func (w *rdmaWire) foldRun(entries []pdu.BatchEntry, run []int, blocks int) int 
 	g := &mergeGroup{members: make([]mergeMember, 0, len(run))}
 	for _, i := range run {
 		e := &entries[i]
-		pend, ok := w.h.LookupPending(e.Cmd.CID)
+		tk, ok := w.h.TicketOf(e.Cmd.CID)
 		if !ok {
 			return 0
 		}
 		size := int(e.Cmd.NLB()) * transport.BlockSize
-		g.members = append(g.members, mergeMember{pend: pend, cid: e.Cmd.CID, gen: pend.Gen, size: size})
+		g.members = append(g.members, mergeMember{Ticket: tk, size: size})
 		g.total += size
 	}
 	lead.Cmd.CDW12 = uint32(blocks - 1)
@@ -584,7 +574,7 @@ func (w *rdmaWire) liveGroup(cid uint16) *mergeGroup {
 	if !ok {
 		return nil
 	}
-	if lead := g.members[0]; !w.h.StillPending(cid, lead.pend, lead.gen) {
+	if _, ok := w.h.Live(g.members[0].Ticket); !ok {
 		delete(w.groups, cid)
 		return nil
 	}
@@ -601,7 +591,7 @@ func (w *rdmaWire) InterceptData(p *sim.Proc, d *pdu.Data, transit time.Duration
 	}
 	off := 0
 	for _, m := range g.members {
-		if pend := m.pend; w.h.StillPending(m.cid, pend, m.gen) {
+		if pend, ok := w.h.Live(m.Ticket); ok {
 			if d.Payload != nil && pend.IO.Data != nil && off < len(d.Payload) {
 				end := off + m.size
 				if end > len(d.Payload) {
@@ -631,12 +621,12 @@ func (w *rdmaWire) InterceptResp(p *sim.Proc, r *pdu.CapsuleResp, transit time.D
 	}
 	delete(w.groups, r.Rsp.CID)
 	for i, m := range g.members {
-		if !w.h.StillPending(m.cid, m.pend, m.gen) {
+		if _, ok := w.h.Live(m.Ticket); !ok {
 			w.h.NoteLate()
 			continue
 		}
 		w.respScratch = *r
-		w.respScratch.Rsp.CID = m.cid
+		w.respScratch.Rsp.CID = m.CID
 		w.respScratch.IOTimeNs = uint64(float64(r.IOTimeNs) * float64(m.size) / float64(g.total))
 		if i > 0 {
 			w.respScratch.TgtCommNs, w.respScratch.TgtOtherNs = 0, 0

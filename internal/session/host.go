@@ -126,7 +126,6 @@ type Host struct {
 	ep      *netsim.Endpoint
 	wire    HostWire
 	cfg     HostConfig
-	cids    *nvme.CIDTable
 	submitQ *sim.Queue[*Pending]
 	kick    *sim.Signal
 	icresp  *pdu.ICResp
@@ -136,6 +135,11 @@ type Host struct {
 	tel     *telemetry.Sink
 	icept   completionInterceptor
 	sizer   TrainSizer
+
+	// The command table (slots.go): one slot per CID, and the LIFO of CIDs
+	// no command holds.
+	slots    []slot
+	freeCIDs []uint16
 
 	// staged is the train SubmitInto has linked (through Pending.Next)
 	// since the last doorbell; stagedTail is its last element.
@@ -176,6 +180,13 @@ type Host struct {
 	qosParked []*Pending
 	qosWake   bool
 
+	// The one deadline timer (watchDeadlines): timerArmed while it waits,
+	// expiryDue from when it finds a command due until the reactor has
+	// reaped; onDeadline is bound once so that arming allocates nothing.
+	timerArmed bool
+	expiryDue  bool
+	onDeadline func()
+
 	// backlog counts commands parked in retry backoff (neither queued nor
 	// in flight); teardown waits for them.
 	backlog int
@@ -212,16 +223,20 @@ func NewHost(e *sim.Engine, ep *netsim.Endpoint, cfg HostConfig, wire HostWire) 
 		ep:      ep,
 		wire:    wire,
 		cfg:     cfg,
-		cids:    nvme.NewCIDTable(cfg.QueueDepth),
 		submitQ: sim.NewQueue[*Pending](e, 0),
 		kick:    sim.NewSignal(e),
 		drained: sim.NewSignal(e),
 		rng:     e.Rand(cfg.RNGStream),
 		tel:     cfg.Telemetry,
+		slots:   make([]slot, cfg.QueueDepth),
 	}
 	if h.tel == nil {
 		h.tel = telemetry.Disabled
 	}
+	for cid := cfg.QueueDepth - 1; cid >= 0; cid-- {
+		h.freeCIDs = append(h.freeCIDs, uint16(cid))
+	}
+	h.onDeadline = h.watchDeadlines
 	h.icept, _ = wire.(completionInterceptor)
 	h.sizer, _ = wire.(TrainSizer)
 	h.liveBatch.Store(int32(cfg.BatchSize))
@@ -273,10 +288,10 @@ func (h *Host) QDTarget() int { return int(h.liveQD.Load()) }
 // QueueDepth returns the connection's configured (hard) queue depth.
 func (h *Host) QueueDepth() int { return h.cfg.QueueDepth }
 
-// canStart reports whether another command may enter the CID table
-// under both the hard depth and the live QD target.
+// canStart reports whether another command may enter the slot table: the
+// live QD target never exceeds the hard depth.
 func (h *Host) canStart() bool {
-	return !h.cids.Full() && h.cids.Outstanding() < int(h.liveQD.Load())
+	return h.live() < int(h.liveQD.Load())
 }
 
 // pollBudget resolves the receive busy-poll budget for this reactor
@@ -473,25 +488,6 @@ func (h *Host) NoteLate() {
 	h.tel.Inc(telemetry.CtrLateMsgs)
 }
 
-// LookupPending resolves an in-flight command by CID for a wire PDU
-// handler.
-func (h *Host) LookupPending(cid uint16) (*Pending, bool) {
-	ctx, ok := h.cids.Lookup(cid)
-	if !ok {
-		return nil, false
-	}
-	return ctx.(*Pending), true
-}
-
-// StillPending reports whether cid still maps to pend at generation gen.
-// CIDs are reissued and pending ops recycled, so only that pair names one
-// attempt of one command: a wire that comes back to a command after
-// yielding (a delayed post, a merged completion) checks it first.
-func (h *Host) StillPending(cid uint16, pend *Pending, gen int) bool {
-	cur, ok := h.LookupPending(cid)
-	return ok && cur == pend && cur.Gen == gen
-}
-
 // admit validates one I/O against the engine's common limits and the
 // wire's own, resolving the future with a typed error when it cannot be
 // queued. It returns false when the command must not proceed.
@@ -647,13 +643,13 @@ func (h *Host) reactor(p *sim.Proc) {
 		if worked {
 			continue
 		}
-		if h.closing && h.cids.Outstanding() == 0 && h.submitQ.Len() == 0 && h.backlog == 0 && len(h.qosParked) == 0 {
+		if h.closing && h.live() == 0 && h.submitQ.Len() == 0 && h.backlog == 0 && len(h.qosParked) == 0 {
 			transport.SendPDUs(p, h.ep, &pdu.Term{Dir: pdu.TypeH2CTermReq})
 			return
 		}
 		// Busy-poll the socket while commands are in flight: spin up to
 		// the budget inside the receive path (SO_BUSY_POLL semantics).
-		if budget := h.pollBudget(); budget > 0 && h.cids.Outstanding() > 0 {
+		if budget := h.pollBudget(); budget > 0 && h.live() > 0 {
 			if msg := h.ep.RecvPoll(p, budget); msg != nil {
 				h.handle(p, msg)
 				continue
@@ -663,7 +659,7 @@ func (h *Host) reactor(p *sim.Proc) {
 		}
 		h.kick.Reset()
 		h.armQoSWake(p)
-		if h.closing && h.cids.Outstanding() == 0 && h.submitQ.Len() == 0 && h.backlog == 0 && len(h.qosParked) == 0 {
+		if h.closing && h.live() == 0 && h.submitQ.Len() == 0 && h.backlog == 0 && len(h.qosParked) == 0 {
 			continue
 		}
 		if h.ep.Pending() > 0 || (h.canStart() && !h.reconnecting && h.submitQ.Len() > 0) {
@@ -704,52 +700,21 @@ func (h *Host) backoff(attempt int) time.Duration {
 	return d + time.Duration(h.rng.Int63n(int64(base)))
 }
 
-// armDeadline schedules the per-command deadline for the current attempt.
-// The generation check keeps a stale timer (for a completed or already
-// retried attempt) from firing on a reused CID.
-func (h *Host) armDeadline(pend *Pending) {
-	if h.cfg.CommandTimeout <= 0 {
-		return
-	}
-	gen := pend.Gen
-	cid := pend.CID
-	h.e.After(h.cfg.CommandTimeout, func() {
-		if pend.Gen != gen || pend.Expired {
-			return
-		}
-		ctx, ok := h.cids.Lookup(cid)
-		if !ok {
-			return
-		}
-		if cur, _ := ctx.(*Pending); cur != pend {
-			return
-		}
-		pend.Expired = true
-		h.kick.Fire()
-	})
-}
-
-// reapExpired tears down deadline-hit commands: the CID frees (late
-// responses for it are dropped as stale), staged payload reclaims, and
-// the command either re-drives after backoff or fails with a typed
-// transport error.
+// reapExpired tears down deadline-hit commands in CID order: the CID frees
+// (late responses for it are dropped as stale), staged payload reclaims,
+// and the command either re-drives after backoff or fails with a typed
+// transport error. It runs only after watchDeadlines found a command due.
 func (h *Host) reapExpired(p *sim.Proc) bool {
-	if h.cfg.CommandTimeout <= 0 {
+	if !h.expiryDue {
 		return false
 	}
+	h.expiryDue = false
 	worked := false
-	for i := 0; i < h.cids.Depth(); i++ {
-		ctx, ok := h.cids.Lookup(uint16(i))
-		if !ok {
+	for cid := range h.slots {
+		if s := &h.slots[cid]; s.pend == nil || s.deadline > p.Now() {
 			continue
 		}
-		pend := ctx.(*Pending)
-		if !pend.Expired {
-			continue
-		}
-		if _, err := h.cids.Complete(pend.CID); err != nil {
-			panic(fmt.Sprintf("%s client: %v", h.cfg.Label, err))
-		}
+		pend := h.retire(uint16(cid))
 		h.Timeouts++
 		h.tel.Inc(telemetry.CtrTimeouts)
 		h.tel.Trace(int64(p.Now()), telemetry.EvTimeout, pend.CID, "", "deadline")
@@ -757,6 +722,7 @@ func (h *Host) reapExpired(p *sim.Proc) bool {
 		h.requeueOrFail(p, pend)
 		worked = true
 	}
+	h.watchDeadlines()
 	if h.consecTimeouts >= 2 && !h.reconnecting && !h.closing {
 		// Successive deadline hits mean the connection, not a command,
 		// is sick: re-run the handshake (the target may have crashed and
@@ -771,8 +737,6 @@ func (h *Host) reapExpired(p *sim.Proc) bool {
 // or fails it with StatusTransientTransport once attempts are exhausted
 // (or the client is closing). The caller must have freed the CID.
 func (h *Host) requeueOrFail(p *sim.Proc, pend *Pending) {
-	pend.Expired = false
-	pend.Gen++
 	pend.Received = 0
 	pend.Sent = 0
 	pend.DataLost = false
@@ -815,7 +779,7 @@ func (h *Host) keepAliveLoop(p *sim.Proc) {
 		if h.closing {
 			return
 		}
-		if h.reconnecting || h.cids.Full() {
+		if h.reconnecting || h.live() == len(h.slots) {
 			continue
 		}
 		pend := &Pending{Pending: transport.Pending{
@@ -879,25 +843,19 @@ func (h *Host) trainDepth() int {
 	return h.batchDepth()
 }
 
-// prepareStart allocates the CID, arms the deadline, and builds the wire
-// entry for one command. It is the shared front half of start and
-// startTrain.
+// prepareStart allocates the CID (and with it the deadline) and builds the
+// wire entry for one command. It is the shared front half of start and
+// startTrain; both have checked canStart.
 func (h *Host) prepareStart(pend *Pending) pdu.BatchEntry {
-	cid, err := h.cids.Alloc(pend)
-	if err != nil {
-		// Caller ensured a free CID; allocation cannot fail here.
-		panic(err)
-	}
-	pend.CID = cid
-	h.armDeadline(pend)
+	h.alloc(pend)
 	io := pend.IO
 	if io.Admin != 0 {
-		return pdu.BatchEntry{Cmd: nvme.Command{Opcode: io.Admin, CID: cid, NSID: io.NSID, CDW10: io.CDW10, Flags: transport.AdminFlag}}
+		return pdu.BatchEntry{Cmd: nvme.Command{Opcode: io.Admin, CID: pend.CID, NSID: io.NSID, CDW10: io.CDW10, Flags: transport.AdminFlag}}
 	}
 	if io.Flush {
 		// Flush carries no payload and no LBA range: it rides the control
 		// channel on either data path.
-		return pdu.BatchEntry{Cmd: nvme.NewFlush(cid, io.Nsid())}
+		return pdu.BatchEntry{Cmd: nvme.NewFlush(pend.CID, io.Nsid())}
 	}
 	return h.wire.MakeIOEntry(pend)
 }
@@ -1016,9 +974,14 @@ func (h *Host) onData(p *sim.Proc, d *pdu.Data, transit time.Duration) {
 	if n == 0 {
 		n = d.VirtualLen
 	}
-	if d.Payload != nil && pend.IO.Data != nil {
-		copy(pend.IO.Data[d.Offset:], d.Payload)
+	dst, ok := pend.Window(uint64(d.Offset))
+	if !ok {
+		// Not this command's payload: recovery re-drives it.
+		h.NoteLate()
+		pend.DataLost = true
+		return
 	}
+	copy(dst, d.Payload)
 	pend.Received += n
 	pend.Comm += transit
 }
@@ -1031,18 +994,17 @@ func (h *Host) onResp(p *sim.Proc, r *pdu.CapsuleResp, transit time.Duration) {
 		h.onConnectResp(r)
 		return
 	}
-	ctx, err := h.cids.Complete(r.Rsp.CID)
-	if err != nil {
+	// A response that races its deadline to the reactor wins.
+	pend := h.retire(r.Rsp.CID)
+	if pend == nil {
 		// A response for a command the deadline already reaped: its CID
 		// was freed (or reused by a later command that also completed).
 		h.NoteLate()
 		return
 	}
-	pend := ctx.(*Pending)
 	pend.Comm += transit
 	p.Sleep(h.cfg.Host.CompleteCPU)
 	h.consecTimeouts = 0
-	pend.Expired = false // response raced the deadline: response wins
 	if h.cfg.CommandTimeout > 0 && !h.closing && (pend.DataLost || r.Rsp.Status.Retryable()) {
 		h.requeueOrFail(p, pend)
 		h.kick.Fire()

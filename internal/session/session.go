@@ -1,8 +1,9 @@
 // Package session implements the fabric-agnostic NVMe-oF session
 // engine: one host-side core (Host) and one target-side core (Target)
 // shared by every transport binding. The engine owns the machinery that
-// is identical across data paths — CID allocation, pending-op tracking,
-// queue-depth accounting, deadlines/retries/backoff, keep-alive,
+// is identical across data paths — the QD-sized slot table that owns each
+// CID, attempt (Ticket) and deadline behind one timer per host (slots.go),
+// queue-depth accounting, retries/backoff, keep-alive,
 // batch-train assembly, completion reaping, connection lifecycle, the
 // KATO watchdog, bounded buffer-wait shedding, and telemetry emission —
 // while the transports (internal/core, internal/tcp, internal/rdma)
@@ -43,21 +44,17 @@ const (
 
 // Pending tracks one in-flight command on the host side. It embeds the
 // transport-level pending record and adds the recovery state the engine
-// maintains (attempts, deadline generation) plus a transport-owned Stage
-// slot for per-attempt staging resources (e.g. a claimed shared-memory
-// slot).
+// maintains plus a transport-owned Stage slot for per-attempt staging
+// resources (e.g. a claimed shared-memory slot). Which attempt this is and
+// its deadline are the host's slot table's to know.
 type Pending struct {
 	transport.Pending
 	// WNext and WEnd track chunked-write progress for conservative
 	// stop-and-wait flows (one chunk per target acknowledgement).
 	WNext, WEnd int
 	// Attempts counts retries so far; retried commands pin the plain
-	// wire data path. Gen invalidates stale deadline timers across
-	// attempts and recycles.
+	// wire data path.
 	Attempts int
-	Gen      int
-	// Expired marks a deadline hit; the reactor reaps it.
-	Expired bool
 	// DataLost marks payload that went missing mid-transfer (revoked
 	// region); the response alone cannot complete the command.
 	DataLost bool
@@ -71,6 +68,21 @@ type Pending struct {
 	// qosParkAt records when QoS admission parked this command (0 when it
 	// was never parked); the reactor uses it to attribute token-wait time.
 	qosParkAt sim.Time
+}
+
+// Window returns the caller's buffer from off on, where a payload PDU says
+// its bytes belong. off comes from the wire: ok is false when it lies beyond
+// the buffer (a late PDU that reached the CID's next owner) and the payload
+// must be dropped. A modelled payload has no buffer: the empty window.
+func (pend *Pending) Window(off uint64) (dst []byte, ok bool) {
+	buf := pend.IO.Data
+	if buf == nil {
+		return nil, true
+	}
+	if off > uint64(len(buf)) {
+		return nil, false
+	}
+	return buf[off:], true
 }
 
 // tenantSep joins the host NQN and the tenant name inside the Fabrics
@@ -97,8 +109,7 @@ func SplitTenantHostNQN(s string) (hostNQN, tenant string) {
 }
 
 // takePending pops a recycled Pending (or allocates one) and re-arms it
-// for a fresh command. The generation bump invalidates any stale
-// deadline timer still holding the recycled struct.
+// for a fresh command.
 func (h *Host) takePending(io *transport.IO, fut *sim.Future[*transport.Result]) *Pending {
 	if io.Admin == 0 {
 		h.tview(io).Inc(telemetry.TCtrSubmits)
@@ -107,16 +118,14 @@ func (h *Host) takePending(io *transport.IO, fut *sim.Future[*transport.Result])
 		pend := h.freePends[n-1]
 		h.freePends[n-1] = nil
 		h.freePends = h.freePends[:n-1]
-		gen := pend.Gen + 1
-		*pend = Pending{Pending: transport.Pending{IO: io, Fut: fut}, Gen: gen}
+		*pend = Pending{Pending: transport.Pending{IO: io, Fut: fut}}
 		return pend
 	}
 	return &Pending{Pending: transport.Pending{IO: io, Fut: fut}}
 }
 
-// recyclePending returns a finished pending op to the freelist. Only
-// fully resolved commands (future resolved, CID freed) may be recycled;
-// stale timers are fenced by the generation bump in takePending.
+// recyclePending returns a finished pending op to the freelist. Only fully
+// resolved commands (future resolved, CID freed: no Ticket is live) may be.
 func (h *Host) recyclePending(pend *Pending) {
 	if len(h.freePends) >= cap(h.freePends) && len(h.freePends) >= 4*h.cfg.QueueDepth {
 		return // bound the freelist; excess pends fall to the GC
