@@ -15,12 +15,13 @@ import (
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/blockfs"
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/kvstore"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/transport"
 )
 
@@ -43,31 +44,25 @@ func build(useSHM bool, seed int64) (*sim.Engine, func(p *sim.Proc) *kvstore.Sto
 	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "kv", capacity, model.DefaultSSD(), true, transport.BlockSize)); err != nil {
 		log.Fatal(err)
 	}
-	if useSHM {
-		fabric := core.NewFabric(e, model.DefaultSHM())
-		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: "nqn.kv", Design: core.DesignSHMZeroCopy, Fabric: fabric,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		})
-		link := netsim.NewLoopLink(e, model.Loopback())
-		srv.Serve(link.B)
-		region, _ := fabric.RegionFor(core.DesignSHMZeroCopy, "h", "h", 1<<20, 128<<10, 32)
-		return e, func(p *sim.Proc) *kvstore.Store {
-			c, err := core.Connect(p, link.A, core.ClientConfig{
-				NQN: "nqn.kv", QueueDepth: 32, Design: core.DesignSHMZeroCopy, Region: region,
-				TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			return kvstore.Open(blockfs.New(e, c, capacity), kvstore.Config{GroupCommitBytes: 64 << 10})
-		}
+	o := dial.Options{
+		Kind:        dial.TCP25G,
+		ConnOptions: session.ConnOptions{NQN: "nqn.kv", QueueDepth: 32},
+		TP:          model.DefaultTCPTransport(),
 	}
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: "nqn.kv", TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
-	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
+	if useSHM {
+		o.Kind, o.Design, o.Fabric = dial.OAF, core.DesignSHMZeroCopy, core.NewFabric(e, model.DefaultSHM())
+	}
+	lp, err := o.Kind.Link()
+	if err != nil {
+		log.Fatal(err)
+	}
+	link := netsim.NewLoopLink(e, lp)
+	dial.Serve(e, tgt, link.B, o)
+	if useSHM {
+		o.Region, _ = o.Fabric.RegionFor(o.Design, "h", "h", 1<<20, o.TP.ChunkSize, o.QueueDepth)
+	}
 	return e, func(p *sim.Proc) *kvstore.Store {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{NQN: "nqn.kv", QueueDepth: 32, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+		c, err := dial.Connect(p, link.A, o)
 		if err != nil {
 			log.Fatal(err)
 		}

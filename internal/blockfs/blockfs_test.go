@@ -9,6 +9,7 @@ import (
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/transport"
@@ -32,16 +33,16 @@ func rig(t *testing.T, seed int64) (*sim.Engine, func(p *sim.Proc) *File) {
 	}
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	srv := core.NewServer(e, tgt, core.ServerConfig{
-		NQN: "nqn.test", Design: core.DesignSHMZeroCopy, Fabric: fabric,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+		ServeOptions: session.ServeOptions{NQN: "nqn.test"},
+		Design:       core.DesignSHMZeroCopy, Fabric: fabric, TP: model.DefaultTCPTransport(),
 	})
 	link := netsim.NewLoopLink(e, model.Loopback())
 	srv.Serve(link.B)
 	region, _ := fabric.RegionFor(core.DesignSHMZeroCopy, "h", "h", 1<<20, 128<<10, 32)
 	return e, func(p *sim.Proc) *File {
 		c, err := core.Connect(p, link.A, core.ClientConfig{
-			NQN: "nqn.test", QueueDepth: 32, Design: core.DesignSHMZeroCopy, Region: region,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: "nqn.test", QueueDepth: 32},
+			Design:      core.DesignSHMZeroCopy, Region: region, TP: model.DefaultTCPTransport(),
 		})
 		if err != nil {
 			t.Fatal(err)

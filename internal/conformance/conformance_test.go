@@ -1,9 +1,11 @@
 // Package conformance runs one table-driven behavioural suite against
-// every fabric binding — adaptive (core), NVMe/TCP, and NVMe/RDMA. The
-// session-engine extraction promises that connect, I/O, flush, doorbell
-// batching, deadline/retry recovery, buffer-pool shedding, and KATO
-// expiry behave uniformly across transports; each test here is that
-// promise for one behaviour, parameterized only by the wire binding.
+// every fabric kind of the dial table — the three NVMe/TCP speeds, both
+// NVMe/RDMA fabrics, and both adaptive kinds (on the TCP data path) — so
+// all three wire bindings are covered. The session-engine extraction
+// promises that connect, I/O, flush, doorbell batching, deadline/retry
+// recovery, buffer-pool shedding, and KATO expiry behave uniformly across
+// transports; each test here is that promise for one behaviour,
+// parameterized only by the kind.
 package conformance
 
 import (
@@ -12,17 +14,15 @@ import (
 	"time"
 
 	"nvmeoaf/internal/bdev"
-	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 )
@@ -34,10 +34,10 @@ const confNQN = "nqn.conformance"
 type client interface {
 	transport.Queue
 	WaitClosed(p *sim.Proc)
+	Stats() session.HostStats
 }
 
-// clientOpts are the engine knobs the suite varies; each binding maps
-// them into its own ClientConfig.
+// clientOpts are the engine knobs the suite varies.
 type clientOpts struct {
 	queueDepth int
 	batchSize  int
@@ -63,21 +63,24 @@ type srvOpts struct {
 // rig is one connected transport instance.
 type rig struct {
 	e    *sim.Engine
-	tgt  *session.Target // embedded server core: counters, crash/restart
+	tgt  *session.Target // server core: counters, crash/restart
 	pool *mempool.Pool   // nil for RDMA (direct placement, no pool)
 	inj  *faults.Injector
 	link *netsim.Link // the host-target wire, for message/byte identity checks
-	// connect dials a new host-side queue; the returned *session.Host is
-	// the embedded engine core carrying the recovery counters.
-	connect func(p *sim.Proc, o clientOpts) (client, *session.Host)
+	// connect dials a new host-side queue.
+	connect func(p *sim.Proc, o clientOpts) client
 }
 
-// binding builds a rig for one transport.
+// binding is one fabric kind under test, under the name its subtests
+// print.
 type binding struct {
-	name    string
-	hasPool bool
-	build   func(t *testing.T, seed int64, so srvOpts) *rig
+	name string
+	kind dial.Kind
 }
+
+// rdma reports a direct-placement kind: no data pool to shed from, and
+// the only binding on which the fast path bites.
+func (b binding) rdma() bool { return b.kind == dial.RDMA56 || b.kind == dial.RoCE100 }
 
 func newBackend(t *testing.T, seed int64, retain bool) (*sim.Engine, *target.Target) {
 	t.Helper()
@@ -96,119 +99,62 @@ func newBackend(t *testing.T, seed int64, retain bool) (*sim.Engine, *target.Tar
 	return e, tgt
 }
 
-func noRegRDMA() model.RDMAParams {
-	prm := model.RDMA56G()
-	prm.MemRegWarmOps = 0.001
-	prm.MemRegFloorProb = 0
-	return prm
+// build serves the backend over b's kind on the kind's own link. The
+// rdma kinds run with memory-registration stalls modelled away, and the
+// adaptive kinds without a region (DesignTCP): the suite is about the
+// session engine, not a binding's data-path extras.
+func (b binding) build(t *testing.T, seed int64, so srvOpts) *rig {
+	t.Helper()
+	e, tgt := newBackend(t, seed, so.retain)
+	lp, err := b.kind.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := netsim.NewLoopLink(e, lp)
+	base := dial.Options{
+		Kind:        b.kind,
+		ConnOptions: session.ConnOptions{NQN: confNQN},
+		KATO:        so.kato,
+		TP:          model.DefaultTCPTransport(),
+	}
+	if b.rdma() {
+		prm := model.RDMA56G()
+		if b.kind == dial.RoCE100 {
+			prm = model.RoCE100G()
+		}
+		prm.MemRegWarmOps = 0.001
+		prm.MemRegFloorProb = 0
+		base.RDMA = &prm
+	}
+	serve := base
+	if so.tinyPool {
+		serve.TP.DataBuffers = 4
+		serve.MaxBufferWaiters = 1
+	}
+	srv := dial.Serve(e, tgt, link.B, serve)
+	return &rig{
+		e: e, tgt: srv.Target, pool: srv.Pool, inj: faults.NewInjector(e), link: link,
+		connect: func(p *sim.Proc, o clientOpts) client {
+			co := base
+			co.QueueDepth, co.Telemetry = o.queueDepth, o.telemetry
+			co.CommandTimeout, co.MaxRetries, co.RetryBackoff, co.KeepAlive = o.timeout, o.maxRetries, o.backoff, o.keepAlive
+			co.TP.BatchSize = o.batchSize
+			co.RegCache, co.Merge, co.DynDoorbell = o.fastPath, o.fastPath, o.fastPath
+			q, err := dial.Connect(p, link.A, co)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return q.(client)
+		},
+	}
 }
 
+// The first three are the suite's original rows, one per wire binding,
+// and keep the names they have always printed.
 var bindings = []binding{
-	{
-		name:    "core",
-		hasPool: true,
-		build: func(t *testing.T, seed int64, so srvOpts) *rig {
-			e, tgt := newBackend(t, seed, so.retain)
-			fabric := core.NewFabric(e, model.DefaultSHM())
-			cfg := core.ServerConfig{
-				NQN: confNQN, Design: core.DesignTCP, Fabric: fabric,
-				TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-				KATO: so.kato,
-			}
-			if so.tinyPool {
-				cfg.TP.DataBuffers = 4
-				cfg.MaxBufferWaiters = 1
-			}
-			srv := core.NewServer(e, tgt, cfg)
-			link := netsim.NewLoopLink(e, model.Loopback())
-			srv.Serve(link.B)
-			return &rig{
-				e: e, tgt: srv.Target, pool: srv.Pool(), inj: faults.NewInjector(e), link: link,
-				connect: func(p *sim.Proc, o clientOpts) (client, *session.Host) {
-					tp := model.DefaultTCPTransport()
-					tp.BatchSize = o.batchSize
-					c, err := core.Connect(p, link.A, core.ClientConfig{
-						NQN: confNQN, QueueDepth: o.queueDepth, Design: core.DesignTCP,
-						TP: tp, Host: model.DefaultHost(),
-						CommandTimeout: o.timeout, MaxRetries: o.maxRetries,
-						RetryBackoff: o.backoff, KeepAlive: o.keepAlive,
-						Telemetry: o.telemetry,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return c, c.Host
-				},
-			}
-		},
-	},
-	{
-		name:    "tcp",
-		hasPool: true,
-		build: func(t *testing.T, seed int64, so srvOpts) *rig {
-			e, tgt := newBackend(t, seed, so.retain)
-			cfg := tcp.ServerConfig{
-				NQN: confNQN, TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-				KATO: so.kato,
-			}
-			if so.tinyPool {
-				cfg.TP.DataBuffers = 4
-				cfg.MaxBufferWaiters = 1
-			}
-			srv := tcp.NewServer(e, tgt, cfg)
-			link := netsim.NewLoopLink(e, model.TCP25G())
-			srv.Serve(link.B)
-			return &rig{
-				e: e, tgt: srv.Target, pool: srv.Pool(), inj: faults.NewInjector(e), link: link,
-				connect: func(p *sim.Proc, o clientOpts) (client, *session.Host) {
-					tp := model.DefaultTCPTransport()
-					tp.BatchSize = o.batchSize
-					c, err := tcp.Connect(p, link.A, tcp.ClientConfig{
-						NQN: confNQN, QueueDepth: o.queueDepth,
-						TP: tp, Host: model.DefaultHost(),
-						CommandTimeout: o.timeout, MaxRetries: o.maxRetries,
-						RetryBackoff: o.backoff, KeepAlive: o.keepAlive,
-						Telemetry: o.telemetry,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return c, c.Host
-				},
-			}
-		},
-	},
-	{
-		name:    "rdma",
-		hasPool: false,
-		build: func(t *testing.T, seed int64, so srvOpts) *rig {
-			e, tgt := newBackend(t, seed, so.retain)
-			prm := noRegRDMA()
-			srv := rdma.NewServer(e, tgt, rdma.ServerConfig{
-				NQN: confNQN, Params: prm, Host: model.DefaultHost(),
-				KATO: so.kato,
-			})
-			link := netsim.NewLoopLink(e, rdma.LinkParams(prm))
-			srv.Serve(link.B)
-			return &rig{
-				e: e, tgt: srv.Target, inj: faults.NewInjector(e), link: link,
-				connect: func(p *sim.Proc, o clientOpts) (client, *session.Host) {
-					c, err := rdma.Connect(p, link.A, rdma.ClientConfig{
-						NQN: confNQN, QueueDepth: o.queueDepth, Params: prm,
-						Host: model.DefaultHost(), BatchSize: o.batchSize,
-						CommandTimeout: o.timeout, MaxRetries: o.maxRetries,
-						RetryBackoff: o.backoff, KeepAlive: o.keepAlive,
-						Telemetry: o.telemetry,
-						RegCache:  o.fastPath, Merge: o.fastPath, DynDoorbell: o.fastPath,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return c, c.Host
-				},
-			}
-		},
-	},
+	{"core", dial.OAF}, {"tcp", dial.TCP25G}, {"rdma", dial.RDMA56},
+	{"tcp-10g", dial.TCP10G}, {"tcp-100g", dial.TCP100G},
+	{"roce-100g", dial.RoCE100}, {"nvme-oaf-rdmactl", dial.OAFRDMACtl},
 }
 
 // forEach runs f as a subtest per binding.
@@ -225,7 +171,7 @@ func TestConformanceConnectIdentifyIO(t *testing.T) {
 	forEach(t, func(t *testing.T, b binding) {
 		r := b.build(t, 1, srvOpts{retain: true})
 		r.e.Go("app", func(p *sim.Proc) {
-			c, _ := r.connect(p, clientOpts{queueDepth: 8})
+			c := r.connect(p, clientOpts{queueDepth: 8})
 			buf := make([]byte, 4096)
 			res := transport.Submit(p, c, &transport.IO{
 				Admin: nvme.AdminIdentify, CDW10: nvme.CNSController, Data: buf, Size: 4096,
@@ -266,7 +212,7 @@ func TestConformanceFlush(t *testing.T) {
 	forEach(t, func(t *testing.T, b binding) {
 		r := b.build(t, 1, srvOpts{})
 		r.e.Go("app", func(p *sim.Proc) {
-			c, _ := r.connect(p, clientOpts{queueDepth: 8})
+			c := r.connect(p, clientOpts{queueDepth: 8})
 			for i := 0; i < 4; i++ {
 				if res := transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, NoFill: true}).Wait(p); res.Err() != nil {
 					t.Fatalf("write %d: %v", i, res.Err())
@@ -291,7 +237,7 @@ func TestConformanceBatch(t *testing.T) {
 		r := b.build(t, 1, srvOpts{})
 		tel := telemetry.New()
 		r.e.Go("app", func(p *sim.Proc) {
-			c, h := r.connect(p, clientOpts{queueDepth: 32, batchSize: 8, telemetry: tel})
+			c := r.connect(p, clientOpts{queueDepth: 32, batchSize: 8, telemetry: tel})
 			ios := make([]*transport.IO, 64)
 			for i := range ios {
 				ios[i] = &transport.IO{Write: i%2 == 0, Offset: int64(i) * 4096, Size: 4096, NoFill: true}
@@ -301,8 +247,8 @@ func TestConformanceBatch(t *testing.T) {
 					t.Fatalf("batched io %d: %v", i, res.Err())
 				}
 			}
-			if h.Completed != 64 {
-				t.Errorf("completed %d of 64", h.Completed)
+			if c.Stats().Completed != 64 {
+				t.Errorf("completed %d of 64", c.Stats().Completed)
 			}
 			c.Close()
 			c.WaitClosed(p)
@@ -325,7 +271,7 @@ func TestConformanceTimeoutRecovery(t *testing.T) {
 		r := b.build(t, 1, srvOpts{})
 		r.inj.CrashTarget(r.tgt, 2*time.Millisecond, 2*time.Millisecond)
 		r.e.Go("app", func(p *sim.Proc) {
-			c, h := r.connect(p, clientOpts{
+			c := r.connect(p, clientOpts{
 				queueDepth: 8,
 				timeout:    1500 * time.Microsecond,
 				maxRetries: 10,
@@ -345,10 +291,10 @@ func TestConformanceTimeoutRecovery(t *testing.T) {
 					t.Errorf("unexpected status %v", res.Status)
 				}
 			}
-			if h.Timeouts == 0 {
+			if c.Stats().Timeouts == 0 {
 				t.Error("outage produced no timeouts")
 			}
-			if h.Reconnects == 0 {
+			if c.Stats().Reconnects == 0 {
 				t.Error("client never reconnected")
 			}
 			if oks == 0 {
@@ -369,12 +315,12 @@ func TestConformanceTimeoutRecovery(t *testing.T) {
 // memory — no pool, nothing to shed — so it is exempt by construction.
 func TestConformanceShed(t *testing.T) {
 	forEach(t, func(t *testing.T, b binding) {
-		if !b.hasPool {
+		if b.rdma() {
 			t.Skip("direct data placement: no buffer pool to shed from")
 		}
 		r := b.build(t, 1, srvOpts{tinyPool: true})
 		r.e.Go("app", func(p *sim.Proc) {
-			c, _ := r.connect(p, clientOpts{queueDepth: 16, timeout: 3 * time.Millisecond, maxRetries: 8, backoff: 200 * time.Microsecond})
+			c := r.connect(p, clientOpts{queueDepth: 16, timeout: 3 * time.Millisecond, maxRetries: 8, backoff: 200 * time.Microsecond})
 			size := 2 * r.pool.ElemSize()
 			futs := make([]*sim.Future[*transport.Result], 0, 32)
 			for i := 0; i < 32; i++ {
@@ -416,7 +362,7 @@ func TestConformanceKATOExpiry(t *testing.T) {
 		run := func(keepAlive time.Duration) int64 {
 			r := b.build(t, 1, srvOpts{kato: 2 * time.Millisecond})
 			r.e.Go("app", func(p *sim.Proc) {
-				c, _ := r.connect(p, clientOpts{
+				c := r.connect(p, clientOpts{
 					queueDepth: 4, keepAlive: keepAlive,
 					timeout: 1500 * time.Microsecond, maxRetries: 10, backoff: 200 * time.Microsecond,
 				})

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/transport"
 )
@@ -23,7 +24,7 @@ func runBatchWorkload(t *testing.T, r *rig, o clientOpts) [][]byte {
 	const n, bs = 8, 4096
 	reads := make([][]byte, n)
 	r.e.Go("app", func(p *sim.Proc) {
-		c, _ := r.connect(p, o)
+		c := r.connect(p, o)
 		writes := make([]*transport.IO, n)
 		for i := range writes {
 			data := make([]byte, bs)
@@ -84,7 +85,7 @@ func TestConformanceFastPathInertForNonRDMA(t *testing.T) {
 			runBatchWorkload(t, r, clientOpts{queueDepth: 16, batchSize: 8, fastPath: fast})
 			counts[i] = [4]int64{r.link.A.MsgsSent, r.link.A.BytesSent, r.link.B.MsgsSent, r.link.B.BytesSent}
 		}
-		if b.name == "rdma" {
+		if b.rdma() {
 			// Merging folds work requests inside the (already batched)
 			// train — fewer capsule framings on the client wire — and the
 			// merged commands come back as single completions: strictly
@@ -104,19 +105,13 @@ func TestConformanceFastPathInertForNonRDMA(t *testing.T) {
 // complete individually, in ascending-offset (submission) order, with
 // byte-exact payload splitting.
 func TestConformanceRDMAMergeCompletionOrder(t *testing.T) {
-	var rdmaBinding binding
-	for _, b := range bindings {
-		if b.name == "rdma" {
-			rdmaBinding = b
-		}
-	}
-	r := rdmaBinding.build(t, 11, srvOpts{retain: true})
+	r := binding{"rdma", dial.RDMA56}.build(t, 11, srvOpts{retain: true})
 	const n, bs = 8, 4096
 	var mu sync.Mutex
 	var order []int
 	reads := make([][]byte, n)
 	r.e.Go("app", func(p *sim.Proc) {
-		c, _ := r.connect(p, clientOpts{queueDepth: 16, batchSize: n, fastPath: true})
+		c := r.connect(p, clientOpts{queueDepth: 16, batchSize: n, fastPath: true})
 		payload := make([]byte, n*bs)
 		for i := range payload {
 			payload[i] = byte(i % 241)

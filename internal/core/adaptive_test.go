@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/model"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/transport"
 )
@@ -94,8 +95,8 @@ func TestAutoChunkNegotiatedAtConnect(t *testing.T) {
 		tp := model.DefaultTCPTransport()
 		tp.AutoChunk = true
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 8, Design: DesignSHMZeroCopy, Region: r.region,
-			TP: tp, Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8},
+			Design:      DesignSHMZeroCopy, Region: r.region, TP: tp,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -118,8 +119,8 @@ func TestAutoBusyPollAdaptsOnLiveTraffic(t *testing.T) {
 		tp := model.DefaultTCPTransport()
 		tp.AutoBusyPoll = true
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 8, Design: DesignSHMZeroCopy, Region: r.region,
-			TP: tp, Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8},
+			Design:      DesignSHMZeroCopy, Region: r.region, TP: tp,
 		})
 		if err != nil {
 			t.Fatal(err)

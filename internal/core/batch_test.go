@@ -7,6 +7,7 @@ import (
 
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/transport"
 )
@@ -35,8 +36,8 @@ func runBurst(t *testing.T, design Design, batch int) burstOutcome {
 	var out burstOutcome
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 64, Design: design, Region: r.region,
-			TP: tp, Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 64},
+			Design:      design, Region: r.region, TP: tp,
 		})
 		if err != nil {
 			t.Error(err)
@@ -151,8 +152,8 @@ func TestStripedQueueOrderingAndSpread(t *testing.T) {
 	for i := 1; i < members; i++ {
 		l := netsim.NewLoopLink(r0.e, model.Loopback())
 		srv := NewServer(r0.e, r0.srv.Subsys(), ServerConfig{
-			NQN: testNQN, Design: DesignSHMZeroCopy, Fabric: r0.fabric,
-			TP: tp, Host: model.DefaultHost(),
+			ServeOptions: session.ServeOptions{NQN: testNQN},
+			Design:       DesignSHMZeroCopy, Fabric: r0.fabric, TP: tp,
 		})
 		srv.Serve(l.B)
 		links = append(links, l)
@@ -167,8 +168,8 @@ func TestStripedQueueOrderingAndSpread(t *testing.T) {
 				return
 			}
 			c, err := Connect(p, links[i].A, ClientConfig{
-				NQN: testNQN, QueueDepth: 32, Design: DesignSHMZeroCopy, Region: region,
-				TP: tp, Host: model.DefaultHost(),
+				ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 32},
+				Design:      DesignSHMZeroCopy, Region: region, TP: tp,
 			})
 			if err != nil {
 				t.Error(err)

@@ -10,6 +10,7 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/ssd"
 	"nvmeoaf/internal/target"
@@ -38,9 +39,8 @@ func newCachedRig(t *testing.T, design Design, mode cache.Mode, mut func(*Server
 	}
 	fabric := NewFabric(e, model.DefaultSHM())
 	cfg := ServerConfig{
-		NQN: testNQN, Design: design, Fabric: fabric,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		OnCrash: func() { ca.LoseDirty() },
+		ServeOptions: session.ServeOptions{NQN: testNQN, OnCrash: func() { ca.LoseDirty() }},
+		Design:       design, Fabric: fabric, TP: model.DefaultTCPTransport(),
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -187,11 +187,8 @@ func TestCrashLosesDirtyAndFlushReportsWriteFault(t *testing.T) {
 	}
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 8, Design: DesignTCP,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-			CommandTimeout: 1500 * time.Microsecond,
-			MaxRetries:     10,
-			RetryBackoff:   200 * time.Microsecond,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8, CommandTimeout: 1500 * time.Microsecond, MaxRetries: 10, RetryBackoff: 200 * time.Microsecond},
+			Design:      DesignTCP, TP: model.DefaultTCPTransport(),
 		})
 		if err != nil {
 			t.Fatal(err)

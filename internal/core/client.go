@@ -1,14 +1,12 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/pdu"
-	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
@@ -16,12 +14,11 @@ import (
 	"nvmeoaf/internal/transport"
 )
 
-// ClientConfig configures one NVMe-oAF host queue.
+// ClientConfig configures one NVMe-oAF host queue. Retries always use
+// the TCP data path: after a failure the shared-memory channel is
+// suspect.
 type ClientConfig struct {
-	// NQN names the target subsystem.
-	NQN string
-	// QueueDepth bounds outstanding commands.
-	QueueDepth int
+	session.ConnOptions
 	// Design selects the shared-memory data-path design; DesignTCP (or a
 	// nil Region) uses the optimized TCP path.
 	Design Design
@@ -29,42 +26,8 @@ type ClientConfig struct {
 	// client-target pair; nil when the pair is remote.
 	Region *shm.Region
 	// TP holds TCP-channel knobs (chunk size, in-capsule threshold, busy
-	// poll budget).
+	// poll budget); the zero value means model.DefaultTCPTransport().
 	TP model.TCPTransportParams
-	// Host holds client software costs.
-	Host model.HostParams
-	// HostNQN identifies this host in the Fabrics Connect command.
-	HostNQN string
-
-	// CommandTimeout is the per-command deadline. A command not completed
-	// by then is torn down, retried (bounded), and finally failed with
-	// StatusTransientTransport. Zero (the default) disables deadlines and
-	// retries, keeping healthy-path behaviour bit-identical.
-	CommandTimeout time.Duration
-	// MaxRetries bounds retry attempts per command (default 3 when
-	// CommandTimeout is set). Retries always use the TCP data path: after
-	// a failure the shared-memory channel is suspect.
-	MaxRetries int
-	// RetryBackoff is the base of the exponential, jittered backoff
-	// between attempts (default 100µs). The jitter stream derives from
-	// the engine seed, so retry schedules replay per seed.
-	RetryBackoff time.Duration
-	// KeepAlive, when set, submits a keep-alive admin command at this
-	// interval so the target's KATO watchdog sees traffic on idle
-	// connections — and so a dead target is detected even with no I/O
-	// outstanding. Zero disables.
-	KeepAlive time.Duration
-
-	// Telemetry receives path-selection traces, per-path submit and
-	// recovery counters, and latency histograms. Nil means disabled.
-	Telemetry *telemetry.Sink
-
-	// Tenant names the tenant this queue submits for (carried to the
-	// target inside the Fabrics Connect hostNQN; empty = untenanted,
-	// wire byte-identical). QoS is the host-side per-tenant admission
-	// shaper shared by the queues of one contention domain (nil = off).
-	Tenant string
-	QoS    *qos.Shaper
 }
 
 // Client is the NVMe-oAF host queue: control path over TCP, data path
@@ -74,6 +37,7 @@ type ClientConfig struct {
 // wire binding.
 type Client struct {
 	*session.Host
+	*session.ChunkKnob
 	wire *oafWire
 
 	// SHMPayloadBytes counts payload moved over the shared-memory channel
@@ -94,9 +58,7 @@ type oafWire struct {
 	cfg    *ClientConfig
 	region *shm.Region // non-nil when the AF negotiated shared memory
 	policy pollPolicy
-	// chunkB is the live TCP-channel chunk size (atomic: adjustable from
-	// the tuning controller or an operator goroutine mid-run).
-	chunkB atomic.Int64
+	chunk  *session.ChunkKnob // the TCP channel's live chunk size
 
 	// slotScratch backs the amortized multi-slot claim in StageSubmit.
 	slotScratch []*shm.Slot
@@ -107,34 +69,22 @@ type oafWire struct {
 // check accepts or declines it, and the client falls back to the TCP data
 // path when declined.
 func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error) {
-	if cfg.TP.ChunkSize <= 0 {
-		cfg.TP = model.DefaultTCPTransport()
-	}
+	cfg.TP = cfg.TP.OrDefault()
 	if cfg.TP.AutoChunk {
 		// Adaptive chunk selection from the link hardware (§4.5).
 		cfg.TP.ChunkSize = SelectChunkSize(ep.Params())
 	}
 	e := p.Engine()
-	w := &oafWire{ep: ep, cfg: &cfg}
-	w.chunkB.Store(int64(cfg.TP.ChunkSize))
+	w := &oafWire{ep: ep, cfg: &cfg, chunk: session.NewChunkKnob(cfg.TP.ChunkSize)}
 	h := session.NewHost(e, ep, session.HostConfig{
+		ConnOptions:      cfg.ConnOptions,
 		Label:            "oaf",
-		NQN:              cfg.NQN,
-		HostNQN:          cfg.HostNQN,
-		QueueDepth:       cfg.QueueDepth,
-		Host:             cfg.Host,
+		Host:             model.DefaultHost(),
 		BatchSize:        cfg.TP.BatchSize,
-		CommandTimeout:   cfg.CommandTimeout,
-		MaxRetries:       cfg.MaxRetries,
-		RetryBackoff:     cfg.RetryBackoff,
-		KeepAlive:        cfg.KeepAlive,
 		InterruptWakeups: true,
-		Telemetry:        cfg.Telemetry,
-		Tenant:           cfg.Tenant,
-		QoS:              cfg.QoS,
 	}, w)
 	w.h = h
-	c := &Client{Host: h, wire: w}
+	c := &Client{Host: h, ChunkKnob: w.chunk, wire: w}
 	w.cl = c
 	if err := h.Handshake(p); err != nil {
 		return nil, err
@@ -156,32 +106,6 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 
 // SHMEnabled reports whether the data path uses shared memory.
 func (c *Client) SHMEnabled() bool { return c.wire.region != nil }
-
-// chunk returns the effective TCP-path chunk size: the live knob,
-// capped by the target's negotiated MaxH2CData.
-func (w *oafWire) chunk() int {
-	c := int(w.chunkB.Load())
-	if icresp := w.h.ICResp(); icresp != nil && icresp.MaxH2CData > 0 && int(icresp.MaxH2CData) < c {
-		return int(icresp.MaxH2CData)
-	}
-	return c
-}
-
-// SetChunkSize adjusts the host-side chunk size live (block aligned, at
-// least one block). Values below the negotiated MaxH2CData take effect
-// on the next R2T grant; larger values apply up to the negotiated
-// ceiling now and fully after the next (re)negotiation.
-func (c *Client) SetChunkSize(n int) {
-	if n < transport.BlockSize {
-		n = transport.BlockSize
-	}
-	n -= n % transport.BlockSize
-	c.wire.chunkB.Store(int64(n))
-}
-
-// LiveChunkSize returns the host-side chunk size knob (which may exceed
-// the per-connection negotiated ceiling; see SetChunkSize).
-func (c *Client) LiveChunkSize() int { return int(c.wire.chunkB.Load()) }
 
 // Health shadows the session engine's report: a queue that failed over
 // from shared memory to the TCP data path mid-stream still serves, but
@@ -305,11 +229,7 @@ func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
 // pre-claimed H2C slot (nil slot: TCP data path, private buffer only).
 func (w *oafWire) stageWrite(p *sim.Proc, pend *session.Pending, slot *shm.Slot) {
 	io := pend.IO
-	fill := func() {
-		if !io.NoFill {
-			p.Sleep(time.Duration(float64(io.Size) * w.cfg.Host.FillPerByteNanos))
-		}
-	}
+	fill := func() { w.h.FillPayload(p, io) }
 	if slot == nil {
 		fill()
 		return
@@ -461,7 +381,7 @@ func (w *oafWire) onR2T(p *sim.Proc, r *pdu.R2T) {
 		w.sendWriteChunk(p, pend)
 		return
 	}
-	transport.ChunkSizes(int(r.Length), w.chunk(), func(off, n int) {
+	transport.ChunkSizes(int(r.Length), w.chunk.Chunk(w.h.ICResp()), func(off, n int) {
 		dataOff := int(r.Offset) + off
 		d := &pdu.Data{
 			Dir:    pdu.TypeH2CData,

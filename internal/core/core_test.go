@@ -8,6 +8,7 @@ import (
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
@@ -42,7 +43,7 @@ func newRig(t *testing.T, design Design, retain bool, mut func(*ServerConfig)) *
 		t.Fatal(err)
 	}
 	fabric := NewFabric(e, model.DefaultSHM())
-	cfg := ServerConfig{NQN: testNQN, Design: design, Fabric: fabric, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()}
+	cfg := ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN}, Design: design, Fabric: fabric, TP: model.DefaultTCPTransport()}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -55,8 +56,8 @@ func newRig(t *testing.T, design Design, retain bool, mut func(*ServerConfig)) *
 
 func (r *rig) connect(t *testing.T, p *sim.Proc, design Design, qd int) *Client {
 	c, err := Connect(p, r.link.A, ClientConfig{
-		NQN: testNQN, QueueDepth: qd, Design: design, Region: r.region,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+		ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: qd},
+		Design:      design, Region: r.region, TP: model.DefaultTCPTransport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -485,13 +486,13 @@ func TestBusyPollOnAF(t *testing.T) {
 	})
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 8, Design: DesignSHMZeroCopy, Region: r.region,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8},
+			Design:      DesignSHMZeroCopy, Region: r.region,
 			TP: func() model.TCPTransportParams {
 				tp := model.DefaultTCPTransport()
 				tp.BusyPoll = 50 * time.Microsecond
 				return tp
 			}(),
-			Host: model.DefaultHost(),
 		})
 		if err != nil {
 			t.Fatal(err)

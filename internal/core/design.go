@@ -11,6 +11,10 @@
 // for the hypervisor/resource-manager hotplug of IVSHMEM/ICSHMEM) — plus
 // the four successive shared-memory designs of the Fig 8 ablation and the
 // TCP-channel optimizations (adaptive chunk size, busy poll).
+//
+// ClientConfig and ServerConfig embed session.ConnOptions/ServeOptions
+// (documented there) and add only this binding's own knobs; builders
+// reach Connect and NewServer through internal/dial.
 package core
 
 import "nvmeoaf/internal/shm"

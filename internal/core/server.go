@@ -8,7 +8,6 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/pdu"
-	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
@@ -19,8 +18,7 @@ import (
 
 // ServerConfig configures the adaptive-fabric transport of one target.
 type ServerConfig struct {
-	// NQN selects the served subsystem.
-	NQN string
+	session.ServeOptions
 	// Design must match the client's shared-memory design (negotiated
 	// deployments run one design fleet-wide; the ablation harness sets
 	// both sides).
@@ -31,28 +29,10 @@ type ServerConfig struct {
 	// TP holds protocol knobs; DataBuffers chunk-sized buffers form the
 	// DPDK-style data pool.
 	TP model.TCPTransportParams
-	// Host holds target software costs.
-	Host model.HostParams
-	// KATO is the keep-alive timeout: a connection silent for longer is
-	// torn down and its resources reclaimed (0 disables the watchdog).
-	KATO time.Duration
-	// MaxBufferWaiters bounds commands parked for pool buffers; beyond
-	// it the server sheds load with a retryable typed error instead of
-	// queueing without bound (0 = unbounded).
-	MaxBufferWaiters int
 	// PoisonPool fills freed data-pool elements with mempool.PoisonByte
 	// so stale reads of returned buffers surface as corruption in
 	// data-integrity tests instead of silently passing.
 	PoisonPool bool
-	// Telemetry receives connection, shedding, and keep-alive counters.
-	// Nil means disabled.
-	Telemetry *telemetry.Sink
-	// QoS is the target-side per-tenant admission shaper (nil = off).
-	QoS *qos.Shaper
-	// OnCrash runs when Crash tears the target down, before connections
-	// drop — the hook a write-back bdev cache uses to account its
-	// unflushed dirty lines as lost.
-	OnCrash func()
 }
 
 // Server is the NVMe-oAF transport of one target: the session engine
@@ -69,27 +49,20 @@ type Server struct {
 
 // NewServer creates the adaptive-fabric transport for tgt.
 func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
-	if cfg.TP.ChunkSize <= 0 {
-		cfg.TP = model.DefaultTCPTransport()
-	}
+	cfg.TP = cfg.TP.OrDefault()
 	s := &Server{
 		cfg:  cfg,
 		pool: mempool.New("oaf-data/"+cfg.NQN, cfg.TP.ChunkSize, cfg.TP.DataBuffers),
 	}
 	s.pool.SetPoison(cfg.PoisonPool)
 	s.Target = session.NewTarget(e, tgt, session.TargetConfig{
+		ServeOptions:     cfg.ServeOptions,
 		Label:            "oaf",
-		NQN:              cfg.NQN,
 		ChunkSize:        cfg.TP.ChunkSize,
 		BatchSize:        cfg.TP.BatchSize,
 		BusyPoll:         cfg.TP.BusyPoll,
-		KATO:             cfg.KATO,
-		MaxBufferWaiters: cfg.MaxBufferWaiters,
 		InterruptWakeups: true,
 		Pool:             s.pool,
-		Telemetry:        cfg.Telemetry,
-		QoS:              cfg.QoS,
-		OnCrash:          cfg.OnCrash,
 	}, (*oafTargetWire)(s))
 	return s
 }

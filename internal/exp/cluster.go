@@ -6,16 +6,13 @@ import (
 
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/cluster"
-	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
-	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 )
@@ -32,18 +29,18 @@ import (
 func nqnCluster(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:cluster%d", i) }
 
 // clusterMember is one member target machine: its fabric server (for
-// crash injection) and the client-side connection feeding the router.
+// crash injection), its link, and how the router's client reaches it.
 type clusterMember struct {
-	srv  faults.Crashable
-	q    transport.Queue
+	srv  *dial.Server
 	link *netsim.Link
+	opts dial.Options
 }
 
 // serveMember builds member i's target machine — target, SSD, NIC, link,
 // and fabric server — for the configured fabric kind.
-func serveMember(e *sim.Engine, cfg Config, i int, tel *telemetry.Sink, res *Result, tgtSh *qos.Shaper) (*clusterMember, error) {
+func serveMember(e *sim.Engine, cfg Config, i int, o dial.Options, res *Result) (*clusterMember, error) {
 	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(nqnCluster(i))
+	sub, err := tgt.AddSubsystem(o.NQN)
 	if err != nil {
 		return nil, err
 	}
@@ -53,87 +50,24 @@ func serveMember(e *sim.Engine, cfg Config, i int, tel *telemetry.Sink, res *Res
 	}
 	res.Devices = append(res.Devices, bd)
 
-	var linkParams model.LinkParams
-	switch cfg.Kind {
-	case TCP10G:
-		linkParams = model.TCP10G()
-	case TCP25G:
-		linkParams = model.TCP25G()
-	case TCP100G:
-		linkParams = model.TCP100G()
-	case RDMA56, OAFRDMACtl:
-		linkParams = rdma.LinkParams(model.RDMA56G())
-	case RoCE100:
-		linkParams = rdma.LinkParams(model.RoCE100G())
-	case OAF:
+	linkParams, err := cfg.Kind.Link()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Kind == OAF {
 		linkParams = model.TCP100G() // members are remote: no loopback SHM
-	default:
-		return nil, fmt.Errorf("exp: unknown fabric %q", cfg.Kind)
 	}
 	// One NIC per member: target machines are distinct hosts, so fabric
 	// bandwidth scales with the member count (the client NIC is modeled
 	// per link; the aggregate client side is not the bottleneck under
 	// study here).
 	nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
-	link := netsim.NewLink(e, linkParams, nic, nic)
-
-	m := &clusterMember{link: link}
-	switch cfg.Kind {
-	case RDMA56, RoCE100:
-		srv := rdma.NewServer(e, tgt, rdma.ServerConfig{NQN: nqnCluster(i), Params: rdmaParams(cfg), Host: model.DefaultHost(), QoS: tgtSh})
-		srv.Serve(link.B)
-		m.srv = srv
-	case OAF, OAFRDMACtl:
-		fabric := core.NewFabric(e, model.DefaultSHM())
-		fabric.AttachTelemetry(tel)
-		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: nqnCluster(i), Design: cfg.Design, Fabric: fabric,
-			TP: cfg.TP, Host: model.DefaultHost(), Telemetry: tel,
-			QoS: tgtSh,
-		})
-		srv.Serve(link.B)
-		res.PoolFootprint += srv.Pool().FootprintBytes()
-		m.srv = srv
-	default:
-		srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: nqnCluster(i), TP: cfg.TP, Host: model.DefaultHost(), Telemetry: tel, QoS: tgtSh})
-		srv.Serve(link.B)
-		res.PoolFootprint += srv.Pool().FootprintBytes()
-		m.srv = srv
+	m := &clusterMember{link: netsim.NewLink(e, linkParams, nic, nic), opts: o}
+	m.srv = dial.Serve(e, tgt, m.link.B, o)
+	if m.srv.Pool != nil {
+		res.PoolFootprint += m.srv.Pool.FootprintBytes()
 	}
 	return m, nil
-}
-
-// connectMember opens member i's client connection. Commands fail fast
-// with typed errors — the replication layer owns redundancy, so a dead
-// member should trigger failover, not a long per-member retry loop.
-func connectMember(p *sim.Proc, cfg Config, i int, m *clusterMember, qd int, tel *telemetry.Sink, tenant string, hostSh *qos.Shaper) (transport.Queue, error) {
-	const (
-		cmdTimeout = 500 * time.Microsecond
-		maxRetries = 1
-		backoff    = 100 * time.Microsecond
-	)
-	switch cfg.Kind {
-	case RDMA56, RoCE100:
-		return rdma.Connect(p, m.link.A, rdma.ClientConfig{
-			NQN: nqnCluster(i), QueueDepth: qd, Params: rdmaParams(cfg), Host: model.DefaultHost(),
-			CommandTimeout: cmdTimeout, MaxRetries: maxRetries, RetryBackoff: backoff,
-			Tenant: tenant, QoS: hostSh,
-		})
-	case OAF, OAFRDMACtl:
-		return core.Connect(p, m.link.A, core.ClientConfig{
-			NQN: nqnCluster(i), QueueDepth: qd, Design: cfg.Design,
-			TP: cfg.TP, Host: model.DefaultHost(), Telemetry: tel,
-			CommandTimeout: cmdTimeout, MaxRetries: maxRetries, RetryBackoff: backoff,
-			Tenant: tenant, QoS: hostSh,
-		})
-	default:
-		return tcp.Connect(p, m.link.A, tcp.ClientConfig{
-			NQN: nqnCluster(i), QueueDepth: qd, TP: cfg.TP, Host: model.DefaultHost(),
-			Telemetry:      tel,
-			CommandTimeout: cmdTimeout, MaxRetries: maxRetries, RetryBackoff: backoff,
-			Tenant: tenant, QoS: hostSh,
-		})
-	}
 }
 
 // runCluster executes a replicated-namespace configuration: N member
@@ -158,9 +92,17 @@ func runCluster(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	// Member connections fail fast with typed errors — the replication
+	// layer owns redundancy, so a dead member should trigger failover, not
+	// a long per-member retry loop.
+	base := cfg.dialOptions(tel, hostSh, tgtSh)
+	base.QueueDepth, base.Tenant = cfg.Workload.QueueDepth, cfg.TenantFor(0).Name
+	base.CommandTimeout, base.MaxRetries, base.RetryBackoff = 500*time.Microsecond, 1, 100*time.Microsecond
 	members := make([]*clusterMember, n)
 	for i := 0; i < n; i++ {
-		m, err := serveMember(e, cfg, i, tel, res, tgtSh)
+		o := base
+		o.NQN = nqnCluster(i)
+		m, err := serveMember(e, cfg, i, o, res)
 		if err != nil {
 			return nil, err
 		}
@@ -186,12 +128,11 @@ func runCluster(cfg Config) (*Result, error) {
 	e.Go("setup", func(p *sim.Proc) {
 		cms := make([]cluster.Member, 0, n)
 		for i, m := range members {
-			q, err := connectMember(p, cfg, i, m, w.QueueDepth, tel, cfg.TenantFor(0).Name, hostSh)
+			q, err := dial.Connect(p, m.link.A, m.opts)
 			if err != nil {
 				setupErr.Resolve(err)
 				return
 			}
-			m.q = q
 			cms = append(cms, cluster.Member{Name: nqnCluster(i), Queue: q})
 		}
 		// Keep-alive probing only matters when a member can die; pure

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/perf"
+	"nvmeoaf/internal/telemetry"
 )
 
 // clusterCfg is the replication scaling workload: 4 KiB random reads at
@@ -79,5 +80,28 @@ func TestClusterSurvivesMidRunCrash(t *testing.T) {
 	}
 	if res.FaultLog[0].Kind != "target-crash" || res.FaultLog[1].Kind != "target-restart" {
 		t.Errorf("fault log = %v", res.FaultLog)
+	}
+}
+
+// TestClusterOverRDMAReportsTelemetry pins that cluster members are
+// opened like every other connection: an rdma member's session engine and
+// wire report into the run's sink (they once got none, so a
+// cluster-over-rdma run had no session.* or rdma.* counters at all).
+func TestClusterOverRDMAReportsTelemetry(t *testing.T) {
+	cfg := clusterCfg(4, 2, 20*time.Millisecond)
+	cfg.Kind = RDMA56
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Agg.Errors > 0 || res.Cluster.Reads == 0 {
+		t.Fatalf("run: %d reads, %d errors", res.Cluster.Reads, res.Agg.Errors)
+	}
+	tel := res.Telemetry
+	if got := tel.Counter(telemetry.CtrCompletions); got <= 0 {
+		t.Errorf("client.completions = %d on a cluster-over-rdma run, want > 0", got)
+	}
+	if got := tel.Counter(telemetry.CtrRDMARegHits) + tel.Counter(telemetry.CtrRDMARegMisses); got <= 0 {
+		t.Errorf("rdma registration hits+misses = %d, want > 0", got)
 	}
 }

@@ -15,39 +15,33 @@ import (
 	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
 	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/session"
-	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 	"nvmeoaf/internal/tune"
 )
 
 // Kind names a fabric under test.
-type Kind string
+type Kind = dial.Kind
 
 // The evaluated fabrics.
 const (
-	TCP10G  Kind = "tcp-10g"
-	TCP25G  Kind = "tcp-25g"
-	TCP100G Kind = "tcp-100g"
-	RDMA56  Kind = "rdma-ib56"
-	RoCE100 Kind = "roce-100g"
-	OAF     Kind = "nvme-oaf"
-	// OAFRDMACtl is the paper's future-work variant (§5.5, §8): the
-	// adaptive fabric's control plane runs over an intra-node RDMA path
-	// instead of loopback TCP, attacking the control-message overhead
-	// that dominates oAF at small I/O sizes.
-	OAFRDMACtl Kind = "nvme-oaf-rdmactl"
+	TCP10G     = dial.TCP10G
+	TCP25G     = dial.TCP25G
+	TCP100G    = dial.TCP100G
+	RDMA56     = dial.RDMA56
+	RoCE100    = dial.RoCE100
+	OAF        = dial.OAF
+	OAFRDMACtl = dial.OAFRDMACtl
 )
 
 // AllTCP lists the Ethernet fabrics in speed order.
@@ -117,7 +111,7 @@ type Config struct {
 	// RDMARegCache / RDMAMerge / RDMADynDoorbell enable the RDMA fast
 	// path on RDMA/RoCE runs: the mechanistic MR cache with connect-time
 	// pool pre-registration, adjacent-request merging, and the
-	// occupancy-driven doorbell controller (see rdma.ClientConfig).
+	// occupancy-driven doorbell controller (see dial.Options).
 	RDMARegCache    bool
 	RDMAMerge       bool
 	RDMADynDoorbell bool
@@ -154,9 +148,7 @@ func (c Config) withDefaults() Config {
 	if c.Queues <= 0 {
 		c.Queues = 1
 	}
-	if c.TP.ChunkSize <= 0 {
-		c.TP = model.DefaultTCPTransport()
-	}
+	c.TP = c.TP.OrDefault()
 	if c.SSD.Channels == 0 {
 		c.SSD = model.DefaultSSD()
 	}
@@ -171,7 +163,7 @@ func (c Config) withDefaults() Config {
 	if c.Kind == "" {
 		c.Kind = OAF
 	}
-	if (c.Kind == OAF || c.Kind == OAFRDMACtl) && c.Design == core.DesignTCP {
+	if c.Kind.Adaptive() && c.Design == core.DesignTCP {
 		c.Design = core.DesignSHMZeroCopy
 	}
 	return c
@@ -327,15 +319,18 @@ func (res *Result) finishQoS(host, tgt *qos.Shaper) {
 	}
 }
 
-// rdmaParams resolves the RDMA parameter set for a configuration.
-func rdmaParams(cfg Config) model.RDMAParams {
-	if cfg.RDMA != nil {
-		return *cfg.RDMA
+// dialOptions is what every connection of the run shares; the builder
+// adds the per-connection NQN, queue depth, tenant, TP and region.
+func (c Config) dialOptions(tel *telemetry.Sink, hostSh, tgtSh *qos.Shaper) dial.Options {
+	return dial.Options{
+		Kind:        c.Kind,
+		ConnOptions: session.ConnOptions{Telemetry: tel, QoS: hostSh},
+		TargetQoS:   tgtSh,
+		TP:          c.TP,
+		Design:      c.Design,
+		RDMA:        c.RDMA,
+		RegCache:    c.RDMARegCache, Merge: c.RDMAMerge, DynDoorbell: c.RDMADynDoorbell,
 	}
-	if cfg.Kind == RoCE100 {
-		return model.RoCE100G()
-	}
-	return model.RDMA56G()
 }
 
 // nqnFor names the per-SSD storage service.
@@ -387,81 +382,45 @@ func Run(cfg Config) (*Result, error) {
 
 	// One shared physical NIC: all client and target VMs sit on the same
 	// host; SR-IOV traffic hairpins through it (§3.1, §5.1).
-	var links []*netsim.Link
-	var linkParams model.LinkParams
-	switch cfg.Kind {
-	case TCP10G:
-		linkParams = model.TCP10G()
-	case TCP25G:
-		linkParams = model.TCP25G()
-	case TCP100G:
-		linkParams = model.TCP100G()
-	case RDMA56:
-		linkParams = rdma.LinkParams(model.RDMA56G())
-	case RoCE100:
-		linkParams = rdma.LinkParams(model.RoCE100G())
-	case OAF:
-		linkParams = model.Loopback()
-	case OAFRDMACtl:
-		linkParams = rdma.LinkParams(model.RDMA56G())
-	default:
-		return nil, fmt.Errorf("exp: unknown fabric %q", cfg.Kind)
+	linkParams, err := cfg.Kind.Link()
+	if err != nil {
+		return nil, err
 	}
 	// One link (and server connection, and region for OAF) per queue pair:
 	// link i*Queues+j is stream i's member queue j.
 	nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
-	nConns := cfg.Streams * cfg.Queues
-	for i := 0; i < nConns; i++ {
-		links = append(links, netsim.NewLink(e, linkParams, nic, nic))
+	links := make([]*netsim.Link, cfg.Streams*cfg.Queues)
+	for i := range links {
+		links[i] = netsim.NewLink(e, linkParams, nic, nic)
 	}
 
 	// Fabric servers + shared-memory provisioning. Each connection's
 	// server is retained so the tuner can drive the target-side
 	// reap-coalescing depth in lockstep with the host-side batch knob.
-	var fabric *core.Fabric
-	var regions []*shm.Region
-	servers := make([]*session.Target, nConns)
-	switch cfg.Kind {
-	case RDMA56, RoCE100:
-		prm := rdmaParams(cfg)
-		for i := 0; i < nConns; i++ {
-			srv := rdma.NewServer(e, tgt, rdma.ServerConfig{
-				NQN: nqnFor(i / cfg.Queues), Params: prm, Host: model.DefaultHost(),
-				BatchSize: cfg.tpFor(i / cfg.Queues).BatchSize, Telemetry: tel,
-				QoS: tgtSh,
-			})
-			srv.Serve(links[i].B)
-			servers[i] = srv.Target
+	base := cfg.dialOptions(tel, hostSh, tgtSh)
+	if cfg.Kind.Adaptive() {
+		base.Fabric = core.NewFabric(e, model.DefaultSHM())
+		base.Fabric.AttachTelemetry(tel)
+	}
+	// opts[li] describes link li: stream li/Queues's member queue.
+	opts := make([]dial.Options, len(links))
+	servers := make([]*dial.Server, len(links))
+	for li, link := range links {
+		o := base
+		o.NQN, o.TP = nqnFor(li/cfg.Queues), cfg.tpFor(li/cfg.Queues)
+		srv := dial.Serve(e, tgt, link.B, o)
+		servers[li] = srv
+		if srv.Pool != nil {
+			res.PoolFootprint += srv.Pool.FootprintBytes()
+			pools = append(pools, srv.Pool)
 		}
-	case OAF, OAFRDMACtl:
-		fabric = core.NewFabric(e, model.DefaultSHM())
-		fabric.AttachTelemetry(tel)
-		for i := 0; i < nConns; i++ {
-			srv := core.NewServer(e, tgt, core.ServerConfig{
-				NQN: nqnFor(i / cfg.Queues), Design: cfg.Design, Fabric: fabric,
-				TP: cfg.tpFor(i / cfg.Queues), Host: model.DefaultHost(), Telemetry: tel,
-				QoS: tgtSh,
-			})
-			srv.Serve(links[i].B)
-			servers[i] = srv.Target
-			res.PoolFootprint += srv.Pool().FootprintBytes()
-			pools = append(pools, srv.Pool())
-			region, err := fabric.RegionFor(cfg.Design, "host0", "host0", cfg.MaxIO, cfg.TP.ChunkSize, cfg.Workload.QueueDepth)
-			if err != nil {
-				// SHM provisioning failed: this pair degrades to the TCP
-				// data path (the trace records the decision).
-				region = nil
-			}
-			regions = append(regions, region)
+		if base.Fabric != nil {
+			// A failed SHM provision leaves the region nil: this pair
+			// degrades to the TCP data path (the trace records the
+			// decision).
+			o.Region, _ = base.Fabric.RegionFor(cfg.Design, "host0", "host0", cfg.MaxIO, cfg.TP.ChunkSize, cfg.Workload.QueueDepth)
 		}
-	default: // TCP kinds
-		for i := 0; i < nConns; i++ {
-			srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: nqnFor(i / cfg.Queues), TP: cfg.tpFor(i / cfg.Queues), Host: model.DefaultHost(), Telemetry: tel, QoS: tgtSh})
-			srv.Serve(links[i].B)
-			servers[i] = srv.Target
-			res.PoolFootprint += srv.Pool().FootprintBytes()
-			pools = append(pools, srv.Pool())
-		}
+		opts[li] = o
 	}
 
 	// Connect clients and run one perf stream per pair.
@@ -486,7 +445,6 @@ func Run(cfg Config) (*Result, error) {
 			// run's sink like every other subsystem.
 			w.Telemetry = tel
 			ts := cfg.TenantFor(i)
-			tenant := ts.Name
 			if ts.QueueDepth > 0 {
 				w.QueueDepth = ts.QueueDepth
 			}
@@ -496,49 +454,20 @@ func Run(cfg Config) (*Result, error) {
 					w.IOSize = pat.IOSize
 				}
 			}
-			stp := cfg.tpFor(i)
 			members := make([]transport.Queue, 0, cfg.Queues)
 			for j := 0; j < cfg.Queues; j++ {
 				li := i*cfg.Queues + j
-				switch cfg.Kind {
-				case RDMA56, RoCE100:
-					prm := rdmaParams(cfg)
-					c, err := rdma.Connect(p, links[li].A, rdma.ClientConfig{
-						NQN: nqnFor(i), QueueDepth: w.QueueDepth, Params: prm, Host: model.DefaultHost(),
-						BatchSize: stp.BatchSize, Telemetry: tel,
-						RegCache: cfg.RDMARegCache, Merge: cfg.RDMAMerge, DynDoorbell: cfg.RDMADynDoorbell,
-						Tenant: tenant, QoS: hostSh,
-					})
-					if err != nil {
-						setupErr.Resolve(err)
-						return
-					}
-					members = append(members, c)
-				case OAF, OAFRDMACtl:
-					c, err := core.Connect(p, links[li].A, core.ClientConfig{
-						NQN: nqnFor(i), QueueDepth: w.QueueDepth, Design: cfg.Design,
-						Region: regions[li], TP: stp, Host: model.DefaultHost(),
-						Telemetry: tel,
-						Tenant:    tenant, QoS: hostSh,
-					})
-					if err != nil {
-						setupErr.Resolve(err)
-						return
-					}
-					oafClients = append(oafClients, c)
-					members = append(members, c)
-				default:
-					c, err := tcp.Connect(p, links[li].A, tcp.ClientConfig{
-						NQN: nqnFor(i), QueueDepth: w.QueueDepth, TP: stp, Host: model.DefaultHost(),
-						Telemetry: tel,
-						Tenant:    tenant, QoS: hostSh,
-					})
-					if err != nil {
-						setupErr.Resolve(err)
-						return
-					}
-					members = append(members, c)
+				o := opts[li]
+				o.QueueDepth, o.Tenant = w.QueueDepth, ts.Name
+				q, err := dial.Connect(p, links[li].A, o)
+				if err != nil {
+					setupErr.Resolve(err)
+					return
 				}
+				if c, ok := q.(*core.Client); ok {
+					oafClients = append(oafClients, c)
+				}
+				members = append(members, q)
 				if cfg.Tune {
 					// Every client kind exposes the live-knob surface
 					// through its embedded session engine; TCP-path
@@ -547,16 +476,15 @@ func Run(cfg Config) (*Result, error) {
 					// host-side submission coalescing and target-side
 					// completion-reap coalescing move together, as they
 					// do for a statically configured TP.BatchSize.
-					if tq, ok := members[len(members)-1].(tune.TunableQueue); ok {
+					if tq, ok := q.(tune.TunableQueue); ok {
 						qk := tune.QueueKnobs(fmt.Sprintf("s%d/q%d", i, j), tq)
-						if srv := servers[li]; srv != nil {
-							for n := range qk {
-								if strings.HasSuffix(qk[n].Name, "/batch") {
-									set := qk[n].Set
-									qk[n].Set = func(v int64) {
-										set(v)
-										srv.SetBatchSize(int(v))
-									}
+						srv := servers[li]
+						for n := range qk {
+							if strings.HasSuffix(qk[n].Name, "/batch") {
+								set := qk[n].Set
+								qk[n].Set = func(v int64) {
+									set(v)
+									srv.SetBatchSize(int(v))
 								}
 							}
 						}

@@ -6,15 +6,15 @@ import (
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/blockfs"
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/h5bench"
 	"nvmeoaf/internal/hdf5"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nfs"
-	"nvmeoaf/internal/shm"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/transport"
 	"nvmeoaf/internal/vol"
 )
@@ -99,48 +99,35 @@ func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targ
 		}
 		return mount(p), mount, nil
 
-	case H5TCP:
-		link := netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
-		srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: nqn, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
-		srv.Serve(link.B)
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{NQN: nqn, QueueDepth: 64, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
-		if err != nil {
-			return nil, nil, err
+	case H5TCP, H5OAF, H5OAFCoalesce:
+		o := dial.Options{
+			Kind:        TCP25G,
+			ConnOptions: session.ConnOptions{NQN: nqn, QueueDepth: 64},
+			TP:          model.DefaultTCPTransport(),
 		}
-		mount := func(p *sim.Proc) hdf5.Storage {
-			return vol.New(blockfs.New(e, c, capacity), volCfg)
+		intra := false
+		if cfg.Backend != H5TCP {
+			o.Kind, o.Design, o.Fabric = OAF, design, fabric
+			intra = clientNode == targetNode
+			volCfg.Coalesce = cfg.Backend == H5OAFCoalesce
 		}
-		return mount(p), mount, nil
-
-	case H5OAF, H5OAFCoalesce:
-		intra := clientNode == targetNode
+		// Only a co-located oAF pair gets the loopback path and a region;
+		// remote pairs and the TCP backend ride the 25 GbE network.
 		var link *netsim.Link
 		if intra {
 			link = netsim.NewLink(e, model.Loopback(), clientNode.loop, targetNode.loop)
 		} else {
 			link = netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
 		}
-		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: nqn, Design: design, Fabric: fabric,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		})
-		srv.Serve(link.B)
-		var region *shm.Region
+		dial.Serve(e, tgt, link.B, o)
 		if intra {
 			// A failed provision degrades to the TCP data path.
-			if r, err := fabric.RegionFor(design, clientNode.name, targetNode.name, 1<<20, model.DefaultTCPTransport().ChunkSize, 64); err == nil {
-				region = r
-			}
+			o.Region, _ = fabric.RegionFor(design, clientNode.name, targetNode.name, 1<<20, o.TP.ChunkSize, 64)
 		}
-		clientCfg := core.ClientConfig{
-			NQN: nqn, QueueDepth: 64, Design: design, Region: region,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		}
-		c, err := core.Connect(p, link.A, clientCfg)
+		c, err := dial.Connect(p, link.A, o)
 		if err != nil {
 			return nil, nil, err
 		}
-		volCfg.Coalesce = cfg.Backend == H5OAFCoalesce
 		mount := func(p *sim.Proc) hdf5.Storage {
 			return vol.New(blockfs.New(e, c, capacity), volCfg)
 		}

@@ -7,6 +7,7 @@ import (
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/transport"
@@ -31,8 +32,8 @@ func rig(t *testing.T, n int) (*sim.Engine, func(p *sim.Proc) []transport.Queue)
 	}
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	srv := core.NewServer(e, tgt, core.ServerConfig{
-		NQN: nqn, Design: core.DesignSHMZeroCopy, Fabric: fabric,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+		ServeOptions: session.ServeOptions{NQN: nqn},
+		Design:       core.DesignSHMZeroCopy, Fabric: fabric, TP: model.DefaultTCPTransport(),
 	})
 	links := make([]*netsim.Link, n)
 	for i := range links {
@@ -44,8 +45,8 @@ func rig(t *testing.T, n int) (*sim.Engine, func(p *sim.Proc) []transport.Queue)
 		for i := range links {
 			region, _ := fabric.RegionFor(core.DesignSHMZeroCopy, "h", "h", 1<<20, 128<<10, 32)
 			c, err := core.Connect(p, links[i].A, core.ClientConfig{
-				NQN: nqn, QueueDepth: 32, Design: core.DesignSHMZeroCopy, Region: region,
-				TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+				ConnOptions: session.ConnOptions{NQN: nqn, QueueDepth: 32},
+				Design:      core.DesignSHMZeroCopy, Region: region, TP: model.DefaultTCPTransport(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
@@ -56,9 +57,8 @@ func newChaosRig(t *testing.T, seed int64, design core.Design, retain bool, srvM
 	tel := telemetry.New()
 	fabric.AttachTelemetry(tel)
 	cfg := core.ServerConfig{
-		NQN: chaosNQN, Design: design, Fabric: fabric,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		Telemetry: tel,
+		ServeOptions: session.ServeOptions{NQN: chaosNQN, Telemetry: tel},
+		Design:       design, Fabric: fabric, TP: model.DefaultTCPTransport(),
 	}
 	if srvMut != nil {
 		srvMut(&cfg)
@@ -81,12 +81,8 @@ func newChaosRig(t *testing.T, seed int64, design core.Design, retain bool, srvM
 // machinery switched on.
 func (r *chaosRig) recoveryClient(design core.Design) core.ClientConfig {
 	return core.ClientConfig{
-		NQN: chaosNQN, QueueDepth: 16, Design: design, Region: r.region,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-		CommandTimeout: 1500 * time.Microsecond,
-		MaxRetries:     10,
-		RetryBackoff:   200 * time.Microsecond,
-		Telemetry:      r.tel,
+		ConnOptions: session.ConnOptions{NQN: chaosNQN, QueueDepth: 16, CommandTimeout: 1500 * time.Microsecond, MaxRetries: 10, RetryBackoff: 200 * time.Microsecond, Telemetry: r.tel},
+		Design:      design, Region: r.region, TP: model.DefaultTCPTransport(),
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/perf"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/tcp"
@@ -83,8 +84,8 @@ func TestDeviceFailurePropagatesToApplication(t *testing.T) {
 	sub.AddNamespace(1, bdev.NewFaulty(e, inner, 5, errors.New("media error")))
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	srv := core.NewServer(e, tgt, core.ServerConfig{
-		NQN: "nqn.flaky", Design: core.DesignSHMZeroCopy, Fabric: fabric,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+		ServeOptions: session.ServeOptions{NQN: "nqn.flaky"},
+		Design:       core.DesignSHMZeroCopy, Fabric: fabric, TP: model.DefaultTCPTransport(),
 	})
 	link := netsim.NewLoopLink(e, model.Loopback())
 	srv.Serve(link.B)
@@ -93,8 +94,8 @@ func TestDeviceFailurePropagatesToApplication(t *testing.T) {
 	fails, oks := 0, 0
 	e.Go("app", func(p *sim.Proc) {
 		c, err := core.Connect(p, link.A, core.ClientConfig{
-			NQN: "nqn.flaky", QueueDepth: 8, Design: core.DesignSHMZeroCopy, Region: region,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: "nqn.flaky", QueueDepth: 8},
+			Design:      core.DesignSHMZeroCopy, Region: region, TP: model.DefaultTCPTransport(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -136,14 +137,14 @@ func TestCrossFabricDataConsistency(t *testing.T) {
 	ssdParams.StallProb = 0
 	sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, true, transport.BlockSize))
 
-	tcpSrv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: "nqn.shared", TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+	tcpSrv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.shared"}, TP: model.DefaultTCPTransport()})
 	tcpLink := netsim.NewLoopLink(e, model.TCP25G())
 	tcpSrv.Serve(tcpLink.B)
 
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	oafSrv := core.NewServer(e, tgt, core.ServerConfig{
-		NQN: "nqn.shared", Design: core.DesignSHMZeroCopy, Fabric: fabric,
-		TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+		ServeOptions: session.ServeOptions{NQN: "nqn.shared"},
+		Design:       core.DesignSHMZeroCopy, Fabric: fabric, TP: model.DefaultTCPTransport(),
 	})
 	oafLink := netsim.NewLoopLink(e, model.Loopback())
 	oafSrv.Serve(oafLink.B)
@@ -151,13 +152,13 @@ func TestCrossFabricDataConsistency(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{0xE7, 0x11}, 64<<10)
 	e.Go("app", func(p *sim.Proc) {
-		tc, err := tcp.Connect(p, tcpLink.A, tcp.ClientConfig{NQN: "nqn.shared", QueueDepth: 8, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+		tc, err := tcp.Connect(p, tcpLink.A, tcp.ClientConfig{ConnOptions: session.ConnOptions{NQN: "nqn.shared", QueueDepth: 8}, TP: model.DefaultTCPTransport()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		oc, err := core.Connect(p, oafLink.A, core.ClientConfig{
-			NQN: "nqn.shared", QueueDepth: 8, Design: core.DesignSHMZeroCopy, Region: region,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: "nqn.shared", QueueDepth: 8},
+			Design:      core.DesignSHMZeroCopy, Region: region, TP: model.DefaultTCPTransport(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -207,8 +208,8 @@ func TestEightTenantsConcurrently(t *testing.T) {
 		sub.AddNamespace(1, bd)
 		devices = append(devices, bd)
 		srv := core.NewServer(e, tgt, core.ServerConfig{
-			NQN: nqn, Design: core.DesignSHMZeroCopy, Fabric: fabric,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+			ServeOptions: session.ServeOptions{NQN: nqn},
+			Design:       core.DesignSHMZeroCopy, Fabric: fabric, TP: model.DefaultTCPTransport(),
 		})
 		links[i] = netsim.NewLoopLink(e, model.Loopback())
 		srv.Serve(links[i].B)
@@ -221,9 +222,8 @@ func TestEightTenantsConcurrently(t *testing.T) {
 			defer wg.Done()
 			region, _ := fabric.RegionFor(core.DesignSHMZeroCopy, "h", "h", 64<<10, 128<<10, 8)
 			c, err := core.Connect(p, links[i].A, core.ClientConfig{
-				NQN: fmt.Sprintf("nqn.tenant%d", i), QueueDepth: 8,
-				Design: core.DesignSHMZeroCopy, Region: region,
-				TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+				ConnOptions: session.ConnOptions{NQN: fmt.Sprintf("nqn.tenant%d", i), QueueDepth: 8},
+				Design:      core.DesignSHMZeroCopy, Region: region, TP: model.DefaultTCPTransport(),
 			})
 			if err != nil {
 				t.Error(err)
@@ -266,11 +266,11 @@ func TestDiscoveryThenProbeFlow(t *testing.T) {
 	ssdParams.JitterFrac = 0
 	ssdParams.StallProb = 0
 	sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize))
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: "nqn.prod", TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.prod"}, TP: model.DefaultTCPTransport()})
 	link := netsim.NewLoopLink(e, model.TCP25G())
 	srv.Serve(link.B)
 	e.Go("app", func(p *sim.Proc) {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{NQN: "nqn.prod", QueueDepth: 8, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{ConnOptions: session.ConnOptions{NQN: "nqn.prod", QueueDepth: 8}, TP: model.DefaultTCPTransport()})
 		if err != nil {
 			t.Fatal(err)
 		}

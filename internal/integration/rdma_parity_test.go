@@ -17,6 +17,7 @@ import (
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/rdma"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/telemetry"
@@ -50,8 +51,7 @@ func newRDMARig(t *testing.T, seed int64, kato time.Duration) *rdmaRig {
 	prm.MemRegFloorProb = 0
 	tel := telemetry.New()
 	srv := rdma.NewServer(e, tgt, rdma.ServerConfig{
-		NQN: chaosNQN, Params: prm, Host: model.DefaultHost(),
-		KATO: kato, Telemetry: tel,
+		ServeOptions: session.ServeOptions{NQN: chaosNQN, KATO: kato, Telemetry: tel},
 	})
 	link := netsim.NewLoopLink(e, rdma.LinkParams(prm))
 	srv.Serve(link.B)
@@ -98,19 +98,13 @@ func TestChaosRDMACrashRestartParity(t *testing.T) {
 	var total, oks, typed int
 	rig.e.Go("app", func(p *sim.Proc) {
 		c, err := rdma.Connect(p, rig.link.A, rdma.ClientConfig{
-			NQN: chaosNQN, QueueDepth: 16,
+			ConnOptions: session.ConnOptions{NQN: chaosNQN, QueueDepth: 16, CommandTimeout: 1500 * time.Microsecond, MaxRetries: 10, RetryBackoff: 200 * time.Microsecond, KeepAlive: time.Millisecond, Telemetry: rig.tel},
 			Params: func() model.RDMAParams {
 				prm := model.RDMA56G()
 				prm.MemRegWarmOps = 0.001
 				prm.MemRegFloorProb = 0
 				return prm
 			}(),
-			Host:           model.DefaultHost(),
-			CommandTimeout: 1500 * time.Microsecond,
-			MaxRetries:     10,
-			RetryBackoff:   200 * time.Microsecond,
-			KeepAlive:      time.Millisecond,
-			Telemetry:      rig.tel,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -165,12 +159,8 @@ func TestChaosRDMAKATOExpiry(t *testing.T) {
 		rig := newRDMARig(t, 1, 2*time.Millisecond)
 		rig.e.Go("app", func(p *sim.Proc) {
 			c, err := rdma.Connect(p, rig.link.A, rdma.ClientConfig{
-				NQN: chaosNQN, QueueDepth: 4, Params: prm,
-				Host: model.DefaultHost(), KeepAlive: keepAlive,
-				CommandTimeout: 1500 * time.Microsecond,
-				MaxRetries:     10,
-				RetryBackoff:   200 * time.Microsecond,
-				Telemetry:      rig.tel,
+				ConnOptions: session.ConnOptions{NQN: chaosNQN, QueueDepth: 4, KeepAlive: keepAlive, CommandTimeout: 1500 * time.Microsecond, MaxRetries: 10, RetryBackoff: 200 * time.Microsecond, Telemetry: rig.tel},
+				Params:      prm,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -211,8 +201,8 @@ func TestChaosRDMABatchTelemetryParity(t *testing.T) {
 	prm.MemRegFloorProb = 0
 	rig.e.Go("app", func(p *sim.Proc) {
 		c, err := rdma.Connect(p, rig.link.A, rdma.ClientConfig{
-			NQN: chaosNQN, QueueDepth: 32, Params: prm,
-			Host: model.DefaultHost(), BatchSize: 8, Telemetry: rig.tel,
+			ConnOptions: session.ConnOptions{NQN: chaosNQN, QueueDepth: 32, Telemetry: rig.tel},
+			Params:      prm, BatchSize: 8,
 		})
 		if err != nil {
 			t.Fatal(err)

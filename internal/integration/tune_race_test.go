@@ -9,6 +9,7 @@ import (
 	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/tcp"
@@ -34,7 +35,7 @@ func TestLiveKnobSettersRaceFree(t *testing.T) {
 
 	tp := model.DefaultTCPTransport()
 	tp.BatchSize = 4
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: "nqn.race", TP: tp, Host: model.DefaultHost()})
+	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.race"}, TP: tp})
 	link := netsim.NewLoopLink(e, model.TCP25G())
 	srv.Serve(link.B)
 
@@ -42,7 +43,8 @@ func TestLiveKnobSettersRaceFree(t *testing.T) {
 	var cl *tcp.Client
 	e.Go("app", func(p *sim.Proc) {
 		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{
-			NQN: "nqn.race", QueueDepth: 32, TP: tp, Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: "nqn.race", QueueDepth: 32},
+			TP:          tp,
 		})
 		if err != nil {
 			t.Error(err)

@@ -312,6 +312,15 @@ func DefaultTCPTransport() TCPTransportParams {
 	}
 }
 
+// OrDefault returns tp, or DefaultTCPTransport() when tp was left unset
+// (every configured set has a chunk size).
+func (tp TCPTransportParams) OrDefault() TCPTransportParams {
+	if tp.ChunkSize <= 0 {
+		return DefaultTCPTransport()
+	}
+	return tp
+}
+
 // NFSParams models the NFS baseline used in the h5bench comparison
 // (§5.7.1): an async-mounted NFSv4 export over TCP.
 type NFSParams struct {

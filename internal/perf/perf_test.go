@@ -7,6 +7,7 @@ import (
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/stats"
 	"nvmeoaf/internal/target"
@@ -29,11 +30,11 @@ func rig(t *testing.T, seed int64) (*sim.Engine, func(p *sim.Proc, qd int) trans
 	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{NQN: "nqn.perf", TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.perf"}, TP: model.DefaultTCPTransport()})
 	link := netsim.NewLoopLink(e, model.TCP25G())
 	srv.Serve(link.B)
 	return e, func(p *sim.Proc, qd int) transport.Queue {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{NQN: "nqn.perf", QueueDepth: qd, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{ConnOptions: session.ConnOptions{NQN: "nqn.perf", QueueDepth: qd}, TP: model.DefaultTCPTransport()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/model"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
@@ -60,8 +61,8 @@ func TestRegCacheSteadyStateNeverRegistersInline(t *testing.T) {
 	tel := telemetry.New()
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 8, Params: params, Host: model.DefaultHost(),
-			Telemetry: tel, RegCache: true,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8, Telemetry: tel},
+			Params:      params, RegCache: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -97,8 +98,8 @@ func TestRegCacheCallerBufferMissThenHit(t *testing.T) {
 	tel := telemetry.New()
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 4, Params: params, Host: model.DefaultHost(),
-			Telemetry: tel, RegCache: true,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4, Telemetry: tel},
+			Params:      params, RegCache: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -137,14 +138,14 @@ func TestRegCacheEvictionChurn(t *testing.T) {
 	// distinct regions evict each other and re-register on return.
 	params := model.RDMA56G()
 	params.MemRegCost = 50 * time.Microsecond // keep the test fast
+	// Pool (4 x 128 KiB pinned) + one 4 KiB region fits; two do not.
+	params.RegCacheBytes = 4*poolBufBytes + 4096
 	r := newRig(t, true, params)
 	tel := telemetry.New()
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 4, Params: params, Host: model.DefaultHost(),
-			Telemetry: tel, RegCache: true,
-			// Pool (4 x 128 KiB pinned) + one 4 KiB region fits; two do not.
-			RegCacheBytes: 4*poolBufBytes + 4096,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4, Telemetry: tel},
+			Params:      params, RegCache: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -179,8 +180,8 @@ func TestMergeAdjacentReadsByteExact(t *testing.T) {
 	const n, bs = 8, 4096
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 16, Params: noRegParams(), Host: model.DefaultHost(),
-			BatchSize: n, Telemetry: tel, Merge: true,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 16, Telemetry: tel},
+			Params:      noRegParams(), BatchSize: n, Merge: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -223,8 +224,8 @@ func TestMergeVirtualWritesAndGaps(t *testing.T) {
 	tel := telemetry.New()
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 16, Params: noRegParams(), Host: model.DefaultHost(),
-			BatchSize: 8, Telemetry: tel, Merge: true,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 16, Telemetry: tel},
+			Params:      noRegParams(), BatchSize: 8, Merge: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +260,7 @@ func TestDynDoorbellController(t *testing.T) {
 	if got := w.TrainSize(16); got != 16 {
 		t.Fatalf("TrainSize(16) = %d, want 16", got)
 	}
-	// A deeper backlog keeps growing toward MaxTrain's default of 64.
+	// A deeper backlog keeps growing toward maxTrain (64).
 	if got := w.TrainSize(200); got != 64 {
 		t.Fatalf("TrainSize(200) = %d, want 64 (cap)", got)
 	}
@@ -285,8 +286,8 @@ func TestDynDoorbellEndToEnd(t *testing.T) {
 	tel := telemetry.New()
 	r.e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, r.link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 64, Params: noRegParams(), Host: model.DefaultHost(),
-			Telemetry: tel, DynDoorbell: true,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 64, Telemetry: tel},
+			Params:      noRegParams(), DynDoorbell: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -11,6 +11,10 @@
 // file is the thin RDMA wire binding, which therefore inherits doorbell
 // batching, telemetry, per-command deadlines, and keep-alive from the
 // engine.
+//
+// ClientConfig and ServerConfig embed session.ConnOptions/ServeOptions
+// (documented there) and add only this binding's own knobs; builders
+// reach Connect and NewServer through internal/dial.
 package rdma
 
 import (
@@ -23,7 +27,6 @@ import (
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/pdu"
-	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
@@ -47,31 +50,11 @@ func LinkParams(r model.RDMAParams) model.LinkParams {
 
 // ClientConfig configures one NVMe/RDMA host queue pair.
 type ClientConfig struct {
-	NQN        string
-	QueueDepth int
-	Params     model.RDMAParams
-	Host       model.HostParams
+	session.ConnOptions
+	Params model.RDMAParams
 	// BatchSize > 1 coalesces queued submissions into one doorbell train
 	// per message (0/1 = classic one-capsule-per-message wire).
 	BatchSize int
-	// CommandTimeout, MaxRetries, RetryBackoff, KeepAlive: engine
-	// recovery knobs, all off by default (see tcp.ClientConfig for
-	// semantics).
-	CommandTimeout time.Duration
-	MaxRetries     int
-	RetryBackoff   time.Duration
-	KeepAlive      time.Duration
-	// HostNQN identifies this host in the Fabrics Connect command
-	// (defaults to a generated NQN).
-	HostNQN string
-	// Telemetry receives counters and latency histograms (nil disables).
-	Telemetry *telemetry.Sink
-
-	// Tenant names the tenant this queue submits for (carried in the
-	// Fabrics Connect hostNQN); QoS is the host-side per-tenant
-	// admission shaper (nil = off).
-	Tenant string
-	QoS    *qos.Shaper
 
 	// RegCache enables the mechanistic fast path: the I/O buffer pool is
 	// pre-registered with the HCA at connect time and every post goes
@@ -80,9 +63,6 @@ type ClientConfig struct {
 	// I/O never registers inline; misses happen only for unregistered
 	// caller buffers and eviction churn.
 	RegCache bool
-	// RegCacheBytes caps the MR cache (0 = Params.RegCacheBytes, then
-	// 256 MiB).
-	RegCacheBytes int64
 	// Merge folds physically contiguous same-direction commands in a
 	// doorbell train into one work request (RDMAbox adjacent-request
 	// merging); completions are split back to member CIDs invisibly to
@@ -92,8 +72,6 @@ type ClientConfig struct {
 	// doorbell-train controller: the train grows while the submit queue
 	// has backlog and shrinks toward 1 when it drains.
 	DynDoorbell bool
-	// MaxTrain caps the dynamic doorbell train (0 = 64).
-	MaxTrain int
 }
 
 // Client is the host side of one RDMA queue pair.
@@ -167,6 +145,9 @@ var poolRegion = regKey{id: 1}
 
 const poolBufBytes = 128 << 10
 
+// maxTrain caps the dynamic doorbell train.
+const maxTrain = 64
+
 // Connect starts a client on ep (connection setup over the RDMA CM is
 // modeled by the ICReq/ICResp exchange).
 func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error) {
@@ -181,22 +162,13 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 		w.groups = map[uint16]*mergeGroup{}
 	}
 	h := session.NewHost(e, ep, session.HostConfig{
-		Label:          "rdma",
-		NQN:            cfg.NQN,
-		HostNQN:        cfg.HostNQN,
-		QueueDepth:     cfg.QueueDepth,
-		Host:           cfg.Host,
-		BatchSize:      cfg.BatchSize,
-		CommandTimeout: cfg.CommandTimeout,
-		MaxRetries:     cfg.MaxRetries,
-		RetryBackoff:   cfg.RetryBackoff,
-		KeepAlive:      cfg.KeepAlive,
-		// Completion-queue polling: parking never pays the interrupt
-		// wakeup penalty (LinkParams zeroes it anyway).
-		InterruptWakeups: false,
-		Telemetry:        cfg.Telemetry,
-		Tenant:           cfg.Tenant,
-		QoS:              cfg.QoS,
+		ConnOptions: cfg.ConnOptions,
+		Label:       "rdma",
+		Host:        model.DefaultHost(),
+		BatchSize:   cfg.BatchSize,
+		// InterruptWakeups stays off — completion-queue polling: parking
+		// never pays the interrupt wakeup penalty (LinkParams zeroes it
+		// anyway).
 	}, w)
 	w.h = h
 	c := &Client{Host: h, wire: w}
@@ -206,11 +178,7 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	if w.cache != nil {
 		// Pre-register the whole I/O buffer pool during connection setup:
 		// steady-state pool I/O never registers inline (RDMAbox).
-		depth := cfg.QueueDepth
-		if depth <= 0 {
-			depth = 128
-		}
-		poolBytes := int64(depth) * poolBufBytes
+		poolBytes := int64(h.QueueDepth()) * poolBufBytes
 		w.cache.Preregister(poolRegion, poolBytes)
 		h.Telemetry().Add(telemetry.CtrRDMAPreregBytes, poolBytes)
 	}
@@ -219,12 +187,9 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	return c, nil
 }
 
-// regCacheCapacity resolves the MR-cache byte cap: explicit client knob,
-// then the fabric parameter, then 256 MiB.
+// regCacheCapacity resolves the MR-cache byte cap: the fabric parameter,
+// else 256 MiB.
 func regCacheCapacity(cfg *ClientConfig) int64 {
-	if cfg.RegCacheBytes > 0 {
-		return cfg.RegCacheBytes
-	}
 	if cfg.Params.RegCacheBytes > 0 {
 		return cfg.Params.RegCacheBytes
 	}
@@ -349,11 +314,7 @@ func (w *rdmaWire) TrainSize(queued int) int {
 	if !w.cfg.DynDoorbell {
 		return 0
 	}
-	max := w.cfg.MaxTrain
-	if max <= 0 {
-		max = 64
-	}
-	for queued >= 2*w.dynTrain && w.dynTrain < max {
+	for queued >= 2*w.dynTrain && w.dynTrain < maxTrain {
 		w.dynTrain *= 2
 	}
 	for queued <= w.dynTrain/2 && w.dynTrain > 1 {
@@ -639,19 +600,9 @@ func (w *rdmaWire) InterceptResp(p *sim.Proc, r *pdu.CapsuleResp, transit time.D
 
 // ServerConfig configures the target side.
 type ServerConfig struct {
-	NQN    string
-	Params model.RDMAParams
-	Host   model.HostParams
+	session.ServeOptions
 	// BatchSize > 1 enables completion-reap coalescing on transmit.
 	BatchSize int
-	// KATO is the keep-alive timeout: a connection silent for longer is
-	// torn down (0 disables the watchdog).
-	KATO time.Duration
-	// Telemetry receives connection and keep-alive counters (nil
-	// disables).
-	Telemetry *telemetry.Sink
-	// QoS is the target-side per-tenant admission shaper (nil = off).
-	QoS *qos.Shaper
 }
 
 // Server is the target-side RDMA transport: direct data placement into
@@ -659,22 +610,17 @@ type ServerConfig struct {
 // session engine drives connection lifecycle, dispatch, and teardown.
 type Server struct {
 	*session.Target
-	cfg ServerConfig
 }
 
 // NewServer creates the RDMA transport for tgt.
 func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
-	s := &Server{cfg: cfg}
+	s := &Server{}
 	s.Target = session.NewTarget(e, tgt, session.TargetConfig{
-		Label:     "rdma",
-		NQN:       cfg.NQN,
-		BatchSize: cfg.BatchSize,
-		KATO:      cfg.KATO,
-		// Direct placement: no chunk pool, no busy-poll budget, and CQ
-		// polling never charges interrupt wakeups.
-		InterruptWakeups: false,
-		Telemetry:        cfg.Telemetry,
-		QoS:              cfg.QoS,
+		ServeOptions: cfg.ServeOptions,
+		Label:        "rdma",
+		BatchSize:    cfg.BatchSize,
+		// Nothing else is set — direct placement: no chunk pool, no
+		// busy-poll budget, and CQ polling never charges interrupt wakeups.
 	}, (*rdmaTargetWire)(s))
 	return s
 }
@@ -683,14 +629,13 @@ func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
 type rdmaTargetWire Server
 
 func (s *rdmaTargetWire) NewConn(c *session.Conn) session.ConnWire {
-	return &rdmaConnWire{s: (*Server)(s), c: c}
+	return &rdmaConnWire{c: c}
 }
 
 // rdmaConnWire is the per-connection RDMA wire: a bare CM-exchange
 // handshake, reads returned as one RDMA write, writes executed straight
 // from the capsule payload.
 type rdmaConnWire struct {
-	s *Server
 	c *session.Conn
 }
 
@@ -707,7 +652,7 @@ func (w *rdmaConnWire) DispatchRead(cmd nvme.Command, transit time.Duration) {
 	c := w.c
 	size := int(cmd.NLB()) * transport.BlockSize
 	c.Target().Engine().Go("rdma-read-worker", func(p *sim.Proc) {
-		res := c.Target().Subsys().ExecuteAs(p, w.s.cfg.NQN, c.Tenant(), cmd, nil)
+		res := c.Target().Subsys().ExecuteAs(p, c.Target().NQN(), c.Tenant(), cmd, nil)
 		if res.CQE.Status.IsError() {
 			c.Post(c.Resp(res, transit, 0))
 			return

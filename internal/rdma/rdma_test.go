@@ -8,6 +8,7 @@ import (
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/telemetry"
@@ -36,7 +37,7 @@ func newRig(t *testing.T, retain bool, params model.RDMAParams) *rig {
 	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "nvme0", 1<<30, ssdParams, retain, transport.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(e, tgt, ServerConfig{NQN: testNQN, Params: params, Host: model.DefaultHost()})
+	srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN}})
 	link := netsim.NewLoopLink(e, LinkParams(params))
 	srv.Serve(link.B)
 	return &rig{e: e, link: link, srv: srv}
@@ -56,7 +57,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		payload[i] = byte(i % 251)
 	}
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 16, Params: noRegParams(), Host: model.DefaultHost()})
+		c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 16}, Params: noRegParams()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func TestNoR2TMessages(t *testing.T) {
 	// message (capsule+payload), with one response back.
 	r := newRig(t, false, noRegParams())
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 4, Params: noRegParams(), Host: model.DefaultHost()})
+		c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4}, Params: noRegParams()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +115,7 @@ func TestRDMAFasterThanTCPShape(t *testing.T) {
 	// cost: comm time well under the ~330us a TCP stream would need.
 	r := newRig(t, false, noRegParams())
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 4, Params: noRegParams(), Host: model.DefaultHost()})
+		c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4}, Params: noRegParams()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestMemoryRegistrationMissesAreRareAndLarge(t *testing.T) {
 	tel := telemetry.New()
 	var worst time.Duration
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 8, Params: params, Host: model.DefaultHost(), Telemetry: tel})
+		c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8, Telemetry: tel}, Params: params})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestMemoryRegistrationMissesAreRareAndLarge(t *testing.T) {
 func TestIdentifyOverRDMA(t *testing.T) {
 	r := newRig(t, false, noRegParams())
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 4, Params: noRegParams(), Host: model.DefaultHost()})
+		c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4}, Params: noRegParams()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestIdentifyOverRDMA(t *testing.T) {
 func TestQueueDepthPipelines(t *testing.T) {
 	r := newRig(t, false, noRegParams())
 	r.e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 8, Params: noRegParams(), Host: model.DefaultHost()})
+		c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8}, Params: noRegParams()})
 		if err != nil {
 			t.Fatal(err)
 		}

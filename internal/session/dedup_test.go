@@ -10,6 +10,33 @@ import (
 	"testing"
 )
 
+// repoRoot is the module root as seen from this package's directory.
+var repoRoot = filepath.Join("..", "..")
+
+// parseDir parses the non-test Go files directly in dir (a slash path
+// from the module root), keyed by that path.
+func parseDir(t *testing.T, dir string) map[string]*ast.File {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(repoRoot, filepath.FromSlash(dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]*ast.File{}
+	fset := token.NewFileSet()
+	for _, ent := range entries {
+		name := ent.Name()
+		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(repoRoot, filepath.FromSlash(dir), name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[dir+"/"+name] = f
+	}
+	return files
+}
+
 // TestSharedConstantsDeclaredOnce is the dedup guard for the session
 // extraction: the wire-level constants that used to be copy-pasted into
 // every transport (capsule flag bits, poll-miss cost, host NQN default,
@@ -25,23 +52,9 @@ func TestSharedConstantsDeclaredOnce(t *testing.T) {
 		want[strings.ToLower(name)] = name
 	}
 
-	root := filepath.Join("..", "..")
 	decls := map[string][]string{} // canonical name -> declaration sites
-	fset := token.NewFileSet()
 	for _, dir := range []string{"internal/session", "internal/core", "internal/tcp", "internal/rdma"} {
-		entries, err := os.ReadDir(filepath.Join(root, dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ent := range entries {
-			if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".go") || strings.HasSuffix(ent.Name(), "_test.go") {
-				continue
-			}
-			path := filepath.Join(root, dir, ent.Name())
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for path, f := range parseDir(t, dir) {
 			for _, d := range f.Decls {
 				gd, ok := d.(*ast.GenDecl)
 				if !ok || (gd.Tok != token.CONST && gd.Tok != token.VAR) {
@@ -54,7 +67,7 @@ func TestSharedConstantsDeclaredOnce(t *testing.T) {
 					}
 					for _, id := range vs.Names {
 						if canon, hit := want[strings.ToLower(id.Name)]; hit {
-							decls[canon] = append(decls[canon], dir+"/"+ent.Name())
+							decls[canon] = append(decls[canon], path)
 						}
 					}
 				}
@@ -71,5 +84,127 @@ func TestSharedConstantsDeclaredOnce(t *testing.T) {
 		if !strings.HasPrefix(sites[0], "internal/session/") {
 			t.Errorf("%s declared in %s, want internal/session", name, sites[0])
 		}
+	}
+}
+
+// structFields returns the named fields and the embedded type names of
+// the struct type called name in files.
+func structFields(files map[string]*ast.File, name string) (named, embedded []string) {
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != name {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return false
+			}
+			for _, fld := range st.Fields.List {
+				for _, id := range fld.Names {
+					named = append(named, id.Name)
+				}
+				if len(fld.Names) == 0 {
+					if sel, ok := fld.Type.(*ast.SelectorExpr); ok {
+						embedded = append(embedded, sel.Sel.Name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	return named, embedded
+}
+
+// TestConnectionOptionsDeclaredOnce keeps what a caller says about a
+// connection in one place: every binding's ClientConfig embeds
+// ConnOptions and every ServerConfig embeds ServeOptions, and neither
+// declares a field the embedded struct already has (nor the Host cost
+// model, which each binding reads from the model itself). A mirrored
+// field is how the bindings' option handling drifted apart before.
+func TestConnectionOptionsDeclaredOnce(t *testing.T) {
+	own := parseDir(t, "internal/session")
+	for _, pair := range [][2]string{{"ClientConfig", "ConnOptions"}, {"ServerConfig", "ServeOptions"}} {
+		cfg, opts := pair[0], pair[1]
+		common, _ := structFields(own, opts)
+		if len(common) == 0 {
+			t.Fatalf("session.%s has no fields: the guard is looking at the wrong type", opts)
+		}
+		taken := map[string]bool{"Host": true}
+		for _, name := range common {
+			taken[name] = true
+		}
+		for _, dir := range []string{"internal/core", "internal/tcp", "internal/rdma"} {
+			named, embedded := structFields(parseDir(t, dir), cfg)
+			if len(embedded) != 1 || embedded[0] != opts {
+				t.Errorf("%s.%s embeds %v, want exactly session.%s", dir, cfg, embedded, opts)
+			}
+			for _, name := range named {
+				if taken[name] {
+					t.Errorf("%s.%s declares %s, which session.%s owns", dir, cfg, name, opts)
+				}
+			}
+		}
+	}
+}
+
+// TestBindingsNamedOnlyByDial keeps "open a connection on fabric X"
+// written once: outside the bindings themselves only internal/dial may
+// call a binding's Connect or NewServer, and the experiment harness and
+// the public API must not import the tcp or rdma binding at all (they
+// keep internal/core for designs, regions and the fabric registry).
+func TestBindingsNamedOnlyByDial(t *testing.T) {
+	const mod = "nvmeoaf/internal/"
+	allowed := map[string]bool{"internal/dial": true, "internal/core": true, "internal/tcp": true, "internal/rdma": true}
+	err := filepath.WalkDir(repoRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if strings.HasPrefix(d.Name(), ".") && path != repoRoot {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(repoRoot, path)
+		dir := filepath.ToSlash(rel)
+		for file, f := range parseDir(t, dir) {
+			// Local names under which this file imports a binding.
+			bound := map[string]string{}
+			for _, imp := range f.Imports {
+				ipath := strings.Trim(imp.Path.Value, `"`)
+				for _, b := range []string{"core", "tcp", "rdma"} {
+					if ipath != mod+b {
+						continue
+					}
+					local := b
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+					bound[local] = b
+					if b != "core" && (dir == "internal/exp" || dir == "oaf") {
+						t.Errorf("%s imports %s: builders reach bindings through internal/dial", file, ipath)
+					}
+				}
+			}
+			if allowed[dir] {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Connect" && sel.Sel.Name != "NewServer") {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && bound[x.Name] != "" {
+					t.Errorf("%s calls %s.%s: only internal/dial opens connections by binding", file, bound[x.Name], sel.Sel.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

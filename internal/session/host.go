@@ -74,36 +74,34 @@ type TrainSizer interface {
 	TrainSize(queued int) int
 }
 
-// HostConfig configures the host-side session engine.
-type HostConfig struct {
-	// Label prefixes daemon names, error strings, and panics
-	// ("oaf", "tcp", "rdma").
-	Label string
+// ConnOptions is what a caller says about one host queue, whichever
+// fabric carries it. It is declared here once: HostConfig and every
+// binding's ClientConfig embed it, and a binding hands it to NewHost
+// whole.
+type ConnOptions struct {
 	// NQN names the target subsystem; HostNQN identifies this host in
 	// the Fabrics Connect command (DefaultHostNQN when empty).
 	NQN     string
 	HostNQN string
-	// QueueDepth bounds outstanding commands.
+	// QueueDepth bounds outstanding commands (default 128).
 	QueueDepth int
-	// Host holds client software costs.
-	Host model.HostParams
-	// BatchSize is the submission-coalescing depth (0/1 = classic
-	// one-capsule-per-message wire).
-	BatchSize int
-	// CommandTimeout, MaxRetries, RetryBackoff, KeepAlive: recovery
-	// knobs, all off by default (see the transport configs for
-	// semantics).
+	// CommandTimeout is the per-command deadline. A command not completed
+	// by then is torn down, retried (bounded), and finally failed with
+	// StatusTransientTransport. Zero (the default) disables deadlines and
+	// retries, keeping healthy-path behaviour bit-identical.
 	CommandTimeout time.Duration
-	MaxRetries     int
-	RetryBackoff   time.Duration
-	KeepAlive      time.Duration
-	// InterruptWakeups charges the endpoint wakeup penalty when the
-	// reactor parks and traffic arrives (interrupt-driven receive).
-	// RDMA completion-queue polling leaves it off.
-	InterruptWakeups bool
-	// RNGStream names the seed-derived jitter stream for retry backoff
-	// (default Label+"-client-retry").
-	RNGStream string
+	// MaxRetries bounds retry attempts per command (default 3 when
+	// CommandTimeout is set).
+	MaxRetries int
+	// RetryBackoff is the base of the exponential, jittered backoff
+	// between attempts (default 100µs). The jitter stream derives from
+	// the engine seed, so retry schedules replay per seed.
+	RetryBackoff time.Duration
+	// KeepAlive, when positive, submits a keep-alive admin command at this
+	// interval so the target's KATO watchdog sees traffic on idle
+	// connections — and so a dead target is detected even with no I/O
+	// outstanding.
+	KeepAlive time.Duration
 	// Telemetry receives counters, histograms, and traces; nil
 	// disables.
 	Telemetry *telemetry.Sink
@@ -118,6 +116,24 @@ type HostConfig struct {
 	// drain when their tenant's tokens refill (or ledger borrowing
 	// covers them).
 	QoS *qos.Shaper
+}
+
+// HostConfig configures the host-side session engine: the caller's
+// ConnOptions plus what the binding owns.
+type HostConfig struct {
+	ConnOptions
+	// Label prefixes daemon names, error strings, panics, and the retry
+	// jitter stream ("oaf", "tcp", "rdma").
+	Label string
+	// Host holds client software costs.
+	Host model.HostParams
+	// BatchSize is the submission-coalescing depth (0/1 = classic
+	// one-capsule-per-message wire).
+	BatchSize int
+	// InterruptWakeups charges the endpoint wakeup penalty when the
+	// reactor parks and traffic arrives (interrupt-driven receive).
+	// RDMA completion-queue polling leaves it off.
+	InterruptWakeups bool
 }
 
 // Host is the transport-independent host queue core.
@@ -197,6 +213,13 @@ type Host struct {
 	reconRetry     bool
 	reconGen       int
 
+	HostStats
+}
+
+// HostStats is a host queue's completion and recovery accounting. Every
+// binding's client embeds the Host, so the fields and Stats promote on
+// all of them.
+type HostStats struct {
 	// Completed counts finished commands.
 	Completed int64
 	// Retries counts re-driven attempts; Timeouts counts per-command
@@ -209,14 +232,14 @@ type Host struct {
 	LateMsgs   int64
 }
 
+// Stats returns the accounting as of now.
+func (s *HostStats) Stats() HostStats { return *s }
+
 // NewHost builds the engine core. The binding must call Handshake (on
 // the connecting process) and then Start.
 func NewHost(e *sim.Engine, ep *netsim.Endpoint, cfg HostConfig, wire HostWire) *Host {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 128
-	}
-	if cfg.RNGStream == "" {
-		cfg.RNGStream = cfg.Label + "-client-retry"
 	}
 	h := &Host{
 		e:       e,
@@ -226,7 +249,7 @@ func NewHost(e *sim.Engine, ep *netsim.Endpoint, cfg HostConfig, wire HostWire) 
 		submitQ: sim.NewQueue[*Pending](e, 0),
 		kick:    sim.NewSignal(e),
 		drained: sim.NewSignal(e),
-		rng:     e.Rand(cfg.RNGStream),
+		rng:     e.Rand(cfg.Label + "-client-retry"),
 		tel:     cfg.Telemetry,
 		slots:   make([]slot, cfg.QueueDepth),
 	}
@@ -557,9 +580,17 @@ func (h *Host) RingDoorbell(p *sim.Proc) {
 // on p: the whole StageSubmit of a wire with no staging of its own.
 func (h *Host) ChargeFill(p *sim.Proc, train *Pending) {
 	for pend := train; pend != nil; pend = pend.Next {
-		if io := pend.IO; io.Write && !io.NoFill {
-			p.Sleep(time.Duration(float64(io.Size) * h.cfg.Host.FillPerByteNanos))
+		if pend.IO.Write {
+			h.FillPayload(p, pend.IO)
 		}
+	}
+}
+
+// FillPayload charges generating io's payload on p, unless the caller
+// accounts for that itself (NoFill).
+func (h *Host) FillPayload(p *sim.Proc, io *transport.IO) {
+	if !io.NoFill {
+		p.Sleep(time.Duration(float64(io.Size) * h.cfg.Host.FillPerByteNanos))
 	}
 }
 

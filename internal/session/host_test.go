@@ -163,7 +163,7 @@ func TestDeadlineTimerReapsOnTime(t *testing.T) {
 	// expiry waits for it. The commands behind the oldest must still be
 	// reaped on their own deadlines, not on the burst's.
 	t.Run("staggered", func(t *testing.T) {
-		r := newRig(HostConfig{QueueDepth: 16, CommandTimeout: timeout}, busy)
+		r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 16, CommandTimeout: timeout}}, busy)
 		defer r.e.Close()
 		r.w.record = true
 		fires := r.countFires(t)
@@ -206,7 +206,7 @@ func TestDeadlineTimerReapsOnTime(t *testing.T) {
 	// CIDs come off the free list last-retired-first, and commands that
 	// expire together are reaped in CID order whatever order they started in.
 	t.Run("simultaneous", func(t *testing.T) {
-		r := newRig(HostConfig{QueueDepth: 16, CommandTimeout: timeout}, instant)
+		r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 16, CommandTimeout: timeout}}, instant)
 		defer r.e.Close()
 		r.w.record = true
 		fires := r.countFires(t)
@@ -246,7 +246,7 @@ func TestDeadlineTimerResponseWins(t *testing.T) {
 		{"after", timeout + 1, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(HostConfig{QueueDepth: 4, CommandTimeout: timeout}, instant)
+			r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4, CommandTimeout: timeout}}, instant)
 			defer r.e.Close()
 			first := true
 			r.serve(func(p *sim.Proc, cid uint16) {
@@ -278,7 +278,7 @@ func TestDeadlineTimerResponseWins(t *testing.T) {
 // cycle allocates the same with CommandTimeout set and unset.
 func TestDeadlineTimerAllocsEqual(t *testing.T) {
 	cycleAllocs := func(timeout time.Duration) float64 {
-		r := newRig(HostConfig{QueueDepth: 4, CommandTimeout: timeout, Host: model.DefaultHost()}, model.Loopback())
+		r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4, CommandTimeout: timeout}, Host: model.DefaultHost()}, model.Loopback())
 		defer r.e.Close()
 		resp := &pdu.CapsuleResp{}
 		r.serve(func(p *sim.Proc, cid uint16) {
@@ -329,7 +329,7 @@ func TestDataBeyondBufferIsDropped(t *testing.T) {
 		{"recovery-on", time.Millisecond, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(HostConfig{QueueDepth: 4, CommandTimeout: tc.timeout}, instant)
+			r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4, CommandTimeout: tc.timeout}}, instant)
 			defer r.e.Close()
 			first := true
 			r.serve(func(p *sim.Proc, cid uint16) {

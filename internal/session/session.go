@@ -10,13 +10,18 @@
 // implement only the small Wire interfaces that differ per path:
 // handshake contents, payload staging, capsule transmission, and the
 // path-specific PDUs (R2T streaming, shared-memory notify/release,
-// direct placement). See DESIGN.md §5g for the layering contract.
+// direct placement). What a caller says about a connection on any fabric
+// is declared here once — ConnOptions for a host queue, ServeOptions for a
+// served endpoint — and embedded by the engine's and every binding's
+// config. See DESIGN.md §5g for the layering contract.
 package session
 
 import (
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"nvmeoaf/internal/pdu"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
@@ -41,6 +46,46 @@ const (
 	// never collides with I/O CIDs (queue depths are far smaller).
 	ConnectCID = 0xFFFF
 )
+
+// ChunkKnob is the live host-side chunk size of a binding that streams
+// write payload in chunks over the TCP channel. It is atomic because the
+// tuning controller or an operator goroutine adjusts it mid-run; the
+// binding's wire reads it and its client (which embeds it) exposes it.
+type ChunkKnob struct{ n atomic.Int64 }
+
+// NewChunkKnob starts the knob at the configured chunk size.
+func NewChunkKnob(n int) *ChunkKnob {
+	k := &ChunkKnob{}
+	k.n.Store(int64(n))
+	return k
+}
+
+// SetChunkSize adjusts the chunk size live (block aligned, at least one
+// block). Sizes below the negotiated MaxH2CData take effect on the next
+// R2T grant; larger values are staged — they apply up to the negotiated
+// ceiling now and fully after the next (re)negotiation, the honest
+// treatment of a knob whose target half is immutable per connection.
+func (k *ChunkKnob) SetChunkSize(n int) {
+	if n < transport.BlockSize {
+		n = transport.BlockSize
+	}
+	n -= n % transport.BlockSize
+	k.n.Store(int64(n))
+}
+
+// LiveChunkSize returns the knob (which may exceed the per-connection
+// negotiated ceiling; see SetChunkSize).
+func (k *ChunkKnob) LiveChunkSize() int { return int(k.n.Load()) }
+
+// Chunk returns the effective chunk size: the knob, capped by the
+// MaxH2CData the target negotiated in icresp.
+func (k *ChunkKnob) Chunk(icresp *pdu.ICResp) int {
+	c := k.LiveChunkSize()
+	if icresp != nil && icresp.MaxH2CData > 0 && int(icresp.MaxH2CData) < c {
+		return int(icresp.MaxH2CData)
+	}
+	return c
+}
 
 // Pending tracks one in-flight command on the host side. It embeds the
 // transport-level pending record and adds the recovery state the engine

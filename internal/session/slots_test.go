@@ -25,7 +25,7 @@ func TestSlotTableMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		// The reactor is never started: the test is the only caller of
 		// alloc, retire and reapExpired.
-		r := newIdleRig(HostConfig{QueueDepth: depth, CommandTimeout: timeout}, instant)
+		r := newIdleRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: depth, CommandTimeout: timeout}}, instant)
 		e, h, rng := r.e, r.h, rand.New(rand.NewSource(seed))
 
 		live := map[uint16]owner{}

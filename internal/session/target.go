@@ -50,31 +50,20 @@ type TargetWire interface {
 	NewConn(c *Conn) ConnWire
 }
 
-// TargetConfig configures the target-side session engine.
-type TargetConfig struct {
-	// Label prefixes daemon/worker names and panics.
-	Label string
+// ServeOptions is what a caller says about one target-side transport,
+// whichever fabric it serves. Declared here once: TargetConfig and every
+// binding's ServerConfig embed it, and a binding hands it to NewTarget
+// whole.
+type ServeOptions struct {
 	// NQN selects the served subsystem.
 	NQN string
-	// ChunkSize is the data-path chunk (R2T grants, read streaming,
-	// buffer accounting); BatchSize > 1 enables completion-reap
-	// coalescing on transmit; BusyPoll > 0 spins the receive path.
-	ChunkSize int
-	BatchSize int
-	BusyPoll  time.Duration
 	// KATO is the keep-alive timeout: a connection silent for longer is
 	// torn down and its resources reclaimed (0 disables the watchdog).
 	KATO time.Duration
 	// MaxBufferWaiters bounds commands parked for pool buffers; beyond
 	// it the server sheds load with a retryable typed error instead of
-	// queueing without bound (0 = unbounded).
+	// queueing without bound (0 = unbounded; moot without a pool).
 	MaxBufferWaiters int
-	// InterruptWakeups charges the endpoint wakeup penalty when the run
-	// loop parks and traffic arrives. RDMA polling leaves it off.
-	InterruptWakeups bool
-	// Pool is the transport's data buffer pool (nil for transports that
-	// place payloads directly, like RDMA).
-	Pool *mempool.Pool
 	// Telemetry receives connection, shedding, and keep-alive counters;
 	// nil disables.
 	Telemetry *telemetry.Sink
@@ -88,6 +77,26 @@ type TargetConfig struct {
 	// drop — the hook a write-back bdev cache uses to account its
 	// unflushed dirty lines as lost.
 	OnCrash func()
+}
+
+// TargetConfig configures the target-side session engine: the caller's
+// ServeOptions plus what the binding owns.
+type TargetConfig struct {
+	ServeOptions
+	// Label prefixes daemon/worker names and panics.
+	Label string
+	// ChunkSize is the data-path chunk (R2T grants, read streaming,
+	// buffer accounting); BatchSize > 1 enables completion-reap
+	// coalescing on transmit; BusyPoll > 0 spins the receive path.
+	ChunkSize int
+	BatchSize int
+	BusyPoll  time.Duration
+	// InterruptWakeups charges the endpoint wakeup penalty when the run
+	// loop parks and traffic arrives. RDMA polling leaves it off.
+	InterruptWakeups bool
+	// Pool is the transport's data buffer pool (nil for transports that
+	// place payloads directly, like RDMA).
+	Pool *mempool.Pool
 }
 
 // Target is the transport-independent target connection core.

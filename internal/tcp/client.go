@@ -5,17 +5,19 @@
 // tunes (§4.5 of the paper). The session machinery (CID table, reactor,
 // deadlines, batching) lives in internal/session; this file is the thin
 // TCP wire binding.
+//
+// ClientConfig and ServerConfig embed session.ConnOptions/ServeOptions
+// (documented there) and add only this binding's own knobs; builders
+// reach Connect and NewServer through internal/dial.
 package tcp
 
 import (
-	"sync/atomic"
 	"time"
 
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/pdu"
-	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/telemetry"
@@ -24,76 +26,39 @@ import (
 
 // ClientConfig configures one NVMe/TCP host queue.
 type ClientConfig struct {
-	// NQN names the target subsystem.
-	NQN string
-	// QueueDepth bounds outstanding commands.
-	QueueDepth int
+	session.ConnOptions
 	// TP holds protocol knobs (chunk size, in-capsule threshold, busy
-	// poll budget).
+	// poll budget); the zero value means model.DefaultTCPTransport().
 	TP model.TCPTransportParams
-	// Host holds client software costs.
-	Host model.HostParams
-	// KeepAlive, when positive, sends a keep-alive admin command at this
-	// interval so the target's KATO watchdog keeps the connection alive
-	// (NVMe-oF keep-alive timer).
-	KeepAlive time.Duration
-	// CommandTimeout, when positive, bounds each command attempt;
-	// expired commands retry with backoff (MaxRetries, RetryBackoff)
-	// before failing with a transient transport error. Off by default.
-	CommandTimeout time.Duration
-	MaxRetries     int
-	RetryBackoff   time.Duration
-	// HostNQN identifies this host in the Fabrics Connect command
-	// (defaults to a generated NQN).
-	HostNQN string
-	// Telemetry receives counters and latency histograms (nil disables).
-	Telemetry *telemetry.Sink
-	// Tenant names the tenant this queue submits for (carried in the
-	// Fabrics Connect hostNQN); QoS is the host-side per-tenant
-	// admission shaper (nil = off).
-	Tenant string
-	QoS    *qos.Shaper
 }
 
 // Client is one NVMe/TCP host queue pair over a network endpoint.
 type Client struct {
 	*session.Host
-	wire *tcpWire
+	*session.ChunkKnob
 }
 
 // tcpWire is the plain-TCP data path: in-capsule writes under the
 // threshold, R2T-granted chunk streaming above it, nothing else.
 type tcpWire struct {
-	h   *session.Host
-	ep  *netsim.Endpoint
-	cfg *ClientConfig
-	// chunkB is the live host-side chunk size (atomic: adjustable from
-	// the tuning controller or an operator goroutine mid-run).
-	chunkB atomic.Int64
+	h     *session.Host
+	ep    *netsim.Endpoint
+	cfg   *ClientConfig
+	chunk *session.ChunkKnob
 }
 
 // Connect performs the ICReq/ICResp exchange over ep and starts the client
 // reactor. The calling process drives the handshake.
 func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error) {
+	cfg.TP = cfg.TP.OrDefault()
 	e := p.Engine()
-	w := &tcpWire{ep: ep, cfg: &cfg}
-	// 0 keeps the legacy no-chunking behaviour for configs without TP.
-	w.chunkB.Store(int64(cfg.TP.ChunkSize))
+	w := &tcpWire{ep: ep, cfg: &cfg, chunk: session.NewChunkKnob(cfg.TP.ChunkSize)}
 	h := session.NewHost(e, ep, session.HostConfig{
+		ConnOptions:      cfg.ConnOptions,
 		Label:            "tcp",
-		NQN:              cfg.NQN,
-		HostNQN:          cfg.HostNQN,
-		QueueDepth:       cfg.QueueDepth,
-		Host:             cfg.Host,
+		Host:             model.DefaultHost(),
 		BatchSize:        cfg.TP.BatchSize,
-		CommandTimeout:   cfg.CommandTimeout,
-		MaxRetries:       cfg.MaxRetries,
-		RetryBackoff:     cfg.RetryBackoff,
-		KeepAlive:        cfg.KeepAlive,
 		InterruptWakeups: true,
-		Telemetry:        cfg.Telemetry,
-		Tenant:           cfg.Tenant,
-		QoS:              cfg.QoS,
 	}, w)
 	w.h = h
 	if err := h.Handshake(p); err != nil {
@@ -101,7 +66,7 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	}
 	h.Telemetry().Trace(int64(p.Now()), telemetry.EvPathSelected, 0, "tcp", "nvme-tcp")
 	h.Start()
-	return &Client{Host: h, wire: w}, nil
+	return &Client{Host: h, ChunkKnob: w.chunk}, nil
 }
 
 func (w *tcpWire) BuildICReq(reconnect bool) *pdu.ICReq {
@@ -172,7 +137,7 @@ func (w *tcpWire) onR2T(p *sim.Proc, r *pdu.R2T) {
 	}
 	io := pend.IO
 	grantEnd := int(r.Offset) + int(r.Length)
-	transport.ChunkSizes(grantEnd-int(r.Offset), w.chunk(), func(off, n int) {
+	transport.ChunkSizes(grantEnd-int(r.Offset), w.chunk.Chunk(w.h.ICResp()), func(off, n int) {
 		dataOff := int(r.Offset) + off
 		d := &pdu.Data{
 			Dir:    pdu.TypeH2CData,
@@ -190,31 +155,3 @@ func (w *tcpWire) onR2T(p *sim.Proc, r *pdu.R2T) {
 	})
 	pend.Sent += int(r.Length)
 }
-
-// chunk returns the effective chunk size: the live knob, capped by the
-// target's negotiated MaxH2CData.
-func (w *tcpWire) chunk() int {
-	c := int(w.chunkB.Load())
-	if icresp := w.h.ICResp(); icresp != nil && icresp.MaxH2CData > 0 && int(icresp.MaxH2CData) < c {
-		return int(icresp.MaxH2CData)
-	}
-	return c
-}
-
-// SetChunkSize adjusts the host-side chunk size live (block aligned, at
-// least one block). Sizes below the negotiated MaxH2CData take effect on
-// the next R2T grant; larger values are staged — they apply up to the
-// negotiated ceiling now and fully after the next (re)negotiation, the
-// honest treatment of a knob whose target half is immutable per
-// connection.
-func (c *Client) SetChunkSize(n int) {
-	if n < transport.BlockSize {
-		n = transport.BlockSize
-	}
-	n -= n % transport.BlockSize
-	c.wire.chunkB.Store(int64(n))
-}
-
-// LiveChunkSize returns the host-side chunk size knob (which may exceed
-// the per-connection negotiated ceiling; see SetChunkSize).
-func (c *Client) LiveChunkSize() int { return int(c.wire.chunkB.Load()) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nvmeoaf/internal/model"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/transport"
 )
@@ -51,7 +52,7 @@ func TestRealDataRoundTripPoisonedPool(t *testing.T) {
 // TestPoisonPoolConfig checks the ServerConfig knob reaches the pool.
 func TestPoisonPoolConfig(t *testing.T) {
 	e := sim.NewEngine(1)
-	srv := NewServer(e, nil, ServerConfig{NQN: "nqn.x", TP: model.DefaultTCPTransport(), PoisonPool: true})
+	srv := NewServer(e, nil, ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.x"}, TP: model.DefaultTCPTransport(), PoisonPool: true})
 	if !srv.pool.Poisoned() {
 		t.Fatal("PoisonPool did not enable poison-on-free")
 	}

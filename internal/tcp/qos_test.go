@@ -45,16 +45,14 @@ func TestTargetSideThrottleRejectsAndRedrives(t *testing.T) {
 	tsh := qos.NewShaper("target", reg, tel)
 
 	tp := model.DefaultTCPTransport()
-	srv := NewServer(e, tgt, ServerConfig{NQN: testNQN, TP: tp, Host: model.DefaultHost(), Telemetry: tel, QoS: tsh})
+	srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN, Telemetry: tel, QoS: tsh}, TP: tp})
 	link := netsim.NewLoopLink(e, model.TCP25G())
 	srv.Serve(link.B)
 
 	e.Go("app", func(p *sim.Proc) {
 		c, err := Connect(p, link.A, ClientConfig{
-			NQN: testNQN, QueueDepth: 8, TP: tp, Host: model.DefaultHost(),
-			Telemetry: tel, Tenant: "capped",
-			CommandTimeout: 2 * time.Millisecond, MaxRetries: 64,
-			RetryBackoff: 50 * time.Microsecond,
+			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8, Telemetry: tel, Tenant: "capped", CommandTimeout: 2 * time.Millisecond, MaxRetries: 64, RetryBackoff: 50 * time.Microsecond},
+			TP:          tp,
 		})
 		if err != nil {
 			t.Fatal(err)

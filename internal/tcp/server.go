@@ -7,42 +7,22 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/pdu"
-	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/telemetry"
 )
 
-// Conn is one target-side connection (the engine's connection core; the
-// TCP wire adds no per-connection state).
-type Conn = session.Conn
-
 // ServerConfig configures the target-side NVMe/TCP transport.
 type ServerConfig struct {
-	// NQN selects the served subsystem.
-	NQN string
+	session.ServeOptions
 	// TP holds protocol knobs; DataBuffers chunk-sized buffers form the
 	// shared data pool (R2T credits).
 	TP model.TCPTransportParams
-	// Host holds target software costs.
-	Host model.HostParams
-	// KATO is the keep-alive timeout: a connection silent for longer is
-	// torn down (0 disables the watchdog).
-	KATO time.Duration
-	// MaxBufferWaiters bounds commands parked for pool buffers; beyond
-	// it the server sheds load with a retryable typed error instead of
-	// queueing without bound (0 = unbounded).
-	MaxBufferWaiters int
 	// PoisonPool fills freed data-pool elements with mempool.PoisonByte
 	// so stale reads of returned buffers surface as corruption in
 	// data-integrity tests instead of silently passing.
 	PoisonPool bool
-	// Telemetry receives connection, shedding, and keep-alive counters.
-	// Nil means disabled.
-	Telemetry *telemetry.Sink
-	// QoS is the target-side per-tenant admission shaper (nil = off).
-	QoS *qos.Shaper
 }
 
 // Server is the NVMe/TCP transport of one target: it owns the shared data
@@ -56,26 +36,20 @@ type Server struct {
 
 // NewServer creates the transport for tgt with a fresh buffer pool.
 func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
-	if cfg.TP.ChunkSize <= 0 {
-		cfg.TP = model.DefaultTCPTransport()
-	}
+	cfg.TP = cfg.TP.OrDefault()
 	s := &Server{
 		cfg:  cfg,
 		pool: mempool.New("tcp-data/"+cfg.NQN, cfg.TP.ChunkSize, cfg.TP.DataBuffers),
 	}
 	s.pool.SetPoison(cfg.PoisonPool)
 	s.Target = session.NewTarget(e, tgt, session.TargetConfig{
+		ServeOptions:     cfg.ServeOptions,
 		Label:            "tcp",
-		NQN:              cfg.NQN,
 		ChunkSize:        cfg.TP.ChunkSize,
 		BatchSize:        cfg.TP.BatchSize,
 		BusyPoll:         cfg.TP.BusyPoll,
-		KATO:             cfg.KATO,
-		MaxBufferWaiters: cfg.MaxBufferWaiters,
 		InterruptWakeups: true,
 		Pool:             s.pool,
-		Telemetry:        cfg.Telemetry,
-		QoS:              cfg.QoS,
 	}, (*tcpTargetWire)(s))
 	return s
 }

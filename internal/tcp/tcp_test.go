@@ -10,6 +10,7 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/transport"
@@ -45,7 +46,7 @@ func newRig(t *testing.T, retainData bool, tpMut func(*model.TCPTransportParams)
 	if tpMut != nil {
 		tpMut(&tp)
 	}
-	srv := NewServer(e, tgt, ServerConfig{NQN: testNQN, TP: tp, Host: model.DefaultHost()})
+	srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN}, TP: tp})
 	link := netsim.NewLoopLink(e, model.TCP25G())
 	srv.Serve(link.B)
 	return &rig{e: e, srv: srv, link: link, bdev: bd, retain: retainData}
@@ -53,9 +54,8 @@ func newRig(t *testing.T, retainData bool, tpMut func(*model.TCPTransportParams)
 
 func (r *rig) connect(t *testing.T, p *sim.Proc, qd int) *Client {
 	c, err := Connect(p, r.link.A, ClientConfig{
-		NQN: testNQN, QueueDepth: qd,
-		TP:   r.srv.cfg.TP,
-		Host: model.DefaultHost(),
+		ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: qd},
+		TP:          r.srv.cfg.TP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,12 +309,12 @@ func TestFasterLinkIsFaster(t *testing.T) {
 		ssdParams.JitterFrac = 0
 		ssdParams.StallProb = 0
 		sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize))
-		srv := NewServer(e, tgt, ServerConfig{NQN: testNQN, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+		srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN}, TP: model.DefaultTCPTransport()})
 		l := netsim.NewLoopLink(e, link)
 		srv.Serve(l.B)
 		var done sim.Time
 		e.Go("app", func(p *sim.Proc) {
-			c, err := Connect(p, l.A, ClientConfig{NQN: testNQN, QueueDepth: 16, TP: model.DefaultTCPTransport(), Host: model.DefaultHost()})
+			c, err := Connect(p, l.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 16}, TP: model.DefaultTCPTransport()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,7 +353,7 @@ func TestBusyPollEliminatesWakeupPenalties(t *testing.T) {
 		r.e.Go("app", func(p *sim.Proc) {
 			tp := model.DefaultTCPTransport()
 			tp.BusyPoll = poll
-			c, err := Connect(p, r.link.A, ClientConfig{NQN: testNQN, QueueDepth: 2, TP: tp, Host: model.DefaultHost()})
+			c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 2}, TP: tp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,15 +405,15 @@ func TestKeepAliveKeepsConnectionAlive(t *testing.T) {
 		ssdParams.StallProb = 0
 		sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<20, ssdParams, false, transport.BlockSize))
 		srv := NewServer(e, tgt, ServerConfig{
-			NQN: testNQN, TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
-			KATO: 5 * time.Millisecond,
+			ServeOptions: session.ServeOptions{NQN: testNQN, KATO: 5 * time.Millisecond},
+			TP:           model.DefaultTCPTransport(),
 		})
 		link := netsim.NewLoopLink(e, model.TCP25G())
 		conn := srv.Serve(link.B)
 		e.Go("app", func(p *sim.Proc) {
 			c, err := Connect(p, link.A, ClientConfig{
-				NQN: testNQN, QueueDepth: 4, TP: model.DefaultTCPTransport(),
-				Host: model.DefaultHost(), KeepAlive: keepAlive,
+				ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4, KeepAlive: keepAlive},
+				TP:          model.DefaultTCPTransport(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -439,8 +439,8 @@ func TestFabricsConnectRejectsWrongNQN(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
 		_, err := Connect(p, r.link.A, ClientConfig{
-			NQN: "nqn.wrong-subsystem", QueueDepth: 4,
-			TP: model.DefaultTCPTransport(), Host: model.DefaultHost(),
+			ConnOptions: session.ConnOptions{NQN: "nqn.wrong-subsystem", QueueDepth: 4},
+			TP:          model.DefaultTCPTransport(),
 		})
 		if err == nil {
 			t.Error("connect to unknown subsystem should be rejected")
@@ -522,3 +522,49 @@ const (
 	goldenInterleavedWrite = 1171796 * time.Nanosecond
 	goldenInterleavedRead  = 307423 * time.Nanosecond
 )
+
+// TestConnectDefaultsZeroTP pins that a ClientConfig without TP is one
+// given model.DefaultTCPTransport(), as on the server and in the adaptive
+// binding: a 4 KiB write rides in-capsule (the target sends the response
+// and nothing else — no R2T), and a 256 KiB write finishes at the same
+// virtual time after the same number of messages either way.
+func TestConnectDefaultsZeroTP(t *testing.T) {
+	type mark struct {
+		at         sim.Time
+		toTgt, toH int64
+	}
+	run := func(tp model.TCPTransportParams) (small, large mark) {
+		r := newRig(t, false, nil)
+		r.e.Go("app", func(p *sim.Proc) {
+			c, err := Connect(p, r.link.A, ClientConfig{
+				ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8},
+				TP:          tp,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func(size int) mark {
+				a0, b0 := r.link.A.MsgsSent, r.link.B.MsgsSent
+				if res := transport.Submit(p, c, &transport.IO{Write: true, Size: size}).Wait(p); res.Err() != nil {
+					t.Fatalf("%d-byte write: %v", size, res.Err())
+				}
+				return mark{p.Now(), r.link.A.MsgsSent - a0, r.link.B.MsgsSent - b0}
+			}
+			small, large = write(4<<10), write(256<<10)
+			c.Close()
+			c.WaitClosed(p)
+		})
+		if err := r.e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return small, large
+	}
+	small, large := run(model.TCPTransportParams{})
+	wantSmall, wantLarge := run(model.DefaultTCPTransport())
+	if small.toH != 1 {
+		t.Errorf("4 KiB write drew %d target messages, want 1 (response only, no R2T)", small.toH)
+	}
+	if small != wantSmall || large != wantLarge {
+		t.Errorf("TP-less connect: 4 KiB %+v, 256 KiB %+v; explicit default: %+v, %+v", small, large, wantSmall, wantLarge)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/pdu"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/transport"
@@ -34,8 +35,8 @@ func TestKATOExpiryReclaimsMidTransferResources(t *testing.T) {
 	tp := model.DefaultTCPTransport()
 	tp.DataBuffers = 4 // tiny pool: one 4-chunk write exhausts it
 	srv := NewServer(e, tgt, ServerConfig{
-		NQN: testNQN, TP: tp, Host: model.DefaultHost(),
-		KATO: 5 * time.Millisecond,
+		ServeOptions: session.ServeOptions{NQN: testNQN, KATO: 5 * time.Millisecond},
+		TP:           tp,
 	})
 	link := netsim.NewLoopLink(e, model.TCP25G())
 	conn := srv.Serve(link.B)

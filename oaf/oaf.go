@@ -31,16 +31,15 @@ import (
 	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/rdma"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 )
@@ -83,6 +82,20 @@ const (
 	FabricRDMA56G
 	FabricRoCE100G
 )
+
+// fabricKinds maps the public enum onto the fabric table; values outside
+// it mean adaptive.
+var fabricKinds = map[Fabric]dial.Kind{
+	FabricTCP10G: dial.TCP10G, FabricTCP25G: dial.TCP25G, FabricTCP100G: dial.TCP100G,
+	FabricRDMA56G: dial.RDMA56, FabricRoCE100G: dial.RoCE100,
+}
+
+func (f Fabric) kind() dial.Kind {
+	if k, ok := fabricKinds[f]; ok {
+		return k
+	}
+	return dial.OAF
+}
 
 // Config configures a cluster.
 type Config struct {
@@ -603,106 +616,63 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 	hqos := c.hostShaper(ctx.hostName)
 	tqos := c.targetShaper(te, targetNQN)
 
-	tracer := netsim.NewTracer(targetNQN)
-	intra := clientHost == te.host
-	switch opts.Fabric {
-	case FabricRDMA56G, FabricRoCE100G:
-		prm := model.RDMA56G()
-		if opts.Fabric == FabricRoCE100G {
-			prm = model.RoCE100G()
-		}
-		link := netsim.NewLink(c.engine, rdma.LinkParams(prm), clientHost.nic, te.host.nic)
-		srv := rdma.NewServer(c.engine, te.tgt, rdma.ServerConfig{NQN: targetNQN, Params: prm, Host: model.DefaultHost(), QoS: tqos})
-		srv.Serve(link.B)
-		te.srvs = append(te.srvs, srv)
-		link.A.AttachTracer(tracer)
-		cl, err := rdma.Connect(ctx.proc, link.A, rdma.ClientConfig{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth, Params: prm, Host: model.DefaultHost(),
+	o := dial.Options{
+		Kind: opts.Fabric.kind(),
+		ConnOptions: session.ConnOptions{
+			NQN: targetNQN, QueueDepth: opts.QueueDepth,
 			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
 			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Tenant: opts.Tenant, QoS: hqos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.register(&Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target}), nil
-
-	case FabricTCP10G, FabricTCP25G, FabricTCP100G:
-		lp := model.TCP25G()
-		switch opts.Fabric {
-		case FabricTCP10G:
-			lp = model.TCP10G()
-		case FabricTCP100G:
-			lp = model.TCP100G()
-		}
-		link := netsim.NewLink(c.engine, lp, clientHost.nic, te.host.nic)
-		srv := tcp.NewServer(c.engine, te.tgt, tcp.ServerConfig{NQN: targetNQN, TP: tp, Host: model.DefaultHost(), Telemetry: c.tel, QoS: tqos})
-		srv.Serve(link.B)
-		te.srvs = append(te.srvs, srv)
-		c.pools = append(c.pools, srv.Pool())
-		link.A.AttachTracer(tracer)
-		cl, err := tcp.Connect(ctx.proc, link.A, tcp.ClientConfig{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth, TP: tp, Host: model.DefaultHost(),
-			Telemetry:      c.tel,
-			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
-			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Tenant: opts.Tenant, QoS: hqos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.register(&Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target}), nil
-
-	default: // FabricAdaptive
-		design := opts.Design.internal()
-		var link *netsim.Link
-		if intra {
-			link = netsim.NewLink(c.engine, model.Loopback(), clientHost.loop, te.host.loop)
-		} else {
-			link = netsim.NewLink(c.engine, model.TCP25G(), clientHost.nic, te.host.nic)
-		}
-		scfg := core.ServerConfig{
-			NQN: targetNQN, Design: design, Fabric: c.fabric, TP: tp, Host: model.DefaultHost(),
-			Telemetry: c.tel, QoS: tqos,
-		}
-		if ca := te.cache; ca != nil {
-			// Target-process death loses unflushed write-back data: account
-			// it so the next flush barrier reports the typed loss.
-			scfg.OnCrash = func() { ca.LoseDirty() }
-		}
-		srv := core.NewServer(c.engine, te.tgt, scfg)
-		srv.Serve(link.B)
-		te.srvs = append(te.srvs, srv)
-		c.pools = append(c.pools, srv.Pool())
-		region, err := c.fabric.RegionFor(design, clientHost.name, te.host.name, opts.MaxIOSize, tp.ChunkSize, opts.QueueDepth)
-		if err != nil {
-			// SHM provisioning failed: degrade to the TCP data path (the
-			// telemetry trace records the decision).
-			region = nil
-		}
-		if region != nil && opts.EncryptSHM {
-			region.EnableEncryption(0xA5A5A5A5F00DFEED, 1.5e9)
-		}
-		link.A.AttachTracer(tracer)
-		cl, err := core.Connect(ctx.proc, link.A, core.ClientConfig{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth, Design: design, Region: region,
-			TP: tp, Host: model.DefaultHost(),
-			Telemetry:      c.tel,
-			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
-			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Tenant: opts.Tenant, QoS: hqos,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return c.register(&Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target, SharedMemory: cl.SHMEnabled()}), nil
+			Telemetry: c.tel, Tenant: opts.Tenant, QoS: hqos,
+		},
+		TargetQoS: tqos,
+		TP:        tp,
+		Design:    opts.Design.internal(),
+		Fabric:    c.fabric,
 	}
-}
-
-// register records the queue for cluster-wide snapshots.
-func (c *Cluster) register(q *Queue) *Queue {
-	c.queues = append(c.queues, q)
-	return q
+	if ca := te.cache; ca != nil {
+		// Target-process death loses unflushed write-back data: account
+		// it so the next flush barrier reports the typed loss.
+		o.OnCrash = func() { ca.LoseDirty() }
+	}
+	// Every fabric rides its native link between the two hosts' NICs,
+	// except the adaptive one: loopback when co-located, the optimized
+	// TCP path over the 25 GbE network otherwise.
+	adaptive := o.Kind.Adaptive()
+	lp, _ := o.Kind.Link() // kind() yields only known kinds
+	clientNIC, targetNIC := clientHost.nic, te.host.nic
+	switch {
+	case adaptive && clientHost == te.host:
+		clientNIC, targetNIC = clientHost.loop, te.host.loop
+	case adaptive:
+		lp = model.TCP25G()
+	}
+	link := netsim.NewLink(c.engine, lp, clientNIC, targetNIC)
+	srv := dial.Serve(c.engine, te.tgt, link.B, o)
+	te.srvs = append(te.srvs, srv)
+	if srv.Pool != nil {
+		c.pools = append(c.pools, srv.Pool)
+	}
+	if adaptive {
+		// The Connection Manager's locality check: a region only for a
+		// co-located pair. A failed provision degrades to the TCP data
+		// path (the telemetry trace records the decision).
+		o.Region, _ = c.fabric.RegionFor(o.Design, clientHost.name, te.host.name, opts.MaxIOSize, tp.ChunkSize, opts.QueueDepth)
+		if o.Region != nil && opts.EncryptSHM {
+			o.Region.EnableEncryption(0xA5A5A5A5F00DFEED, 1.5e9)
+		}
+	}
+	tracer := netsim.NewTracer(targetNQN)
+	link.A.AttachTracer(tracer)
+	cl, err := dial.Connect(ctx.proc, link.A, o)
+	if err != nil {
+		return nil, err
+	}
+	q := &Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target}
+	if ac, ok := cl.(*core.Client); ok {
+		q.SharedMemory = ac.SHMEnabled()
+	}
+	c.queues = append(c.queues, q) // for cluster-wide snapshots
+	return q, nil
 }
 
 // Write stores data at the byte offset (block aligned) and waits for

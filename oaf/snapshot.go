@@ -9,7 +9,7 @@ import (
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/qos"
-	"nvmeoaf/internal/tcp"
+	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/telemetry"
 )
 
@@ -37,22 +37,22 @@ func (q *Queue) Snapshot() QueueSnapshot {
 	if q.SharedMemory {
 		s.Path = "shm"
 	}
-	switch cl := q.inner.(type) {
-	case *core.Client:
+	if cl, ok := q.inner.(interface{ Stats() session.HostStats }); ok {
+		st := cl.Stats()
+		s.Completed = st.Completed
+		s.Retries = st.Retries
+		s.Timeouts = st.Timeouts
+		s.Reconnects = st.Reconnects
+		s.LateMsgs = st.LateMsgs
+	}
+	if cl, ok := q.inner.(*core.Client); ok {
 		// Report the live data path: a mid-stream failover (e.g. revoked
 		// region) moves the queue to TCP after connect time.
 		if !cl.SHMEnabled() {
 			s.Path = "tcp"
 		}
-		s.Completed = cl.Completed
-		s.Retries = cl.Retries
-		s.Timeouts = cl.Timeouts
 		s.Failovers = cl.Failovers
-		s.Reconnects = cl.Reconnects
-		s.LateMsgs = cl.LateMsgs
 		s.SHMPayloadBytes = cl.SHMPayloadBytes
-	case *tcp.Client:
-		s.Completed = cl.Completed
 	}
 	return s
 }

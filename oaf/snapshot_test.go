@@ -116,3 +116,36 @@ func TestSnapshotRemotePath(t *testing.T) {
 		t.Errorf("client.submits.tcp = %d, want >= 1", got)
 	}
 }
+
+// TestRDMAQueueTakesBatchAndTelemetry pins that an rdma connection is
+// opened like any other: ConnectOptions.Batch reaches its session engine
+// and the engine reports into the cluster's sink (both were once dropped
+// for this fabric only). 64 reads staged at QD 64 with Batch 16 must
+// leave multi-entry doorbell trains in batch.submit_size.
+func TestRDMAQueueTakesBatchAndTelemetry(t *testing.T) {
+	c := cluster(t)
+	err := c.Run(func(ctx *oaf.Ctx) error {
+		q, err := ctx.Connect("nqn.demo", oaf.ConnectOptions{Fabric: oaf.FabricRDMA56G, QueueDepth: 64, Batch: 16})
+		if err != nil {
+			return err
+		}
+		defer q.Close()
+		var inflight []*oaf.Async
+		for i := 0; i < 64; i++ {
+			inflight = append(inflight, q.ReadAsyncModeled(int64(i)*4096, 4096))
+		}
+		for _, a := range inflight {
+			if _, err := q.Wait(a); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok := c.Snapshot().Telemetry.Histograms["batch.submit_size"]
+	if !ok || h.Mean <= 1 {
+		t.Errorf("batch.submit_size = %+v (present=%v), want mean > 1 with Batch 16 at QD 64", h, ok)
+	}
+}

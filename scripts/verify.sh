@@ -4,7 +4,8 @@
 #   2. go build    — everything compiles
 #   3. dupcheck    — no >40-line cross-file clones in the fabric packages
 #      (internal/{core,tcp,rdma,session} must share the session engine,
-#      not carry private copies of it; internal/nvme holds protocol
+#      not carry private copies of it, and internal/dial, the one place
+#      that names a binding, must not grow one; internal/nvme holds protocol
 #      structures only, no queue state — the CID slot table is the
 #      session engine's); also prints the LoC report
 #   4. go test -race — full suite under the race detector (the sim engine
