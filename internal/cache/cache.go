@@ -675,8 +675,12 @@ func (c *Cache) inBounds(req *ssd.Request) bool {
 	return req.Size > 0 && req.Offset >= 0 && req.Offset+int64(req.Size) <= capacity
 }
 
+// submitRead serves a read from resident lines or fills them from the
+// backing device. A caller-owned destination in req.Data (Retain only)
+// receives the bytes on a hit or a miss; a bypassed read hands it to the
+// backing device with the rest of the request.
 func (c *Cache) submitRead(req *ssd.Request) *sim.Future[ssd.Result] {
-	if !c.inBounds(req) {
+	if !c.inBounds(req) || (req.Data != nil && len(req.Data) != req.Size) {
 		return c.backing.Submit(req)
 	}
 	if c.bypassRead(req.Offset, req.Size) {
@@ -701,7 +705,10 @@ func (c *Cache) submitRead(req *ssd.Request) *sim.Future[ssd.Result] {
 	fut := sim.NewFuture[ssd.Result](c.e)
 	var dst []byte
 	if c.cfg.Retain {
-		dst = make([]byte, req.Size)
+		dst = req.Data
+		if dst == nil {
+			dst = make([]byte, req.Size)
+		}
 	}
 	if c.tryReadHit(req.Offset, req.Size, dst) {
 		c.observeRead(true)
@@ -727,7 +734,7 @@ func (c *Cache) submitRead(req *ssd.Request) *sim.Future[ssd.Result] {
 		f = &readFill{c: c}
 		f.done = f.complete
 	}
-	f.fut, f.first, f.last, f.off, f.size = fut, first, last, req.Offset, req.Size
+	f.fut, f.first, f.last, f.off, f.size, f.dst = fut, first, last, req.Offset, req.Size, req.Data
 	f.req = ssd.Request{Op: ssd.OpRead, Offset: spanOff, Size: int(spanEnd - spanOff)}
 	c.backing.Submit(&f.req).OnResolve(f.done)
 	return fut
@@ -744,15 +751,16 @@ type readFill struct {
 	fut              *sim.Future[ssd.Result]
 	first, last, off int64
 	size             int
+	dst              []byte // the caller's destination, nil for none
 	done             func(ssd.Result)
 }
 
 func (f *readFill) complete(r ssd.Result) {
-	c, fut := f.c, f.fut
+	c, fut, dst := f.c, f.fut, f.dst
 	first, last, spanOff, off, size := f.first, f.last, f.req.Offset, f.off, f.size
 	// Back on the freelist before fut resolves: a callback may submit the
 	// next read, and the backing device is done with the request.
-	f.fut = nil
+	f.fut, f.dst = nil, nil
 	c.freeFills = append(c.freeFills, f)
 	if r.Err != nil {
 		// Errors never populate the cache.
@@ -768,6 +776,10 @@ func (f *readFill) complete(r ssd.Result) {
 	var data []byte
 	if r.Data != nil {
 		data = r.Data[off-spanOff : off-spanOff+int64(size)]
+		if dst != nil {
+			copy(dst, data)
+			data = dst
+		}
 	}
 	fut.Resolve(ssd.Result{Data: data})
 }

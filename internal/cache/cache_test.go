@@ -131,6 +131,46 @@ func TestRetainedReadBackThroughCache(t *testing.T) {
 	}
 }
 
+// TestReadIntoDestination: a read that brings its own Data gets the bytes
+// written there, on a miss and on a (partial-line) hit alike; a
+// wrong-length destination is rejected.
+func TestReadIntoDestination(t *testing.T) {
+	e, _, c := rig(t, true, Config{Bytes: 1 << 20})
+	payload := make([]byte, 8192)
+	for i := range payload {
+		payload[i] = byte(i*7 + 1)
+	}
+	into := func(p *sim.Proc, off int64, size int) ([]byte, ssd.Result) {
+		dst := bytes.Repeat([]byte{0xDB}, size)
+		return dst, c.Submit(&ssd.Request{Op: ssd.OpRead, Offset: off, Size: size, Data: dst}).Wait(p)
+	}
+	run(t, e, func(p *sim.Proc) {
+		if res := write(p, c, 4096, payload); res.Err != nil {
+			t.Error(res.Err)
+			return
+		}
+		// A miss, then a partial-line hit on the lines it left resident.
+		for round, off := range []int64{4096, 6144} {
+			want := payload
+			if round == 1 {
+				want = payload[2048:3072]
+			}
+			dst, res := into(p, off, len(want))
+			if res.Err != nil || !bytes.Equal(dst, want) || &res.Data[0] != &dst[0] {
+				t.Errorf("round %d: err %v, bytes right %v, Data aliases dst %v",
+					round, res.Err, bytes.Equal(dst, want), len(res.Data) > 0 && &res.Data[0] == &dst[0])
+				return
+			}
+		}
+		if res := c.Submit(&ssd.Request{Op: ssd.OpRead, Offset: 0, Size: 4096, Data: make([]byte, 512)}).Wait(p); res.Err == nil {
+			t.Error("wrong-length destination accepted")
+		}
+	})
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("stats hits=%d misses=%d, want 1/1", s.Hits, s.Misses)
+	}
+}
+
 func TestEvictionKeepsServingCorrectBytes(t *testing.T) {
 	// 16 lines of 4 KiB: a 64-line working set must evict.
 	e, _, c := rig(t, true, Config{Bytes: 64 << 10, Shards: 1, Ways: 4})

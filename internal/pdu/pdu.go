@@ -105,7 +105,10 @@ func putHeader(dst []byte, t Type, flags uint8, plen uint32) []byte {
 }
 
 // Decode parses one PDU from buf and returns it along with the number of
-// bytes consumed.
+// bytes consumed. A decoded H2CData/C2HData Payload borrows buf: it is
+// valid only while buf is, and a caller that keeps the bytes longer copies
+// them out. Every other PDU owns what it holds (in-capsule command data is
+// copied).
 func Decode(buf []byte) (PDU, int, error) {
 	if len(buf) < headerSize {
 		return nil, 0, fmt.Errorf("pdu: short header: %d bytes", len(buf))
@@ -333,6 +336,8 @@ func decodeCapsuleCmd(body []byte, flags uint8) (PDU, error) {
 		if int(dlen) > len(rest) {
 			return nil, fmt.Errorf("pdu: capsule data truncated: want %d have %d", dlen, len(rest))
 		}
+		// Copied, unlike a Data payload: a target executes in-capsule write
+		// data on a device worker that outlives the message.
 		c.Data = append([]byte(nil), rest[:dlen]...)
 	}
 	return c, nil
@@ -399,6 +404,8 @@ type Data struct {
 	Offset uint32 // byte offset within the command's buffer
 	Last   bool   // last chunk of the transfer
 	// Payload carries real bytes; VirtualLen models payload size instead.
+	// A decoded Payload is a view into the decoded buffer (capacity
+	// clipped to its length), not a copy.
 	Payload    []byte
 	VirtualLen int
 }
@@ -458,7 +465,7 @@ func decodeData(t Type, body []byte, flags uint8) (PDU, error) {
 		if int(plen) > len(rest) {
 			return nil, fmt.Errorf("pdu: data payload truncated: want %d have %d", plen, len(rest))
 		}
-		d.Payload = append([]byte(nil), rest[:plen]...)
+		d.Payload = rest[:plen:plen]
 	}
 	return d, nil
 }
@@ -688,7 +695,9 @@ func decodeCmdBatch(body []byte) (PDU, error) {
 	}
 	count := int(binary.LittleEndian.Uint16(body[0:]))
 	rest := body[batchPrefixSize:]
-	b := &CmdBatch{Entries: make([]BatchEntry, 0, count)}
+	// The wire's count is untrusted until the entries parse: size the
+	// slice by what the body can hold, not by what it claims.
+	b := &CmdBatch{Entries: make([]BatchEntry, 0, min(count, len(rest)/(nvme.CommandSize+4)))}
 	for i := 0; i < count; i++ {
 		if len(rest) < nvme.CommandSize+4 {
 			return nil, fmt.Errorf("pdu: CmdBatch entry %d truncated: %d bytes", i, len(rest))
@@ -707,6 +716,7 @@ func decodeCmdBatch(body []byte) (PDU, error) {
 			if n > len(rest) {
 				return nil, fmt.Errorf("pdu: CmdBatch entry %d data truncated: want %d have %d", i, n, len(rest))
 			}
+			// Copied for the same reason as a CapsuleCmd's in-capsule data.
 			e.Data = append([]byte(nil), rest[:n]...)
 			rest = rest[n:]
 		}

@@ -3,6 +3,7 @@ package pdu
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -318,5 +319,87 @@ func TestCmdBatchInStream(t *testing.T) {
 	}
 	if p2.Type() != TypeCapsuleResp {
 		t.Fatalf("second PDU %v", p2.Type())
+	}
+}
+
+// TestDecodeDataBorrowsPayload is the codec's allocation budget: decoding
+// a 128 KiB C2HData allocates the PDU struct and nothing else, because the
+// payload is a view into the decoded buffer rather than a copy.
+func TestDecodeDataBorrowsPayload(t *testing.T) {
+	payload := make([]byte, 128<<10)
+	for i := range payload {
+		payload[i] = byte(i*7 + 3)
+	}
+	buf := Marshal(&Data{Dir: TypeC2HData, CID: 3, Last: true, Payload: payload})
+	var got *Data
+	allocs := testing.AllocsPerRun(100, func() {
+		p, _, err := Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = p.(*Data)
+	})
+	if allocs != 1 {
+		t.Fatalf("decoding a 128 KiB C2HData: %v allocations, want 1", allocs)
+	}
+	if !bytes.Equal(got.Payload, payload) {
+		t.Fatal("payload mismatch")
+	}
+	if &got.Payload[0] != &buf[headerSize+16] {
+		t.Fatal("decoded payload does not alias the input buffer")
+	}
+	if cap(got.Payload) != len(got.Payload) {
+		t.Fatalf("payload cap %d > len %d: an append could overwrite the next PDU", cap(got.Payload), len(got.Payload))
+	}
+}
+
+// TestDecodeInCapsuleDataCopies: in-capsule write data, alone or in a
+// batch entry, is copied out, so it survives the input buffer being reused.
+func TestDecodeInCapsuleDataCopies(t *testing.T) {
+	data := []byte("in-capsule write payload")
+	want := append([]byte(nil), data...)
+	capsule := Marshal(&CapsuleCmd{Cmd: nvme.NewWrite(5, 1, 0, 1), Data: data})
+	batch := Marshal(&CmdBatch{Entries: []BatchEntry{{Cmd: nvme.NewWrite(6, 1, 0, 1), Data: data}}})
+	c, _, err := Decode(capsule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := Decode(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buf := range [][]byte{capsule, batch} {
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	if got := c.(*CapsuleCmd).Data; !bytes.Equal(got, want) {
+		t.Fatalf("CapsuleCmd data changed with its input: %q", got)
+	}
+	if got := b.(*CmdBatch).Entries[0].Data; !bytes.Equal(got, want) {
+		t.Fatalf("CmdBatch entry data changed with its input: %q", got)
+	}
+}
+
+// TestCmdBatchCountBeyondBody: a batch whose u16 count claims more entries
+// than its body can hold is rejected without first allocating room for
+// all of them (65535 entries would be ~6 MB per decode).
+func TestCmdBatchCountBeyondBody(t *testing.T) {
+	buf := []byte{
+		uint8(TypeCmdBatch), 0, headerSize, 0, headerSize + batchPrefixSize, 0, 0, 0,
+		0xFF, 0xFF, // count = 65535
+		0, 0, 0, 0, // no materialized entries
+	}
+	if _, _, err := Decode(buf); err == nil {
+		t.Fatal("CmdBatch claiming 65535 entries in an empty body accepted")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		Decode(buf)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("1000 decodes of a 14-byte batch allocated %d bytes", n)
 	}
 }

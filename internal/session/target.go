@@ -857,7 +857,10 @@ func (op *readOp) exec(w *sim.Proc) {
 	c, cmd, transit, size, bufs, done := op.c, op.cmd, op.transit, op.size, op.bufs, op.done
 	op.bufs, op.done = nil, nil
 	c.freeReads = append(c.freeReads, op)
-	res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, cmd, nil)
+	// A read that fits one element lands in it: the device fills the
+	// reserved buffer, which stays reserved until the payload is on the
+	// wire. A multi-element read gets a device-allocated slice.
+	res := c.t.tgt.ExecuteAs(w, c.t.cfg.NQN, c.tenant, cmd, mempool.Span(bufs, 0, size))
 	switch {
 	case res.CQE.Status.IsError():
 		FreeBufs(bufs)

@@ -49,14 +49,18 @@ func (o OpType) String() string {
 	}
 }
 
-// Request is one device command. Data is optional for writes: when set and
-// the device retains data, the bytes become readable later. Size must be
-// positive for reads/writes regardless of whether Data is materialized.
+// Request is one device command. Size must be positive for reads/writes
+// regardless of whether Data is materialized.
 type Request struct {
 	Op     OpType
 	Offset int64
 	Size   int
-	Data   []byte
+	// Data is optional and, when set, must be Size bytes long. On a write
+	// it is the payload: a retaining device copies it, so later reads see
+	// it. On a read it is the caller-owned destination: a retaining device
+	// overwrites all of it and returns it as Result.Data instead of
+	// allocating; a device that does not retain data leaves it untouched.
+	Data []byte
 	// Tenant attributes the request to a named tenant; a write-back
 	// cache with per-tenant dirty budgets partitions on it. Empty means
 	// unattributed (shared budget only).
@@ -66,8 +70,10 @@ type Request struct {
 // Result is the completion of a Request.
 type Result struct {
 	Err error
-	// Data holds read payload when the device retains data and the read
-	// range was previously written; nil otherwise.
+	// Data holds a read's payload when the device retains data (ranges
+	// never written read as zeros): the request's Data when the caller
+	// gave one, a fresh slice otherwise. Nil when the device does not
+	// retain data, and for writes and flushes.
 	Data []byte
 }
 
@@ -166,8 +172,8 @@ func (d *Device) validate(req *Request) error {
 			return fmt.Errorf("ssd %s: %v [%d,%d) outside capacity %d",
 				d.Name, req.Op, req.Offset, req.Offset+int64(req.Size), d.Capacity)
 		}
-		if req.Op == OpWrite && req.Data != nil && len(req.Data) != req.Size {
-			return fmt.Errorf("ssd %s: write data length %d != size %d", d.Name, len(req.Data), req.Size)
+		if req.Data != nil && len(req.Data) != req.Size {
+			return fmt.Errorf("ssd %s: %v data length %d != size %d", d.Name, req.Op, len(req.Data), req.Size)
 		}
 		return nil
 	default:
@@ -220,7 +226,12 @@ func (d *Device) complete(pend *pending) {
 		d.ReadOps++
 		d.ReadBytes += int64(req.Size)
 		if d.retain {
-			res.Data = d.readPages(req.Offset, req.Size)
+			dst := req.Data
+			if dst == nil {
+				dst = make([]byte, req.Size)
+			}
+			d.readPages(req.Offset, dst)
+			res.Data = dst
 		}
 	case OpWrite:
 		d.WriteOps++
@@ -248,25 +259,24 @@ func (d *Device) writePages(off int64, data []byte) {
 	}
 }
 
-// readPages fetches size bytes at the offset; unwritten ranges read as
-// zeros.
-func (d *Device) readPages(off int64, size int) []byte {
-	out := make([]byte, size)
-	buf := out
-	for len(buf) > 0 {
+// readPages fills dst with the bytes at the offset. Unwritten ranges are
+// cleared, not skipped: dst may be a recycled buffer holding stale bytes.
+func (d *Device) readPages(off int64, dst []byte) {
+	for len(dst) > 0 {
 		pageNo := off / pageSize
 		pageOff := int(off % pageSize)
 		n := pageSize - pageOff
-		if n > len(buf) {
-			n = len(buf)
+		if n > len(dst) {
+			n = len(dst)
 		}
 		if page, ok := d.pages[pageNo]; ok {
-			copy(buf[:n], page[pageOff:pageOff+n])
+			copy(dst[:n], page[pageOff:pageOff+n])
+		} else {
+			clear(dst[:n])
 		}
-		buf = buf[n:]
+		dst = dst[n:]
 		off += int64(n)
 	}
-	return out
 }
 
 // Close stops the channel servers once the queue drains.

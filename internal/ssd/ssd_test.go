@@ -285,3 +285,58 @@ func TestPageStoreProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadIntoDestination: a read with a caller-owned Data fills exactly
+// that slice — written bytes where written, zeros over stale contents
+// elsewhere — and returns it; a wrong-length destination is rejected; a
+// device that does not retain data leaves it alone.
+func TestReadIntoDestination(t *testing.T) {
+	const size = 3 * pageSize / 2
+	poisoned := func() []byte { return bytes.Repeat([]byte{0xDB}, size) }
+	e := sim.NewEngine(1)
+	d := New(e, "nvme0", 1<<30, calmParams(), true)
+	blind := New(e, "blind", 1<<30, calmParams(), false)
+	payload := make([]byte, 10_000)
+	for i := range payload {
+		payload[i] = byte(i*13 + 1)
+	}
+	e.Go("io", func(p *sim.Proc) {
+		defer d.Close()
+		defer blind.Close()
+		// Written: [off+5000, off+15000), inside the first page; the rest
+		// of the span, including the whole second page, never was.
+		const off = 3 * pageSize
+		if res := d.Execute(p, &Request{Op: OpWrite, Offset: off + 5000, Size: len(payload), Data: payload}); res.Err != nil {
+			t.Error(res.Err)
+			return
+		}
+		want := make([]byte, size)
+		copy(want[5000:], payload)
+		dst := poisoned()
+		res := d.Execute(p, &Request{Op: OpRead, Offset: off, Size: size, Data: dst})
+		if res.Err != nil {
+			t.Error(res.Err)
+			return
+		}
+		if !bytes.Equal(dst, want) {
+			t.Error("destination holds wrong bytes (stale 0xDB where zeros belong?)")
+		}
+		if len(res.Data) != size || &res.Data[0] != &dst[0] {
+			t.Error("Result.Data does not alias the destination")
+		}
+		if res := d.Execute(p, &Request{Op: OpRead, Offset: off, Size: size, Data: make([]byte, size-1)}); res.Err == nil {
+			t.Error("wrong-length destination accepted")
+		}
+		dst = poisoned()
+		res = blind.Execute(p, &Request{Op: OpRead, Offset: off, Size: size, Data: dst})
+		if res.Err != nil || res.Data != nil {
+			t.Errorf("non-retaining device: err %v, %d data bytes; want nil, nil", res.Err, len(res.Data))
+		}
+		if !bytes.Equal(dst, poisoned()) {
+			t.Error("non-retaining device wrote into the destination")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -129,7 +129,8 @@ func (t *Target) DiscoveryLog(trType uint8, trAddr string) []byte {
 type ExecResult struct {
 	// CQE is the completion queue entry (CID echoed, status set).
 	CQE nvme.Completion
-	// Data holds read payload when the device retains real bytes.
+	// Data holds read payload when the device retains real bytes: the
+	// destination passed to ExecuteAs when there was one.
 	Data []byte
 	// IOTime is the device service time (submit to completion).
 	IOTime time.Duration
@@ -148,6 +149,13 @@ func (t *Target) Execute(w *sim.Proc, nqn string, cmd nvme.Command, data []byte)
 // ExecuteAs is Execute with tenant attribution: the bdev request carries
 // the tenant name so tenant-aware devices (a write-back cache with
 // per-tenant dirty budgets) can partition on it.
+//
+// data is the bdev request's Data. On a write it is the payload (nil when
+// modeled). On a read it is an optional destination of exactly the
+// command's length, owned by the caller: a device that retains bytes
+// fills it and returns it as ExecResult.Data, so a transport can pass the
+// buffer it already reserved for the transfer; nil lets the device
+// allocate.
 func (t *Target) ExecuteAs(w *sim.Proc, nqn, tenant string, cmd nvme.Command, data []byte) ExecResult {
 	fail := func(st nvme.Status, other time.Duration) ExecResult {
 		return ExecResult{CQE: nvme.Completion{CID: cmd.CID, Status: st}, OtherTime: other}
@@ -176,9 +184,9 @@ func (t *Target) ExecuteAs(w *sim.Proc, nqn, tenant string, cmd nvme.Command, da
 		}
 		req.Offset = off
 		req.Size = size
+		req.Data = data
 		if cmd.Opcode == nvme.OpWrite {
 			req.Op = ssd.OpWrite
-			req.Data = data
 		} else {
 			req.Op = ssd.OpRead
 		}

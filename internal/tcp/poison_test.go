@@ -49,6 +49,67 @@ func TestRealDataRoundTripPoisonedPool(t *testing.T) {
 	}
 }
 
+// TestSingleChunkReadsPoisonedPool covers the reads the test above never
+// makes: ones that fit one pool element, which the device fills in place
+// and whose C2H payload is encoded straight from that element. Several
+// run at once, so elements are freed (and poisoned) and re-lent while
+// other reads still hold theirs; then a never-written range is read
+// through a recycled element and must come back as zeros, not 0xDB.
+func TestSingleChunkReadsPoisonedPool(t *testing.T) {
+	r := newRig(t, true, nil)
+	r.srv.pool.SetPoison(true)
+	const ios, slot = 8, 128 << 10
+	payload := func(i int) []byte {
+		b := make([]byte, slot>>(i%3)) // 128, 64 and 32 KiB
+		for j := range b {
+			b[j] = byte(j*5 + i*17 + 3)
+		}
+		return b
+	}
+	r.e.Go("app", func(p *sim.Proc) {
+		c := r.connect(t, p, ios)
+		futs := make([]*sim.Future[*transport.Result], ios)
+		for i := range futs {
+			data := payload(i)
+			futs[i] = transport.Submit(p, c, &transport.IO{Write: true, Offset: int64(i * slot), Size: len(data), Data: data})
+		}
+		for i, f := range futs {
+			if res := f.Wait(p); res.Err() != nil {
+				t.Errorf("write %d: %v", i, res.Err())
+				return
+			}
+		}
+		for round := 0; round < 3; round++ {
+			for i := range futs {
+				size := len(payload(i))
+				futs[i] = transport.Submit(p, c, &transport.IO{Offset: int64(i * slot), Size: size, Data: make([]byte, size)})
+			}
+			for i, f := range futs {
+				res := f.Wait(p)
+				if res.Err() != nil || !bytes.Equal(res.Data, payload(i)) {
+					t.Errorf("round %d read %d: err %v, payload intact %v", round, i, res.Err(), bytes.Equal(res.Data, payload(i)))
+					return
+				}
+			}
+		}
+		if r.srv.pool.Puts == 0 {
+			t.Error("no pool element was ever freed: nothing below reads a recycled one")
+		}
+		res := transport.Submit(p, c, &transport.IO{Offset: 64 * slot, Size: slot, Data: make([]byte, slot)}).Wait(p)
+		if res.Err() != nil || !bytes.Equal(res.Data, make([]byte, slot)) {
+			t.Errorf("never-written range: err %v, want %d zero bytes", res.Err(), slot)
+		}
+		c.Close()
+		c.WaitClosed(p)
+	})
+	if err := r.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.srv.pool.InUse() != 0 {
+		t.Fatalf("pool leak: %d elements in use", r.srv.pool.InUse())
+	}
+}
+
 // TestPoisonPoolConfig checks the ServerConfig knob reaches the pool.
 func TestPoisonPoolConfig(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -60,10 +121,12 @@ func TestPoisonPoolConfig(t *testing.T) {
 
 // TestRealDataRoundTripPoisonedMessages is the same guard one layer down:
 // both endpoints overwrite a network message with 0xDB when its receiver
-// releases it. Several I/Os stay in flight, so released messages are
-// re-encoded while earlier payloads are still staged or waiting for the
-// application; a decoder that aliased the message's bytes instead of
-// copying them would read back poison or a later message.
+// releases it. Decoded H2C/C2H payloads borrow the message, so this
+// guards their consumers: several I/Os stay in flight, so released
+// messages are re-encoded while earlier payloads are still staged or
+// waiting for the application, and a consumer that kept a payload past
+// Release instead of copying it out would read back poison or a later
+// message.
 func TestRealDataRoundTripPoisonedMessages(t *testing.T) {
 	r := newRig(t, true, nil)
 	r.link.A.SetPoison(true)

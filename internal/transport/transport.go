@@ -183,8 +183,11 @@ func SendPDUs(p *sim.Proc, ep *netsim.Endpoint, pdus ...pdu.PDU) {
 }
 
 // DecodeAll parses every PDU in a received message, appending to into[:0]
-// (the connection's scratch, valid until its next DecodeAll). Decoded PDUs
-// own copies of their payloads, so the caller may Release msg afterwards.
+// (the connection's scratch, valid until its next DecodeAll). A decoded
+// H2CData/C2HData payload borrows msg's buffer and is valid until
+// msg.Release: a consumer copies what it keeps (into the host's read
+// buffer, the target's pool elements) before the message goes back. All
+// other decoded state is owned by the PDU.
 func DecodeAll(msg *netsim.Message, into []pdu.PDU) ([]pdu.PDU, error) {
 	out := into[:0]
 	buf := msg.Data
