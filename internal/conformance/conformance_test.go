@@ -1,7 +1,8 @@
 // Package conformance runs one table-driven behavioural suite against
 // every fabric kind of the dial table — the three NVMe/TCP speeds, both
 // NVMe/RDMA fabrics, and both adaptive kinds (on the TCP data path) — so
-// all three wire bindings are covered. The session-engine extraction
+// both wire bindings, and the adaptive one under both transport types,
+// are covered. The session-engine extraction
 // promises that connect, I/O, flush, doorbell batching, deadline/retry
 // recovery, buffer-pool shedding, and KATO expiry behave uniformly across
 // transports; each test here is that promise for one behaviour,
@@ -47,9 +48,9 @@ type clientOpts struct {
 	keepAlive  time.Duration
 	telemetry  *telemetry.Sink
 	// fastPath requests the RDMA fast path (MR regcache + adjacent-
-	// request merging + dynamic doorbells). The core/tcp bindings have
-	// no such knobs and must ignore it — fastpath_test.go pins that
-	// inertness at the wire level.
+	// request merging + dynamic doorbells). The core binding (tcp and
+	// adaptive kinds) has no such knobs and must ignore it —
+	// fastpath_test.go pins that inertness at the wire level.
 	fastPath bool
 }
 

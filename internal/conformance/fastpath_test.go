@@ -1,8 +1,8 @@
 // RDMA fast-path conformance: the MR registration cache, adjacent-
 // request merging, and dynamic doorbell coalescing are rdma-wire
 // features. These tests prove (a) requesting them is wire-identical
-// inert on the core and tcp bindings, (b) I/O integrity holds over all
-// three bindings with the fast path requested, and (c) the rdma merge
+// inert on the tcp and adaptive kinds (the core binding), (b) I/O
+// integrity holds over every kind with the fast path requested, and (c) the rdma merge
 // path reassembles payloads byte-exact and completes members in
 // per-CID submission order.
 package conformance
@@ -74,7 +74,7 @@ func TestConformanceFastPathIntegrity(t *testing.T) {
 }
 
 // TestConformanceFastPathInertForNonRDMA: requesting the fast path on
-// the core and tcp bindings changes nothing on the wire — identical
+// the tcp and adaptive kinds changes nothing on the wire — identical
 // message and byte counts in both directions — while the rdma binding
 // provably coalesces (strictly fewer messages).
 func TestConformanceFastPathInertForNonRDMA(t *testing.T) {

@@ -14,11 +14,15 @@ import (
 	"nvmeoaf/internal/transport"
 )
 
-// ClientConfig configures one NVMe-oAF host queue. Retries always use
-// the TCP data path: after a failure the shared-memory channel is
-// suspect.
+// ClientConfig configures one NVMe-oAF or NVMe/TCP host queue. Retries
+// always use the TCP data path: after a failure the shared-memory channel
+// is suspect.
 type ClientConfig struct {
 	session.ConnOptions
+	// TrType is the NVMe transport type the queue presents:
+	// nvme.TrTypeAdaptive (the zero value) or nvme.TrTypeTCP, plain
+	// NVMe/TCP, which ignores Design and Region.
+	TrType uint8
 	// Design selects the shared-memory data-path design; DesignTCP (or a
 	// nil Region) uses the optimized TCP path.
 	Design Design
@@ -31,10 +35,10 @@ type ClientConfig struct {
 }
 
 // Client is the NVMe-oAF host queue: control path over TCP, data path
-// over shared memory when the locality check succeeded at connect time.
-// The session machinery (CID table, reactor, deadlines, batching,
-// keep-alive) lives in internal/session; this file is the adaptive-fabric
-// wire binding.
+// over shared memory when the locality check succeeded at connect time
+// (and always over TCP for an NVMe/TCP queue). The session machinery
+// (CID table, reactor, deadlines, batching, keep-alive) lives in
+// internal/session; this file is the adaptive-fabric wire binding.
 type Client struct {
 	*session.Host
 	*session.ChunkKnob
@@ -70,6 +74,9 @@ type oafWire struct {
 // path when declined.
 func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error) {
 	cfg.TP = cfg.TP.OrDefault()
+	if cfg.TrType == nvme.TrTypeTCP {
+		cfg.Design, cfg.Region = DesignTCP, nil
+	}
 	if cfg.TP.AutoChunk {
 		// Adaptive chunk selection from the link hardware (§4.5).
 		cfg.TP.ChunkSize = SelectChunkSize(ep.Params())
@@ -78,7 +85,7 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 	w := &oafWire{ep: ep, cfg: &cfg, chunk: session.NewChunkKnob(cfg.TP.ChunkSize)}
 	h := session.NewHost(e, ep, session.HostConfig{
 		ConnOptions:      cfg.ConnOptions,
-		Label:            "oaf",
+		Label:            label(cfg.TrType),
 		Host:             model.DefaultHost(),
 		BatchSize:        cfg.TP.BatchSize,
 		InterruptWakeups: true,
@@ -97,6 +104,8 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, cfg ClientConfig) (*Client, error
 		// the failover happens before blocked claimers pile up.
 		w.region.OnRevoke(h.Kick)
 		h.Telemetry().Trace(int64(p.Now()), telemetry.EvPathSelected, 0, "shm", cfg.Design.String())
+	} else if cfg.TrType == nvme.TrTypeTCP {
+		h.Telemetry().Trace(int64(p.Now()), telemetry.EvPathSelected, 0, "tcp", "nvme-tcp")
 	} else {
 		h.Telemetry().Trace(int64(p.Now()), telemetry.EvPathSelected, 0, "tcp", cfg.Design.String())
 	}
@@ -276,7 +285,7 @@ func (w *oafWire) MakeIOEntry(pend *session.Pending) pdu.BatchEntry {
 		return pdu.BatchEntry{Cmd: nvme.NewRead(pend.CID, io.Nsid(), slba, nlb)}
 	}
 	cmd := nvme.NewWrite(pend.CID, io.Nsid(), slba, nlb)
-	if io.Data != nil {
+	if io.Data != nil && w.cfg.Design.UsesSHM() {
 		// Tell the target real bytes sit in shared memory so it
 		// materializes its bounce buffer (simulation bookkeeping).
 		cmd.PRP2 = 1

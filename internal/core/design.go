@@ -1,8 +1,9 @@
-// Package core implements NVMe-over-Adaptive-Fabric (NVMe-oAF), the
-// paper's primary contribution: a transport whose control path always
-// travels over TCP while the data path adaptively uses an optimized
-// shared-memory channel when client and target are co-located, falling
-// back to the optimized TCP path otherwise (§4).
+// Package core implements NVMe/TCP and NVMe-over-Adaptive-Fabric
+// (NVMe-oAF), the paper's primary contribution: a transport whose control
+// path always travels over TCP while the data path adaptively uses an
+// optimized shared-memory channel when client and target are co-located,
+// falling back to the optimized TCP path otherwise (§4). NVMe/TCP is the
+// same binding with no shared memory (ClientConfig/ServerConfig.TrType).
 //
 // The package contains the three architectural components of Figure 4 —
 // the Connection Manager (handshake + adaptive-fabric negotiation), the
@@ -17,7 +18,19 @@
 // reach Connect and NewServer through internal/dial.
 package core
 
-import "nvmeoaf/internal/shm"
+import (
+	"nvmeoaf/internal/nvme"
+	"nvmeoaf/internal/shm"
+)
+
+// label names a transport type's processes, retry RNG stream and data
+// pool: "tcp" for NVMe/TCP, "oaf" for the adaptive fabric.
+func label(trType uint8) string {
+	if trType == nvme.TrTypeTCP {
+		return "tcp"
+	}
+	return "oaf"
+}
 
 // Design selects the data-path design, in the order of the paper's Fig 8
 // ablation.

@@ -16,9 +16,12 @@ import (
 	"nvmeoaf/internal/transport"
 )
 
-// ServerConfig configures the adaptive-fabric transport of one target.
+// ServerConfig configures one target's NVMe-oAF or NVMe/TCP transport.
 type ServerConfig struct {
 	session.ServeOptions
+	// TrType is the NVMe transport type served (see ClientConfig.TrType);
+	// an NVMe/TCP server ignores Design and Fabric.
+	TrType uint8
 	// Design must match the client's shared-memory design (negotiated
 	// deployments run one design fleet-wide; the ablation harness sets
 	// both sides).
@@ -35,9 +38,10 @@ type ServerConfig struct {
 	PoisonPool bool
 }
 
-// Server is the NVMe-oAF transport of one target: the session engine
-// drives its connections; this file binds the adaptive shared-memory
-// data path (locality check, slot transfers, mid-stream failover).
+// Server is the NVMe-oAF (or NVMe/TCP) transport of one target: the
+// session engine drives its connections; this file binds the adaptive
+// shared-memory data path (locality check, slot transfers, mid-stream
+// failover).
 type Server struct {
 	*session.Target
 	cfg  ServerConfig
@@ -47,17 +51,24 @@ type Server struct {
 	SHMConns int64
 }
 
-// NewServer creates the adaptive-fabric transport for tgt.
+// NewServer creates the adaptive-fabric or NVMe/TCP transport for tgt.
 func NewServer(e *sim.Engine, tgt *target.Target, cfg ServerConfig) *Server {
 	cfg.TP = cfg.TP.OrDefault()
+	switch cfg.TrType {
+	case 0:
+		cfg.TrType = nvme.TrTypeAdaptive
+	case nvme.TrTypeTCP:
+		cfg.Design, cfg.Fabric = DesignTCP, nil
+	}
+	lbl := label(cfg.TrType)
 	s := &Server{
 		cfg:  cfg,
-		pool: mempool.New("oaf-data/"+cfg.NQN, cfg.TP.ChunkSize, cfg.TP.DataBuffers),
+		pool: mempool.New(lbl+"-data/"+cfg.NQN, cfg.TP.ChunkSize, cfg.TP.DataBuffers),
 	}
 	s.pool.SetPoison(cfg.PoisonPool)
 	s.Target = session.NewTarget(e, tgt, session.TargetConfig{
 		ServeOptions:     cfg.ServeOptions,
-		Label:            "oaf",
+		Label:            lbl,
 		ChunkSize:        cfg.TP.ChunkSize,
 		BatchSize:        cfg.TP.BatchSize,
 		BusyPoll:         cfg.TP.BusyPoll,
@@ -123,7 +134,7 @@ func (w *oafConnWire) OnICReq(req *pdu.ICReq) {
 	w.c.Post(resp)
 }
 
-func (w *oafConnWire) TrType() uint8 { return nvme.TrTypeAdaptive }
+func (w *oafConnWire) TrType() uint8 { return w.s.cfg.TrType }
 
 func (w *oafConnWire) PreLoop() {
 	if w.region != nil && w.region.Revoked() {

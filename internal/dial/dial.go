@@ -2,9 +2,9 @@
 // property of the connection (the paper's Connection Manager picks it at
 // connect time, §4); everything above is one session. This package is
 // that choice and the only non-test code that names a wire binding
-// (internal/tcp, internal/core, internal/rdma): builders own machines,
-// NICs and links, describe the connection once in Options, and call Serve
-// and Connect.
+// (internal/core, which carries the tcp and adaptive kinds, and
+// internal/rdma): builders own machines, NICs and links, describe the
+// connection once in Options, and call Serve and Connect.
 package dial
 
 import (
@@ -22,7 +22,6 @@ import (
 	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/transport"
 )
 
@@ -44,9 +43,9 @@ const (
 	OAFRDMACtl Kind = "nvme-oaf-rdmactl"
 )
 
-// kinds is the serve/connect table: each fabric's wire binding, named by
-// its NVMe-oF transport type, and its native link model — for a fabric on
-// RDMA hardware, the link of its default rdma parameters.
+// kinds is the serve/connect table: each fabric's NVMe-oF transport type,
+// which picks its wire binding (core for TCP and adaptive, else rdma), and
+// its native link model — on RDMA hardware, its rdma parameters' link.
 var kinds = map[Kind]struct {
 	trType uint8
 	link   func() model.LinkParams
@@ -134,11 +133,8 @@ func Serve(e *sim.Engine, tgt *target.Target, ep *netsim.Endpoint, o Options) *S
 	}
 	var s *Server
 	switch ent.trType {
-	case nvme.TrTypeTCP:
-		b := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: so, TP: o.TP})
-		s = &Server{b.Target, b.Pool()}
-	case nvme.TrTypeAdaptive:
-		b := core.NewServer(e, tgt, core.ServerConfig{ServeOptions: so, Design: o.Design, Fabric: o.Fabric, TP: o.TP})
+	case nvme.TrTypeTCP, nvme.TrTypeAdaptive:
+		b := core.NewServer(e, tgt, core.ServerConfig{ServeOptions: so, TrType: ent.trType, Design: o.Design, Fabric: o.Fabric, TP: o.TP})
 		s = &Server{b.Target, b.Pool()}
 	case nvme.TrTypeRDMA:
 		s = &Server{Target: rdma.NewServer(e, tgt, rdma.ServerConfig{ServeOptions: so, BatchSize: o.TP.BatchSize}).Target}
@@ -155,10 +151,8 @@ func Connect(p *sim.Proc, ep *netsim.Endpoint, o Options) (q transport.Queue, er
 		return nil, fmt.Errorf("dial: unknown fabric %q", o.Kind)
 	}
 	switch ent.trType {
-	case nvme.TrTypeTCP:
-		q, err = tcp.Connect(p, ep, tcp.ClientConfig{ConnOptions: o.ConnOptions, TP: o.TP})
-	case nvme.TrTypeAdaptive:
-		q, err = core.Connect(p, ep, core.ClientConfig{ConnOptions: o.ConnOptions, Design: o.Design, Region: o.Region, TP: o.TP})
+	case nvme.TrTypeTCP, nvme.TrTypeAdaptive:
+		q, err = core.Connect(p, ep, core.ClientConfig{ConnOptions: o.ConnOptions, TrType: ent.trType, Design: o.Design, Region: o.Region, TP: o.TP})
 	case nvme.TrTypeRDMA:
 		prm := ent.rdma()
 		if o.RDMA != nil {

@@ -80,8 +80,9 @@ func TestEveryKindServesAndConnects(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer q.Close()
-				if c, ok := q.(*core.Client); ok != tc.kind.Adaptive() || ok && !c.SHMEnabled() {
-					t.Errorf("adaptive client = %v (want %v), or it did not negotiate shared memory", ok, tc.kind.Adaptive())
+				c, _ := q.(interface{ SHMEnabled() bool })
+				if shm := c != nil && c.SHMEnabled(); shm != tc.kind.Adaptive() {
+					t.Errorf("shared memory negotiated = %v, want %v", shm, tc.kind.Adaptive())
 				}
 				for i, size := range []int{4 << 10, 128 << 10} {
 					data := bytes.Repeat([]byte{byte(0xA0 + i)}, size)

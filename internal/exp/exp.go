@@ -44,9 +44,6 @@ const (
 	OAFRDMACtl = dial.OAFRDMACtl
 )
 
-// AllTCP lists the Ethernet fabrics in speed order.
-func AllTCP() []Kind { return []Kind{TCP10G, TCP25G, TCP100G} }
-
 // Config describes one experiment run.
 type Config struct {
 	// Kind selects the fabric.

@@ -12,6 +12,7 @@ import (
 
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/exp"
 	"nvmeoaf/internal/host"
 	"nvmeoaf/internal/model"
@@ -21,7 +22,6 @@ import (
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/transport"
 )
 
@@ -137,9 +137,9 @@ func TestCrossFabricDataConsistency(t *testing.T) {
 	ssdParams.StallProb = 0
 	sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, true, transport.BlockSize))
 
-	tcpSrv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.shared"}, TP: model.DefaultTCPTransport()})
 	tcpLink := netsim.NewLoopLink(e, model.TCP25G())
-	tcpSrv.Serve(tcpLink.B)
+	tcpOpts := dial.Options{Kind: dial.TCP25G, ConnOptions: session.ConnOptions{NQN: "nqn.shared", QueueDepth: 8}, TP: model.DefaultTCPTransport()}
+	dial.Serve(e, tgt, tcpLink.B, tcpOpts)
 
 	fabric := core.NewFabric(e, model.DefaultSHM())
 	oafSrv := core.NewServer(e, tgt, core.ServerConfig{
@@ -152,10 +152,11 @@ func TestCrossFabricDataConsistency(t *testing.T) {
 
 	payload := bytes.Repeat([]byte{0xE7, 0x11}, 64<<10)
 	e.Go("app", func(p *sim.Proc) {
-		tc, err := tcp.Connect(p, tcpLink.A, tcp.ClientConfig{ConnOptions: session.ConnOptions{NQN: "nqn.shared", QueueDepth: 8}, TP: model.DefaultTCPTransport()})
+		q, err := dial.Connect(p, tcpLink.A, tcpOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tc := q.(*core.Client)
 		oc, err := core.Connect(p, oafLink.A, core.ClientConfig{
 			ConnOptions: session.ConnOptions{NQN: "nqn.shared", QueueDepth: 8},
 			Design:      core.DesignSHMZeroCopy, Region: region, TP: model.DefaultTCPTransport(),
@@ -266,11 +267,11 @@ func TestDiscoveryThenProbeFlow(t *testing.T) {
 	ssdParams.JitterFrac = 0
 	ssdParams.StallProb = 0
 	sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize))
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.prod"}, TP: model.DefaultTCPTransport()})
 	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
+	o := dial.Options{Kind: dial.TCP25G, ConnOptions: session.ConnOptions{NQN: "nqn.prod", QueueDepth: 8}, TP: model.DefaultTCPTransport()}
+	dial.Serve(e, tgt, link.B, o)
 	e.Go("app", func(p *sim.Proc) {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{ConnOptions: session.ConnOptions{NQN: "nqn.prod", QueueDepth: 8}, TP: model.DefaultTCPTransport()})
+		c, err := dial.Connect(p, link.A, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,13 @@ import (
 
 	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/cache"
+	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/transport"
 )
 
@@ -35,21 +36,19 @@ func TestLiveKnobSettersRaceFree(t *testing.T) {
 
 	tp := model.DefaultTCPTransport()
 	tp.BatchSize = 4
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.race"}, TP: tp})
 	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
+	o := dial.Options{Kind: dial.TCP25G, ConnOptions: session.ConnOptions{NQN: "nqn.race", QueueDepth: 32}, TP: tp}
+	srv := dial.Serve(e, tgt, link.B, o)
 
 	var mu sync.Mutex // publishes the client pointer to the hammer goroutine
-	var cl *tcp.Client
+	var cl *core.Client
 	e.Go("app", func(p *sim.Proc) {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{
-			ConnOptions: session.ConnOptions{NQN: "nqn.race", QueueDepth: 32},
-			TP:          tp,
-		})
+		q, err := dial.Connect(p, link.A, o)
 		if err != nil {
 			t.Error(err)
 			return
 		}
+		c := q.(*core.Client)
 		mu.Lock()
 		cl = c
 		mu.Unlock()

@@ -287,10 +287,11 @@ type TCPTransportParams struct {
 	DataBuffers int
 	// BusyPoll is the receive busy-poll budget (0 = interrupt mode).
 	BusyPoll time.Duration
-	// AutoChunk lets the adaptive fabric pick ChunkSize from the link
-	// hardware at connect time (§4.5).
+	// AutoChunk lets the TCP-channel kinds (NVMe/TCP and the adaptive
+	// fabric) pick ChunkSize from the link hardware at connect time
+	// (§4.5).
 	AutoChunk bool
-	// AutoBusyPoll lets the adaptive fabric steer the busy-poll budget
+	// AutoBusyPoll lets the TCP-channel kinds steer the busy-poll budget
 	// from the live read/write mix (§4.5, Fig 10's policy).
 	AutoBusyPoll bool
 	// BatchSize is the submission/completion coalescing depth: the client

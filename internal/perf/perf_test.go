@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"nvmeoaf/internal/bdev"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/stats"
 	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/tcp"
 	"nvmeoaf/internal/transport"
 )
 
@@ -30,11 +30,12 @@ func rig(t *testing.T, seed int64) (*sim.Engine, func(p *sim.Proc, qd int) trans
 	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize)); err != nil {
 		t.Fatal(err)
 	}
-	srv := tcp.NewServer(e, tgt, tcp.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.perf"}, TP: model.DefaultTCPTransport()})
 	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
+	o := dial.Options{Kind: dial.TCP25G, ConnOptions: session.ConnOptions{NQN: "nqn.perf"}, TP: model.DefaultTCPTransport()}
+	dial.Serve(e, tgt, link.B, o)
 	return e, func(p *sim.Proc, qd int) transport.Queue {
-		c, err := tcp.Connect(p, link.A, tcp.ClientConfig{ConnOptions: session.ConnOptions{NQN: "nqn.perf", QueueDepth: qd}, TP: model.DefaultTCPTransport()})
+		o.QueueDepth = qd
+		c, err := dial.Connect(p, link.A, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,8 +41,8 @@ func parseDir(t *testing.T, dir string) map[string]*ast.File {
 // extraction: the wire-level constants that used to be copy-pasted into
 // every transport (capsule flag bits, poll-miss cost, host NQN default,
 // the reserved Connect CID) must have exactly one declaration across the
-// engine and the three bindings — in this package. A second declaration
-// anywhere in internal/{core,tcp,rdma} means the duplication crept back.
+// engine and the two bindings — in this package. A second declaration
+// anywhere in internal/{core,rdma} means the duplication crept back.
 func TestSharedConstantsDeclaredOnce(t *testing.T) {
 	shared := []string{"CmdFlagSHMSlot", "PollMissCPU", "DefaultHostNQN", "ConnectCID"}
 	// Case-insensitive match also catches a reintroduced unexported twin
@@ -53,7 +53,7 @@ func TestSharedConstantsDeclaredOnce(t *testing.T) {
 	}
 
 	decls := map[string][]string{} // canonical name -> declaration sites
-	for _, dir := range []string{"internal/session", "internal/core", "internal/tcp", "internal/rdma"} {
+	for _, dir := range []string{"internal/session", "internal/core", "internal/rdma"} {
 		for path, f := range parseDir(t, dir) {
 			for _, d := range f.Decls {
 				gd, ok := d.(*ast.GenDecl)
@@ -134,7 +134,7 @@ func TestConnectionOptionsDeclaredOnce(t *testing.T) {
 		for _, name := range common {
 			taken[name] = true
 		}
-		for _, dir := range []string{"internal/core", "internal/tcp", "internal/rdma"} {
+		for _, dir := range []string{"internal/core", "internal/rdma"} {
 			named, embedded := structFields(parseDir(t, dir), cfg)
 			if len(embedded) != 1 || embedded[0] != opts {
 				t.Errorf("%s.%s embeds %v, want exactly session.%s", dir, cfg, embedded, opts)
@@ -151,11 +151,11 @@ func TestConnectionOptionsDeclaredOnce(t *testing.T) {
 // TestBindingsNamedOnlyByDial keeps "open a connection on fabric X"
 // written once: outside the bindings themselves only internal/dial may
 // call a binding's Connect or NewServer, and the experiment harness and
-// the public API must not import the tcp or rdma binding at all (they
-// keep internal/core for designs, regions and the fabric registry).
+// the public API must not import the rdma binding at all (they keep
+// internal/core for designs, regions and the fabric registry).
 func TestBindingsNamedOnlyByDial(t *testing.T) {
 	const mod = "nvmeoaf/internal/"
-	allowed := map[string]bool{"internal/dial": true, "internal/core": true, "internal/tcp": true, "internal/rdma": true}
+	allowed := map[string]bool{"internal/dial": true, "internal/core": true, "internal/rdma": true}
 	err := filepath.WalkDir(repoRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -170,7 +170,7 @@ func TestBindingsNamedOnlyByDial(t *testing.T) {
 			bound := map[string]string{}
 			for _, imp := range f.Imports {
 				ipath := strings.Trim(imp.Path.Value, `"`)
-				for _, b := range []string{"core", "tcp", "rdma"} {
+				for _, b := range []string{"core", "rdma"} {
 					if ipath != mod+b {
 						continue
 					}

@@ -482,12 +482,6 @@ func (h *Host) Telemetry() *telemetry.Sink { return h.tel }
 // workers).
 func (h *Host) Engine() *sim.Engine { return h.e }
 
-// Closing reports whether orderly shutdown has begun.
-func (h *Host) Closing() bool { return h.closing }
-
-// Reconnecting reports whether a mid-stream reconnect is in progress.
-func (h *Host) Reconnecting() bool { return h.reconnecting }
-
 // Health implements transport.HealthReporter: the queue is dead once
 // orderly shutdown has begun, degraded while a reconnect is in progress
 // or command deadlines are expiring back to back (the connection is

@@ -6,8 +6,8 @@
 // queue-depth accounting, retries/backoff, keep-alive,
 // batch-train assembly, completion reaping, connection lifecycle, the
 // KATO watchdog, bounded buffer-wait shedding, and telemetry emission —
-// while the transports (internal/core, internal/tcp, internal/rdma)
-// implement only the small Wire interfaces that differ per path:
+// while the transports (internal/core, for NVMe/TCP and NVMe-oAF, and
+// internal/rdma) implement only the small Wire interfaces that differ per path:
 // handshake contents, payload staging, capsule transmission, and the
 // path-specific PDUs (R2T streaming, shared-memory notify/release,
 // direct placement). What a caller says about a connection on any fabric

@@ -50,7 +50,7 @@ func runBurst(t *testing.T, batch int) (reads [][]byte, msgs int64) {
 	return reads, r.link.A.MsgsSent + r.link.B.MsgsSent
 }
 
-func submitAll(p *sim.Proc, c *Client, batch int, ios []*transport.IO) []*sim.Future[*transport.Result] {
+func submitAll(p *sim.Proc, c transport.Queue, batch int, ios []*transport.IO) []*sim.Future[*transport.Result] {
 	if batch > 1 {
 		return transport.SubmitBatch(p, c, ios, nil)
 	}

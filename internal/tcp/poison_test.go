@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/model"
+	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/transport"
@@ -17,7 +19,7 @@ import (
 // surface here as 0xDB corruption instead of passing silently.
 func TestRealDataRoundTripPoisonedPool(t *testing.T) {
 	r := newRig(t, true, nil)
-	r.srv.pool.SetPoison(true)
+	r.srv.Pool.SetPoison(true)
 	payload := make([]byte, 512<<10) // 4 chunks at the default 128K
 	for i := range payload {
 		payload[i] = byte(i*13 + 7)
@@ -44,8 +46,8 @@ func TestRealDataRoundTripPoisonedPool(t *testing.T) {
 	if err := r.e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.srv.pool.InUse() != 0 {
-		t.Fatalf("pool leak: %d elements in use", r.srv.pool.InUse())
+	if r.srv.Pool.InUse() != 0 {
+		t.Fatalf("pool leak: %d elements in use", r.srv.Pool.InUse())
 	}
 }
 
@@ -57,7 +59,7 @@ func TestRealDataRoundTripPoisonedPool(t *testing.T) {
 // through a recycled element and must come back as zeros, not 0xDB.
 func TestSingleChunkReadsPoisonedPool(t *testing.T) {
 	r := newRig(t, true, nil)
-	r.srv.pool.SetPoison(true)
+	r.srv.Pool.SetPoison(true)
 	const ios, slot = 8, 128 << 10
 	payload := func(i int) []byte {
 		b := make([]byte, slot>>(i%3)) // 128, 64 and 32 KiB
@@ -92,7 +94,7 @@ func TestSingleChunkReadsPoisonedPool(t *testing.T) {
 				}
 			}
 		}
-		if r.srv.pool.Puts == 0 {
+		if r.srv.Pool.Puts == 0 {
 			t.Error("no pool element was ever freed: nothing below reads a recycled one")
 		}
 		res := transport.Submit(p, c, &transport.IO{Offset: 64 * slot, Size: slot, Data: make([]byte, slot)}).Wait(p)
@@ -105,16 +107,17 @@ func TestSingleChunkReadsPoisonedPool(t *testing.T) {
 	if err := r.e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.srv.pool.InUse() != 0 {
-		t.Fatalf("pool leak: %d elements in use", r.srv.pool.InUse())
+	if r.srv.Pool.InUse() != 0 {
+		t.Fatalf("pool leak: %d elements in use", r.srv.Pool.InUse())
 	}
 }
 
-// TestPoisonPoolConfig checks the ServerConfig knob reaches the pool.
+// TestPoisonPoolConfig checks the ServerConfig knob reaches the pool of
+// an NVMe/TCP server.
 func TestPoisonPoolConfig(t *testing.T) {
 	e := sim.NewEngine(1)
-	srv := NewServer(e, nil, ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.x"}, TP: model.DefaultTCPTransport(), PoisonPool: true})
-	if !srv.pool.Poisoned() {
+	srv := core.NewServer(e, nil, core.ServerConfig{ServeOptions: session.ServeOptions{NQN: "nqn.x"}, TrType: nvme.TrTypeTCP, TP: model.DefaultTCPTransport(), PoisonPool: true})
+	if !srv.Pool().Poisoned() {
 		t.Fatal("PoisonPool did not enable poison-on-free")
 	}
 }

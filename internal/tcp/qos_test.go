@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/bdev"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/qos"
@@ -44,16 +45,17 @@ func TestTargetSideThrottleRejectsAndRedrives(t *testing.T) {
 	}
 	tsh := qos.NewShaper("target", reg, tel)
 
-	tp := model.DefaultTCPTransport()
-	srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN, Telemetry: tel, QoS: tsh}, TP: tp})
 	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
+	o := dial.Options{
+		Kind:        dial.TCP25G,
+		ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8, Telemetry: tel, Tenant: "capped", CommandTimeout: 2 * time.Millisecond, MaxRetries: 64, RetryBackoff: 50 * time.Microsecond},
+		TargetQoS:   tsh,
+		TP:          model.DefaultTCPTransport(),
+	}
+	dial.Serve(e, tgt, link.B, o)
 
 	e.Go("app", func(p *sim.Proc) {
-		c, err := Connect(p, link.A, ClientConfig{
-			ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8, Telemetry: tel, Tenant: "capped", CommandTimeout: 2 * time.Millisecond, MaxRetries: 64, RetryBackoff: 50 * time.Microsecond},
-			TP:          tp,
-		})
+		c, err := dial.Connect(p, link.A, o)
 		if err != nil {
 			t.Fatal(err)
 		}

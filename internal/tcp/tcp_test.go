@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"nvmeoaf/internal/bdev"
+	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/host"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
@@ -18,12 +20,14 @@ import (
 
 const testNQN = "nqn.2022-06.io.oaf:testsub"
 
-// rig wires a client and a target through a loopback link.
+// rig wires a client and a target through a loopback link, served and
+// connected as dial's tcp-25g row.
 type rig struct {
 	e      *sim.Engine
-	srv    *Server
+	srv    *dial.Server
 	link   *netsim.Link
 	bdev   *bdev.SSDBdev
+	tp     model.TCPTransportParams
 	retain bool
 }
 
@@ -46,21 +50,23 @@ func newRig(t *testing.T, retainData bool, tpMut func(*model.TCPTransportParams)
 	if tpMut != nil {
 		tpMut(&tp)
 	}
-	srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN}, TP: tp})
 	link := netsim.NewLoopLink(e, model.TCP25G())
-	srv.Serve(link.B)
-	return &rig{e: e, srv: srv, link: link, bdev: bd, retain: retainData}
+	srv := dial.Serve(e, tgt, link.B, dial.Options{Kind: dial.TCP25G, ConnOptions: session.ConnOptions{NQN: testNQN}, TP: tp})
+	return &rig{e: e, srv: srv, link: link, bdev: bd, tp: tp, retain: retainData}
 }
 
-func (r *rig) connect(t *testing.T, p *sim.Proc, qd int) *Client {
-	c, err := Connect(p, r.link.A, ClientConfig{
-		ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: qd},
-		TP:          r.srv.cfg.TP,
-	})
+func (r *rig) connect(t *testing.T, p *sim.Proc, qd int) *core.Client {
+	return connect(t, p, r.link.A, session.ConnOptions{NQN: testNQN, QueueDepth: qd}, r.tp)
+}
+
+// connect opens a tcp-25g host queue over ep.
+func connect(t *testing.T, p *sim.Proc, ep *netsim.Endpoint, co session.ConnOptions, tp model.TCPTransportParams) *core.Client {
+	t.Helper()
+	q, err := dial.Connect(p, ep, dial.Options{Kind: dial.TCP25G, ConnOptions: co, TP: tp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return q.(*core.Client)
 }
 
 func TestHandshake(t *testing.T) {
@@ -272,8 +278,8 @@ func TestBufferPoolBackpressure(t *testing.T) {
 	if r.srv.BufferWaits == 0 {
 		t.Fatal("expected buffer waits with a 2-element pool")
 	}
-	if r.srv.Pool().InUse() != 0 {
-		t.Fatalf("leaked %d pool buffers", r.srv.Pool().InUse())
+	if r.srv.Pool.InUse() != 0 {
+		t.Fatalf("leaked %d pool buffers", r.srv.Pool.InUse())
 	}
 }
 
@@ -301,7 +307,7 @@ func TestIdentifyAdminCommand(t *testing.T) {
 
 func TestFasterLinkIsFaster(t *testing.T) {
 	// Sanity: the same workload completes sooner over 100G than 10G.
-	elapsed := func(link model.LinkParams) sim.Time {
+	elapsed := func(kind dial.Kind) sim.Time {
 		e := sim.NewEngine(1)
 		tgt := target.New(e, model.DefaultHost())
 		sub, _ := tgt.AddSubsystem(testNQN)
@@ -309,15 +315,20 @@ func TestFasterLinkIsFaster(t *testing.T) {
 		ssdParams.JitterFrac = 0
 		ssdParams.StallProb = 0
 		sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize))
-		srv := NewServer(e, tgt, ServerConfig{ServeOptions: session.ServeOptions{NQN: testNQN}, TP: model.DefaultTCPTransport()})
+		link, err := kind.Link()
+		if err != nil {
+			t.Fatal(err)
+		}
 		l := netsim.NewLoopLink(e, link)
-		srv.Serve(l.B)
+		o := dial.Options{Kind: kind, ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 16}, TP: model.DefaultTCPTransport()}
+		dial.Serve(e, tgt, l.B, o)
 		var done sim.Time
 		e.Go("app", func(p *sim.Proc) {
-			c, err := Connect(p, l.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 16}, TP: model.DefaultTCPTransport()})
+			q, err := dial.Connect(p, l.A, o)
 			if err != nil {
 				t.Fatal(err)
 			}
+			c := q.(*core.Client)
 			var futs []*sim.Future[*transport.Result]
 			for i := 0; i < 64; i++ {
 				futs = append(futs, transport.Submit(p, c, &transport.IO{Offset: int64(i) * (128 << 10), Size: 128 << 10}))
@@ -334,8 +345,8 @@ func TestFasterLinkIsFaster(t *testing.T) {
 		}
 		return done
 	}
-	slow := elapsed(model.TCP10G())
-	fast := elapsed(model.TCP100G())
+	slow := elapsed(dial.TCP10G)
+	fast := elapsed(dial.TCP100G)
 	if fast >= slow {
 		t.Fatalf("100G (%v) not faster than 10G (%v)", fast, slow)
 	}
@@ -353,10 +364,7 @@ func TestBusyPollEliminatesWakeupPenalties(t *testing.T) {
 		r.e.Go("app", func(p *sim.Proc) {
 			tp := model.DefaultTCPTransport()
 			tp.BusyPoll = poll
-			c, err := Connect(p, r.link.A, ClientConfig{ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 2}, TP: tp})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := connect(t, p, r.link.A, session.ConnOptions{NQN: testNQN, QueueDepth: 2}, tp)
 			// Two outstanding reads at a time: after the reactor handles
 			// one completion, the next arrives within the poll budget, so
 			// a busy-polling client catches it on-CPU while interrupt
@@ -404,20 +412,16 @@ func TestKeepAliveKeepsConnectionAlive(t *testing.T) {
 		ssdParams.JitterFrac = 0
 		ssdParams.StallProb = 0
 		sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<20, ssdParams, false, transport.BlockSize))
-		srv := NewServer(e, tgt, ServerConfig{
+		// Built directly, not through dial.Serve, for the served Conn.
+		srv := core.NewServer(e, tgt, core.ServerConfig{
 			ServeOptions: session.ServeOptions{NQN: testNQN, KATO: 5 * time.Millisecond},
+			TrType:       nvme.TrTypeTCP,
 			TP:           model.DefaultTCPTransport(),
 		})
 		link := netsim.NewLoopLink(e, model.TCP25G())
 		conn := srv.Serve(link.B)
 		e.Go("app", func(p *sim.Proc) {
-			c, err := Connect(p, link.A, ClientConfig{
-				ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 4, KeepAlive: keepAlive},
-				TP:          model.DefaultTCPTransport(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := connect(t, p, link.A, session.ConnOptions{NQN: testNQN, QueueDepth: 4, KeepAlive: keepAlive}, model.DefaultTCPTransport())
 			// Idle for several KATO periods.
 			p.Sleep(30 * time.Millisecond)
 			c.Close()
@@ -438,7 +442,8 @@ func TestKeepAliveKeepsConnectionAlive(t *testing.T) {
 func TestFabricsConnectRejectsWrongNQN(t *testing.T) {
 	r := newRig(t, false, nil)
 	r.e.Go("app", func(p *sim.Proc) {
-		_, err := Connect(p, r.link.A, ClientConfig{
+		_, err := dial.Connect(p, r.link.A, dial.Options{
+			Kind:        dial.TCP25G,
 			ConnOptions: session.ConnOptions{NQN: "nqn.wrong-subsystem", QueueDepth: 4},
 			TP:          model.DefaultTCPTransport(),
 		})
@@ -475,7 +480,7 @@ func TestInterleavedSubmitsPublishAfterOwnSubmitCPU(t *testing.T) {
 	var a, b outcome
 	closed := sim.NewWaitGroup(r.e)
 	closed.Add(2)
-	submit := func(p *sim.Proc, c *Client, io *transport.IO, o *outcome) {
+	submit := func(p *sim.Proc, c *core.Client, io *transport.IO, o *outcome) {
 		fut := transport.Submit(p, c, io)
 		o.rang = p.Now()
 		o.res = fut.Wait(p)
@@ -523,9 +528,8 @@ const (
 	goldenInterleavedRead  = 307423 * time.Nanosecond
 )
 
-// TestConnectDefaultsZeroTP pins that a ClientConfig without TP is one
-// given model.DefaultTCPTransport(), as on the server and in the adaptive
-// binding: a 4 KiB write rides in-capsule (the target sends the response
+// TestConnectDefaultsZeroTP pins that a connection without TP is one
+// given model.DefaultTCPTransport(), as on the server: a 4 KiB write rides in-capsule (the target sends the response
 // and nothing else — no R2T), and a 256 KiB write finishes at the same
 // virtual time after the same number of messages either way.
 func TestConnectDefaultsZeroTP(t *testing.T) {
@@ -536,13 +540,7 @@ func TestConnectDefaultsZeroTP(t *testing.T) {
 	run := func(tp model.TCPTransportParams) (small, large mark) {
 		r := newRig(t, false, nil)
 		r.e.Go("app", func(p *sim.Proc) {
-			c, err := Connect(p, r.link.A, ClientConfig{
-				ConnOptions: session.ConnOptions{NQN: testNQN, QueueDepth: 8},
-				TP:          tp,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := connect(t, p, r.link.A, session.ConnOptions{NQN: testNQN, QueueDepth: 8}, tp)
 			write := func(size int) mark {
 				a0, b0 := r.link.A.MsgsSent, r.link.B.MsgsSent
 				if res := transport.Submit(p, c, &transport.IO{Write: true, Size: size}).Wait(p); res.Err() != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/bdev"
+	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nvme"
@@ -34,8 +35,9 @@ func TestKATOExpiryReclaimsMidTransferResources(t *testing.T) {
 	sub.AddNamespace(1, bdev.NewSimSSD(e, "d", 1<<30, ssdParams, false, transport.BlockSize))
 	tp := model.DefaultTCPTransport()
 	tp.DataBuffers = 4 // tiny pool: one 4-chunk write exhausts it
-	srv := NewServer(e, tgt, ServerConfig{
+	srv := core.NewServer(e, tgt, core.ServerConfig{
 		ServeOptions: session.ServeOptions{NQN: testNQN, KATO: 5 * time.Millisecond},
+		TrType:       nvme.TrTypeTCP,
 		TP:           tp,
 	})
 	link := netsim.NewLoopLink(e, model.TCP25G())

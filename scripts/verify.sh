@@ -3,7 +3,7 @@
 #   1. go vet      — static checks
 #   2. go build    — everything compiles
 #   3. dupcheck    — no >40-line cross-file clones in the fabric packages
-#      (internal/{core,tcp,rdma,session} must share the session engine,
+#      (internal/{core,rdma,session} must share the session engine,
 #      not carry private copies of it, and internal/dial, the one place
 #      that names a binding, must not grow one; internal/nvme holds protocol
 #      structures only, no queue state — the CID slot table is the
