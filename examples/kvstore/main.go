@@ -12,17 +12,14 @@ import (
 	"log"
 	"math/rand"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/blockfs"
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/kvstore"
 	"nvmeoaf/internal/model"
-	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/transport"
+	"nvmeoaf/internal/world"
 )
 
 const (
@@ -32,41 +29,30 @@ const (
 	ops      = 10000
 )
 
-// build wires a store over the chosen fabric and returns it with its
-// engine.
+// build wires a store over the chosen fabric, client and target on one
+// host, and returns it with its engine.
 func build(useSHM bool, seed int64) (*sim.Engine, func(p *sim.Proc) *kvstore.Store) {
-	e := sim.NewEngine(seed)
-	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem("nqn.kv")
+	w := world.New(seed, nil)
+	h := w.Host("h")
+	svc, err := w.Service(h, "nqn.kv", world.Spec{SSDName: "kv", Capacity: capacity, Retain: true})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "kv", capacity, model.DefaultSSD(), true, transport.BlockSize)); err != nil {
 		log.Fatal(err)
 	}
 	o := dial.Options{
 		Kind:        dial.TCP25G,
-		ConnOptions: session.ConnOptions{NQN: "nqn.kv", QueueDepth: 32},
+		ConnOptions: session.ConnOptions{QueueDepth: 32},
 		TP:          model.DefaultTCPTransport(),
 	}
 	if useSHM {
-		o.Kind, o.Design, o.Fabric = dial.OAF, core.DesignSHMZeroCopy, core.NewFabric(e, model.DefaultSHM())
+		o.Kind, o.Design = dial.OAF, core.DesignSHMZeroCopy
 	}
-	lp, err := o.Kind.Link()
-	if err != nil {
-		log.Fatal(err)
-	}
-	link := netsim.NewLoopLink(e, lp)
-	dial.Serve(e, tgt, link.B, o)
-	if useSHM {
-		o.Region, _ = o.Fabric.RegionFor(o.Design, "h", "h", 1<<20, o.TP.ChunkSize, o.QueueDepth)
-	}
-	return e, func(p *sim.Proc) *kvstore.Store {
-		c, err := dial.Connect(p, link.A, o)
+	pr := w.Serve(h, svc, o, 1<<20)
+	return w.Engine, func(p *sim.Proc) *kvstore.Store {
+		c, err := dial.Connect(p, pr.Link.A, pr.Opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return kvstore.Open(blockfs.New(e, c, capacity), kvstore.Config{GroupCommitBytes: 64 << 10})
+		return kvstore.Open(blockfs.New(w.Engine, c, capacity), kvstore.Config{GroupCommitBytes: 64 << 10})
 	}
 }
 

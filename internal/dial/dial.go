@@ -3,8 +3,8 @@
 // connect time, §4); everything above is one session. This package is
 // that choice and the only non-test code that names a wire binding
 // (internal/core, which carries the tcp and adaptive kinds, and
-// internal/rdma): builders own machines, NICs and links, describe the
-// connection once in Options, and call Serve and Connect.
+// internal/rdma): internal/world owns machines, NICs and links; callers
+// describe the connection once in Options and call Serve and Connect.
 package dial
 
 import (
@@ -61,8 +61,8 @@ var kinds = map[Kind]struct {
 }
 
 // Link returns the fabric's native link model. For the adaptive kind that
-// is the co-located loopback; a builder placing the pair on different
-// machines picks the link they actually ride.
+// is the co-located loopback; internal/world picks the link a pair placed
+// on different machines actually rides.
 func (k Kind) Link() (model.LinkParams, error) {
 	ent, ok := kinds[k]
 	switch {

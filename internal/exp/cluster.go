@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/model"
-	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/telemetry"
-	"nvmeoaf/internal/transport"
+	"nvmeoaf/internal/world"
 )
 
 // Cluster experiments model the paper's HPC-cloud deployment one level
@@ -28,48 +25,6 @@ import (
 // nqnCluster names member i's storage service.
 func nqnCluster(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:cluster%d", i) }
 
-// clusterMember is one member target machine: its fabric server (for
-// crash injection), its link, and how the router's client reaches it.
-type clusterMember struct {
-	srv  *dial.Server
-	link *netsim.Link
-	opts dial.Options
-}
-
-// serveMember builds member i's target machine — target, SSD, NIC, link,
-// and fabric server — for the configured fabric kind.
-func serveMember(e *sim.Engine, cfg Config, i int, o dial.Options, res *Result) (*clusterMember, error) {
-	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(o.NQN)
-	if err != nil {
-		return nil, err
-	}
-	bd := bdev.NewSimSSD(e, fmt.Sprintf("cnvme%d", i), cfg.SSDCapacity, cfg.SSD, cfg.RetainData, transport.BlockSize)
-	if _, err := sub.AddNamespace(1, bd); err != nil {
-		return nil, err
-	}
-	res.Devices = append(res.Devices, bd)
-
-	linkParams, err := cfg.Kind.Link()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Kind == OAF {
-		linkParams = model.TCP100G() // members are remote: no loopback SHM
-	}
-	// One NIC per member: target machines are distinct hosts, so fabric
-	// bandwidth scales with the member count (the client NIC is modeled
-	// per link; the aggregate client side is not the bottleneck under
-	// study here).
-	nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
-	m := &clusterMember{link: netsim.NewLink(e, linkParams, nic, nic), opts: o}
-	m.srv = dial.Serve(e, tgt, m.link.B, o)
-	if m.srv.Pool != nil {
-		res.PoolFootprint += m.srv.Pool.FootprintBytes()
-	}
-	return m, nil
-}
-
 // runCluster executes a replicated-namespace configuration: N member
 // targets, one router, one perf stream.
 func runCluster(cfg Config) (*Result, error) {
@@ -77,12 +32,20 @@ func runCluster(cfg Config) (*Result, error) {
 	if cfg.ClusterSpares < 0 || cfg.ClusterSpares >= n {
 		return nil, fmt.Errorf("exp: cluster spares must be in [0, %d)", n)
 	}
-	e := sim.NewEngine(cfg.Seed)
-	defer e.Close()
+	linkParams, err := cfg.Kind.Link()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Kind == OAF {
+		linkParams = model.TCP100G() // members are remote: no loopback SHM
+	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()
 	}
+	w := world.New(cfg.Seed, tel)
+	defer w.Close()
+	e := w.Engine
 	res := &Result{Telemetry: tel}
 	// Cluster runs drive one logical stream, so one tenant (the first)
 	// covers all router traffic; the replica fan-out marks every copy
@@ -98,15 +61,19 @@ func runCluster(cfg Config) (*Result, error) {
 	base := cfg.dialOptions(tel, hostSh, tgtSh)
 	base.QueueDepth, base.Tenant = cfg.Workload.QueueDepth, cfg.TenantFor(0).Name
 	base.CommandTimeout, base.MaxRetries, base.RetryBackoff = 500*time.Microsecond, 1, 100*time.Microsecond
-	members := make([]*clusterMember, n)
-	for i := 0; i < n; i++ {
-		o := base
-		o.NQN = nqnCluster(i)
-		m, err := serveMember(e, cfg, i, o, res)
+	members := make([]world.Pair, n)
+	for i := range members {
+		// Each member is its own machine with its own port, so fabric
+		// bandwidth scales with the member count; both ends of its link
+		// sit on that port (the client side is modeled per link: the
+		// aggregate client is not the bottleneck under study here).
+		m := w.Remote(fmt.Sprintf("member%d", i), linkParams)
+		svc, err := w.Service(m, nqnCluster(i), cfg.ssd(fmt.Sprintf("cnvme%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		members[i] = m
+		res.Devices = append(res.Devices, svc.SSD)
+		members[i] = w.Serve(m, svc, base, cfg.MaxIO)
 	}
 
 	var inj *faults.Injector
@@ -115,12 +82,12 @@ func runCluster(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("exp: crash member %d out of range", cfg.CrashMember)
 		}
 		inj = faults.NewInjector(e)
-		inj.CrashTarget(members[cfg.CrashMember].srv, cfg.CrashAt, cfg.CrashDown)
+		inj.CrashTarget(members[cfg.CrashMember].Server, cfg.CrashAt, cfg.CrashDown)
 	}
 
-	w := cfg.Workload
-	w.Name = fmt.Sprintf("%s-cluster%d", cfg.Kind, n)
-	w.Span = cfg.SSDCapacity
+	wl := cfg.Workload
+	wl.Name = fmt.Sprintf("%s-cluster%d", cfg.Kind, n)
+	wl.Span = cfg.SSDCapacity
 
 	var cl *cluster.Cluster
 	var stream *perf.Stream
@@ -128,7 +95,7 @@ func runCluster(cfg Config) (*Result, error) {
 	e.Go("setup", func(p *sim.Proc) {
 		cms := make([]cluster.Member, 0, n)
 		for i, m := range members {
-			q, err := dial.Connect(p, m.link.A, m.opts)
+			q, err := dial.Connect(p, m.Link.A, m.Opts)
 			if err != nil {
 				setupErr.Resolve(err)
 				return
@@ -149,14 +116,14 @@ func runCluster(cfg Config) (*Result, error) {
 			ExtentSize:    cfg.ClusterExtent,
 			ProbeInterval: probe,
 			RetainData:    cfg.RetainData,
-			Namespace:     w.Name,
+			Namespace:     wl.Name,
 			Telemetry:     tel,
 		})
 		if err != nil {
 			setupErr.Resolve(err)
 			return
 		}
-		stream = perf.NewStream(e, cl, w)
+		stream = perf.NewStream(e, cl, wl)
 		stream.Start()
 		// The router's probe loops re-arm timers forever; close it once
 		// the stream drains so the engine can run out of events.
@@ -176,14 +143,11 @@ func runCluster(cfg Config) (*Result, error) {
 
 	res.PerStream = append(res.PerStream, stream.Result())
 	res.Agg = perf.Merge(res.PerStream...)
-	for _, m := range members {
-		res.WireBytes += m.link.A.BytesSent + m.link.B.BytesSent
-	}
 	st := cl.Stats()
 	res.Cluster = &st
 	if inj != nil {
 		res.FaultLog = inj.Log
 	}
-	res.finishQoS(hostSh, tgtSh)
+	res.finish(w, hostSh, tgtSh)
 	return res, nil
 }

@@ -1,14 +1,14 @@
-// Package exp builds the paper's experiment topologies and runs the
-// microbenchmark configurations behind every figure: a physical host with
-// client VMs and a target VM (SR-IOV hairpin through a shared NIC),
-// emulated NVMe-SSDs behind per-service subsystems, and one of the
-// evaluated fabrics — NVMe/TCP at three link speeds, NVMe/RDMA,
-// NVMe/RoCE, or NVMe-oAF with any of its shared-memory designs.
+// Package exp runs the microbenchmark configurations behind every figure
+// and collects their results. Each run describes its topology to
+// internal/world — a physical host with client VMs and a target VM
+// (SR-IOV hairpin through a shared NIC), emulated NVMe-SSDs behind
+// per-service subsystems — over one of the evaluated fabrics: NVMe/TCP at
+// three link speeds, NVMe/RDMA, NVMe/RoCE, or NVMe-oAF with any of its
+// shared-memory designs.
 package exp
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"nvmeoaf/internal/bdev"
@@ -19,15 +19,14 @@ import (
 	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/model"
-	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/perf"
 	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
 	"nvmeoaf/internal/tune"
+	"nvmeoaf/internal/world"
 )
 
 // Kind names a fabric under test.
@@ -262,21 +261,6 @@ func (c Config) TenantFor(i int) TenantSpec {
 	return c.Tenants[len(c.Tenants)-1]
 }
 
-// tpFor resolves stream i's transport knobs: the tenant's SLO steers
-// busy-poll and batching where the run config left them unset.
-func (c Config) tpFor(i int) model.TCPTransportParams {
-	tp := c.TP
-	if bp, batch, ok := c.TenantFor(i).SLO.ReceiveTuning(); ok {
-		if tp.BusyPoll == 0 {
-			tp.BusyPoll = bp
-		}
-		if tp.BatchSize == 0 {
-			tp.BatchSize = batch
-		}
-	}
-	return tp
-}
-
 // qosShapers builds the run's enforcement points from Config.Tenants.
 func (c Config) qosShapers(tel *telemetry.Sink) (host, tgt *qos.Shaper, err error) {
 	if len(c.Tenants) == 0 {
@@ -301,8 +285,19 @@ func (c Config) qosShapers(tel *telemetry.Sink) (host, tgt *qos.Shaper, err erro
 	return host, tgt, nil
 }
 
-// finishQoS folds the enforcement points into the result.
-func (res *Result) finishQoS(host, tgt *qos.Shaper) {
+// finish folds the world's links, data pools and caches and the QoS
+// enforcement points into the result.
+func (res *Result) finish(w *world.World, host, tgt *qos.Shaper) {
+	for _, l := range w.Links {
+		res.WireBytes += l.A.BytesSent + l.B.BytesSent
+	}
+	for _, pool := range w.Pools {
+		res.PoolFootprint += pool.FootprintBytes()
+		res.Pools = append(res.Pools, pool.Stats())
+	}
+	for _, ca := range w.Caches {
+		res.CacheStats = append(res.CacheStats, ca.Stats())
+	}
 	res.HostQoS, res.TargetQoS = host, tgt
 	var shapers []*qos.Shaper
 	if host != nil {
@@ -333,6 +328,11 @@ func (c Config) dialOptions(tel *telemetry.Sink, hostSh, tgtSh *qos.Shaper) dial
 // nqnFor names the per-SSD storage service.
 func nqnFor(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:ssd%d", i) }
 
+// ssd describes a service's device from the run's device knobs.
+func (c Config) ssd(name string) world.Spec {
+	return world.Spec{SSDName: name, Capacity: c.SSDCapacity, SSD: c.SSD, Retain: c.RetainData}
+}
+
 // Run executes the configuration and returns aggregated results.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -342,10 +342,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return runCluster(cfg)
 	}
-	e := sim.NewEngine(cfg.Seed)
-	defer e.Close()
-	tgt := target.New(e, model.DefaultHost())
-
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.New()
@@ -355,69 +351,39 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pools []*mempool.Pool
-	for i := 0; i < cfg.Streams; i++ {
-		sub, err := tgt.AddSubsystem(nqnFor(i))
-		if err != nil {
-			return nil, err
-		}
-		bd := bdev.NewSimSSD(e, fmt.Sprintf("nvme%d", i), cfg.SSDCapacity, cfg.SSD, cfg.RetainData, transport.BlockSize)
-		var dev bdev.Device = bd
-		if cfg.CacheBytes > 0 {
-			ca := cache.New(e, bd, cache.Config{
-				Bytes: cfg.CacheBytes, Mode: cfg.CacheMode,
-				Retain: cfg.RetainData, Telemetry: tel,
-			})
-			res.Caches = append(res.Caches, ca)
-			dev = ca
-		}
-		if _, err := sub.AddNamespace(1, dev); err != nil {
-			return nil, err
-		}
-		res.Devices = append(res.Devices, bd)
-	}
-
-	// One shared physical NIC: all client and target VMs sit on the same
-	// host; SR-IOV traffic hairpins through it (§3.1, §5.1).
 	linkParams, err := cfg.Kind.Link()
 	if err != nil {
 		return nil, err
 	}
-	// One link (and server connection, and region for OAF) per queue pair:
-	// link i*Queues+j is stream i's member queue j.
-	nic := netsim.NewNIC(e, linkParams.WireBytesPerSec)
-	links := make([]*netsim.Link, cfg.Streams*cfg.Queues)
-	for i := range links {
-		links[i] = netsim.NewLink(e, linkParams, nic, nic)
+	w := world.New(cfg.Seed, tel)
+	defer w.Close()
+	e := w.Engine
+	// One machine: all client and target VMs sit on the same host and
+	// their SR-IOV traffic hairpins through its one port (§3.1, §5.1).
+	host := w.Hairpin("host0", linkParams)
+	svcs := make([]*world.Service, cfg.Streams)
+	for i := range svcs {
+		spec := cfg.ssd(fmt.Sprintf("nvme%d", i))
+		spec.Cache = cache.Config{Bytes: cfg.CacheBytes, Mode: cfg.CacheMode}
+		if svcs[i], err = w.Service(host, nqnFor(i), spec); err != nil {
+			return nil, err
+		}
+		res.Devices = append(res.Devices, svcs[i].SSD)
 	}
+	res.Caches = w.Caches
 
-	// Fabric servers + shared-memory provisioning. Each connection's
-	// server is retained so the tuner can drive the target-side
-	// reap-coalescing depth in lockstep with the host-side batch knob.
+	// One pair (link, server, region) per queue: pair i*Queues+j is
+	// stream i's member queue j. Regions are sized for the run workload's
+	// depth; a tenant's depth override applies at connect.
 	base := cfg.dialOptions(tel, hostSh, tgtSh)
-	if cfg.Kind.Adaptive() {
-		base.Fabric = core.NewFabric(e, model.DefaultSHM())
-		base.Fabric.AttachTelemetry(tel)
-	}
-	// opts[li] describes link li: stream li/Queues's member queue.
-	opts := make([]dial.Options, len(links))
-	servers := make([]*dial.Server, len(links))
-	for li, link := range links {
+	base.QueueDepth = cfg.Workload.QueueDepth
+	pairs := make([]world.Pair, cfg.Streams*cfg.Queues)
+	for li := range pairs {
+		// The tenant's SLO steers busy-poll and batching where the run
+		// config left them unset.
 		o := base
-		o.NQN, o.TP = nqnFor(li/cfg.Queues), cfg.tpFor(li/cfg.Queues)
-		srv := dial.Serve(e, tgt, link.B, o)
-		servers[li] = srv
-		if srv.Pool != nil {
-			res.PoolFootprint += srv.Pool.FootprintBytes()
-			pools = append(pools, srv.Pool)
-		}
-		if base.Fabric != nil {
-			// A failed SHM provision leaves the region nil: this pair
-			// degrades to the TCP data path (the trace records the
-			// decision).
-			o.Region, _ = base.Fabric.RegionFor(cfg.Design, "host0", "host0", cfg.MaxIO, cfg.TP.ChunkSize, cfg.Workload.QueueDepth)
-		}
-		opts[li] = o
+		o.TP.BusyPoll, o.TP.BatchSize = cfg.TenantFor(li/cfg.Queues).SLO.Steer(o.TP.BusyPoll, o.TP.BatchSize)
+		pairs[li] = w.Serve(host, svcs[li/cfg.Queues], o, cfg.MaxIO)
 	}
 
 	// Connect clients and run one perf stream per pair.
@@ -435,28 +401,28 @@ func Run(cfg Config) (*Result, error) {
 	setupErr := sim.NewFuture[error](e)
 	e.Go("setup", func(p *sim.Proc) {
 		for i := 0; i < cfg.Streams; i++ {
-			w := cfg.Workload
-			w.Name = fmt.Sprintf("%s-s%d", cfg.Kind, i)
-			w.Span = cfg.SSDCapacity
+			wl := cfg.Workload
+			wl.Name = fmt.Sprintf("%s-s%d", cfg.Kind, i)
+			wl.Span = cfg.SSDCapacity
 			// Ring-mode streams report the ring.* metric group through the
 			// run's sink like every other subsystem.
-			w.Telemetry = tel
+			wl.Telemetry = tel
 			ts := cfg.TenantFor(i)
 			if ts.QueueDepth > 0 {
-				w.QueueDepth = ts.QueueDepth
+				wl.QueueDepth = ts.QueueDepth
 			}
 			if pat := ts.Pattern; pat != nil {
-				w.Seq, w.Zipf, w.ReadPct, w.SizeMix = pat.Seq, pat.Zipf, pat.ReadPct, pat.SizeMix
+				wl.Seq, wl.Zipf, wl.ReadPct, wl.SizeMix = pat.Seq, pat.Zipf, pat.ReadPct, pat.SizeMix
 				if pat.IOSize > 0 {
-					w.IOSize = pat.IOSize
+					wl.IOSize = pat.IOSize
 				}
 			}
 			members := make([]transport.Queue, 0, cfg.Queues)
 			for j := 0; j < cfg.Queues; j++ {
-				li := i*cfg.Queues + j
-				o := opts[li]
-				o.QueueDepth, o.Tenant = w.QueueDepth, ts.Name
-				q, err := dial.Connect(p, links[li].A, o)
+				pr := pairs[i*cfg.Queues+j]
+				o := pr.Opts
+				o.QueueDepth, o.Tenant = wl.QueueDepth, ts.Name
+				q, err := dial.Connect(p, pr.Link.A, o)
 				if err != nil {
 					setupErr.Resolve(err)
 					return
@@ -465,35 +431,18 @@ func Run(cfg Config) (*Result, error) {
 					oafClients = append(oafClients, c)
 				}
 				members = append(members, q)
-				if cfg.Tune {
-					// Every client kind exposes the live-knob surface
-					// through its embedded session engine; TCP-path
-					// clients add the chunk knob via ChunkTunable. The
-					// batch knob drives both halves of the connection:
-					// host-side submission coalescing and target-side
-					// completion-reap coalescing move together, as they
-					// do for a statically configured TP.BatchSize.
-					if tq, ok := q.(tune.TunableQueue); ok {
-						qk := tune.QueueKnobs(fmt.Sprintf("s%d/q%d", i, j), tq)
-						srv := servers[li]
-						for n := range qk {
-							if strings.HasSuffix(qk[n].Name, "/batch") {
-								set := qk[n].Set
-								qk[n].Set = func(v int64) {
-									set(v)
-									srv.SetBatchSize(int(v))
-								}
-							}
-						}
-						knobs = append(knobs, qk...)
-					}
+				// Every client kind exposes the live-knob surface through
+				// its embedded session engine; TCP-path clients add the
+				// chunk knob via ChunkTunable.
+				if tq, ok := q.(tune.TunableQueue); ok && cfg.Tune {
+					knobs = append(knobs, tune.QueueKnobs(fmt.Sprintf("s%d/q%d", i, j), tq, pr.Server)...)
 				}
 			}
 			var q transport.Queue = members[0]
 			if len(members) > 1 {
 				q = transport.NewStriped(0, members...)
 			}
-			streams[i] = perf.NewStream(e, q, w)
+			streams[i] = perf.NewStream(e, q, wl)
 		}
 		for _, s := range streams {
 			s.Start()
@@ -527,22 +476,13 @@ func Run(cfg Config) (*Result, error) {
 		res.PerStream = append(res.PerStream, s.Result())
 	}
 	res.Agg = perf.Merge(res.PerStream...)
-	for _, l := range links {
-		res.WireBytes += l.A.BytesSent + l.B.BytesSent
-	}
 	for _, c := range oafClients {
 		res.SHMBytes += c.SHMPayloadBytes
-	}
-	for _, pool := range pools {
-		res.Pools = append(res.Pools, pool.Stats())
-	}
-	for _, ca := range res.Caches {
-		res.CacheStats = append(res.CacheStats, ca.Stats())
 	}
 	if ctl != nil {
 		rep := ctl.Report()
 		res.Tuner = &rep
 	}
-	res.finishQoS(hostSh, tgtSh)
+	res.finish(w, hostSh, tgtSh)
 	return res, nil
 }

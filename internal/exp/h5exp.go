@@ -3,20 +3,17 @@ package exp
 import (
 	"fmt"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/blockfs"
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/h5bench"
 	"nvmeoaf/internal/hdf5"
 	"nvmeoaf/internal/model"
-	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/nfs"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
-	"nvmeoaf/internal/transport"
 	"nvmeoaf/internal/vol"
+	"nvmeoaf/internal/world"
 )
 
 // H5Backend selects the storage path beneath the h5bench kernels.
@@ -46,43 +43,19 @@ type H5Config struct {
 	VOL vol.Config
 }
 
-// node is one physical host in a topology.
-type node struct {
-	name string
-	nic  *netsim.NIC // external network port
-	loop *netsim.NIC // intra-node vswitch path
-}
-
-func newNode(e *sim.Engine, name string) *node {
-	return &node{
-		name: name,
-		nic:  netsim.NewNIC(e, model.TCP25G().WireBytesPerSec),
-		loop: netsim.NewNIC(e, model.Loopback().WireBytesPerSec),
-	}
-}
-
-// h5Storage builds the storage stack for one kernel: a dedicated SSD
-// behind the chosen backend. It returns the mounted hdf5.Storage plus a
-// remount function that yields a fresh mount with cold caches (the read
-// kernel runs against a fresh mount, as h5bench does).
-func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targetNode *node,
+// h5Storage builds the storage stack for one kernel: a dedicated SSD on
+// host behind the chosen backend. It returns the mounted hdf5.Storage
+// plus a remount function that yields a fresh mount with cold caches
+// (the read kernel runs against a fresh mount, as h5bench does).
+func h5Storage(w *world.World, p *sim.Proc, client, host *world.Machine,
 	cfg H5Config, idx int) (hdf5.Storage, func(p *sim.Proc) hdf5.Storage, error) {
 	const capacity = 4 << 30
-	nqn := fmt.Sprintf("nqn.2022-06.io.oaf:h5-%s-%d", clientNode.name, idx)
-	tgt := target.New(e, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(nqn)
+	e := w.Engine
+	svc, err := w.Service(host, fmt.Sprintf("nqn.2022-06.io.oaf:h5-%s-%d", client.Name, idx), world.Spec{
+		SSDName: fmt.Sprintf("h5-nvme-%s-%d", client.Name, idx), Capacity: capacity, Retain: true,
+	})
 	if err != nil {
 		return nil, nil, err
-	}
-	ssdParams := model.DefaultSSD()
-	bd := bdev.NewSimSSD(e, fmt.Sprintf("h5-nvme-%s-%d", clientNode.name, idx), capacity, ssdParams, true, transport.BlockSize)
-	if _, err := sub.AddNamespace(1, bd); err != nil {
-		return nil, nil, err
-	}
-
-	design := cfg.Design
-	if design == core.DesignTCP {
-		design = core.DesignSHMZeroCopy
 	}
 	volCfg := cfg.VOL
 
@@ -93,8 +66,8 @@ func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targ
 		// fresh client (and server instance over the same export) so
 		// caches start cold.
 		mount := func(p *sim.Proc) hdf5.Storage {
-			link := netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
-			nfs.NewServer(e, link.B, bd, model.DefaultNFS())
+			link := w.PortLink(client, host)
+			nfs.NewServer(e, link.B, svc.SSD, model.DefaultNFS())
 			return nfs.NewClient(e, link.A, model.DefaultNFS())
 		}
 		return mount(p), mount, nil
@@ -102,29 +75,18 @@ func h5Storage(e *sim.Engine, p *sim.Proc, fabric *core.Fabric, clientNode, targ
 	case H5TCP, H5OAF, H5OAFCoalesce:
 		o := dial.Options{
 			Kind:        TCP25G,
-			ConnOptions: session.ConnOptions{NQN: nqn, QueueDepth: 64},
+			ConnOptions: session.ConnOptions{QueueDepth: 64},
 			TP:          model.DefaultTCPTransport(),
 		}
-		intra := false
 		if cfg.Backend != H5TCP {
-			o.Kind, o.Design, o.Fabric = OAF, design, fabric
-			intra = clientNode == targetNode
+			o.Kind, o.Design = OAF, cfg.Design
+			if o.Design == core.DesignTCP {
+				o.Design = core.DesignSHMZeroCopy
+			}
 			volCfg.Coalesce = cfg.Backend == H5OAFCoalesce
 		}
-		// Only a co-located oAF pair gets the loopback path and a region;
-		// remote pairs and the TCP backend ride the 25 GbE network.
-		var link *netsim.Link
-		if intra {
-			link = netsim.NewLink(e, model.Loopback(), clientNode.loop, targetNode.loop)
-		} else {
-			link = netsim.NewLink(e, model.TCP25G(), clientNode.nic, targetNode.nic)
-		}
-		dial.Serve(e, tgt, link.B, o)
-		if intra {
-			// A failed provision degrades to the TCP data path.
-			o.Region, _ = fabric.RegionFor(design, clientNode.name, targetNode.name, 1<<20, o.TP.ChunkSize, 64)
-		}
-		c, err := dial.Connect(p, link.A, o)
+		pr := w.Serve(client, svc, o, 1<<20)
+		c, err := dial.Connect(p, pr.Link.A, pr.Opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -144,14 +106,14 @@ type H5Result struct {
 // RunH5 runs the write kernel followed by the read kernel on one
 // client/target pair (Figs 16 and 17).
 func RunH5(cfg H5Config) (H5Result, error) {
-	e := sim.NewEngine(cfg.Seed)
-	defer e.Close()
-	fabric := core.NewFabric(e, model.DefaultSHM())
-	host := newNode(e, "host0")
+	w := world.New(cfg.Seed, nil)
+	defer w.Close()
+	e := w.Engine
+	host := w.Host("host0")
 	var out H5Result
 	var runErr error
 	e.Go("h5bench", func(p *sim.Proc) {
-		st, remount, err := h5Storage(e, p, fabric, host, host, cfg, 0)
+		st, remount, err := h5Storage(w, p, host, host, cfg, 0)
 		if err != nil {
 			runErr = err
 			return
@@ -188,6 +150,27 @@ const (
 	Case2 ScaleCase = 2
 )
 
+// scaleWorld builds the §5.7.2 topology: four kernels on nodeA, kernel
+// i's SSD co-located when it uses the shared-memory channel (i <
+// shmKernels) and otherwise on its own node (Case1) or on nodeA reached
+// over TCP (Case2). storage builds kernel i's stack inside its process.
+func scaleWorld(scase ScaleCase, shmKernels int, seed int64) (w *world.World, storage func(p *sim.Proc, i int) (hdf5.Storage, func(p *sim.Proc) hdf5.Storage, error)) {
+	w = world.New(seed, nil)
+	client := w.Host("nodeA")
+	remotes := []*world.Machine{w.Host("nodeB"), w.Host("nodeC"), w.Host("nodeD"), w.Host("nodeE")}
+	return w, func(p *sim.Proc, i int) (hdf5.Storage, func(p *sim.Proc) hdf5.Storage, error) {
+		cfg, host := H5Config{Backend: H5OAF}, client
+		switch {
+		case i < shmKernels:
+		case scase == Case1:
+			host = remotes[i]
+		default: // Case2: the remote path stays on the same node over TCP
+			cfg.Backend = H5TCP
+		}
+		return h5Storage(w, p, client, host, cfg, i)
+	}
+}
+
 // RunH5Scale runs four h5bench kernels with the given fraction (0..4) of
 // them using the shared-memory channel, and returns aggregate write and
 // read bandwidth (Figs 18 and 19).
@@ -195,41 +178,26 @@ func RunH5Scale(scase ScaleCase, shmKernels int, seed int64) (writeGBps, readGBp
 	if shmKernels < 0 || shmKernels > 4 {
 		return 0, 0, fmt.Errorf("exp: shmKernels %d out of range", shmKernels)
 	}
-	e := sim.NewEngine(seed)
-	defer e.Close()
-	fabric := core.NewFabric(e, model.DefaultSHM())
-	clientNode := newNode(e, "nodeA")
-	remotes := []*node{newNode(e, "nodeB"), newNode(e, "nodeC"), newNode(e, "nodeD"), newNode(e, "nodeE")}
-
+	w, storage := scaleWorld(scase, shmKernels, seed)
+	defer w.Close()
+	e := w.Engine
 	kernel := h5bench.Config1()
 	writes := make([]h5bench.Result, 4)
 	var runErr error
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Go(fmt.Sprintf("h5scale-%d", i), func(p *sim.Proc) {
-			useSHM := i < shmKernels
-			cfg := H5Config{Backend: H5OAF, Kernel: kernel, Seed: seed}
-			var tgtNode *node
-			switch {
-			case useSHM:
-				tgtNode = clientNode
-			case scase == Case1:
-				tgtNode = remotes[i]
-			default: // Case2: remote path stays on the same node over TCP
-				cfg.Backend = H5TCP
-				tgtNode = clientNode
-			}
-			st, _, err := h5Storage(e, p, fabric, clientNode, tgtNode, cfg, i)
+			st, _, err := storage(p, i)
 			if err != nil {
 				runErr = err
 				return
 			}
-			w, err := h5bench.WriteKernel(p, st, kernel)
+			r, err := h5bench.WriteKernel(p, st, kernel)
 			if err != nil {
 				runErr = err
 				return
 			}
-			writes[i] = w
+			writes[i] = r
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -251,11 +219,9 @@ func RunH5Scale(scase ScaleCase, shmKernels int, seed int64) (writeGBps, readGBp
 // runH5ScaleReads repeats the topology, writes the files quietly, then
 // measures four concurrent read kernels.
 func runH5ScaleReads(scase ScaleCase, shmKernels int, seed int64) (float64, error) {
-	e := sim.NewEngine(seed + 1)
-	defer e.Close()
-	fabric := core.NewFabric(e, model.DefaultSHM())
-	clientNode := newNode(e, "nodeA")
-	remotes := []*node{newNode(e, "nodeB"), newNode(e, "nodeC"), newNode(e, "nodeD"), newNode(e, "nodeE")}
+	w, storage := scaleWorld(scase, shmKernels, seed+1)
+	defer w.Close()
+	e := w.Engine
 	kernel := h5bench.Config1()
 	reads := make([]h5bench.Result, 4)
 	var runErr error
@@ -269,19 +235,7 @@ func runH5ScaleReads(scase ScaleCase, shmKernels int, seed int64) (float64, erro
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Go(fmt.Sprintf("h5scale-read-%d", i), func(p *sim.Proc) {
-			useSHM := i < shmKernels
-			cfg := H5Config{Backend: H5OAF, Kernel: kernel, Seed: seed}
-			var tgtNode *node
-			switch {
-			case useSHM:
-				tgtNode = clientNode
-			case scase == Case1:
-				tgtNode = remotes[i]
-			default:
-				cfg.Backend = H5TCP
-				tgtNode = clientNode
-			}
-			st, remount, err := h5Storage(e, p, fabric, clientNode, tgtNode, cfg, i)
+			st, remount, err := storage(p, i)
 			if err != nil {
 				runErr = err
 				barrier.Done()

@@ -93,20 +93,27 @@ func ParseSLO(s string) (SLO, error) {
 	return SLONone, fmt.Errorf("qos: unknown SLO %q", s)
 }
 
-// ReceiveTuning returns the receive-path knobs for this tier: the
-// busy-poll budget and the train (batch) depth, applied through the
-// session engines' live setters at connect time. ok is false for
-// SLONone (leave the configured knobs alone).
-func (s SLO) ReceiveTuning() (busyPoll time.Duration, batch int, ok bool) {
+// Steer fills the receive-path knobs a connection left at zero from
+// this tier: the busy-poll budget and the train (batch) depth. A knob
+// already set wins; SLONone fills nothing.
+func (s SLO) Steer(busyPoll time.Duration, batch int) (time.Duration, int) {
+	var bp time.Duration
+	var b int
 	switch s {
 	case LatencySensitive:
-		return 20 * time.Microsecond, 1, true
+		bp, b = 20*time.Microsecond, 1
 	case Throughput:
-		return 0, 16, true
+		b = 16
 	case Batch:
-		return 0, 64, true
+		b = 64
 	}
-	return 0, 0, false
+	if busyPoll == 0 {
+		busyPoll = bp
+	}
+	if batch == 0 {
+		batch = b
+	}
+	return busyPoll, batch
 }
 
 // Spec declares one tenant: its name (carried through the I/O path),
@@ -273,14 +280,6 @@ func (sh *Shaper) Bucket(name string, nowNs int64) *Bucket {
 	sh.buckets[name] = b
 	sh.order = append(sh.order, name)
 	return b
-}
-
-// Tenants returns the tenants with buckets here, in first-seen order.
-func (sh *Shaper) Tenants() []string {
-	if sh == nil {
-		return nil
-	}
-	return append([]string(nil), sh.order...)
 }
 
 // Conservation is the ledger's books at one enforcement point.

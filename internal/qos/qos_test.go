@@ -62,14 +62,21 @@ func TestParseSLO(t *testing.T) {
 	if s := Batch.String(); s != "batch" {
 		t.Errorf("Batch.String() = %q", s)
 	}
-	if _, _, ok := SLONone.ReceiveTuning(); ok {
-		t.Error("SLONone.ReceiveTuning(): ok should be false")
+	if poll, batch := SLONone.Steer(0, 0); poll != 0 || batch != 0 {
+		t.Errorf("SLONone.Steer(0, 0) = %v, %d; want both left unset", poll, batch)
 	}
-	if poll, batch, ok := LatencySensitive.ReceiveTuning(); !ok || poll <= 0 || batch != 1 {
-		t.Errorf("LatencySensitive.ReceiveTuning() = %v, %d, %v", poll, batch, ok)
+	if poll, batch := LatencySensitive.Steer(0, 0); poll <= 0 || batch != 1 {
+		t.Errorf("LatencySensitive.Steer(0, 0) = %v, %d", poll, batch)
 	}
-	if poll, batch, ok := Batch.ReceiveTuning(); !ok || poll != 0 || batch <= 16 {
-		t.Errorf("Batch.ReceiveTuning() = %v, %d, %v", poll, batch, ok)
+	if poll, batch := Batch.Steer(0, 0); poll != 0 || batch <= 16 {
+		t.Errorf("Batch.Steer(0, 0) = %v, %d", poll, batch)
+	}
+	// A knob the connection pinned wins over the tier; the other is filled.
+	if poll, batch := LatencySensitive.Steer(0, 8); poll <= 0 || batch != 8 {
+		t.Errorf("LatencySensitive.Steer(0, 8) = %v, %d; want the pinned batch 8", poll, batch)
+	}
+	if poll, batch := Batch.Steer(50*time.Microsecond, 0); poll != 50*time.Microsecond || batch <= 16 {
+		t.Errorf("Batch.Steer(50µs, 0) = %v, %d; want the pinned poll budget", poll, batch)
 	}
 }
 

@@ -208,3 +208,58 @@ func TestBindingsNamedOnlyByDial(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWorldsBuiltOnlyByWorld keeps "build a world" written once: outside
+// internal/world (and the separate bench module) no non-test code makes
+// an engine, a target, a NIC or an SSD. A builder that needs another
+// machine shape or service asks internal/world for it, so the locality
+// rule and the RNG stream names stay in one place.
+func TestWorldsBuiltOnlyByWorld(t *testing.T) {
+	const mod = "nvmeoaf/internal/"
+	ctors := map[string]string{"sim": "NewEngine", "target": "New", "netsim": "NewNIC", "bdev": "NewSimSSD"}
+	err := filepath.WalkDir(repoRoot, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(repoRoot, path)
+		dir := filepath.ToSlash(rel)
+		if (strings.HasPrefix(d.Name(), ".") && path != repoRoot) || dir == "bench" {
+			return filepath.SkipDir
+		}
+		if dir == "internal/world" {
+			return nil
+		}
+		for file, f := range parseDir(t, dir) {
+			// Local name -> the constructor this file must not call on it.
+			banned := map[string]string{}
+			for _, imp := range f.Imports {
+				pkg := strings.TrimPrefix(strings.Trim(imp.Path.Value, `"`), mod)
+				if ctor, ok := ctors[pkg]; ok {
+					local := pkg
+					if imp.Name != nil {
+						local = imp.Name.Name
+					}
+					banned[local] = ctor
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && banned[x.Name] == sel.Sel.Name {
+					t.Errorf("%s calls %s.%s: worlds are built by internal/world", file, x.Name, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

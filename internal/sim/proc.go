@@ -26,9 +26,6 @@ type Proc struct {
 	joiners  waitList
 }
 
-// Daemon reports whether this is a background service process.
-func (p *Proc) Daemon() bool { return p.daemon }
-
 // Name returns the process name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
@@ -60,10 +57,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// Yield reschedules the process at the current timestamp behind all events
-// already queued for this instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // park queues the process on list and suspends it until another party ends
 // the wait via Engine.wakeOne/wakeAll. If timeout is positive a timer
 // competes for the wait; park reports true if the timer won (the wait timed
@@ -88,11 +81,4 @@ func (p *Proc) Join(q *Proc) {
 		return
 	}
 	p.park(&q.joiners, 0)
-}
-
-// JoinAll blocks until every process in qs has finished.
-func (p *Proc) JoinAll(qs ...*Proc) {
-	for _, q := range qs {
-		p.Join(q)
-	}
 }

@@ -23,9 +23,6 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.n }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // Put appends v, blocking while a bounded queue is full. Putting to a
 // closed queue panics.
 func (q *Queue[T]) Put(p *Proc, v T) {

@@ -42,10 +42,7 @@ func NewStriped(stripeUnit int, members ...Queue) *StripedQueue {
 	return &StripedQueue{members: members, stripeUnit: int64(stripeUnit)}
 }
 
-// Members exposes the member queues (for snapshots and tests).
-func (s *StripedQueue) Members() []Queue { return s.members }
-
-// MemberHealth reports each member's condition, aligned with Members().
+// MemberHealth reports each member's condition, in NewStriped's order.
 // A member that degraded mid-stream (e.g. a revoked shared-memory region
 // failed it over to TCP) still serves its stripe units, but its slice
 // entry says HealthDegraded so operators can see which queue is on the
@@ -57,9 +54,6 @@ func (s *StripedQueue) MemberHealth() []Health {
 	}
 	return out
 }
-
-// StripeUnit reports the effective striping granularity.
-func (s *StripedQueue) StripeUnit() int { return int(s.stripeUnit) }
 
 // queueFor maps a byte offset to its owning member.
 func (s *StripedQueue) queueFor(offset int64) int {

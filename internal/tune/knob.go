@@ -90,12 +90,21 @@ type ChunkTunable interface {
 	LiveChunkSize() int
 }
 
+// BatchServer is the serving side of a queue's batch knob: the target's
+// completion-reap coalescing depth.
+type BatchServer interface {
+	SetBatchSize(n int)
+}
+
 // QueueKnobs builds the knob set for one queue: batch size (×2 steps),
 // busy-poll budget (25 µs steps up to 100 µs), queue-depth target (×2
 // steps up to the connection's depth), and — when the queue's transport
 // chunks (ChunkTunable) — the chunk size (×2 steps, 16 KiB to 1 MiB).
 // Knob names carry the label so multi-queue registries stay readable.
-func QueueKnobs(label string, q TunableQueue) []Knob {
+// Batching is negotiated symmetry: when srv is non-nil the batch knob
+// also sets the serving side's reap coalescing, as a statically
+// configured batch size does at connect time.
+func QueueKnobs(label string, q TunableQueue, srv BatchServer) []Knob {
 	name := func(s string) string {
 		if label == "" {
 			return s
@@ -116,7 +125,12 @@ func QueueKnobs(label string, q TunableQueue) []Knob {
 				}
 				return 1
 			},
-			Set: func(v int64) { q.SetBatchSize(int(v)) },
+			Set: func(v int64) {
+				q.SetBatchSize(int(v))
+				if srv != nil {
+					srv.SetBatchSize(int(v))
+				}
+			},
 		},
 		{
 			Name: name("poll_us"), Min: 0, Max: 100, Add: 25,

@@ -182,7 +182,7 @@ func (f *fakeChunkQueue) LiveChunkSize() int { return f.chunk }
 
 func TestQueueKnobsRoundTrip(t *testing.T) {
 	q := &fakeQueue{batch: 4, qd: 32, depth: 64, poll: 50 * time.Microsecond}
-	knobs := QueueKnobs("q0", q)
+	knobs := QueueKnobs("q0", q, nil)
 	if len(knobs) != 3 {
 		t.Fatalf("plain queue knobs = %d, want 3 (no chunk)", len(knobs))
 	}
@@ -212,11 +212,27 @@ func TestQueueKnobsRoundTrip(t *testing.T) {
 	}
 
 	cq := &fakeChunkQueue{fakeQueue{batch: 1, qd: 16, depth: 16, chunk: 128 << 10}}
-	knobs = QueueKnobs("", cq)
+	knobs = QueueKnobs("", cq, nil)
 	if len(knobs) != 4 {
 		t.Fatalf("chunked queue knobs = %d, want 4", len(knobs))
 	}
 	if knobs[3].Name != "chunk" || knobs[3].Get() != 128<<10 {
 		t.Fatalf("chunk knob: %s=%d", knobs[3].Name, knobs[3].Get())
 	}
+
+	// With a serving side the batch knob drives both halves of the
+	// connection.
+	srv := &fakeServer{batch: 1}
+	knobs = QueueKnobs("q1", q, srv)
+	if knobs[0].Name != "q1/batch" {
+		t.Fatalf("first knob = %s, want q1/batch", knobs[0].Name)
+	}
+	knobs[0].Set(16)
+	if q.batch != 16 || srv.batch != 16 {
+		t.Fatalf("batch set 16 -> queue %d, server %d; want both 16", q.batch, srv.batch)
+	}
 }
+
+type fakeServer struct{ batch int }
+
+func (f *fakeServer) SetBatchSize(n int) { f.batch = n }

@@ -27,21 +27,19 @@ import (
 	"fmt"
 	"time"
 
-	"nvmeoaf/internal/bdev"
 	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/faults"
-	"nvmeoaf/internal/mempool"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
 	"nvmeoaf/internal/qos"
 	"nvmeoaf/internal/session"
 	"nvmeoaf/internal/sim"
-	"nvmeoaf/internal/target"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
+	"nvmeoaf/internal/world"
 )
 
 // Design selects the shared-memory data-path design (the Fig 8 ablation).
@@ -212,20 +210,10 @@ type ConnectOptions struct {
 	Tenant string
 }
 
-// host is one simulated physical machine.
-type host struct {
-	name string
-	nic  *netsim.NIC
-	loop *netsim.NIC
-}
-
 // tgtEntry is one registered storage service.
 type tgtEntry struct {
-	host  *host
-	tgt   *target.Target
-	cfg   TargetConfig
-	bdev  *bdev.SSDBdev
-	cache *cache.Cache // nil when the target is uncached
+	svc *world.Service
+	cfg TargetConfig
 	// shaper is the target-side QoS enforcement point (nil until a
 	// tenant-enforcing connection is opened; shared across connections).
 	shaper *qos.Shaper
@@ -254,14 +242,12 @@ func (ca crashAll) Restart() {
 
 // Cluster is a simulated HPC-cloud deployment.
 type Cluster struct {
-	engine     *sim.Engine
-	fabric     *core.Fabric
-	hosts      map[string]*host
+	w     *world.World
+	hosts map[string]*world.Machine
+	// appHost is the first host added: where Run's application runs.
+	appHost    string
 	targets    map[string]*tgtEntry
-	tel        *telemetry.Sink
 	queues     []*Queue
-	pools      []*mempool.Pool
-	caches     []*cache.Cache
 	inj        *faults.Injector
 	replicated []*cluster.Cluster
 	tuners     []*Tuner
@@ -273,29 +259,23 @@ type Cluster struct {
 
 // NewCluster creates an empty cluster.
 func NewCluster(cfg Config) *Cluster {
-	e := sim.NewEngine(cfg.Seed)
-	tel := telemetry.New()
-	fabric := core.NewFabric(e, model.DefaultSHM())
-	fabric.AttachTelemetry(tel)
 	return &Cluster{
-		engine:  e,
-		fabric:  fabric,
-		hosts:   make(map[string]*host),
+		w:       world.New(cfg.Seed, telemetry.New()),
+		hosts:   make(map[string]*world.Machine),
 		targets: make(map[string]*tgtEntry),
-		tel:     tel,
 	}
 }
 
-// AddHost registers a physical host.
+// AddHost registers a physical host: a 25 GbE port plus a loopback
+// vswitch between its VMs. The first host added runs Run's application.
 func (c *Cluster) AddHost(name string) error {
 	if _, dup := c.hosts[name]; dup {
 		return fmt.Errorf("oaf: host %q already exists", name)
 	}
-	c.hosts[name] = &host{
-		name: name,
-		nic:  netsim.NewNIC(c.engine, model.TCP25G().WireBytesPerSec),
-		loop: netsim.NewNIC(c.engine, model.Loopback().WireBytesPerSec),
+	if len(c.hosts) == 0 {
+		c.appHost = name
 	}
+	c.hosts[name] = c.w.Host(name)
 	return nil
 }
 
@@ -312,27 +292,14 @@ func (c *Cluster) AddTarget(hostName, nqn string, cfg TargetConfig) error {
 	if cfg.SSDCapacity <= 0 {
 		cfg.SSDCapacity = 1 << 30
 	}
-	tgt := target.New(c.engine, model.DefaultHost())
-	sub, err := tgt.AddSubsystem(nqn)
+	svc, err := c.w.Service(h, nqn, world.Spec{
+		SSDName: "ssd-" + nqn, Capacity: cfg.SSDCapacity, Retain: cfg.RetainData,
+		Cache: cache.Config{Bytes: cfg.CacheBytes, Mode: cfg.CacheMode.internal(), TenantDirtyFrac: cfg.TenantDirtyFrac},
+	})
 	if err != nil {
 		return err
 	}
-	bd := bdev.NewSimSSD(c.engine, "ssd-"+nqn, cfg.SSDCapacity, model.DefaultSSD(), cfg.RetainData, transport.BlockSize)
-	var dev bdev.Device = bd
-	var ca *cache.Cache
-	if cfg.CacheBytes > 0 {
-		ca = cache.New(c.engine, bd, cache.Config{
-			Bytes: cfg.CacheBytes, Mode: cfg.CacheMode.internal(),
-			Retain: cfg.RetainData, Telemetry: c.tel,
-			TenantDirtyFrac: cfg.TenantDirtyFrac,
-		})
-		dev = ca
-		c.caches = append(c.caches, ca)
-	}
-	if _, err := sub.AddNamespace(1, dev); err != nil {
-		return err
-	}
-	c.targets[nqn] = &tgtEntry{host: h, tgt: tgt, cfg: cfg, bdev: bd, cache: ca}
+	c.targets[nqn] = &tgtEntry{svc: svc, cfg: cfg}
 	return nil
 }
 
@@ -341,7 +308,7 @@ func (c *Cluster) AddTarget(hostName, nqn string, cfg TargetConfig) error {
 // so chaos runs replay bit-identically.
 func (c *Cluster) Injector() *faults.Injector {
 	if c.inj == nil {
-		c.inj = faults.NewInjector(c.engine)
+		c.inj = faults.NewInjector(c.w.Engine)
 	}
 	return c.inj
 }
@@ -363,49 +330,34 @@ func (c *Cluster) ScheduleTargetCrash(nqn string, at, downFor time.Duration) err
 // is false when the target is unknown or uncached.
 func (c *Cluster) CacheStats(nqn string) (cache.Stats, bool) {
 	te, found := c.targets[nqn]
-	if !found || te.cache == nil {
+	if !found || te.svc.Cache == nil {
 		return cache.Stats{}, false
 	}
-	return te.cache.Stats(), true
+	return te.svc.Cache.Stats(), true
 }
 
-// Run executes fn as a simulation process (an application) and drives the
-// simulation until all activity completes. It returns fn's error, or a
-// simulation error (panic, deadlock).
+// Run executes fn as a simulation process (an application on the first
+// host added) and drives the simulation until all activity completes. It
+// returns fn's error, or a simulation error (panic, deadlock).
 func (c *Cluster) Run(fn func(ctx *Ctx) error) error {
-	var appErr error
-	c.engine.Go("oaf-app", func(p *sim.Proc) {
-		appErr = fn(&Ctx{cluster: c, proc: p, hostName: firstHost(c)})
-		c.stopTuners()
-	})
-	if err := c.engine.Run(); err != nil {
-		return err
-	}
-	return appErr
+	return c.RunUntil(time.Duration(sim.MaxTime), fn)
 }
 
 // RunUntil is Run with a virtual-time limit.
 func (c *Cluster) RunUntil(limit time.Duration, fn func(ctx *Ctx) error) error {
 	var appErr error
-	c.engine.Go("oaf-app", func(p *sim.Proc) {
-		appErr = fn(&Ctx{cluster: c, proc: p, hostName: firstHost(c)})
+	c.w.Engine.Go("oaf-app", func(p *sim.Proc) {
+		appErr = fn(&Ctx{cluster: c, proc: p, hostName: c.appHost})
 		c.stopTuners()
 	})
-	if err := c.engine.RunUntil(sim.Time(limit)); err != nil {
+	if err := c.w.Engine.RunUntil(sim.Time(limit)); err != nil {
 		return err
 	}
 	return appErr
 }
 
-func firstHost(c *Cluster) string {
-	for name := range c.hosts {
-		return name
-	}
-	return ""
-}
-
 // Now returns the current virtual time of the cluster.
-func (c *Cluster) Now() time.Duration { return time.Duration(c.engine.Now()) }
+func (c *Cluster) Now() time.Duration { return time.Duration(c.w.Engine.Now()) }
 
 // Ctx is the handle application code uses inside Run: it identifies the
 // calling process and the host the application runs on.
@@ -433,8 +385,8 @@ func (ctx *Ctx) Now() time.Duration { return time.Duration(ctx.proc.Now()) }
 
 // Go spawns a concurrent application process on the same host.
 func (ctx *Ctx) Go(name string, fn func(ctx *Ctx) error) *Task {
-	t := &Task{done: sim.NewSignal(ctx.cluster.engine)}
-	ctx.cluster.engine.Go(name, func(p *sim.Proc) {
+	t := &Task{done: sim.NewSignal(ctx.cluster.w.Engine)}
+	ctx.cluster.w.Engine.Go(name, func(p *sim.Proc) {
 		t.err = fn(&Ctx{cluster: ctx.cluster, proc: p, hostName: ctx.hostName})
 		t.done.Fire()
 	})
@@ -604,14 +556,7 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 		}
 		// The tenant's SLO tier steers the receive path unless the caller
 		// pinned the knobs explicitly.
-		if bp, batch, ok := spec.SLO.ReceiveTuning(); ok {
-			if opts.BusyPoll == 0 {
-				tp.BusyPoll = bp
-			}
-			if opts.Batch == 0 {
-				tp.BatchSize = batch
-			}
-		}
+		tp.BusyPoll, tp.BatchSize = spec.SLO.Steer(tp.BusyPoll, tp.BatchSize)
 	}
 	hqos := c.hostShaper(ctx.hostName)
 	tqos := c.targetShaper(te, targetNQN)
@@ -619,55 +564,32 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 	o := dial.Options{
 		Kind: opts.Fabric.kind(),
 		ConnOptions: session.ConnOptions{
-			NQN: targetNQN, QueueDepth: opts.QueueDepth,
+			QueueDepth:     opts.QueueDepth,
 			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
 			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Telemetry: c.tel, Tenant: opts.Tenant, QoS: hqos,
+			Telemetry: c.w.Tel, Tenant: opts.Tenant, QoS: hqos,
 		},
 		TargetQoS: tqos,
 		TP:        tp,
 		Design:    opts.Design.internal(),
-		Fabric:    c.fabric,
 	}
-	if ca := te.cache; ca != nil {
+	if ca := te.svc.Cache; ca != nil {
 		// Target-process death loses unflushed write-back data: account
 		// it so the next flush barrier reports the typed loss.
 		o.OnCrash = func() { ca.LoseDirty() }
 	}
-	// Every fabric rides its native link between the two hosts' NICs,
-	// except the adaptive one: loopback when co-located, the optimized
-	// TCP path over the 25 GbE network otherwise.
-	adaptive := o.Kind.Adaptive()
-	lp, _ := o.Kind.Link() // kind() yields only known kinds
-	clientNIC, targetNIC := clientHost.nic, te.host.nic
-	switch {
-	case adaptive && clientHost == te.host:
-		clientNIC, targetNIC = clientHost.loop, te.host.loop
-	case adaptive:
-		lp = model.TCP25G()
-	}
-	link := netsim.NewLink(c.engine, lp, clientNIC, targetNIC)
-	srv := dial.Serve(c.engine, te.tgt, link.B, o)
-	te.srvs = append(te.srvs, srv)
-	if srv.Pool != nil {
-		c.pools = append(c.pools, srv.Pool)
-	}
-	if adaptive {
-		// The Connection Manager's locality check: a region only for a
-		// co-located pair. A failed provision degrades to the TCP data
-		// path (the telemetry trace records the decision).
-		o.Region, _ = c.fabric.RegionFor(o.Design, clientHost.name, te.host.name, opts.MaxIOSize, tp.ChunkSize, opts.QueueDepth)
-		if o.Region != nil && opts.EncryptSHM {
-			o.Region.EnableEncryption(0xA5A5A5A5F00DFEED, 1.5e9)
-		}
+	pr := c.w.Serve(clientHost, te.svc, o, opts.MaxIOSize)
+	te.srvs = append(te.srvs, pr.Server)
+	if pr.Opts.Region != nil && opts.EncryptSHM {
+		pr.Opts.Region.EnableEncryption(0xA5A5A5A5F00DFEED, 1.5e9)
 	}
 	tracer := netsim.NewTracer(targetNQN)
-	link.A.AttachTracer(tracer)
-	cl, err := dial.Connect(ctx.proc, link.A, o)
+	pr.Link.A.AttachTracer(tracer)
+	cl, err := dial.Connect(ctx.proc, pr.Link.A, pr.Opts)
 	if err != nil {
 		return nil, err
 	}
-	q := &Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: srv.Target}
+	q := &Queue{inner: cl, ctx: ctx, tracer: tracer, target: targetNQN, tenant: opts.Tenant, srvTarget: pr.Server.Target}
 	if ac, ok := cl.(*core.Client); ok {
 		q.SharedMemory = ac.SHMEnabled()
 	}

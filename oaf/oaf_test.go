@@ -56,6 +56,37 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestDefaultHostIsFirstAdded pins where Run's application runs: on the
+// first host added, so a connection to a target there is co-located on
+// every run, not only when map iteration happens to pick that host.
+func TestDefaultHostIsFirstAdded(t *testing.T) {
+	for run := 0; run < 64; run++ {
+		c := oaf.NewCluster(oaf.Config{Seed: 1})
+		for _, h := range []string{"hostA", "hostB"} {
+			if err := c.AddHost(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.AddTarget("hostA", "nqn.demo", oaf.TargetConfig{SSDCapacity: 64 << 20}); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Run(func(ctx *oaf.Ctx) error {
+			q, err := ctx.Connect("nqn.demo", oaf.ConnectOptions{})
+			if err != nil {
+				return err
+			}
+			defer q.Close()
+			if !q.SharedMemory {
+				t.Errorf("run %d: the application ran off hostA: no shared memory", run)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRemoteHostFallsBackToTCP(t *testing.T) {
 	c := cluster(t)
 	if err := c.AddHost("hostB"); err != nil {

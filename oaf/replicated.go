@@ -138,7 +138,7 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 		members = append(members, cluster.Member{Name: nqn, Queue: q.inner})
 	}
 
-	cl, err := cluster.New(c.engine, members, cluster.Options{
+	cl, err := cluster.New(c.w.Engine, members, cluster.Options{
 		Seats:         n - opts.Spares,
 		Replicas:      opts.Replicas,
 		WriteQuorum:   opts.WriteQuorum,
@@ -147,7 +147,7 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 		ProbeMisses:   opts.ProbeMisses,
 		RetainData:    retain,
 		Namespace:     nqnPrefix,
-		Telemetry:     c.tel,
+		Telemetry:     c.w.Tel,
 	})
 	if err != nil {
 		for _, m := range queues {

@@ -53,12 +53,12 @@ type Ring struct {
 // ConnectReplicated.
 func (q *Queue) Ring(opts RingOptions) *Ring {
 	return &Ring{
-		inner: ring.New(q.ctx.cluster.engine, q.inner, ring.Config{
+		inner: ring.New(q.ctx.cluster.w.Engine, q.inner, ring.Config{
 			SQSize:    opts.SQSize,
 			CQSize:    opts.CQSize,
 			Buffers:   opts.Buffers,
 			BufSize:   opts.BufSize,
-			Telemetry: q.ctx.cluster.tel,
+			Telemetry: q.ctx.cluster.w.Tel,
 		}),
 		q: q,
 	}

@@ -129,25 +129,25 @@ type ClusterSnapshot struct {
 
 // Telemetry exposes the cluster's shared sink, shared by every
 // connection and target created on this cluster.
-func (c *Cluster) Telemetry() *telemetry.Sink { return c.tel }
+func (c *Cluster) Telemetry() *telemetry.Sink { return c.w.Tel }
 
 // Snapshot captures the whole cluster's observability state.
 func (c *Cluster) Snapshot() ClusterSnapshot {
 	snap := ClusterSnapshot{
-		TimeNs: int64(c.engine.Now()),
+		TimeNs: int64(c.w.Engine.Now()),
 		// Stamped with virtual time so two snapshots feed
 		// telemetry.Snapshot.DeltaSince directly (interval rates).
-		Telemetry: c.tel.SnapshotAt(int64(c.engine.Now())),
+		Telemetry: c.w.Tel.SnapshotAt(int64(c.w.Engine.Now())),
 	}
 	snap.Tenants = snap.Telemetry.Tenants
 	snap.QoS = c.QoSStats()
 	for _, q := range c.queues {
 		snap.Queues = append(snap.Queues, q.Snapshot())
 	}
-	for _, p := range c.pools {
+	for _, p := range c.w.Pools {
 		snap.Pools = append(snap.Pools, p.Stats())
 	}
-	for _, ca := range c.caches {
+	for _, ca := range c.w.Caches {
 		snap.Caches = append(snap.Caches, ca.Stats())
 	}
 	for _, cl := range c.replicated {

@@ -84,7 +84,7 @@ func (c *Cluster) hostShaper(hostName string) *qos.Shaper {
 	}
 	sh := c.hostQoS[hostName]
 	if sh == nil {
-		sh = qos.NewShaper("host:"+hostName, c.qosReg, c.tel)
+		sh = qos.NewShaper("host:"+hostName, c.qosReg, c.w.Tel)
 		c.hostQoS[hostName] = sh
 	}
 	return sh
@@ -98,7 +98,7 @@ func (c *Cluster) targetShaper(te *tgtEntry, nqn string) *qos.Shaper {
 		return nil
 	}
 	if te.shaper == nil {
-		te.shaper = qos.NewShaper("target:"+nqn, c.qosReg, c.tel)
+		te.shaper = qos.NewShaper("target:"+nqn, c.qosReg, c.w.Tel)
 	}
 	return te.shaper
 }

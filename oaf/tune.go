@@ -2,7 +2,6 @@ package oaf
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"nvmeoaf/internal/tune"
@@ -53,33 +52,17 @@ func (c *Cluster) AttachTuner(opts TunerOptions) (*Tuner, error) {
 		if !ok {
 			continue
 		}
-		qk := tune.QueueKnobs(fmt.Sprintf("q%d", i), tq)
-		if st := q.srvTarget; st != nil {
-			for j := range qk {
-				if strings.HasSuffix(qk[j].Name, "/batch") {
-					// Batching is negotiated symmetry: the same knob drives
-					// client-side submission trains and target-side
-					// completion-reap coalescing, exactly like the static
-					// Batch option at connect time.
-					set := qk[j].Set
-					qk[j].Set = func(v int64) {
-						set(v)
-						st.SetBatchSize(int(v))
-					}
-				}
-			}
-		}
-		knobs = append(knobs, qk...)
+		knobs = append(knobs, tune.QueueKnobs(fmt.Sprintf("q%d", i), tq, q.srvTarget)...)
 	}
-	for i, ca := range c.caches {
+	for i, ca := range c.w.Caches {
 		knobs = append(knobs, tune.CacheKnobs(fmt.Sprintf("cache%d", i), ca)...)
 	}
 	if len(knobs) == 0 {
 		return nil, fmt.Errorf("oaf: nothing to tune — attach the tuner after connecting queues")
 	}
-	t := &Tuner{ctl: tune.NewController(c.engine, tune.Config{
+	t := &Tuner{ctl: tune.NewController(c.w.Engine, tune.Config{
 		Period:    period,
-		Telemetry: c.tel,
+		Telemetry: c.w.Tel,
 	}, knobs)}
 	t.ctl.Start()
 	c.tuners = append(c.tuners, t)

@@ -53,7 +53,7 @@ type WorkloadResult struct {
 // RunWorkload drives the workload against the queue from this context's
 // process and blocks until the measured window completes.
 func (ctx *Ctx) RunWorkload(q *Queue, w Workload) (*WorkloadResult, error) {
-	stream := perf.NewStream(ctx.cluster.engine, q.inner, perf.Workload{
+	stream := perf.NewStream(ctx.cluster.w.Engine, q.inner, perf.Workload{
 		Name:       "oaf-workload",
 		Seq:        w.Sequential,
 		Zipf:       w.Zipf,
