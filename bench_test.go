@@ -1,13 +1,13 @@
-// Package nvmeoaf's benchmark harness: one testing.B benchmark per table
-// and figure of the paper's evaluation, plus ablation benches for the
-// design choices called out in DESIGN.md. Each benchmark runs the
-// deterministic simulation behind the figure and reports the headline
-// metrics via b.ReportMetric (GB/s, microseconds), so
+// Package nvmeoaf's benchmark harness: ablation benches for the design
+// choices called out in DESIGN.md beyond the paper's own Fig 8 ablation,
+// and two extension benches. Each runs a deterministic simulation and
+// reports its headline metrics via b.ReportMetric (GB/s, microseconds):
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the paper's result set. Full series (every row the paper
-// plots) come from `go run ./cmd/figures -fig all`.
+// The paper's tables and figures (every row it plots) come from
+// `go run ./cmd/figures -fig all`, which CI diffs against
+// figures_output.txt.
 package nvmeoaf
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/exp"
-	"nvmeoaf/internal/figures"
 	"nvmeoaf/internal/h5bench"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/perf"
@@ -26,240 +25,11 @@ import (
 	"nvmeoaf/internal/vol"
 )
 
-// benchOpts keeps bench runtime moderate while preserving shapes.
-func benchOpts() figures.Options {
-	o := figures.Quick()
-	return o
-}
-
 // report publishes a named metric once per run. Names are sanitized:
 // testing.B rejects units containing whitespace.
 func report(b *testing.B, name string, v float64) {
 	b.ReportMetric(v, strings.ReplaceAll(name, " ", "_"))
 }
-
-func BenchmarkTable1Testbed(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(figures.Table1()) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig02 regenerates the existing-transport characterization: it
-// reports the 128K read bandwidth per fabric.
-func BenchmarkFig02ExistingTransports(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Op == "read" && r.IOSize == 128<<10 {
-				report(b, string(r.Fabric)+"_GBps", r.GBps)
-			}
-		}
-	}
-}
-
-// BenchmarkFig03 reports the latency breakdown (io/comm/other) of
-// NVMe/TCP-10G at 128K, the decomposition Fig 3 plots.
-func BenchmarkFig03LatencyBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Fabric == exp.TCP10G && r.Op == "read" && r.IOSize == 128<<10 {
-				report(b, "io_us", r.IOUs)
-				report(b, "comm_us", r.CommUs)
-				report(b, "other_us", r.OtherUs)
-			}
-		}
-	}
-}
-
-// BenchmarkFig08 regenerates the shared-memory design ablation.
-func BenchmarkFig08SHMDesignAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			report(b, r.Design+"_GBps", r.GBps)
-		}
-	}
-}
-
-// BenchmarkFig09 regenerates the chunk-size sweep; it reports the 512K-IO
-// bandwidth per chunk size.
-func BenchmarkFig09ChunkSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig9(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.IOSize == 512<<10 {
-				report(b, "chunk"+itoa(r.Chunk>>10)+"K_GBps", r.GBps)
-			}
-		}
-	}
-}
-
-// BenchmarkFig10 regenerates the busy-poll sweep.
-func BenchmarkFig10BusyPoll(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig10(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			label := "int"
-			if r.Poll > 0 {
-				label = itoa(int(r.Poll.Microseconds())) + "us"
-			}
-			report(b, r.Workload+"_"+label+"_GBps", r.GBps)
-		}
-	}
-}
-
-// BenchmarkFig11 regenerates the overall-benefit comparison.
-func BenchmarkFig11OverallBenefits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig11(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Op == "read" && r.IOSize == 128<<10 {
-				report(b, string(r.Fabric)+"_GBps", r.GBps)
-			}
-		}
-	}
-}
-
-// BenchmarkFig12 reports oAF's latency decomposition at 128K.
-func BenchmarkFig12OAFBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig12(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Fabric == exp.OAF && r.Op == "read" && r.IOSize == 128<<10 {
-				report(b, "io_us", r.IOUs)
-				report(b, "comm_us", r.CommUs)
-				report(b, "other_us", r.OtherUs)
-			}
-		}
-	}
-}
-
-// BenchmarkFig13 regenerates the tail-latency study.
-func BenchmarkFig13TailLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig13(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			report(b, r.Fabric+"_p9999_us", r.P9999Us)
-		}
-	}
-}
-
-// BenchmarkFig14 regenerates the queue-depth scaling study; it reports
-// the QD128 bandwidth per fabric.
-func BenchmarkFig14Concurrency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig14(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.QD == 128 {
-				report(b, string(r.Fabric)+"_GBps", r.GBps)
-			}
-		}
-	}
-}
-
-// BenchmarkFig15 regenerates the random mixed workloads; it reports the
-// 50:50 mix throughput per fabric.
-func BenchmarkFig15RandomMixes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig15(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.ReadPct == 50 {
-				report(b, string(r.Fabric)+"_GBps", r.GBps)
-			}
-		}
-	}
-}
-
-// BenchmarkFig16 regenerates h5bench config-1 vs NFS.
-func BenchmarkFig16H5BenchOneDataset(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig16(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			report(b, r.Backend+"_write_GBps", r.WriteGB)
-			report(b, r.Backend+"_read_GBps", r.ReadGB)
-		}
-	}
-}
-
-// BenchmarkFig17 regenerates h5bench config-2 with coalescing.
-func BenchmarkFig17H5BenchEightDatasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig17(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			report(b, r.Backend+"_write_GBps", r.WriteGB)
-			report(b, r.Backend+"_read_GBps", r.ReadGB)
-		}
-	}
-}
-
-// BenchmarkFig18 regenerates scale-out case-1.
-func BenchmarkFig18ScaleOutCase1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig18(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			report(b, "shm"+itoa(r.SHMPct)+"_write_GBps", r.WriteGB)
-		}
-	}
-}
-
-// BenchmarkFig19 regenerates scale-out case-2.
-func BenchmarkFig19ScaleOutCase2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := figures.Fig19(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			report(b, "shm"+itoa(r.SHMPct)+"_write_GBps", r.WriteGB)
-		}
-	}
-}
-
-// ------------------------------------------------------------------
-// Ablation benches (DESIGN.md §5): design choices beyond the paper's own
-// Fig 8 ablation.
 
 // runMicro executes one microbenchmark configuration for the ablations.
 func runMicro(b *testing.B, cfg exp.Config) *exp.Result {

@@ -111,6 +111,44 @@ func (o Options) withDefaults(members int) Options {
 	return o
 }
 
+// A replica member's connection fails fast: the namespace owns
+// redundancy, so a dead member should surface typed errors quickly
+// (triggering failover and rebuild) rather than hide the outage behind
+// long per-member retry loops.
+const (
+	memberTimeout = 500 * time.Microsecond
+	memberRetries = 1
+	memberBackoff = 100 * time.Microsecond
+	// ProbePeriod is the member keep-alive period of a namespace that
+	// probes and was given none.
+	ProbePeriod = 200 * time.Microsecond
+)
+
+// FailFast fills the zero ones of a member connection's command
+// time-out, retry count and retry back-off with the fail-fast values.
+// Every builder of a namespace takes its member options from here.
+func FailFast(timeout *time.Duration, retries *int, backoff *time.Duration) {
+	if *timeout <= 0 {
+		*timeout = memberTimeout
+	}
+	if *retries <= 0 {
+		*retries = memberRetries
+	}
+	if *backoff <= 0 {
+		*backoff = memberBackoff
+	}
+}
+
+// Seats is the seat count (Options.Seats) of a namespace over members
+// targets that holds spares of them out as warm spares; spares must lie
+// in [0, members).
+func Seats(members, spares int) (int, error) {
+	if spares < 0 || spares >= members {
+		return 0, fmt.Errorf("cluster: spares must be in [0, %d)", members)
+	}
+	return members - spares, nil
+}
+
 // seatState is one stable placement slot. gen bumps whenever the
 // occupant changes, invalidating every per-extent ack recorded against
 // the previous occupant in O(1).
@@ -236,12 +274,6 @@ func New(e *sim.Engine, members []Member, opts Options) (*Cluster, error) {
 	}
 	return c, nil
 }
-
-// Engine exposes the simulation engine (for facades and tests).
-func (c *Cluster) Engine() *sim.Engine { return c.e }
-
-// Options returns the effective (defaulted) configuration.
-func (c *Cluster) Options() Options { return c.opts }
 
 // workerLoop executes deferred submissions: work that must run on a
 // process (queue Submit can block on flow control) but was scheduled

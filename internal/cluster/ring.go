@@ -33,7 +33,6 @@ type ringPoint struct {
 // construction: failover changes seat occupancy, never ring geometry.
 type Ring struct {
 	points   []ringPoint
-	seats    int
 	replicas int
 }
 
@@ -56,7 +55,7 @@ func NewRing(seats, replicas, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
 	}
-	r := &Ring{seats: seats, replicas: replicas}
+	r := &Ring{replicas: replicas}
 	r.points = make([]ringPoint, 0, seats*vnodes)
 	for s := 0; s < seats; s++ {
 		for v := 0; v < vnodes; v++ {
@@ -72,12 +71,6 @@ func NewRing(seats, replicas, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Seats returns the seat count N.
-func (r *Ring) Seats() int { return r.seats }
-
-// Replicas returns the replication factor R.
-func (r *Ring) Replicas() int { return r.replicas }
 
 // Locate returns the R distinct seats owning extent ext, primary first,
 // appended to out. The walk starts at the first ring point clockwise of

@@ -95,6 +95,3 @@ func (d Design) LockMode() shm.Mode {
 
 // ZeroCopy reports whether client buffers live in the shared region.
 func (d Design) ZeroCopy() bool { return d == DesignSHMZeroCopy }
-
-// ConservativeWrites reports whether writes still need the R2T exchange.
-func (d Design) ConservativeWrites() bool { return d.Chunked() }

@@ -32,9 +32,6 @@ func NewFabric(e *sim.Engine, params model.SHMParams) *Fabric {
 	return &Fabric{e: e, params: params, nextKey: 1, regions: make(map[uint64]*shm.Region), tel: telemetry.Disabled}
 }
 
-// Params returns the shared-memory parameters.
-func (f *Fabric) Params() model.SHMParams { return f.params }
-
 // AttachTelemetry routes provisioning metrics into s, and propagates s
 // to every region provisioned afterwards. A nil sink disables.
 func (f *Fabric) AttachTelemetry(s *telemetry.Sink) {

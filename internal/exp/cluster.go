@@ -29,8 +29,9 @@ func nqnCluster(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:cluster%d
 // targets, one router, one perf stream.
 func runCluster(cfg Config) (*Result, error) {
 	n := cfg.ClusterTargets
-	if cfg.ClusterSpares < 0 || cfg.ClusterSpares >= n {
-		return nil, fmt.Errorf("exp: cluster spares must be in [0, %d)", n)
+	seats, err := cluster.Seats(n, cfg.ClusterSpares)
+	if err != nil {
+		return nil, err
 	}
 	linkParams, err := cfg.Kind.Link()
 	if err != nil {
@@ -39,10 +40,7 @@ func runCluster(cfg Config) (*Result, error) {
 	if cfg.Kind == OAF {
 		linkParams = model.TCP100G() // members are remote: no loopback SHM
 	}
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	w := world.New(cfg.Seed, tel)
 	defer w.Close()
 	e := w.Engine
@@ -50,30 +48,27 @@ func runCluster(cfg Config) (*Result, error) {
 	// Cluster runs drive one logical stream, so one tenant (the first)
 	// covers all router traffic; the replica fan-out marks every copy
 	// after the first QoS-exempt, debiting the budget once per write.
-	hostSh, tgtSh, err := cfg.qosShapers(tel)
+	reg, err := cfg.tenants()
 	if err != nil {
 		return nil, err
 	}
 
-	// Member connections fail fast with typed errors — the replication
-	// layer owns redundancy, so a dead member should trigger failover, not
-	// a long per-member retry loop.
-	base := cfg.dialOptions(tel, hostSh, tgtSh)
+	base := cfg.dialOptions(tel, reg)
 	base.QueueDepth, base.Tenant = cfg.Workload.QueueDepth, cfg.TenantFor(0).Name
-	base.CommandTimeout, base.MaxRetries, base.RetryBackoff = 500*time.Microsecond, 1, 100*time.Microsecond
+	cluster.FailFast(&base.CommandTimeout, &base.MaxRetries, &base.RetryBackoff)
 	members := make([]world.Pair, n)
+	svcs := make([]*world.Service, n)
 	for i := range members {
 		// Each member is its own machine with its own port, so fabric
 		// bandwidth scales with the member count; both ends of its link
 		// sit on that port (the client side is modeled per link: the
 		// aggregate client is not the bottleneck under study here).
 		m := w.Remote(fmt.Sprintf("member%d", i), linkParams)
-		svc, err := w.Service(m, nqnCluster(i), cfg.ssd(fmt.Sprintf("cnvme%d", i)))
-		if err != nil {
+		if svcs[i], err = w.Service(m, nqnCluster(i), cfg.ssd(fmt.Sprintf("cnvme%d", i))); err != nil {
 			return nil, err
 		}
-		res.Devices = append(res.Devices, svc.SSD)
-		members[i] = w.Serve(m, svc, base, cfg.MaxIO)
+		res.Devices = append(res.Devices, svcs[i].SSD)
+		members[i] = w.Serve(m, svcs[i], base, cfg.Workload.MaxIOSize())
 	}
 
 	var inj *faults.Injector
@@ -82,7 +77,7 @@ func runCluster(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("exp: crash member %d out of range", cfg.CrashMember)
 		}
 		inj = faults.NewInjector(e)
-		inj.CrashTarget(members[cfg.CrashMember].Server, cfg.CrashAt, cfg.CrashDown)
+		inj.CrashTarget(svcs[cfg.CrashMember], cfg.CrashAt, cfg.CrashDown)
 	}
 
 	wl := cfg.Workload
@@ -106,11 +101,11 @@ func runCluster(cfg Config) (*Result, error) {
 		// perf runs skip the probe traffic.
 		var probe time.Duration
 		if cfg.CrashDown > 0 {
-			probe = 200 * time.Microsecond
+			probe = cluster.ProbePeriod
 		}
 		var err error
 		cl, err = cluster.New(e, cms, cluster.Options{
-			Seats:         n - cfg.ClusterSpares,
+			Seats:         seats,
 			Replicas:      cfg.ClusterReplicas,
 			WriteQuorum:   cfg.ClusterWriteQuorum,
 			ExtentSize:    cfg.ClusterExtent,
@@ -148,6 +143,6 @@ func runCluster(cfg Config) (*Result, error) {
 	if inj != nil {
 		res.FaultLog = inj.Log
 	}
-	res.finish(w, hostSh, tgtSh)
+	res.finish(w, reg)
 	return res, nil
 }

@@ -69,9 +69,6 @@ type Config struct {
 	SSD model.SSDParams
 	// SSDCapacity per device (default 2 GiB).
 	SSDCapacity int64
-	// MaxIO bounds the largest I/O for shared-memory slot sizing
-	// (defaults to the workload size).
-	MaxIO int
 	// RDMA overrides the RDMA fabric parameters (nil = model defaults),
 	// for ablations such as disabling registration-cache misses.
 	RDMA *model.RDMAParams
@@ -80,10 +77,6 @@ type Config struct {
 	CacheBytes int64
 	// CacheMode selects the cache write policy (write-through default).
 	CacheMode cache.Mode
-	// Telemetry receives fabric-wide counters, traces, and histograms
-	// for the run. Nil means Run creates its own sink, returned in
-	// Result.Telemetry either way.
-	Telemetry *telemetry.Sink
 
 	// ClusterTargets, when positive, replaces the per-stream direct
 	// connections with a sharded + replicated namespace over this many
@@ -151,11 +144,6 @@ func (c Config) withDefaults() Config {
 	if c.SSDCapacity <= 0 {
 		c.SSDCapacity = 2 << 30
 	}
-	if c.MaxIO <= 0 {
-		// MaxIOSize covers SizeMix entries and the flip phase, so
-		// shared-memory slots fit every request either phase can draw.
-		c.MaxIO = c.Workload.MaxIOSize()
-	}
 	if c.Kind == "" {
 		c.Kind = OAF
 	}
@@ -195,10 +183,10 @@ type Result struct {
 	// Tuner is the self-tuning controller's trajectory and final knob
 	// settings (nil unless Config.Tune).
 	Tuner *tune.Report
-	// HostQoS / TargetQoS are the run's QoS enforcement points (nil when
-	// untenanted or not armed), exposed for token-ledger checks.
-	HostQoS, TargetQoS *qos.Shaper
-	// QoS merges the per-tenant token accounting across both points.
+	// QoSRegistry is the run's tenant registry with its enforcement
+	// points (nil when untenanted), exposed for token-ledger checks.
+	QoSRegistry *qos.Registry
+	// QoS merges the per-tenant token accounting across those points.
 	QoS []qos.TenantStats
 }
 
@@ -261,13 +249,13 @@ func (c Config) TenantFor(i int) TenantSpec {
 	return c.Tenants[len(c.Tenants)-1]
 }
 
-// qosShapers builds the run's enforcement points from Config.Tenants.
-func (c Config) qosShapers(tel *telemetry.Sink) (host, tgt *qos.Shaper, err error) {
+// tenants registers Config.Tenants (nil when untenanted).
+func (c Config) tenants() (*qos.Registry, error) {
 	if len(c.Tenants) == 0 {
 		if c.TargetQoS {
-			return nil, nil, fmt.Errorf("exp: TargetQoS requires Tenants")
+			return nil, fmt.Errorf("exp: TargetQoS requires Tenants")
 		}
-		return nil, nil, nil
+		return nil, nil
 	}
 	reg := qos.NewRegistry()
 	for _, ts := range c.Tenants {
@@ -275,19 +263,15 @@ func (c Config) qosShapers(tel *telemetry.Sink) (host, tgt *qos.Shaper, err erro
 			Name: ts.Name, SLO: ts.SLO,
 			RateBps: int64(ts.RateMBps) << 20, BurstBytes: ts.BurstBytes,
 		}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	host = qos.NewShaper("host", reg, tel)
-	if c.TargetQoS {
-		tgt = qos.NewShaper("target", reg, tel)
-	}
-	return host, tgt, nil
+	return reg, nil
 }
 
 // finish folds the world's links, data pools and caches and the QoS
 // enforcement points into the result.
-func (res *Result) finish(w *world.World, host, tgt *qos.Shaper) {
+func (res *Result) finish(w *world.World, reg *qos.Registry) {
 	for _, l := range w.Links {
 		res.WireBytes += l.A.BytesSent + l.B.BytesSent
 	}
@@ -298,31 +282,26 @@ func (res *Result) finish(w *world.World, host, tgt *qos.Shaper) {
 	for _, ca := range w.Caches {
 		res.CacheStats = append(res.CacheStats, ca.Stats())
 	}
-	res.HostQoS, res.TargetQoS = host, tgt
-	var shapers []*qos.Shaper
-	if host != nil {
-		shapers = append(shapers, host)
-	}
-	if tgt != nil {
-		shapers = append(shapers, tgt)
-	}
-	if len(shapers) > 0 {
-		res.QoS = qos.MergeStats(shapers...)
-	}
+	res.QoSRegistry, res.QoS = reg, reg.Stats()
 }
 
 // dialOptions is what every connection of the run shares; the builder
-// adds the per-connection NQN, queue depth, tenant, TP and region.
-func (c Config) dialOptions(tel *telemetry.Sink, hostSh, tgtSh *qos.Shaper) dial.Options {
-	return dial.Options{
+// adds the per-connection NQN, queue depth, tenant, TP and region. Every
+// client VM sits on the one physical host, so one host-side enforcement
+// point covers them all; TargetQoS adds one for the target side.
+func (c Config) dialOptions(tel *telemetry.Sink, reg *qos.Registry) dial.Options {
+	o := dial.Options{
 		Kind:        c.Kind,
-		ConnOptions: session.ConnOptions{Telemetry: tel, QoS: hostSh},
-		TargetQoS:   tgtSh,
+		ConnOptions: session.ConnOptions{Telemetry: tel, QoS: reg.Shaper("host", tel)},
 		TP:          c.TP,
 		Design:      c.Design,
 		RDMA:        c.RDMA,
 		RegCache:    c.RDMARegCache, Merge: c.RDMAMerge, DynDoorbell: c.RDMADynDoorbell,
 	}
+	if c.TargetQoS {
+		o.TargetQoS = reg.Shaper("target", tel)
+	}
+	return o
 }
 
 // nqnFor names the per-SSD storage service.
@@ -342,12 +321,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return runCluster(cfg)
 	}
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	res := &Result{Telemetry: tel}
-	hostSh, tgtSh, err := cfg.qosShapers(tel)
+	reg, err := cfg.tenants()
 	if err != nil {
 		return nil, err
 	}
@@ -374,8 +350,10 @@ func Run(cfg Config) (*Result, error) {
 
 	// One pair (link, server, region) per queue: pair i*Queues+j is
 	// stream i's member queue j. Regions are sized for the run workload's
-	// depth; a tenant's depth override applies at connect.
-	base := cfg.dialOptions(tel, hostSh, tgtSh)
+	// depth; a tenant's depth override applies at connect. MaxIOSize
+	// covers SizeMix entries and the flip phase, so shared-memory slots
+	// fit every request either phase can draw.
+	base := cfg.dialOptions(tel, reg)
 	base.QueueDepth = cfg.Workload.QueueDepth
 	pairs := make([]world.Pair, cfg.Streams*cfg.Queues)
 	for li := range pairs {
@@ -383,7 +361,7 @@ func Run(cfg Config) (*Result, error) {
 		// config left them unset.
 		o := base
 		o.TP.BusyPoll, o.TP.BatchSize = cfg.TenantFor(li/cfg.Queues).SLO.Steer(o.TP.BusyPoll, o.TP.BatchSize)
-		pairs[li] = w.Serve(host, svcs[li/cfg.Queues], o, cfg.MaxIO)
+		pairs[li] = w.Serve(host, svcs[li/cfg.Queues], o, cfg.Workload.MaxIOSize())
 	}
 
 	// Connect clients and run one perf stream per pair.
@@ -483,6 +461,6 @@ func Run(cfg Config) (*Result, error) {
 		rep := ctl.Report()
 		res.Tuner = &rep
 	}
-	res.finish(w, hostSh, tgtSh)
+	res.finish(w, reg)
 	return res, nil
 }

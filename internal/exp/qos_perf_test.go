@@ -113,13 +113,8 @@ func TestGreedyTenantCannotDegradePoliteP99(t *testing.T) {
 	}
 	// ...and the ledger must balance exactly: every token spent was
 	// minted by some tenant's refill, none created or destroyed.
-	for _, sh := range []*qos.Shaper{on.HostQoS, on.TargetQoS} {
-		if sh == nil {
-			continue
-		}
-		if err := sh.Conservation().Check(); err != nil {
-			t.Errorf("token conservation violated at %s: %v", sh.Label(), err)
-		}
+	if err := on.QoSRegistry.Check(); err != nil {
+		t.Errorf("token conservation violated: %v", err)
 	}
 }
 

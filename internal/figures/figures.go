@@ -347,30 +347,6 @@ func FormatFig10(rows []Fig10Row) string {
 }
 
 // ------------------------------------------------------------------
-// Figure 12 — oAF latency breakdown (same axes as Fig 3).
-
-// Fig12 measures the oAF latency decomposition next to the TCP fabrics.
-func Fig12(o Options) ([]MicroRow, error) {
-	var rows []MicroRow
-	for _, size := range []int{4 << 10, 128 << 10} {
-		for _, op := range []string{"read", "write"} {
-			readPct := 100
-			if op == "write" {
-				readPct = 0
-			}
-			for _, kind := range []exp.Kind{exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.OAF} {
-				res, err := o.micro(kind, 4, seqWorkload(readPct, size, 128), nil)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, rowFrom(kind, op, size, res))
-			}
-		}
-	}
-	return rows, nil
-}
-
-// ------------------------------------------------------------------
 // Figure 13 — tail latency, mixed 70:30 128 KB.
 
 // Fig13Row is one fabric's latency percentiles.

@@ -196,15 +196,6 @@ func (s *Store) Len() int { return len(s.index) }
 // logUsage returns bytes consumed in the active zone.
 func (s *Store) logUsage() int64 { return s.head }
 
-// LiveBytes returns the bytes of live records (excludes garbage).
-func (s *Store) LiveBytes() int64 {
-	var n int64
-	for _, ref := range s.index {
-		n += int64(recordSize(ref.klen, ref.vlen, false))
-	}
-	return n
-}
-
 // Compact rewrites live records into the other zone, reclaiming garbage
 // from overwrites and deletes.
 func (s *Store) Compact(p *sim.Proc) error {

@@ -164,15 +164,62 @@ func (sp Spec) withDefaults() (Spec, error) {
 
 // Registry is the tenant directory shared by every enforcement point of
 // one deployment: the operator registers specs once, and each Shaper
-// instantiates its own buckets from them.
+// instantiates its own buckets from them. It also holds the deployment's
+// enforcement points (Shaper), so their stats merge and their books are
+// checked in one place.
 type Registry struct {
 	order []string
 	specs map[string]Spec
+	// points are the enforcement points Shaper built, in creation order;
+	// byLabel indexes them.
+	points  []*Shaper
+	byLabel map[string]*Shaper
 }
 
 // NewRegistry returns an empty tenant directory.
 func NewRegistry() *Registry {
-	return &Registry{specs: make(map[string]Spec)}
+	return &Registry{specs: make(map[string]Spec), byLabel: make(map[string]*Shaper)}
+}
+
+// Shaper returns the enforcement point called label, building it over
+// the registry on first use; tel (may be nil) receives its per-tenant
+// accounting. A registry with no tenants has no enforcement points: it
+// returns nil, which admits everything.
+func (r *Registry) Shaper(label string, tel *telemetry.Sink) *Shaper {
+	if r.Len() == 0 {
+		return nil
+	}
+	if sh := r.byLabel[label]; sh != nil {
+		return sh
+	}
+	sh := NewShaper(label, r, tel)
+	r.byLabel[label] = sh
+	r.points = append(r.points, sh)
+	return sh
+}
+
+// Stats merges the per-tenant accounting of every enforcement point
+// (MergeStats: summed, sorted by tenant, so creation order does not
+// show); nil for a nil registry.
+func (r *Registry) Stats() []TenantStats {
+	if r == nil {
+		return nil
+	}
+	return MergeStats(r.points...)
+}
+
+// Check verifies token conservation at every enforcement point. A
+// non-nil error means a ledger leaked (a bug, not a tuning problem).
+func (r *Registry) Check() error {
+	if r == nil {
+		return nil
+	}
+	for _, sh := range r.points {
+		if err := sh.Conservation().Check(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Add registers (or replaces) one tenant spec.
@@ -261,10 +308,8 @@ func (sh *Shaper) Bucket(name string, nowNs int64) *Bucket {
 		return b
 	}
 	sp, _ := sh.reg.Lookup(name)
-	sp.Name = name
 	b := &Bucket{
 		sh:      sh,
-		spec:    sp,
 		rateBps: sp.RateBps,
 		burst:   sp.BurstBytes,
 		lastNs:  nowNs,
@@ -392,7 +437,6 @@ func MergeStats(shapers ...*Shaper) []TenantStats {
 // bucket (no shaper, no tenant) admits everything.
 type Bucket struct {
 	sh      *Shaper
-	spec    Spec
 	rateBps int64
 	burst   int64
 	tokens  int64
@@ -405,14 +449,6 @@ type Bucket struct {
 	Borrowed  int64
 	Lent      int64
 	Throttles int64
-}
-
-// Tenant returns the bucket's tenant name.
-func (b *Bucket) Tenant() string {
-	if b == nil {
-		return ""
-	}
-	return b.spec.Name
 }
 
 // Limited reports whether this bucket actually shapes (a provisioned

@@ -281,3 +281,44 @@ func TestPoolBounded(t *testing.T) {
 		t.Fatalf("conservation: %v", err)
 	}
 }
+
+// TestRegistryOwnsEnforcementPoints pins the registry as the one home of
+// a deployment's enforcement points: one label gives one shaper, the
+// stats merge across every point, and the conservation check covers
+// every point (a ledger broken at the second point built is caught).
+func TestRegistryOwnsEnforcementPoints(t *testing.T) {
+	var none *Registry
+	if none.Shaper("host", nil) != nil || NewRegistry().Shaper("host", nil) != nil {
+		t.Fatal("a registry without tenants built an enforcement point")
+	}
+	if none.Stats() != nil || none.Check() != nil {
+		t.Fatal("a nil registry reports stats or a broken ledger")
+	}
+
+	reg := testRegistry(t,
+		Spec{Name: "a", RateBps: 1 << 20, BurstBytes: 8192},
+		Spec{Name: "b", RateBps: 1 << 20, BurstBytes: 8192})
+	host, tgt := reg.Shaper("host:h0", nil), reg.Shaper("target:nqn", nil)
+	if host == nil || tgt == nil || host == tgt {
+		t.Fatalf("two labels gave shapers %p and %p, want two distinct points", host, tgt)
+	}
+	if again := reg.Shaper("host:h0", nil); again != host {
+		t.Fatal("one label gave two shapers")
+	}
+
+	host.Bucket("a", 0).TryTake(0, 4096)
+	tgt.Bucket("a", 0).TryTake(0, 2048)
+	tgt.Bucket("b", 0).TryTake(0, 1024)
+	stats := reg.Stats()
+	if len(stats) != 2 || stats[0].Name != "a" || stats[0].Taken != 6144 || stats[1].Name != "b" || stats[1].Taken != 1024 {
+		t.Fatalf("merged stats = %+v, want a taken 6144 across both points, b 1024", stats)
+	}
+	if err := reg.Check(); err != nil {
+		t.Fatalf("balanced ledgers: %v", err)
+	}
+
+	tgt.minted++ // a token from nowhere at the second point
+	if err := reg.Check(); err == nil {
+		t.Fatal("Check missed a leak at the second enforcement point")
+	}
+}

@@ -99,9 +99,6 @@ func (c *regCache) Invalidate(key regKey) {
 	c.remove(e)
 }
 
-// Used returns the registered bytes currently held.
-func (c *regCache) Used() int64 { return c.used }
-
 // Len returns the number of registered regions.
 func (c *regCache) Len() int { return len(c.entries) }
 

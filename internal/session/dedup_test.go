@@ -209,14 +209,11 @@ func TestBindingsNamedOnlyByDial(t *testing.T) {
 	}
 }
 
-// TestWorldsBuiltOnlyByWorld keeps "build a world" written once: outside
-// internal/world (and the separate bench module) no non-test code makes
-// an engine, a target, a NIC or an SSD. A builder that needs another
-// machine shape or service asks internal/world for it, so the locality
-// rule and the RNG stream names stay in one place.
-func TestWorldsBuiltOnlyByWorld(t *testing.T) {
-	const mod = "nvmeoaf/internal/"
-	ctors := map[string]string{"sim": "NewEngine", "target": "New", "netsim": "NewNIC", "bdev": "NewSimSSD"}
+// walkSource calls fn for every non-test Go file of the module outside
+// hidden directories and the separate bench module, with its directory
+// (a slash path from the module root).
+func walkSource(t *testing.T, fn func(dir, file string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(repoRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -226,40 +223,106 @@ func TestWorldsBuiltOnlyByWorld(t *testing.T) {
 		if (strings.HasPrefix(d.Name(), ".") && path != repoRoot) || dir == "bench" {
 			return filepath.SkipDir
 		}
-		if dir == "internal/world" {
-			return nil
-		}
 		for file, f := range parseDir(t, dir) {
-			// Local name -> the constructor this file must not call on it.
-			banned := map[string]string{}
-			for _, imp := range f.Imports {
-				pkg := strings.TrimPrefix(strings.Trim(imp.Path.Value, `"`), mod)
-				if ctor, ok := ctors[pkg]; ok {
-					local := pkg
-					if imp.Name != nil {
-						local = imp.Name.Name
-					}
-					banned[local] = ctor
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if x, ok := sel.X.(*ast.Ident); ok && banned[x.Name] == sel.Sel.Name {
-					t.Errorf("%s calls %s.%s: worlds are built by internal/world", file, x.Name, sel.Sel.Name)
-				}
-				return true
-			})
+			fn(dir, file, f)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// importName is the local name under which f imports internal/<pkg>, ""
+// when it does not.
+func importName(f *ast.File, pkg string) string {
+	for _, imp := range f.Imports {
+		if strings.Trim(imp.Path.Value, `"`) != "nvmeoaf/internal/"+pkg {
+			continue
+		}
+		if imp.Name != nil {
+			return imp.Name.Name
+		}
+		return pkg
+	}
+	return ""
+}
+
+// calls reports whether n contains a call of local.name.
+func calls(n ast.Node, local, name string) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				x, ok := sel.X.(*ast.Ident)
+				found = found || (ok && x.Name == local)
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// TestWorldsBuiltOnlyByWorld keeps "build a world" written once: outside
+// internal/world (and the separate bench module) no non-test code makes
+// an engine, a target, a NIC or an SSD. A builder that needs another
+// machine shape or service asks internal/world for it, so the locality
+// rule and the RNG stream names stay in one place.
+func TestWorldsBuiltOnlyByWorld(t *testing.T) {
+	ctors := map[string]string{"sim": "NewEngine", "target": "New", "netsim": "NewNIC", "bdev": "NewSimSSD"}
+	walkSource(t, func(dir, file string, f *ast.File) {
+		if dir == "internal/world" {
+			return
+		}
+		for pkg, ctor := range ctors {
+			if local := importName(f, pkg); local != "" && calls(f, local, ctor) {
+				t.Errorf("%s calls %s.%s: worlds are built by internal/world", file, local, ctor)
+			}
+		}
+	})
+}
+
+// TestShapersBuiltOnlyByQoS keeps the QoS enforcement points in one
+// place: outside internal/qos no non-test code calls qos.NewShaper. A
+// builder asks its tenant registry for a point by label
+// (qos.Registry.Shaper), so the registry sees every point when it
+// merges stats and checks token conservation.
+func TestShapersBuiltOnlyByQoS(t *testing.T) {
+	walkSource(t, func(dir, file string, f *ast.File) {
+		if dir == "internal/qos" {
+			return
+		}
+		if local := importName(f, "qos"); local != "" && calls(f, local, "NewShaper") {
+			t.Errorf("%s calls %s.NewShaper: enforcement points come from qos.Registry.Shaper", file, local)
+		}
+	})
+}
+
+// TestClusterMembersFailFast keeps the replica members' fail-fast
+// options in internal/cluster: every function outside it that calls
+// cluster.New also fills its member connections through
+// cluster.FailFast, so no builder carries its own copy of the member
+// time-out (the value a namespace's stale-completion window depends
+// on).
+func TestClusterMembersFailFast(t *testing.T) {
+	builders := 0
+	walkSource(t, func(dir, file string, f *ast.File) {
+		local := importName(f, "cluster")
+		if dir == "internal/cluster" || local == "" {
+			return
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !calls(fd.Body, local, "New") {
+				continue
+			}
+			builders++
+			if !calls(fd.Body, local, "FailFast") {
+				t.Errorf("%s: %s calls %s.New without taking its member options from %s.FailFast", file, fd.Name.Name, local, local)
+			}
+		}
+	})
+	if builders == 0 {
+		t.Error("found no cluster.New call outside internal/cluster: the guard is looking at the wrong name")
 	}
 }

@@ -377,9 +377,6 @@ func (h *Host) connectHostNQN() string {
 	return TenantHostNQN(h.hostNQN(), h.cfg.Tenant)
 }
 
-// Tenant returns the queue's default tenant ("" when untenanted).
-func (h *Host) Tenant() string { return h.cfg.Tenant }
-
 // tenantOf resolves the tenant an I/O belongs to: its own stamp, else
 // the queue default.
 func (h *Host) tenantOf(io *transport.IO) string {

@@ -213,9 +213,6 @@ func (t *Target) Crash() {
 	}
 }
 
-// Crashed reports whether the target is down.
-func (t *Target) Crashed() bool { return t.crashed }
-
 // Restart brings a crashed target back: a fresh connection handler
 // starts listening on every served endpoint.
 func (t *Target) Restart() {
@@ -328,9 +325,6 @@ func (c *Conn) qosAdmit(cmd nvme.Command) bool {
 
 // Kick wakes the connection's run loop.
 func (c *Conn) Kick() { c.kick.Fire() }
-
-// Closed reports whether the connection has shut down (or is about to).
-func (c *Conn) Closed() bool { return c.closed }
 
 // NoteStale counts a PDU for an unknown command, dropped instead of
 // panicking (late data after a client-side timeout or a teardown).

@@ -165,9 +165,6 @@ func (r *Region) AttachTelemetry(s *telemetry.Sink) {
 	r.tel = s
 }
 
-// Mode returns the region's concurrency mode.
-func (r *Region) Mode() Mode { return r.mode }
-
 // Size returns the total region size in bytes.
 func (r *Region) Size() int { return len(r.data) }
 

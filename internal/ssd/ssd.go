@@ -126,9 +126,6 @@ func New(e *sim.Engine, name string, capacity int64, params model.SSDParams, ret
 	return d
 }
 
-// Params returns the device parameters.
-func (d *Device) Params() model.SSDParams { return d.params }
-
 // QueueDepth returns the number of commands waiting for a channel.
 func (d *Device) QueueDepth() int { return d.queue.Len() }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"time"
 
 	"nvmeoaf/internal/stats"
@@ -102,14 +101,6 @@ func (v *TenantView) Add(c TenantCounter, n int64) {
 	v.counters[c] += n
 }
 
-// Counter returns the current value of c.
-func (v *TenantView) Counter(c TenantCounter) int64 {
-	if v == nil {
-		return 0
-	}
-	return v.counters[c]
-}
-
 // Observe records one sample into distribution h.
 func (v *TenantView) Observe(h TenantHist, x int64) {
 	if v == nil {
@@ -140,19 +131,6 @@ func (s *Sink) Tenant(name string) *TenantView {
 	}
 	s.tenants[name] = v
 	return v
-}
-
-// TenantNames returns the tenants with views, sorted.
-func (s *Sink) TenantNames() []string {
-	if s == nil || !s.enabled || len(s.tenants) == 0 {
-		return nil
-	}
-	names := make([]string, 0, len(s.tenants))
-	for name := range s.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // TenantSnapshot is the exported view of one tenant: the same shape as

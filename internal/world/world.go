@@ -115,12 +115,32 @@ type Spec struct {
 
 // Service is one storage service: a target serving one subsystem whose
 // namespace 1 is an SSD, behind a block cache when one was asked for.
+// It is the unit a fault crashes (faults.Crashable): every connection
+// Serve started for it goes down and comes back together.
 type Service struct {
 	Machine *Machine
 	NQN     string
 	SSD     *bdev.SSDBdev
 	Cache   *cache.Cache // nil when uncached
 	tgt     *target.Target
+	servers []*dial.Server // one per Serve, in order
+}
+
+// Crash crashes every server Serve started for the service, dropping
+// their connections and in-flight state; a cached service loses its
+// dirty lines. The servers are read when the crash fires, so one served
+// after the crash was scheduled goes down too.
+func (s *Service) Crash() {
+	for _, srv := range s.servers {
+		srv.Crash()
+	}
+}
+
+// Restart brings every server of the service back up.
+func (s *Service) Restart() {
+	for _, srv := range s.servers {
+		srv.Restart()
+	}
 }
 
 // Service builds a storage service on m. The SSD starts its channel
@@ -183,19 +203,25 @@ func path(client, host *Machine, kind dial.Kind) (lp model.LinkParams, a, b *net
 }
 
 // Serve links client to svc by the locality rule and starts the target
-// side of the connection o describes. A co-located adaptive pair's
-// region is provisioned after its server starts (region keys are handed
-// out in that order), sized for maxIO at o's chunk size and queue depth;
-// a failed provision leaves it nil and the pair degrades to the TCP data
-// path (the trace records the decision).
+// side of the connection o describes, one more server for svc's crash
+// set. A cached service's crash loses its unflushed write-back lines,
+// so the next flush barrier reports the typed loss. A co-located
+// adaptive pair's region is provisioned after its server starts (region
+// keys are handed out in that order), sized for maxIO at o's chunk size
+// and queue depth; a failed provision leaves it nil and the pair
+// degrades to the TCP data path (the trace records the decision).
 func (w *World) Serve(client *Machine, svc *Service, o dial.Options, maxIO int) Pair {
 	lp, a, b, region := path(client, svc.Machine, o.Kind)
 	o.NQN = svc.NQN
 	if o.Kind.Adaptive() {
 		o.Fabric = w.Fabric
 	}
+	if ca := svc.Cache; ca != nil {
+		o.OnCrash = func() { ca.LoseDirty() }
+	}
 	link := w.newLink(lp, a, b)
 	srv := dial.Serve(w.Engine, svc.tgt, link.B, o)
+	svc.servers = append(svc.servers, srv)
 	if srv.Pool != nil {
 		w.Pools = append(w.Pools, srv.Pool)
 	}

@@ -3,12 +3,18 @@ package world
 import (
 	"fmt"
 	"testing"
+	"time"
 
+	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/core"
 	"nvmeoaf/internal/dial"
+	"nvmeoaf/internal/faults"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/netsim"
+	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/session"
+	"nvmeoaf/internal/sim"
+	"nvmeoaf/internal/transport"
 )
 
 // TestLocalityRule walks the rule over every machine shape, a kind of
@@ -103,4 +109,76 @@ func nicName(client, host *Machine, n *netsim.NIC) string {
 		}
 	}
 	return "unknown NIC"
+}
+
+// TestServiceCrashTakesEveryServer pins a service's crash set: two
+// connections to one write-back cached service and a third served after
+// the crash was scheduled all go down when the service crashes (a read
+// sent while it is down waits for the restart on each), the crash loses the dirty lines written
+// through them, and the next flush barrier reports the loss.
+func TestServiceCrashTakesEveryServer(t *testing.T) {
+	const crashAt, downFor = 2 * time.Millisecond, time.Millisecond
+	w := New(1, nil)
+	defer w.Close()
+	m := w.Host("host0")
+	svc, err := w.Service(m, "nqn.crash", Spec{SSDName: "ssd", Capacity: 64 << 20, Retain: true,
+		Cache: cache.Config{Bytes: 8 << 20, Mode: cache.WriteBack}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := dial.Options{Kind: dial.TCP25G, ConnOptions: session.ConnOptions{
+		QueueDepth: 8, CommandTimeout: 1500 * time.Microsecond, MaxRetries: 10, RetryBackoff: 200 * time.Microsecond,
+	}}
+	pairs := []Pair{w.Serve(m, svc, o, 4096), w.Serve(m, svc, o, 4096)}
+	inj := faults.NewInjector(w.Engine)
+	inj.CrashTarget(svc, crashAt, downFor)
+	pairs = append(pairs, w.Serve(m, svc, o, 4096))
+
+	payload := make([]byte, 4096)
+	w.Engine.Go("app", func(p *sim.Proc) {
+		qs := make([]transport.Queue, len(pairs))
+		for i, pr := range pairs {
+			if qs[i], err = dial.Connect(p, pr.Link.A, pr.Opts); err != nil {
+				t.Errorf("connect %d: %v", i, err)
+				return
+			}
+			if res := transport.Submit(p, qs[i], &transport.IO{Write: true, Offset: int64(i) * 4096, Size: 4096, Data: payload}).Wait(p); res.Err() != nil {
+				t.Errorf("write %d: %v", i, res.Err())
+			}
+		}
+		if dirty := svc.Cache.Stats().DirtyBytes; dirty != 3*4096 {
+			t.Errorf("dirty bytes before the crash = %d, want %d", dirty, 3*4096)
+		}
+		// Read through every connection while the service is down: a
+		// server that went down serves its read only once it is back.
+		p.Sleep(crashAt + downFor/2 - time.Duration(p.Now()))
+		if st := svc.Cache.Stats(); st.DirtyBytes != 0 || st.LostLines != 3 {
+			t.Errorf("after the crash: %d dirty bytes, %d lost lines; want 0, 3", st.DirtyBytes, st.LostLines)
+		}
+		reads := make([]*sim.Future[*transport.Result], len(qs))
+		for i, q := range qs {
+			reads[i] = transport.Submit(p, q, &transport.IO{Offset: int64(i) * 4096, Size: 4096, Data: make([]byte, 4096)})
+		}
+		for i, f := range reads {
+			res := f.Wait(p)
+			if res.Err() != nil {
+				t.Errorf("read %d across the restart: %v", i, res.Err())
+			}
+			if res.Latency < downFor/2 {
+				t.Errorf("read %d sent while the service was down took %v: its connection did not go down", i, res.Latency)
+			}
+		}
+		if res := transport.Submit(p, qs[0], &transport.IO{Flush: true}).Wait(p); res.Status != nvme.StatusWriteFault {
+			t.Errorf("flush after the crash: status %v, want write fault", res.Status)
+		}
+		for _, q := range qs {
+			q.Close()
+		}
+	})
+	if err := w.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(inj.Log) != 2 {
+		t.Errorf("fault log = %v, want crash and restart", inj.Log)
+	}
 }

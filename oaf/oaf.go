@@ -214,30 +214,6 @@ type ConnectOptions struct {
 type tgtEntry struct {
 	svc *world.Service
 	cfg TargetConfig
-	// shaper is the target-side QoS enforcement point (nil until a
-	// tenant-enforcing connection is opened; shared across connections).
-	shaper *qos.Shaper
-	// srvs holds every per-connection server transport serving this
-	// target, so a scheduled crash takes the whole service down.
-	srvs []faults.Crashable
-}
-
-// crashAll makes one registered target a Crashable: crashing it drops
-// every server transport (and their connections) at once. The server
-// list is read at fire time, so connections opened after the schedule
-// still crash.
-type crashAll struct{ te *tgtEntry }
-
-func (ca crashAll) Crash() {
-	for _, s := range ca.te.srvs {
-		s.Crash()
-	}
-}
-
-func (ca crashAll) Restart() {
-	for _, s := range ca.te.srvs {
-		s.Restart()
-	}
 }
 
 // Cluster is a simulated HPC-cloud deployment.
@@ -251,10 +227,10 @@ type Cluster struct {
 	inj        *faults.Injector
 	replicated []*cluster.Cluster
 	tuners     []*Tuner
-	// qosReg holds the registered tenants; hostQoS the per-host
-	// enforcement points (one decentralized token ledger per host).
-	qosReg  *qos.Registry
-	hostQoS map[string]*qos.Shaper
+	// qosReg holds the registered tenants and their enforcement points:
+	// one decentralized token ledger per host ("host:<name>") and per
+	// enforcing target ("target:<nqn>").
+	qosReg *qos.Registry
 }
 
 // NewCluster creates an empty cluster.
@@ -322,7 +298,7 @@ func (c *Cluster) ScheduleTargetCrash(nqn string, at, downFor time.Duration) err
 	if !ok {
 		return fmt.Errorf("oaf: unknown target %q", nqn)
 	}
-	c.Injector().CrashTarget(crashAll{te}, at, downFor)
+	c.Injector().CrashTarget(te.svc, at, downFor)
 	return nil
 }
 
@@ -558,8 +534,13 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 		// pinned the knobs explicitly.
 		tp.BusyPoll, tp.BatchSize = spec.SLO.Steer(tp.BusyPoll, tp.BatchSize)
 	}
-	hqos := c.hostShaper(ctx.hostName)
-	tqos := c.targetShaper(te, targetNQN)
+	// One token ledger per host, shared by every queue its applications
+	// open; one per enforcing target, shared by every connection to it.
+	hqos := c.qosReg.Shaper("host:"+ctx.hostName, c.w.Tel)
+	var tqos *qos.Shaper
+	if te.cfg.QoSEnforce {
+		tqos = c.qosReg.Shaper("target:"+targetNQN, c.w.Tel)
+	}
 
 	o := dial.Options{
 		Kind: opts.Fabric.kind(),
@@ -573,13 +554,7 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 		TP:        tp,
 		Design:    opts.Design.internal(),
 	}
-	if ca := te.svc.Cache; ca != nil {
-		// Target-process death loses unflushed write-back data: account
-		// it so the next flush barrier reports the typed loss.
-		o.OnCrash = func() { ca.LoseDirty() }
-	}
 	pr := c.w.Serve(clientHost, te.svc, o, opts.MaxIOSize)
-	te.srvs = append(te.srvs, pr.Server)
 	if pr.Opts.Region != nil && opts.EncryptSHM {
 		pr.Opts.Region.EnableEncryption(0xA5A5A5A5F00DFEED, 1.5e9)
 	}

@@ -93,28 +93,17 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 	if n == 0 {
 		return nil, fmt.Errorf("oaf: no targets named %q found", memberNQN(nqnPrefix, 0))
 	}
-	if opts.Spares < 0 || opts.Spares >= n {
-		return nil, fmt.Errorf("oaf: spares must be in [0, %d)", n)
+	seats, err := cluster.Seats(n, opts.Spares)
+	if err != nil {
+		return nil, err
 	}
 
 	single := opts.Connect
 	single.Queues = 1
-	// Crash tolerance needs bounded commands that fail FAST: the
-	// replication layer has its own redundancy, so a dead member should
-	// surface typed errors quickly (triggering failover and rebuild)
-	// rather than mask the outage behind long per-member retry loops.
-	if single.CommandTimeout <= 0 {
-		single.CommandTimeout = 500 * time.Microsecond
-	}
-	if single.MaxRetries <= 0 {
-		single.MaxRetries = 1
-	}
-	if single.RetryBackoff <= 0 {
-		single.RetryBackoff = 100 * time.Microsecond
-	}
+	cluster.FailFast(&single.CommandTimeout, &single.MaxRetries, &single.RetryBackoff)
 	probe := opts.ProbeInterval
 	if probe <= 0 {
-		probe = 200 * time.Microsecond
+		probe = cluster.ProbePeriod
 	}
 
 	members := make([]cluster.Member, 0, n)
@@ -139,7 +128,7 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 	}
 
 	cl, err := cluster.New(c.w.Engine, members, cluster.Options{
-		Seats:         n - opts.Spares,
+		Seats:         seats,
 		Replicas:      opts.Replicas,
 		WriteQuorum:   opts.WriteQuorum,
 		ExtentSize:    opts.ExtentSize,

@@ -1,10 +1,6 @@
 package oaf
 
-import (
-	"fmt"
-
-	"nvmeoaf/internal/qos"
-)
+import "nvmeoaf/internal/qos"
 
 // SLO classifies a tenant's service objective. The tier steers the
 // receive-path knobs of every connection the tenant opens (DESIGN.md
@@ -72,79 +68,11 @@ func (c *Cluster) AddTenant(tc TenantConfig) error {
 // TenantNames lists the registered tenants in registration order.
 func (c *Cluster) TenantNames() []string { return c.qosReg.Names() }
 
-// hostShaper returns the per-host enforcement point (one token ledger
-// per physical host, shared by every queue the host's applications
-// open), nil when no tenant is registered.
-func (c *Cluster) hostShaper(hostName string) *qos.Shaper {
-	if c.qosReg == nil || c.qosReg.Len() == 0 {
-		return nil
-	}
-	if c.hostQoS == nil {
-		c.hostQoS = make(map[string]*qos.Shaper)
-	}
-	sh := c.hostQoS[hostName]
-	if sh == nil {
-		sh = qos.NewShaper("host:"+hostName, c.qosReg, c.w.Tel)
-		c.hostQoS[hostName] = sh
-	}
-	return sh
-}
-
-// targetShaper returns the target-side enforcement point for te (one
-// ledger per storage service, shared by every connection serving it),
-// nil unless the target opted into enforcement and tenants exist.
-func (c *Cluster) targetShaper(te *tgtEntry, nqn string) *qos.Shaper {
-	if !te.cfg.QoSEnforce || c.qosReg == nil || c.qosReg.Len() == 0 {
-		return nil
-	}
-	if te.shaper == nil {
-		te.shaper = qos.NewShaper("target:"+nqn, c.qosReg, c.w.Tel)
-	}
-	return te.shaper
-}
-
-// shapers lists every live enforcement point in deterministic order.
-func (c *Cluster) shapers() []*qos.Shaper {
-	var out []*qos.Shaper
-	for _, name := range sortedKeys(c.hostQoS) {
-		out = append(out, c.hostQoS[name])
-	}
-	for _, nqn := range sortedKeys(c.targets) {
-		if te := c.targets[nqn]; te.shaper != nil {
-			out = append(out, te.shaper)
-		}
-	}
-	return out
-}
-
 // QoSStats merges per-tenant token accounting (taken/borrowed/lent/
 // throttles) across every enforcement point, sorted by tenant name.
-func (c *Cluster) QoSStats() []qos.TenantStats {
-	return qos.MergeStats(c.shapers()...)
-}
+func (c *Cluster) QoSStats() []qos.TenantStats { return c.qosReg.Stats() }
 
 // CheckQoS verifies the token-conservation invariant on every
 // enforcement point: borrowing moves tokens, it never mints them. A
 // non-nil error means the ledger leaked (a bug, not a tuning problem).
-func (c *Cluster) CheckQoS() error {
-	for _, sh := range c.shapers() {
-		if err := sh.Conservation().Check(); err != nil {
-			return fmt.Errorf("oaf: %s: %w", sh.Label(), err)
-		}
-	}
-	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	// Insertion sort: the maps here hold a handful of hosts/targets.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func (c *Cluster) CheckQoS() error { return c.qosReg.Check() }

@@ -2,7 +2,7 @@
 # Regenerate the full reproduction artifact set:
 #   1. run the complete test suite (unit, integration, property, shape tests)
 #   2. regenerate every table/figure series
-#   3. run the per-figure + ablation benchmarks
+#   3. run the ablation + extension benchmarks (the figures are step 2)
 # Results land in test_output.txt, figures_output.txt, bench_output.txt.
 set -e
 cd "$(dirname "$0")/.."
