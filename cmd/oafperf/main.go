@@ -1,27 +1,31 @@
-// Command oafperf is the SPDK-perf equivalent: it drives microbenchmark
-// workloads against simulated NVMe-oF targets over a chosen fabric and
-// reports bandwidth, IOPS, latency percentiles, and the paper's
-// three-way latency breakdown.
+// Command oafperf is the SPDK-perf equivalent: it runs one microbenchmark
+// against simulated NVMe-oF targets and prints one JSON report of
+// bandwidth, IOPS, latency percentiles, the paper's three-way latency
+// breakdown and the fabric's telemetry.
 //
-// Examples:
+// Its only input is a JSON document of exp.Config overrides, decoded on
+// top of a base run (nvme-oaf, shm-0-copy, 128 KiB sequential reads at
+// QD 128 for 1 s after 100 ms of warm-up, seed 42, stock TCP transport
+// parameters, tune period 50 ms). A field the document leaves out keeps
+// its base value, nested ones included; durations are nanoseconds;
+// designs, cache modes and SLO tiers are named. An unknown field is an
+// error. Examples:
 //
-//	oafperf -fabric nvme-oaf -rw read -size 128K -qd 128 -streams 4
-//	oafperf -fabric tcp-25g -rw randrw -mix 70 -size 512K -t 2s
-//	oafperf -fabric nvme-oaf -design shm-lock-free -rw read -size 512K
-//	oafperf -fabric tcp-25g -rw randread -size 4K -qd 64 -batch 16 -queues 4
-//	oafperf -fabric tcp-25g -rw randread -size 4K -qd 256 -ring -batch 16
-//	oafperf -fabric nvme-oaf -rw randread -size 4K -qd 64 -zipf 0.99 -cache 256M -cache-mode wb
-//	oafperf -fabric tcp-25g -rw randread -size 4K -qd 64 -drv-batch 32 -tune
-//	oafperf -fabric tcp-25g -rw randread -size 4K -tune -flip-at 1s -flip-rw read -flip-size 128K
+//	oafperf '{"Kind": "tcp-25g", "Workload": {"Seq": false, "ReadPct": 70, "IOSize": 524288}}'
+//	oafperf '{"Design": "shm-lock-free", "TP": {"BatchSize": 16}, "Workload": {"Batch": 16, "Ring": true}}'
+//	oafperf '{"CacheBytes": 268435456, "CacheMode": "wb", "Workload": {"Seq": false, "Zipf": 0.99}}'
+//	oafperf '{"Tenants": [{"Name": "polite", "SLO": "latency"}, {"Name": "greedy", "RateMBps": 300}]}'
+//
+// The exit status is 2 for a document that does not decode, 1 when the
+// run fails or any I/O errors, and 0 otherwise.
 package main
 
 import (
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -34,560 +38,161 @@ import (
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/perf"
 	"nvmeoaf/internal/qos"
+	"nvmeoaf/internal/stats"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/tune"
 )
 
-// parseSize parses 4K/128K/1M style sizes.
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = s[:len(s)-1]
-	case strings.HasSuffix(s, "B"):
-		s = s[:len(s)-1]
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run decodes the override document in args (the base run when args is
+// empty), runs it and writes the report to stdout; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 1 {
+		fmt.Fprintln(stderr, "usage: oafperf ['<exp.Config JSON overrides>']")
+		return 2
 	}
-	n, err := strconv.Atoi(s)
+	doc := "{}"
+	if len(args) == 1 {
+		doc = args[0]
+	}
+	cfg, err := decode(doc)
 	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
+		fmt.Fprintln(stderr, "oafperf:", err)
+		return 2
 	}
-	return n * mult, nil
-}
-
-// parseSizeMix parses "4K:3,128K:1" into a weighted distribution.
-func parseSizeMix(s string) ([]perf.SizeWeight, error) {
-	var out []perf.SizeWeight
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		size, err := parseSize(kv[0])
-		if err != nil {
-			return nil, err
-		}
-		weight := 1
-		if len(kv) == 2 {
-			weight, err = strconv.Atoi(kv[1])
-			if err != nil || weight <= 0 {
-				return nil, fmt.Errorf("bad weight %q", kv[1])
-			}
-		}
-		out = append(out, perf.SizeWeight{Size: size, Weight: weight})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty size mix")
-	}
-	return out, nil
-}
-
-// parseRW maps an -rw/-flip-rw pattern name to (sequential, read%).
-func parseRW(s string, mix int) (bool, int, error) {
-	switch s {
-	case "read":
-		return true, 100, nil
-	case "write":
-		return true, 0, nil
-	case "randread":
-		return false, 100, nil
-	case "randwrite":
-		return false, 0, nil
-	case "rw":
-		return true, mix, nil
-	case "randrw":
-		return false, mix, nil
-	}
-	return false, 0, fmt.Errorf("unknown pattern %q", s)
-}
-
-// parseTenants builds the per-tenant QoS specs from the -tenants,
-// -slo, and -rate flags. -slo and -rate accept either one value
-// (applied to every tenant) or a comma list matching -tenants
-// position for position. Streams are assigned round-robin.
-func parseTenants(names, slos, rates string) ([]exp.TenantSpec, error) {
-	if names == "" {
-		if slos != "" || rates != "" {
-			return nil, fmt.Errorf("-slo/-rate require -tenants")
-		}
-		return nil, nil
-	}
-	var specs []exp.TenantSpec
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			return nil, fmt.Errorf("empty tenant name in -tenants")
-		}
-		specs = append(specs, exp.TenantSpec{Name: n})
-	}
-	fan := func(flagName, list string, apply func(i int, v string) error) error {
-		if list == "" {
-			return nil
-		}
-		vv := strings.Split(list, ",")
-		if len(vv) != 1 && len(vv) != len(specs) {
-			return fmt.Errorf("%s: got %d values for %d tenants", flagName, len(vv), len(specs))
-		}
-		for i := range specs {
-			v := vv[0]
-			if len(vv) > 1 {
-				v = vv[i]
-			}
-			if err := apply(i, strings.TrimSpace(v)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := fan("-slo", slos, func(i int, v string) error {
-		s, err := qos.ParseSLO(v)
-		if err != nil {
-			return err
-		}
-		specs[i].SLO = s
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := fan("-rate", rates, func(i int, v string) error {
-		r, err := strconv.Atoi(v)
-		if err != nil || r < 0 {
-			return fmt.Errorf("-rate: bad rate %q (MiB/s)", v)
-		}
-		specs[i].RateMBps = r
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return specs, nil
-}
-
-func parseDesign(s string) (core.Design, error) {
-	switch s {
-	case "", "shm-0-copy":
-		return core.DesignSHMZeroCopy, nil
-	case "shm-flow-ctl":
-		return core.DesignSHMFlowCtl, nil
-	case "shm-lock-free":
-		return core.DesignSHMLockFree, nil
-	case "shm-baseline":
-		return core.DesignSHMBaseline, nil
-	case "tcp":
-		return core.DesignTCP, nil
-	default:
-		return 0, fmt.Errorf("unknown design %q", s)
-	}
-}
-
-func main() {
-	fabric := flag.String("fabric", "nvme-oaf", "fabric: tcp-10g, tcp-25g, tcp-100g, rdma-ib56, roce-100g, nvme-oaf")
-	design := flag.String("design", "shm-0-copy", "oAF shared-memory design: shm-baseline, shm-lock-free, shm-flow-ctl, shm-0-copy, tcp")
-	rw := flag.String("rw", "read", "workload: read, write, randread, randwrite, rw, randrw")
-	mix := flag.Int("mix", 70, "read percentage for rw/randrw workloads")
-	sizeStr := flag.String("size", "128K", "I/O size (e.g. 4K, 128K, 1M)")
-	sizeMix := flag.String("size-mix", "", "weighted size distribution, e.g. 4K:3,128K:1 (overrides -size)")
-	qd := flag.Int("qd", 128, "queue depth")
-	streams := flag.Int("streams", 1, "client/SSD pairs (1:1)")
-	dur := flag.Duration("t", time.Second, "measured window (virtual time)")
-	warmup := flag.Duration("warmup", 100*time.Millisecond, "warmup excluded from measurement")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	chunk := flag.Int("chunk", 0, "TCP chunk size override in bytes (0 = 128K default)")
-	poll := flag.Duration("busy-poll", 0, "socket busy-poll budget (0 = interrupt)")
-	batch := flag.Int("batch", 0, "submission/completion coalescing depth (0 or 1 = one message per command)")
-	ringMode := flag.Bool("ring", false, "drive streams through the SQ/CQ ring fast path instead of the future-based API")
-	rdmaRegCache := flag.Bool("rdma-regcache", false, "rdma fabrics: MR registration cache + pre-registered buffer pool")
-	rdmaMerge := flag.Bool("rdma-merge", false, "rdma fabrics: merge LBA-adjacent commands inside doorbell trains")
-	rdmaDynDB := flag.Bool("rdma-dyndb", false, "rdma fabrics: dynamic doorbell coalescing (grow under backlog, shrink on drain)")
-	queues := flag.Int("queues", 1, "queue pairs per stream; I/O stripes across them by offset")
-	cacheStr := flag.String("cache", "", "target-side DRAM block cache capacity per SSD (e.g. 256M; empty = uncached)")
-	cacheMode := flag.String("cache-mode", "wt", "cache write policy: wt/write-through or wb/write-back")
-	zipf := flag.Float64("zipf", 0, "Zipfian hot-set skew theta for random workloads (0 = uniform; YCSB default 0.99)")
-	targets := flag.Int("targets", 0, "shard+replicate the namespace across this many member targets (0 = direct per-stream connections)")
-	replicas := flag.Int("replicas", 0, "replica count R per extent for -targets runs (0 = default 2)")
-	wquorum := flag.Int("wquorum", 0, "write quorum W for -targets runs (0 = majority of R)")
-	spares := flag.Int("spares", 0, "members held out of placement as warm spares for -targets runs")
-	extent := flag.String("extent", "", "sharding extent size for -targets runs (e.g. 128K; empty = default)")
-	crashMember := flag.Int("crash-member", 0, "member index crashed mid-run when -crash-down is set")
-	crashAt := flag.Duration("crash-at", 0, "virtual time at which the crashed member goes down")
-	crashDown := flag.Duration("crash-down", 0, "crash outage length (0 disables the crash)")
-	tuneOn := flag.Bool("tune", false, "attach the online self-tuner: hill-climb live knobs (batch, busy-poll, QD, chunk, cache) during the run")
-	tunePeriod := flag.Duration("tune-period", 50*time.Millisecond, "tuner sampling/decision epoch (virtual time)")
-	drvBatch := flag.Int("drv-batch", 0, "driver-side submission train length (0 = same as -batch)")
-	flipAt := flag.Duration("flip-at", 0, "flip the workload to a second phase at this virtual time (0 = no flip)")
-	flipRW := flag.String("flip-rw", "", "second-phase pattern for -flip-at: read, write, randread, randwrite, rw, randrw")
-	flipSize := flag.String("flip-size", "", "second-phase I/O size for -flip-at (empty = keep first-phase size)")
-	tenantsStr := flag.String("tenants", "", "comma-separated tenant names; streams are assigned round-robin and per-tenant QoS + reporting are armed")
-	sloStr := flag.String("slo", "", "per-tenant SLO tier (latency, throughput, batch, none): one value or a comma list matching -tenants")
-	rateStr := flag.String("rate", "", "per-tenant rate cap in MiB/s (0 = unlimited): one value or a comma list matching -tenants")
-	targetQoS := flag.Bool("target-qos", false, "also enforce tenant budgets at the target (typed throttle rejections), not just host-side admission")
-	statsJSON := flag.Bool("stats-json", false, "emit one JSON report (perf + fabric telemetry + pool stats) instead of text")
-	flag.Parse()
-
-	size, err := parseSize(*sizeStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oafperf:", err)
-		os.Exit(2)
-	}
-	d, err := parseDesign(*design)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oafperf:", err)
-		os.Exit(2)
-	}
-
-	w := perf.Workload{IOSize: size, QueueDepth: *qd, Duration: *dur, Warmup: *warmup, Batch: *batch, Zipf: *zipf, Ring: *ringMode}
-	if *drvBatch > 0 {
-		w.Batch = *drvBatch
-	}
-	if *sizeMix != "" {
-		mixes, err := parseSizeMix(*sizeMix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oafperf:", err)
-			os.Exit(2)
-		}
-		w.SizeMix = mixes
-	}
-	w.Seq, w.ReadPct, err = parseRW(*rw, *mix)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oafperf:", err)
-		os.Exit(2)
-	}
-	if *flipAt > 0 {
-		if *flipRW == "" {
-			fmt.Fprintln(os.Stderr, "oafperf: -flip-at requires -flip-rw")
-			os.Exit(2)
-		}
-		ph := &perf.Phase{}
-		ph.Seq, ph.ReadPct, err = parseRW(*flipRW, *mix)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oafperf:", err)
-			os.Exit(2)
-		}
-		if *flipSize != "" {
-			ph.IOSize, err = parseSize(*flipSize)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "oafperf:", err)
-				os.Exit(2)
-			}
-		}
-		w.FlipAt = *flipAt
-		w.FlipTo = ph
-	}
-
-	cfg := exp.Config{
-		Kind:            exp.Kind(*fabric),
-		Design:          d,
-		Streams:         *streams,
-		Queues:          *queues,
-		Workload:        w,
-		Seed:            *seed,
-		RDMARegCache:    *rdmaRegCache,
-		RDMAMerge:       *rdmaMerge,
-		RDMADynDoorbell: *rdmaDynDB,
-	}
-	if *cacheStr != "" {
-		cb, err := parseSize(*cacheStr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oafperf:", err)
-			os.Exit(2)
-		}
-		cfg.CacheBytes = int64(cb)
-		cfg.CacheMode, err = cache.ParseMode(*cacheMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oafperf:", err)
-			os.Exit(2)
-		}
-	}
-	if *targets > 0 {
-		cfg.ClusterTargets = *targets
-		cfg.ClusterReplicas = *replicas
-		cfg.ClusterWriteQuorum = *wquorum
-		cfg.ClusterSpares = *spares
-		if *extent != "" {
-			es, err := parseSize(*extent)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "oafperf:", err)
-				os.Exit(2)
-			}
-			cfg.ClusterExtent = int64(es)
-		}
-		cfg.CrashMember = *crashMember
-		cfg.CrashAt = *crashAt
-		cfg.CrashDown = *crashDown
-	}
-	if *chunk > 0 || *poll > 0 || *batch > 1 {
-		tp := model.DefaultTCPTransport()
-		if *chunk > 0 {
-			tp.ChunkSize = *chunk
-		}
-		tp.BusyPoll = *poll
-		tp.BatchSize = *batch
-		cfg.TP = tp
-	}
-	if *tuneOn {
-		cfg.Tune = true
-		cfg.TunePeriod = *tunePeriod
-	}
-	cfg.Tenants, err = parseTenants(*tenantsStr, *sloStr, *rateStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "oafperf:", err)
-		os.Exit(2)
-	}
-	cfg.TargetQoS = *targetQoS
-
 	res, err := exp.Run(cfg)
+	if err == nil {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		err = enc.Encode(newReport(cfg, res))
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oafperf:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "oafperf:", err)
+		return 1
 	}
+	if res.Agg.Errors > 0 {
+		return 1
+	}
+	return 0
+}
 
-	if *statsJSON {
-		if err := emitJSON(os.Stdout, cfg, *fabric, *rw, *sizeStr, res); err != nil {
-			fmt.Fprintln(os.Stderr, "oafperf:", err)
-			os.Exit(1)
-		}
-		if res.Agg.Errors > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("fabric=%s design=%v rw=%s size=%s qd=%d streams=%d queues=%d batch=%d ring=%v window=%v\n",
-		*fabric, d, *rw, *sizeStr, *qd, *streams, *queues, *batch, *ringMode, *dur)
-	if *rdmaRegCache || *rdmaMerge || *rdmaDynDB {
-		fmt.Printf("  rdma fast path: regcache=%v merge=%v dyndb=%v\n", *rdmaRegCache, *rdmaMerge, *rdmaDynDB)
-	}
-	agg := res.Agg
-	fmt.Printf("  bandwidth : %.3f GB/s (%.0f IOPS)\n", agg.Throughput.GBps(), agg.Throughput.IOPS())
-	fmt.Printf("  latency   : avg %.1f us  p50 %.1f  p99 %.1f  p99.9 %.1f  p99.99 %.1f\n",
-		agg.BD.MeanTotal(),
-		float64(agg.Latency.P50())/1e3, float64(agg.Latency.P99())/1e3,
-		float64(agg.Latency.P999())/1e3, float64(agg.Latency.P9999())/1e3)
-	fmt.Printf("  breakdown : io %.1f us, comm %.1f us, other %.1f us\n",
-		agg.BD.MeanIO(), agg.BD.MeanComm(), agg.BD.MeanOther())
-	fmt.Printf("  wire      : %.1f MB crossed the network; %.1f MB moved over shared memory\n",
-		float64(res.WireBytes)/1e6, float64(res.SHMBytes)/1e6)
-	if agg.Errors > 0 {
-		fmt.Printf("  ERRORS    : %d\n", agg.Errors)
-		os.Exit(1)
-	}
-	for i, s := range res.PerStream {
-		fmt.Printf("  stream %d  : %.3f GB/s, avg %.1f us\n", i, s.Throughput.GBps(), s.BD.MeanTotal())
-	}
-	for _, tr := range tenantReports(cfg, res) {
-		rate := "unlimited"
-		if tr.RateMBps > 0 {
-			rate = fmt.Sprintf("%d MiB/s", tr.RateMBps)
-		}
-		fmt.Printf("  tenant    : %-8s slo=%-10s rate=%-10s %.3f GB/s (%.0f IOPS), p99 %.1f us, p99.99 %.1f us\n",
-			tr.Name, tr.SLO, rate, tr.GBps, tr.IOPS, tr.P99Us, tr.P9999Us)
-		fmt.Printf("              tokens: %.1f MB taken, %.1f MB borrowed, %.1f MB lent; %d throttles, %d token waits, %d sheds\n",
-			float64(tr.TakenBytes)/1e6, float64(tr.BorrowedBytes)/1e6, float64(tr.LentBytes)/1e6,
-			tr.Throttled, tr.TokenWaits, tr.Sheds)
-	}
-	for i, dev := range res.Devices {
-		fmt.Printf("  ssd %d     : util %.0f%%, %d reads / %d writes\n",
-			i, dev.SSD().Utilization()*100, dev.SSD().ReadOps, dev.SSD().WriteOps)
-	}
-	for _, cs := range res.CacheStats {
-		fmt.Printf("  cache     : %s hit %.1f%% (%d hits / %d misses, %d bypass), %d evict, dirty %d B\n",
-			cs.Name, cs.HitRate()*100, cs.Hits, cs.Misses, cs.Bypasses, cs.Evictions, cs.DirtyBytes)
-	}
-	if cs := res.Cluster; cs != nil {
-		fmt.Printf("  cluster   : %d seats R=%d W=%d; %d downs / %d ups, %d read failovers, %d quorum fails\n",
-			cs.Seats, cs.Replicas, cs.WriteQuorum, cs.ReplicaDowns, cs.ReplicaUps, cs.ReadFailovers, cs.QuorumFails)
-		if cs.RebuildExtents > 0 || cs.StaleExtents > 0 {
-			fmt.Printf("  rebuild   : %d extents (%.1f MB) recopied in %d rounds, backlog %d\n",
-				cs.RebuildExtents, float64(cs.RebuildBytes)/1e6, cs.RebuildRounds, cs.StaleExtents)
-		}
-	}
-	for _, ev := range res.FaultLog {
-		fmt.Printf("  fault     : %v %s %s\n", ev.At, ev.Kind, ev.Detail)
-	}
-	if tr := res.Tuner; tr != nil {
-		fmt.Printf("  tuner     : %d epochs, %d accepted / %d reverted / %d explored, %d phase resets, quiesced=%v\n",
-			tr.Epochs, tr.Accepted, tr.Reverted, tr.Explored, tr.PhaseResets, tr.Quiesced)
-		names := make([]string, 0, len(tr.Final))
-		for name := range tr.Final {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("    %-20s = %d\n", name, tr.Final[name])
-		}
+// base is the run a document overrides.
+func base() exp.Config {
+	return exp.Config{
+		Kind: exp.OAF, Design: core.DesignSHMZeroCopy, Streams: 1, Queues: 1,
+		Workload: perf.Workload{
+			Seq: true, ReadPct: 100, IOSize: 128 << 10, QueueDepth: 128,
+			Duration: time.Second, Warmup: 100 * time.Millisecond,
+		},
+		TP: model.DefaultTCPTransport(), Seed: 42, TunePeriod: 50 * time.Millisecond,
 	}
 }
 
-// report is the -stats-json document: run configuration, the aggregate
-// performance result, and the fabric-wide observability snapshot.
+// decode applies one JSON document of overrides to the base run.
+func decode(doc string) (exp.Config, error) {
+	cfg := base()
+	dec := json.NewDecoder(strings.NewReader(doc))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return cfg, errors.New("trailing data after the document")
+	}
+	return cfg, nil
+}
+
+// report is the run's one output document.
 type report struct {
-	Config struct {
-		Fabric     string  `json:"fabric"`
-		Design     string  `json:"design"`
-		RW         string  `json:"rw"`
-		Size       string  `json:"size"`
-		QD         int     `json:"qd"`
-		Streams    int     `json:"streams"`
-		Queues     int     `json:"queues,omitempty"`
-		Batch      int     `json:"batch,omitempty"`
-		Ring       bool    `json:"ring,omitempty"`
-		RegCache   bool    `json:"rdma_regcache,omitempty"`
-		Merge      bool    `json:"rdma_merge,omitempty"`
-		DynDB      bool    `json:"rdma_dyndb,omitempty"`
-		CacheBytes int64   `json:"cache_bytes,omitempty"`
-		CacheMode  string  `json:"cache_mode,omitempty"`
-		Zipf       float64 `json:"zipf,omitempty"`
-		Targets    int     `json:"targets,omitempty"`
-		Replicas   int     `json:"replicas,omitempty"`
-		WQuorum    int     `json:"wquorum,omitempty"`
-		Spares     int     `json:"spares,omitempty"`
-		CrashAt    string  `json:"crash_at,omitempty"`
-		CrashDown  string  `json:"crash_down,omitempty"`
-		Tune       bool    `json:"tune,omitempty"`
-		TunePeriod string  `json:"tune_period,omitempty"`
-		TargetQoS  bool    `json:"target_qos,omitempty"`
-		FlipAt     string  `json:"flip_at,omitempty"`
-		Window     string  `json:"window"`
-		Seed       int64   `json:"seed"`
-	} `json:"config"`
-	Perf struct {
-		GBps    float64 `json:"gbps"`
-		IOPS    float64 `json:"iops"`
-		AvgUs   float64 `json:"avg_us"`
-		P50Us   float64 `json:"p50_us"`
-		P99Us   float64 `json:"p99_us"`
-		P999Us  float64 `json:"p999_us"`
-		P9999Us float64 `json:"p9999_us"`
-		Errors  int64   `json:"errors"`
-	} `json:"perf"`
+	Config    exp.Config         `json:"config"`
+	Perf      summary            `json:"perf"`
+	Breakdown breakdown          `json:"breakdown"`
+	Streams   []summary          `json:"streams"`
+	SSDs      []ssdReport        `json:"ssds"`
 	WireBytes int64              `json:"wire_bytes"`
 	SHMBytes  int64              `json:"shm_bytes"`
 	Telemetry telemetry.Snapshot `json:"telemetry"`
 	Pools     []mempool.Stats    `json:"pools,omitempty"`
-	Caches    []cache.Stats      `json:"caches,omitempty"`
+	Caches    []cacheReport      `json:"caches,omitempty"`
 	Cluster   *cluster.Stats     `json:"cluster,omitempty"`
 	Faults    []faults.Event     `json:"faults,omitempty"`
 	Tuner     *tune.Report       `json:"tuner,omitempty"`
+	QoS       []qos.TenantStats  `json:"qos,omitempty"`
 	Tenants   []tenantReport     `json:"tenants,omitempty"`
 }
 
-// tenantReport is one tenant's slice of the run: its share of the
-// perf result plus the QoS ledger and throttle activity.
+// summary is one result's bandwidth, rate and latency quantiles.
+type summary struct {
+	GBps    float64 `json:"gbps"`
+	IOPS    float64 `json:"iops"`
+	AvgUs   float64 `json:"avg_us"`
+	P50Us   float64 `json:"p50_us"`
+	P99Us   float64 `json:"p99_us"`
+	P999Us  float64 `json:"p999_us"`
+	P9999Us float64 `json:"p9999_us"`
+	Errors  int64   `json:"errors"`
+}
+
+func summarize(th stats.Throughput, lat *stats.Histogram, bd stats.Breakdown, errs int64) summary {
+	us := func(ns int64) float64 { return float64(ns) / 1e3 }
+	return summary{th.GBps(), th.IOPS(), bd.MeanTotal(), us(lat.P50()), us(lat.P99()), us(lat.P999()), us(lat.P9999()), errs}
+}
+
+// breakdown is the paper's mean per-request split of the latency.
+type breakdown struct {
+	IOUs    float64 `json:"io_us"`
+	CommUs  float64 `json:"comm_us"`
+	OtherUs float64 `json:"other_us"`
+}
+
+// ssdReport is one device's busy fraction and op counts.
+type ssdReport struct {
+	Util     float64 `json:"util"`
+	ReadOps  int64   `json:"read_ops"`
+	WriteOps int64   `json:"write_ops"`
+}
+
+// cacheReport adds the all-time hit fraction to a cache's accounting.
+type cacheReport struct {
+	cache.Stats
+	HitRate float64 `json:"hit_rate"`
+}
+
+// tenantReport is the merged result of one tenant's streams; its
+// ledger is under qos and its counters under telemetry.tenants.
 type tenantReport struct {
-	Name          string  `json:"name"`
-	SLO           string  `json:"slo"`
-	RateMBps      int     `json:"rate_mbps,omitempty"`
-	GBps          float64 `json:"gbps"`
-	IOPS          float64 `json:"iops"`
-	P99Us         float64 `json:"p99_us"`
-	P9999Us       float64 `json:"p9999_us"`
-	TakenBytes    int64   `json:"taken_bytes"`
-	BorrowedBytes int64   `json:"borrowed_bytes,omitempty"`
-	LentBytes     int64   `json:"lent_bytes,omitempty"`
-	Throttled     int64   `json:"throttles,omitempty"`
-	TokenWaits    int64   `json:"token_waits,omitempty"`
-	Sheds         int64   `json:"sheds,omitempty"`
+	Name string `json:"name"`
+	summary
 }
 
-// tenantReports groups the per-stream results by assigned tenant and
-// joins each group with that tenant's token-ledger stats and
-// telemetry counters, in -tenants order.
-func tenantReports(cfg exp.Config, res *exp.Result) []tenantReport {
-	if len(cfg.Tenants) == 0 {
-		return nil
-	}
-	ledger := make(map[string]qos.TenantStats, len(res.QoS))
-	for _, s := range res.QoS {
-		ledger[s.Name] = s
-	}
-	views := res.Telemetry.Snapshot().Tenants
-	byName := make(map[string][]*perf.Result, len(cfg.Tenants))
-	for i, s := range res.PerStream {
-		n := cfg.TenantFor(i).Name
-		byName[n] = append(byName[n], s)
-	}
-	out := make([]tenantReport, 0, len(cfg.Tenants))
-	for _, ts := range cfg.Tenants {
-		agg := perf.Merge(byName[ts.Name]...)
-		st := ledger[ts.Name]
-		tv := views[ts.Name]
-		out = append(out, tenantReport{
-			Name:          ts.Name,
-			SLO:           ts.SLO.String(),
-			RateMBps:      ts.RateMBps,
-			GBps:          agg.Throughput.GBps(),
-			IOPS:          agg.Throughput.IOPS(),
-			P99Us:         float64(agg.Latency.P99()) / 1e3,
-			P9999Us:       float64(agg.Latency.P9999()) / 1e3,
-			TakenBytes:    st.Taken,
-			BorrowedBytes: st.Borrowed,
-			LentBytes:     st.Lent,
-			Throttled:     st.Throttles,
-			TokenWaits:    tv.Counters["tenant.token_waits"],
-			Sheds:         tv.Counters["tenant.sheds"],
-		})
-	}
-	return out
-}
-
-func emitJSON(w *os.File, cfg exp.Config, fabric, rw, size string, res *exp.Result) error {
-	var r report
-	r.Config.Fabric = fabric
-	r.Config.Design = cfg.Design.String()
-	r.Config.RW = rw
-	r.Config.Size = size
-	r.Config.QD = cfg.Workload.QueueDepth
-	r.Config.Streams = cfg.Streams
-	r.Config.Queues = cfg.Queues
-	r.Config.Batch = cfg.Workload.Batch
-	r.Config.Ring = cfg.Workload.Ring
-	r.Config.RegCache = cfg.RDMARegCache
-	r.Config.Merge = cfg.RDMAMerge
-	r.Config.DynDB = cfg.RDMADynDoorbell
-	r.Config.CacheBytes = cfg.CacheBytes
-	if cfg.CacheBytes > 0 {
-		r.Config.CacheMode = cfg.CacheMode.String()
-	}
-	r.Config.Zipf = cfg.Workload.Zipf
-	if cfg.ClusterTargets > 0 {
-		r.Config.Targets = cfg.ClusterTargets
-		r.Config.Replicas = cfg.ClusterReplicas
-		r.Config.WQuorum = cfg.ClusterWriteQuorum
-		r.Config.Spares = cfg.ClusterSpares
-		if cfg.CrashDown > 0 {
-			r.Config.CrashAt = cfg.CrashAt.String()
-			r.Config.CrashDown = cfg.CrashDown.String()
-		}
-	}
-	if cfg.Tune {
-		r.Config.Tune = true
-		r.Config.TunePeriod = cfg.TunePeriod.String()
-	}
-	if cfg.Workload.FlipAt > 0 {
-		r.Config.FlipAt = cfg.Workload.FlipAt.String()
-	}
-	r.Config.Window = cfg.Workload.Duration.String()
-	r.Config.Seed = cfg.Seed
+func newReport(cfg exp.Config, res *exp.Result) report {
 	agg := res.Agg
-	r.Perf.GBps = agg.Throughput.GBps()
-	r.Perf.IOPS = agg.Throughput.IOPS()
-	r.Perf.AvgUs = agg.BD.MeanTotal()
-	r.Perf.P50Us = float64(agg.Latency.P50()) / 1e3
-	r.Perf.P99Us = float64(agg.Latency.P99()) / 1e3
-	r.Perf.P999Us = float64(agg.Latency.P999()) / 1e3
-	r.Perf.P9999Us = float64(agg.Latency.P9999()) / 1e3
-	r.Perf.Errors = agg.Errors
-	r.WireBytes = res.WireBytes
-	r.SHMBytes = res.SHMBytes
-	r.Telemetry = res.Telemetry.Snapshot()
-	r.Pools = res.Pools
-	r.Caches = res.CacheStats
-	r.Cluster = res.Cluster
-	r.Faults = res.FaultLog
-	r.Tuner = res.Tuner
-	r.Config.TargetQoS = cfg.TargetQoS
-	r.Tenants = tenantReports(cfg, res)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	r := report{
+		Config:    cfg,
+		Perf:      summarize(agg.Throughput, agg.Latency, agg.BD, agg.Errors),
+		Breakdown: breakdown{agg.BD.MeanIO(), agg.BD.MeanComm(), agg.BD.MeanOther()},
+		WireBytes: res.WireBytes, SHMBytes: res.SHMBytes,
+		Telemetry: res.Telemetry.Snapshot(),
+		Pools:     res.Pools, Cluster: res.Cluster, Faults: res.FaultLog, Tuner: res.Tuner, QoS: res.QoS,
+	}
+	byTenant := make(map[string][]*perf.Result)
+	for i, s := range res.PerStream {
+		r.Streams = append(r.Streams, summarize(s.Throughput, s.Latency, s.BD, s.Errors))
+		name := cfg.TenantFor(i).Name
+		byTenant[name] = append(byTenant[name], s)
+	}
+	for _, ts := range cfg.Tenants {
+		m := perf.Merge(byTenant[ts.Name]...)
+		r.Tenants = append(r.Tenants, tenantReport{ts.Name, summarize(m.Throughput, m.Latency, m.BD, m.Errors)})
+	}
+	for _, dev := range res.Devices {
+		d := dev.SSD()
+		r.SSDs = append(r.SSDs, ssdReport{d.Utilization(), d.ReadOps, d.WriteOps})
+	}
+	for _, cs := range res.CacheStats {
+		r.Caches = append(r.Caches, cacheReport{cs, cs.HitRate()})
+	}
+	return r
 }

@@ -59,6 +59,15 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("cache: unknown mode %q", s)
 }
 
+// MarshalText and UnmarshalText let documents name a mode as String
+// prints it (or as ParseMode's short forms).
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+func (m *Mode) UnmarshalText(b []byte) (err error) {
+	*m, err = ParseMode(string(b))
+	return err
+}
+
 // Config sizes and tunes one cache instance.
 type Config struct {
 	// Name labels the cache in stats (defaults to "cache-"+backing name).

@@ -55,8 +55,6 @@ type Options struct {
 	// BlockSize multiple (default transport.DefaultStripeUnit). I/Os
 	// spanning extents split at boundaries and aggregate like striping.
 	ExtentSize int64
-	// Vnodes is the virtual-node count per seat (DefaultVnodes when 0).
-	Vnodes int
 	// ProbeInterval is the keep-alive probing period per member; 0
 	// disables probing (death is then detected from data-path errors
 	// only).
@@ -213,7 +211,6 @@ type Cluster struct {
 
 	workQ   *sim.Queue[func(p *sim.Proc)]
 	dirty   *sim.Signal // wakes the rebuild loop
-	settled *sim.Signal // fired whenever a rebuild round drains the stale set
 	closing bool
 	tel     *telemetry.Sink
 	rr      int // read-rotation cursor across eligible replicas
@@ -244,12 +241,11 @@ func New(e *sim.Engine, members []Member, opts Options) (*Cluster, error) {
 	c := &Cluster{
 		e:       e,
 		opts:    opts,
-		ring:    NewRing(opts.Seats, opts.Replicas, opts.Vnodes),
+		ring:    NewRing(opts.Seats, opts.Replicas),
 		seats:   make([]seatState, opts.Seats),
 		extents: make(map[int64]*extentState),
 		workQ:   sim.NewQueue[func(p *sim.Proc)](e, 0),
 		dirty:   sim.NewSignal(e),
-		settled: sim.NewSignal(e),
 		tel:     opts.Telemetry,
 	}
 	for i, m := range members {

@@ -88,7 +88,7 @@ func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 func pattern(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
 
 func TestRingPlacementDeterministicDistinctBalanced(t *testing.T) {
-	r := NewRing(4, 2, 0)
+	r := NewRing(4, 2)
 	counts := make([]int, 4)
 	for ext := int64(0); ext < 4096; ext++ {
 		a := r.Locate(ext, make([]int, 0, 2))

@@ -46,7 +46,6 @@ func (c *Cluster) rebuildLoop(p *sim.Proc) {
 			c.rebuildRounds++
 			c.tel.Inc(telemetry.CtrRebuildRounds)
 			c.tel.Trace(int64(c.e.Now()), telemetry.EvRebuildDone, 0, "", c.opts.Namespace)
-			c.settled.Fire()
 		}
 	}
 }
@@ -182,11 +181,4 @@ func (c *Cluster) rebuildExtent(p *sim.Proc, st *extentState, ri int) bool {
 	c.tel.Add(telemetry.CtrRebuildBytes, int64(size))
 	c.tel.ObserveDuration(telemetry.HistRebuildCopy, p.Now().Sub(start))
 	return true
-}
-
-// WaitSettled blocks until the next time a rebuild round drains the
-// stale set (for tests and demos that want to observe a whole cluster).
-func (c *Cluster) WaitSettled(p *sim.Proc) {
-	c.settled.Reset()
-	c.settled.Wait(p)
 }

@@ -40,9 +40,9 @@ type Ring struct {
 // per-seat extent share within a few percent of uniform at N <= 16.
 const DefaultVnodes = 64
 
-// NewRing builds a ring of seats*vnodes points. vnodes <= 0 selects
-// DefaultVnodes. replicas must not exceed seats.
-func NewRing(seats, replicas, vnodes int) *Ring {
+// NewRing builds a ring of seats*DefaultVnodes points. replicas must not
+// exceed seats.
+func NewRing(seats, replicas int) *Ring {
 	if seats <= 0 {
 		panic("cluster: ring needs at least one seat")
 	}
@@ -52,13 +52,10 @@ func NewRing(seats, replicas, vnodes int) *Ring {
 	if seats > 64 {
 		panic("cluster: at most 64 seats (Locate tracks seats in a bitmap)")
 	}
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
 	r := &Ring{replicas: replicas}
-	r.points = make([]ringPoint, 0, seats*vnodes)
+	r.points = make([]ringPoint, 0, seats*DefaultVnodes)
 	for s := 0; s < seats; s++ {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVnodes; v++ {
 			h := mix64(uint64(s)<<20 ^ uint64(v) ^ 0x5eed5eed5eed5eed)
 			r.points = append(r.points, ringPoint{hash: h, seat: s})
 		}

@@ -313,7 +313,6 @@ func (w *oafWire) MakeIOEntry(pend *session.Pending) pdu.BatchEntry {
 		} else {
 			e.VirtualLen = io.Size
 		}
-		pend.Sent = io.Size
 		return e
 	default:
 		return pdu.BatchEntry{Cmd: cmd}
@@ -406,7 +405,6 @@ func (w *oafWire) onR2T(p *sim.Proc, r *pdu.R2T) {
 		}
 		transport.SendPDUs(p, w.ep, d)
 	})
-	pend.Sent += int(r.Length)
 }
 
 // sendWriteChunk moves the next chunk of a conservative write into a
@@ -443,7 +441,6 @@ func (w *oafWire) sendWriteChunk(p *sim.Proc, pend *session.Pending) {
 		Last:   dataOff+n >= io.Size,
 	})
 	pend.WNext += n
-	pend.Sent += n
 	w.cl.SHMPayloadBytes += int64(n)
 }
 

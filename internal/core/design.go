@@ -19,6 +19,8 @@
 package core
 
 import (
+	"fmt"
+
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/shm"
 )
@@ -75,6 +77,33 @@ func (d Design) String() string {
 	default:
 		return "design(?)"
 	}
+}
+
+// ParseDesign parses a design name as String prints it; "" selects
+// DesignSHMZeroCopy, the headline configuration.
+func ParseDesign(s string) (Design, error) {
+	switch s {
+	case "", "shm-0-copy":
+		return DesignSHMZeroCopy, nil
+	case "shm-flow-ctl":
+		return DesignSHMFlowCtl, nil
+	case "shm-lock-free":
+		return DesignSHMLockFree, nil
+	case "shm-baseline":
+		return DesignSHMBaseline, nil
+	case "tcp":
+		return DesignTCP, nil
+	}
+	return 0, fmt.Errorf("core: unknown design %q", s)
+}
+
+// MarshalText and UnmarshalText let documents name a design as String
+// prints it.
+func (d Design) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+
+func (d *Design) UnmarshalText(b []byte) (err error) {
+	*d, err = ParseDesign(string(b))
+	return err
 }
 
 // UsesSHM reports whether the design moves payloads over shared memory.

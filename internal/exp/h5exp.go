@@ -36,9 +36,7 @@ const (
 type H5Config struct {
 	Backend H5Backend
 	Kernel  h5bench.Config
-	// Design overrides the shared-memory design (default zero-copy).
-	Design core.Design
-	Seed   int64
+	Seed    int64
 	// VOL tunes the connector (zero value = defaults).
 	VOL vol.Config
 }
@@ -79,10 +77,7 @@ func h5Storage(w *world.World, p *sim.Proc, client, host *world.Machine,
 			TP:          model.DefaultTCPTransport(),
 		}
 		if cfg.Backend != H5TCP {
-			o.Kind, o.Design = OAF, cfg.Design
-			if o.Design == core.DesignTCP {
-				o.Design = core.DesignSHMZeroCopy
-			}
+			o.Kind, o.Design = OAF, core.DesignSHMZeroCopy
 			volCfg.Coalesce = cfg.Backend == H5OAFCoalesce
 		}
 		pr := w.Serve(client, svc, o, 1<<20)

@@ -243,11 +243,10 @@ func FormatFig8(rows []Fig8Row) string {
 
 // Fig9Row is one (chunk, ioSize) point.
 type Fig9Row struct {
-	Chunk    int
-	IOSize   int
-	GBps     float64
-	PoolMB   float64
-	BufWaits int64
+	Chunk  int
+	IOSize int
+	GBps   float64
+	PoolMB float64
 }
 
 // Fig9Chunks and Fig9IOSizes are the sweep axes.

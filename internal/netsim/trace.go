@@ -14,11 +14,12 @@ import (
 // stack (SPDK's nvmf trace points); attach with Endpoint.AttachTracer.
 type Tracer struct {
 	// Name labels the traced endpoint.
-	Name string
-	// Limit bounds retained events (0 = 4096).
-	Limit  int
+	Name   string
 	events []TraceEvent
 }
+
+// traceLimit bounds the events one tracer retains.
+const traceLimit = 4096
 
 // TraceEvent is one message in the trace.
 type TraceEvent struct {
@@ -29,16 +30,12 @@ type TraceEvent struct {
 	Wire int
 }
 
-// NewTracer creates a tracer with the default retention limit.
+// NewTracer creates a tracer that retains the first traceLimit events.
 func NewTracer(name string) *Tracer { return &Tracer{Name: name} }
 
 // record appends one event, decoding the message's PDUs.
 func (t *Tracer) record(at sim.Time, dir string, msg *Message) {
-	limit := t.Limit
-	if limit <= 0 {
-		limit = 4096
-	}
-	if len(t.events) >= limit {
+	if len(t.events) >= traceLimit {
 		return
 	}
 	ev := TraceEvent{At: at, Dir: dir, Wire: msg.wireSize()}

@@ -21,14 +21,8 @@ const (
 
 // Admin command opcodes (subset used by the fabric).
 const (
-	AdminDeleteIOSQ    uint8 = 0x00
-	AdminCreateIOSQ    uint8 = 0x01
 	AdminGetLogPage    uint8 = 0x02
-	AdminDeleteIOCQ    uint8 = 0x04
-	AdminCreateIOCQ    uint8 = 0x05
 	AdminIdentify      uint8 = 0x06
-	AdminSetFeatures   uint8 = 0x09
-	AdminGetFeatures   uint8 = 0x0A
 	AdminKeepAlive     uint8 = 0x18
 	FabricsCommandType uint8 = 0x7F
 )

@@ -93,6 +93,15 @@ func ParseSLO(s string) (SLO, error) {
 	return SLONone, fmt.Errorf("qos: unknown SLO %q", s)
 }
 
+// MarshalText and UnmarshalText let documents name a tier as String
+// prints it.
+func (s SLO) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+func (s *SLO) UnmarshalText(b []byte) (err error) {
+	*s, err = ParseSLO(string(b))
+	return err
+}
+
 // Steer fills the receive-path knobs a connection left at zero from
 // this tier: the busy-poll budget and the train (batch) depth. A knob
 // already set wins; SLONone fills nothing.
@@ -286,14 +295,6 @@ type Shaper struct {
 // receives per-tenant borrow/lend accounting.
 func NewShaper(label string, reg *Registry, tel *telemetry.Sink) *Shaper {
 	return &Shaper{label: label, reg: reg, tel: tel, buckets: make(map[string]*Bucket)}
-}
-
-// Label names this enforcement point.
-func (sh *Shaper) Label() string {
-	if sh == nil {
-		return ""
-	}
-	return sh.label
 }
 
 // Bucket returns the named tenant's bucket at this enforcement point,

@@ -223,7 +223,6 @@ func (w *rdmaWire) MakeIOEntry(pend *session.Pending) pdu.BatchEntry {
 	} else {
 		e.VirtualLen = io.Size
 	}
-	pend.Sent = io.Size
 	return e
 }
 

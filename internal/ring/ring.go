@@ -209,9 +209,6 @@ func New(e *sim.Engine, q transport.Queue, cfg Config) *Ring {
 	return r
 }
 
-// BufSize returns the registered buffer size.
-func (r *Ring) BufSize() int { return r.cfg.BufSize }
-
 // Queued returns the SQ entries pushed but not yet submitted.
 func (r *Ring) Queued() int { return r.sqTail - r.sqHead }
 

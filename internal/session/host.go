@@ -79,10 +79,9 @@ type TrainSizer interface {
 // binding's ClientConfig embed it, and a binding hands it to NewHost
 // whole.
 type ConnOptions struct {
-	// NQN names the target subsystem; HostNQN identifies this host in
-	// the Fabrics Connect command (DefaultHostNQN when empty).
-	NQN     string
-	HostNQN string
+	// NQN names the target subsystem; the Fabrics Connect command
+	// identifies this host as DefaultHostNQN.
+	NQN string
 	// QueueDepth bounds outstanding commands (default 128).
 	QueueDepth int
 	// CommandTimeout is the per-command deadline. A command not completed
@@ -363,18 +362,11 @@ func (h *Host) fabricsConnect(p *sim.Proc) error {
 	return nil
 }
 
-func (h *Host) hostNQN() string {
-	if h.cfg.HostNQN != "" {
-		return h.cfg.HostNQN
-	}
-	return DefaultHostNQN
-}
-
 // connectHostNQN is the hostNQN carried in Connect data: the bare host
 // NQN with the queue's tenant folded in (unchanged when untenanted, so
 // the wire stays byte-identical).
 func (h *Host) connectHostNQN() string {
-	return TenantHostNQN(h.hostNQN(), h.cfg.Tenant)
+	return TenantHostNQN(DefaultHostNQN, h.cfg.Tenant)
 }
 
 // tenantOf resolves the tenant an I/O belongs to: its own stamp, else
@@ -760,7 +752,6 @@ func (h *Host) reapExpired(p *sim.Proc) bool {
 // (or the client is closing). The caller must have freed the CID.
 func (h *Host) requeueOrFail(p *sim.Proc, pend *Pending) {
 	pend.Received = 0
-	pend.Sent = 0
 	pend.DataLost = false
 	pend.WNext, pend.WEnd = 0, 0
 	h.wire.ReleaseAttempt(pend)

@@ -39,7 +39,7 @@ const (
 	// PollMissCPU is the busy-poll expiry cost (syscall return + re-arm).
 	PollMissCPU = 8 * time.Microsecond
 
-	// DefaultHostNQN identifies the host when the caller sets none.
+	// DefaultHostNQN identifies the host in every Fabrics Connect.
 	DefaultHostNQN = "nqn.2014-08.org.nvmexpress:uuid:sim-host"
 
 	// ConnectCID is the reserved CID of the Fabrics Connect command; it

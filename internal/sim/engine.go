@@ -164,9 +164,6 @@ func NewEngine(seed int64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed returns the seed the engine was created with.
-func (e *Engine) Seed() int64 { return e.seed }
-
 // Rand returns a deterministic random stream derived from the engine seed
 // and the stream name. Distinct names yield independent streams, so adding
 // a new consumer does not perturb existing ones.

@@ -146,8 +146,6 @@ type Pending struct {
 	Comm time.Duration
 	// Received counts payload bytes that have arrived (reads).
 	Received int
-	// Sent counts payload bytes transmitted (writes).
-	Sent int
 }
 
 // Finish resolves the pending request using the target-reported timing in

@@ -197,10 +197,6 @@ type ConnectOptions struct {
 	MaxRetries int
 	// RetryBackoff is the base of the exponential retry backoff.
 	RetryBackoff time.Duration
-	// KeepAlive, when positive, probes the connection with keep-alive
-	// admin commands at this period, detecting a dead target between
-	// I/Os.
-	KeepAlive time.Duration
 	// Tenant attributes every I/O on this connection to a registered
 	// tenant (AddTenant): host-side token admission, per-tenant
 	// telemetry, and — unless BusyPoll/Batch are set explicitly — the
@@ -547,8 +543,8 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 		ConnOptions: session.ConnOptions{
 			QueueDepth:     opts.QueueDepth,
 			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
-			RetryBackoff: opts.RetryBackoff, KeepAlive: opts.KeepAlive,
-			Telemetry: c.w.Tel, Tenant: opts.Tenant, QoS: hqos,
+			RetryBackoff: opts.RetryBackoff,
+			Telemetry:    c.w.Tel, Tenant: opts.Tenant, QoS: hqos,
 		},
 		TargetQoS: tqos,
 		TP:        tp,

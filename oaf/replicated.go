@@ -2,7 +2,6 @@ package oaf
 
 import (
 	"fmt"
-	"time"
 
 	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/transport"
@@ -26,13 +25,6 @@ type ReplicaOptions struct {
 	Spares int
 	// ExtentSize is the sharding granularity (default 128 KiB).
 	ExtentSize int64
-	// ProbeInterval is the keep-alive probing period per member (default
-	// 200µs of virtual time); 0 < ProbeInterval detects crashed targets
-	// between I/Os.
-	ProbeInterval time.Duration
-	// ProbeMisses is the consecutive typed-failure count that declares a
-	// member dead (default 2).
-	ProbeMisses int
 	// Connect tunes each member connection. CommandTimeout and
 	// MaxRetries default to crash-tolerant values when zero, so a dead
 	// member yields typed errors instead of hanging the namespace.
@@ -66,11 +58,6 @@ func (rq *ReplicatedQueue) MemberHealth() []Health {
 	return out
 }
 
-// WaitSettled blocks the application until the next time background
-// re-replication drains the rebuild backlog (every replica holds the
-// committed version of every extent).
-func (rq *ReplicatedQueue) WaitSettled(ctx *Ctx) { rq.cl.WaitSettled(ctx.proc) }
-
 // ConnectReplicated assembles a replicated namespace over the targets
 // named "<prefix>.0" .. "<prefix>.<Targets-1>" (each registered with
 // AddTarget, typically on distinct hosts): one connection per member,
@@ -101,11 +88,6 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 	single := opts.Connect
 	single.Queues = 1
 	cluster.FailFast(&single.CommandTimeout, &single.MaxRetries, &single.RetryBackoff)
-	probe := opts.ProbeInterval
-	if probe <= 0 {
-		probe = cluster.ProbePeriod
-	}
-
 	members := make([]cluster.Member, 0, n)
 	queues := make([]*Queue, 0, n)
 	retain := false
@@ -132,8 +114,7 @@ func (ctx *Ctx) ConnectReplicated(nqnPrefix string, opts ReplicaOptions) (*Repli
 		Replicas:      opts.Replicas,
 		WriteQuorum:   opts.WriteQuorum,
 		ExtentSize:    opts.ExtentSize,
-		ProbeInterval: probe,
-		ProbeMisses:   opts.ProbeMisses,
+		ProbeInterval: cluster.ProbePeriod,
 		RetainData:    retain,
 		Namespace:     nqnPrefix,
 		Telemetry:     c.w.Tel,

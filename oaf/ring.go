@@ -14,15 +14,12 @@ type (
 )
 
 // RingOptions sizes a Ring. Zero values take the defaults: SQSize 64,
-// CQSize 2x SQSize, Buffers = SQSize, BufSize 128 KiB.
+// BufSize 128 KiB. The completion ring holds 2x SQSize entries and the
+// registered buffer arena SQSize buffers.
 type RingOptions struct {
 	// SQSize is the submission-ring capacity and the inflight bound.
 	SQSize int
-	// CQSize is the completion-ring capacity; submission throttles so
-	// completions are never overwritten.
-	CQSize int
-	// Buffers and BufSize shape the registered buffer arena.
-	Buffers int
+	// BufSize is the size of each registered buffer.
 	BufSize int
 }
 
@@ -55,17 +52,12 @@ func (q *Queue) Ring(opts RingOptions) *Ring {
 	return &Ring{
 		inner: ring.New(q.ctx.cluster.w.Engine, q.inner, ring.Config{
 			SQSize:    opts.SQSize,
-			CQSize:    opts.CQSize,
-			Buffers:   opts.Buffers,
 			BufSize:   opts.BufSize,
 			Telemetry: q.ctx.cluster.w.Tel,
 		}),
 		q: q,
 	}
 }
-
-// BufSize returns the registered buffer size.
-func (r *Ring) BufSize() int { return r.inner.BufSize() }
 
 // Claim lends one registered buffer from the arena; ok is false (a
 // counted stall) when all buffers are out — reap and release first.
@@ -88,12 +80,6 @@ func (r *Ring) Submit() int { return r.inner.Submit(r.q.ctx.proc) }
 // least min are available or nothing remains inflight. It returns 0 only
 // when the ring is idle, so a drain loop terminates.
 func (r *Ring) Reap(dst []CQE, min int) int { return r.inner.Reap(r.q.ctx.proc, dst, min) }
-
-// Queued, Inflight, and Completed expose the ring's three depths:
-// pushed-not-submitted, submitted-not-completed, completed-not-reaped.
-func (r *Ring) Queued() int    { return r.inner.Queued() }
-func (r *Ring) Inflight() int  { return r.inner.Inflight() }
-func (r *Ring) Completed() int { return r.inner.Completed() }
 
 // Close detaches the ring (inflight completions still land and can be
 // reaped); the underlying Queue stays open.

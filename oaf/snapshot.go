@@ -129,7 +129,6 @@ type ClusterSnapshot struct {
 
 // Telemetry exposes the cluster's shared sink, shared by every
 // connection and target created on this cluster.
-func (c *Cluster) Telemetry() *telemetry.Sink { return c.w.Tel }
 
 // Snapshot captures the whole cluster's observability state.
 func (c *Cluster) Snapshot() ClusterSnapshot {

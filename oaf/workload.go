@@ -25,8 +25,6 @@ type Workload struct {
 	QueueDepth int
 	// Span is the working-set size (defaults to 1 GiB).
 	Span int64
-	// Warmup is excluded from measurement.
-	Warmup time.Duration
 	// Duration is the measured window.
 	Duration time.Duration
 }
@@ -61,7 +59,6 @@ func (ctx *Ctx) RunWorkload(q *Queue, w Workload) (*WorkloadResult, error) {
 		IOSize:     w.IOSize,
 		QueueDepth: w.QueueDepth,
 		Span:       w.Span,
-		Warmup:     w.Warmup,
 		Duration:   w.Duration,
 	})
 	stream.Start()
