@@ -41,6 +41,7 @@ func TestBadDocumentsExitTwo(t *testing.T) {
 		{`{"Workload": {"QD": 64}}`},
 		{`{"Design": "shm-turbo"}`},
 		{`{"Streams": 4} {}`},
+		{`{"Workload": {"Name": "s0"}}`},
 		{`{}`, `{}`},
 	} {
 		var out, errOut bytes.Buffer
@@ -122,5 +123,29 @@ func TestShortRunsEmitEverySection(t *testing.T) {
 		if !seen[k] {
 			t.Errorf("no run filled section %q", k)
 		}
+	}
+}
+
+// TestSpanReachesTheRun: a document's Workload.Span bounds the offsets
+// the run draws. Behind a 1 MiB cache, 4 KiB random reads over one
+// block hit where reads over the whole device miss, so the perf section
+// moves.
+func TestSpanReachesTheRun(t *testing.T) {
+	perf := func(span string) string {
+		t.Helper()
+		doc := `{"CacheBytes": 1048576, "Workload": {"Seq": false, "IOSize": 4096, "QueueDepth": 16,
+			"Duration": 5000000, "Warmup": 1000000` + span + `}}`
+		var out, errOut bytes.Buffer
+		if code := run([]string{doc}, &out, &errOut); code != 0 {
+			t.Fatalf("exit %d: %s", code, errOut.String())
+		}
+		var r map[string]json.RawMessage
+		if err := json.Unmarshal(out.Bytes(), &r); err != nil {
+			t.Fatal(err)
+		}
+		return string(r["perf"])
+	}
+	if whole, one := perf(""), perf(`, "Span": 4096`); whole == one {
+		t.Fatalf("Span 4096 left the perf section unchanged: %s", one)
 	}
 }

@@ -10,36 +10,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"nvmeoaf/oaf"
 )
 
 func main() {
-	fabricStr := flag.String("fabric", "adaptive", "probe fabric: adaptive, tcp-10g, tcp-25g, tcp-100g, rdma-56g, roce-100g")
+	fabric := oaf.FabricAdaptive
+	flag.StringVar((*string)(&fabric), "fabric", string(fabric), "probe fabric kind, as oafperf's Kind names it (e.g. tcp-25g, rdma-ib56)")
 	remote := flag.Bool("remote", false, "place the probe client on a different host (locality check fails)")
 	capacity := flag.Int64("capacity", 1<<30, "SSD capacity in bytes")
 	qd := flag.Int("qd", 32, "probe queue depth")
 	trace := flag.Bool("trace", false, "print the protocol trace of the smoke I/O")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
-
-	var fabric oaf.Fabric
-	switch *fabricStr {
-	case "adaptive":
-		fabric = oaf.FabricAdaptive
-	case "tcp-10g":
-		fabric = oaf.FabricTCP10G
-	case "tcp-25g":
-		fabric = oaf.FabricTCP25G
-	case "tcp-100g":
-		fabric = oaf.FabricTCP100G
-	case "rdma-56g":
-		fabric = oaf.FabricRDMA56G
-	case "roce-100g":
-		fabric = oaf.FabricRoCE100G
-	default:
-		fmt.Fprintf(os.Stderr, "oaftarget: unknown fabric %q\n", *fabricStr)
+	if _, err := fabric.Link(); err != nil {
+		fmt.Fprintln(os.Stderr, "oaftarget:", err)
 		os.Exit(2)
 	}
 
@@ -54,7 +39,6 @@ func main() {
 
 	err := c.Run(func(ctx *oaf.Ctx) error {
 		ctx = ctx.On(clientHost)
-		t0 := time.Now()
 		q, err := ctx.Connect("nqn.2022-06.io.oaf:probe", oaf.ConnectOptions{
 			Fabric: fabric, QueueDepth: *qd,
 		})
@@ -62,10 +46,9 @@ func main() {
 			return err
 		}
 		defer q.Close()
-		_ = t0
 		fmt.Printf("target nqn.2022-06.io.oaf:probe on storage-host\n")
 		fmt.Printf("  probe client host   : %s\n", clientHost)
-		fmt.Printf("  fabric              : %s\n", *fabricStr)
+		fmt.Printf("  fabric              : %s\n", fabric)
 		fmt.Printf("  shared-memory path  : %v\n", q.SharedMemory)
 		fmt.Printf("  queue depth         : %d\n", *qd)
 		fmt.Printf("  capacity            : %d bytes\n", *capacity)

@@ -1,7 +1,7 @@
-// Adaptive: the fabric's self-tuning policies (§4.5) in action —
-// discovery-driven bring-up, hardware-aware chunk selection, and the
-// workload-aware busy-poll budget, measured through the public workload
-// runner.
+// Adaptive: discovery-driven bring-up over the adaptive fabric, then
+// contrasting workloads through the public workload runner, each with
+// the paper's device/fabric/other latency breakdown. The §4.5 chunk and
+// busy-poll auto-tuning stay off here; internal/core's tests cover them.
 //
 //	go run ./examples/adaptive
 package main

@@ -76,16 +76,9 @@ func main() {
 	}
 
 	fmt.Println("fabric tail comparison (serial mixed 128K):")
-	for _, f := range []struct {
-		name   string
-		fabric oaf.Fabric
-	}{
-		{"tcp-25g", oaf.FabricTCP25G},
-		{"rdma-56g", oaf.FabricRDMA56G},
-		{"adaptive", oaf.FabricAdaptive},
-	} {
-		avg, worst := measure(f.fabric, 0, 0)
+	for _, f := range []oaf.Fabric{oaf.FabricTCP25G, oaf.FabricRDMA56G, oaf.FabricAdaptive} {
+		avg, worst := measure(f, 0, 0)
 		fmt.Printf("  %-10s : avg %8v  worst %8v (worst/avg %.1fx)\n",
-			f.name, avg, worst, float64(worst)/float64(avg))
+			f, avg, worst, float64(worst)/float64(avg))
 	}
 }

@@ -74,8 +74,6 @@ type Config struct {
 	Name string
 	// Bytes is the cache capacity (rounded down to whole lines).
 	Bytes int64
-	// LineSize is the cache-line size in bytes (default 4 KiB).
-	LineSize int
 	// Ways is the set associativity (default 8).
 	Ways int
 	// Shards spreads sets across independently indexed groups
@@ -161,6 +159,9 @@ const (
 // flushWindow bounds concurrently in-flight flusher writes.
 const flushWindow = 16
 
+// lineSize is the cache-line size in bytes.
+const lineSize = 4096
+
 // Cache is a DRAM block cache wrapping a backing bdev.Device.
 // It implements bdev.Device.
 type Cache struct {
@@ -169,13 +170,12 @@ type Cache struct {
 	cfg     Config
 	tel     *telemetry.Sink
 
-	lines    []line
-	slab     []byte // one allocation backing all line payloads (Retain)
-	shards   int
-	sets     int // sets per shard
-	ways     int
-	lineSize int64
-	tick     uint64
+	lines  []line
+	slab   []byte // one allocation backing all line payloads (Retain)
+	shards int
+	sets   int // sets per shard
+	ways   int
+	tick   uint64
 
 	// Write-back state. The watermarks and the bypass threshold are
 	// atomics: the tuning controller (or an operator goroutine) adjusts
@@ -256,9 +256,6 @@ func (s Stats) HitRate() float64 {
 
 // New wraps backing with a cache and starts its flusher daemon.
 func New(e *sim.Engine, backing bdev.Device, cfg Config) *Cache {
-	if cfg.LineSize <= 0 {
-		cfg.LineSize = 4096
-	}
 	if cfg.Ways <= 0 {
 		cfg.Ways = 8
 	}
@@ -277,7 +274,7 @@ func New(e *sim.Engine, backing bdev.Device, cfg Config) *Cache {
 	if cfg.Name == "" {
 		cfg.Name = "cache-" + backing.Name()
 	}
-	total := int(cfg.Bytes / int64(cfg.LineSize))
+	total := int(cfg.Bytes / lineSize)
 	if total < cfg.Ways {
 		total = cfg.Ways
 	}
@@ -296,20 +293,19 @@ func New(e *sim.Engine, backing bdev.Device, cfg Config) *Cache {
 	nLines := shards * sets * cfg.Ways
 
 	c := &Cache{
-		e:        e,
-		backing:  backing,
-		cfg:      cfg,
-		tel:      cfg.Telemetry,
-		lines:    make([]line, nLines),
-		shards:   shards,
-		sets:     sets,
-		ways:     cfg.Ways,
-		lineSize: int64(cfg.LineSize),
-		kickQ:    sim.NewQueue[struct{}](e, 0),
-		flushMu:  sim.NewSemaphore(e, 1),
-		flight:   make(map[int64]struct{}),
+		e:       e,
+		backing: backing,
+		cfg:     cfg,
+		tel:     cfg.Telemetry,
+		lines:   make([]line, nLines),
+		shards:  shards,
+		sets:    sets,
+		ways:    cfg.Ways,
+		kickQ:   sim.NewQueue[struct{}](e, 0),
+		flushMu: sim.NewSemaphore(e, 1),
+		flight:  make(map[int64]struct{}),
 	}
-	capBytes := int64(nLines) * c.lineSize
+	capBytes := int64(nLines) * lineSize
 	c.capBytes = capBytes
 	c.SetMaxDirtyFrac(cfg.MaxDirtyFrac)
 	if len(cfg.TenantDirtyFrac) > 0 {
@@ -322,14 +318,14 @@ func New(e *sim.Engine, backing bdev.Device, cfg Config) *Cache {
 	if cfg.Retain {
 		c.slab = make([]byte, capBytes)
 		for i := range c.lines {
-			c.lines[i].data = c.slab[int64(i)*c.lineSize : int64(i+1)*c.lineSize]
+			c.lines[i].data = c.slab[int64(i)*lineSize : int64(i+1)*lineSize]
 		}
 		c.scratch = make([][]byte, flushWindow)
 		for i := range c.scratch {
-			c.scratch[i] = make([]byte, cfg.LineSize)
+			c.scratch[i] = make([]byte, lineSize)
 		}
 	}
-	c.stats = Stats{Name: cfg.Name, Bytes: capBytes, LineSize: cfg.LineSize, Mode: cfg.Mode.String()}
+	c.stats = Stats{Name: cfg.Name, Bytes: capBytes, LineSize: lineSize, Mode: cfg.Mode.String()}
 	e.GoDaemon("cache-flusher/"+cfg.Name, c.flusherLoop)
 	return c
 }
@@ -349,8 +345,8 @@ func (c *Cache) SetMaxDirtyFrac(frac float64) {
 		frac = 1
 	}
 	hi := int64(frac * float64(c.capBytes))
-	if hi < c.lineSize {
-		hi = c.lineSize
+	if hi < lineSize {
+		hi = lineSize
 	}
 	c.hiWater.Store(hi)
 	c.loWater.Store(hi / 4)
@@ -449,7 +445,7 @@ func (c *Cache) inFlight(lineNo int64) bool {
 // span returns the line-aligned range [first,last] of lines covering
 // [off, off+size).
 func (c *Cache) span(off int64, size int) (first, last int64) {
-	return off / c.lineSize, (off + int64(size) - 1) / c.lineSize
+	return off / lineSize, (off + int64(size) - 1) / lineSize
 }
 
 // observeRead feeds the admission EWMA (pollPolicy idiom, saturating
@@ -510,15 +506,15 @@ func (c *Cache) tryReadHit(off int64, size int, dst []byte) bool {
 		c.tick++
 		c.lines[i].lastUse = c.tick
 		if dst != nil {
-			lo := ln * c.lineSize
-			hi := lo + c.lineSize
+			lo := ln * lineSize
+			hi := lo + lineSize
 			if lo < off {
 				lo = off
 			}
 			if end := off + int64(size); hi > end {
 				hi = end
 			}
-			copy(dst[lo-off:hi-off], c.lines[i].data[lo-ln*c.lineSize:hi-ln*c.lineSize])
+			copy(dst[lo-off:hi-off], c.lines[i].data[lo-ln*lineSize:hi-ln*lineSize])
 		}
 	}
 	c.stats.Hits++
@@ -541,15 +537,15 @@ func (c *Cache) overlayDirty(off int64, size int, buf []byte) {
 		if i < 0 || (!c.lines[i].dirty && !c.inFlight(ln)) {
 			continue
 		}
-		lo := ln * c.lineSize
-		hi := lo + c.lineSize
+		lo := ln * lineSize
+		hi := lo + lineSize
 		if lo < off {
 			lo = off
 		}
 		if end := off + int64(size); hi > end {
 			hi = end
 		}
-		copy(buf[lo-off:hi-off], c.lines[i].data[lo-ln*c.lineSize:hi-ln*c.lineSize])
+		copy(buf[lo-off:hi-off], c.lines[i].data[lo-ln*lineSize:hi-ln*lineSize])
 	}
 }
 
@@ -584,8 +580,8 @@ func (c *Cache) install(first, last int64, spanOff int64, spanData []byte) {
 		c.tick++
 		c.lines[i].lastUse = c.tick
 		if spanData != nil {
-			o := ln*c.lineSize - spanOff
-			end := o + c.lineSize
+			o := ln*lineSize - spanOff
+			end := o + lineSize
 			if end > int64(len(spanData)) {
 				end = int64(len(spanData))
 			}
@@ -600,24 +596,24 @@ func (c *Cache) install(first, last int64, spanOff int64, spanData []byte) {
 func (c *Cache) markDirty(i int, tenant string) {
 	if !c.lines[i].dirty {
 		c.lines[i].dirty = true
-		c.dirtyBytes += c.lineSize
+		c.dirtyBytes += lineSize
 		if tenant != "" {
 			c.lines[i].tenant = tenant
 		}
 		if t := c.lines[i].tenant; t != "" && c.dirtyByTenant != nil {
-			c.dirtyByTenant[t] += c.lineSize
+			c.dirtyByTenant[t] += lineSize
 		}
 		c.stats.DirtyBytes = c.dirtyBytes
-		c.tel.Add(telemetry.CtrCacheDirtyBytes, c.lineSize)
+		c.tel.Add(telemetry.CtrCacheDirtyBytes, lineSize)
 	}
 }
 
 // cleanLine accounts one dirty line's transition back to clean.
 func (c *Cache) cleanLine(i int) {
 	c.lines[i].dirty = false
-	c.dirtyBytes -= c.lineSize
+	c.dirtyBytes -= lineSize
 	if t := c.lines[i].tenant; t != "" && c.dirtyByTenant != nil {
-		c.dirtyByTenant[t] -= c.lineSize
+		c.dirtyByTenant[t] -= lineSize
 	}
 }
 
@@ -649,15 +645,15 @@ func (c *Cache) updateResident(off int64, data []byte) {
 		if i < 0 {
 			continue
 		}
-		lo := ln * c.lineSize
-		hi := lo + c.lineSize
+		lo := ln * lineSize
+		hi := lo + lineSize
 		if lo < off {
 			lo = off
 		}
 		if end := off + int64(len(data)); hi > end {
 			hi = end
 		}
-		copy(c.lines[i].data[lo-ln*c.lineSize:hi-ln*c.lineSize], data[lo-off:hi-off])
+		copy(c.lines[i].data[lo-ln*lineSize:hi-ln*lineSize], data[lo-off:hi-off])
 		c.tick++
 		c.lines[i].lastUse = c.tick
 	}
@@ -731,8 +727,8 @@ func (c *Cache) submitRead(req *ssd.Request) *sim.Future[ssd.Result] {
 	// Miss: fill the whole aligned span so partial-line requests leave
 	// complete lines behind.
 	first, last := c.span(req.Offset, req.Size)
-	spanOff := first * c.lineSize
-	spanEnd := (last + 1) * c.lineSize
+	spanOff := first * lineSize
+	spanEnd := (last + 1) * lineSize
 	if capacity := c.backing.Blocks() * int64(c.backing.BlockSize()); spanEnd > capacity {
 		spanEnd = capacity
 	}
@@ -798,7 +794,7 @@ func (c *Cache) submitWrite(req *ssd.Request) *sim.Future[ssd.Result] {
 		return c.backing.Submit(req)
 	}
 	c.noteSeq(req.Offset, req.Size)
-	aligned := req.Offset%c.lineSize == 0 && int64(req.Size)%c.lineSize == 0
+	aligned := req.Offset%lineSize == 0 && int64(req.Size)%lineSize == 0
 	bp := c.bypassBytes.Load()
 	large := bp > 0 && int64(req.Size) >= bp
 	// Retained caches cannot absorb modeled (nil-payload) writes: the
@@ -944,8 +940,8 @@ func (c *Cache) absorbWrite(req *ssd.Request) bool {
 		c.tick++
 		c.lines[i].lastUse = c.tick
 		if req.Data != nil {
-			o := ln*c.lineSize - req.Offset
-			copy(c.lines[i].data, req.Data[o:o+c.lineSize])
+			o := ln*lineSize - req.Offset
+			copy(c.lines[i].data, req.Data[o:o+lineSize])
 		}
 		c.markDirty(i, req.Tenant)
 	}
@@ -1004,15 +1000,15 @@ func (c *Cache) flushBatch(p *sim.Proc) int {
 		ln := c.lines[i].tag
 		c.cleanLine(i)
 		c.stats.DirtyBytes = c.dirtyBytes
-		c.tel.Add(telemetry.CtrCacheDirtyBytes, -c.lineSize)
+		c.tel.Add(telemetry.CtrCacheDirtyBytes, -lineSize)
 		var data []byte
 		if c.cfg.Retain {
 			data = c.scratch[len(caps)]
 			copy(data, c.lines[i].data)
 		}
-		size := int(c.lineSize)
-		if end := c.backing.Blocks() * int64(c.backing.BlockSize()); ln*c.lineSize+c.lineSize > end {
-			size = int(end - ln*c.lineSize)
+		size := lineSize
+		if end := c.backing.Blocks() * int64(c.backing.BlockSize()); ln*lineSize+lineSize > end {
+			size = int(end - ln*lineSize)
 			if data != nil {
 				data = data[:size]
 			}
@@ -1021,7 +1017,7 @@ func (c *Cache) flushBatch(p *sim.Proc) int {
 			c.flightDone = sim.NewFuture[struct{}](c.e)
 		}
 		c.flight[ln] = struct{}{}
-		fut := c.backing.Submit(&ssd.Request{Op: ssd.OpWrite, Offset: ln * c.lineSize, Size: size, Data: data})
+		fut := c.backing.Submit(&ssd.Request{Op: ssd.OpWrite, Offset: ln * lineSize, Size: size, Data: data})
 		caps = append(caps, capture{lineNo: ln, idx: i, fut: fut, start: p.Now()})
 		c.flushCursor = i + 1
 	}
@@ -1047,7 +1043,7 @@ func (c *Cache) flushBatch(p *sim.Proc) int {
 			}
 			continue
 		}
-		c.stats.FlushedBytes += c.lineSize
+		c.stats.FlushedBytes += lineSize
 	}
 	if done := c.flightDone; done != nil {
 		c.flightDone = nil
@@ -1059,13 +1055,13 @@ func (c *Cache) flushBatch(p *sim.Proc) int {
 // recordLoss accounts lost dirty lines and arms the sticky loss error.
 func (c *Cache) recordLoss(lines int, cause error) {
 	c.stats.LostLines += int64(lines)
-	c.stats.LostBytes += int64(lines) * c.lineSize
+	c.stats.LostBytes += int64(lines) * lineSize
 	c.tel.Add(telemetry.CtrCacheDirtyLost, int64(lines))
 	if c.loss == nil {
 		c.loss = &DirtyLossError{Dev: c.cfg.Name, Cause: cause}
 	}
 	c.loss.Lines += lines
-	c.loss.Bytes += int64(lines) * c.lineSize
+	c.loss.Bytes += int64(lines) * lineSize
 }
 
 // Flush is the durability barrier: it writes back every dirty line,
@@ -1120,12 +1116,12 @@ func (c *Cache) LoseDirty() *DirtyLossError {
 		lost++
 	}
 	c.stats.DirtyBytes = c.dirtyBytes
-	c.tel.Add(telemetry.CtrCacheDirtyBytes, -int64(lost)*c.lineSize)
+	c.tel.Add(telemetry.CtrCacheDirtyBytes, -int64(lost)*lineSize)
 	if lost == 0 {
 		return nil
 	}
 	c.recordLoss(lost, nil)
-	return &DirtyLossError{Dev: c.cfg.Name, Lines: lost, Bytes: int64(lost) * c.lineSize}
+	return &DirtyLossError{Dev: c.cfg.Name, Lines: lost, Bytes: int64(lost) * lineSize}
 }
 
 // LostDirty reports the pending (unreported) dirty-loss condition, if

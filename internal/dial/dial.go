@@ -78,6 +78,19 @@ func (k Kind) Link() (model.LinkParams, error) {
 // shared-memory Design and, when co-located, a Region.
 func (k Kind) Adaptive() bool { return kinds[k].trType == nvme.TrTypeAdaptive }
 
+// Defaults applies the zero-value rules every front end shares: no kind
+// is NVMe-oAF, and an adaptive kind with no shared-memory design runs
+// shm-0-copy, the paper's headline configuration.
+func Defaults(k Kind, d core.Design) (Kind, core.Design) {
+	if k == "" {
+		k = OAF
+	}
+	if k.Adaptive() && d == core.DesignTCP {
+		d = core.DesignSHMZeroCopy
+	}
+	return k, d
+}
+
 // Options describes one connection, both ends. The embedded ConnOptions
 // is the host queue; its NQN and Telemetry also name the subsystem served
 // and the sink the target side reports to.

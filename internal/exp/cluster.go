@@ -29,10 +29,6 @@ func nqnCluster(i int) string { return fmt.Sprintf("nqn.2022-06.io.oaf:cluster%d
 // targets, one router, one perf stream.
 func runCluster(cfg Config) (*Result, error) {
 	n := cfg.ClusterTargets
-	seats, err := cluster.Seats(n, cfg.ClusterSpares)
-	if err != nil {
-		return nil, err
-	}
 	linkParams, err := cfg.Kind.Link()
 	if err != nil {
 		return nil, err
@@ -80,9 +76,7 @@ func runCluster(cfg Config) (*Result, error) {
 		inj.CrashTarget(svcs[cfg.CrashMember], cfg.CrashAt, cfg.CrashDown)
 	}
 
-	wl := cfg.Workload
-	wl.Name = fmt.Sprintf("%s-cluster%d", cfg.Kind, n)
-	wl.Span = cfg.SSDCapacity
+	name := fmt.Sprintf("%s-cluster%d", cfg.Kind, n)
 
 	var cl *cluster.Cluster
 	var stream *perf.Stream
@@ -105,20 +99,17 @@ func runCluster(cfg Config) (*Result, error) {
 		}
 		var err error
 		cl, err = cluster.New(e, cms, cluster.Options{
-			Seats:         seats,
 			Replicas:      cfg.ClusterReplicas,
-			WriteQuorum:   cfg.ClusterWriteQuorum,
-			ExtentSize:    cfg.ClusterExtent,
 			ProbeInterval: probe,
 			RetainData:    cfg.RetainData,
-			Namespace:     wl.Name,
+			Namespace:     name,
 			Telemetry:     tel,
 		})
 		if err != nil {
 			setupErr.Resolve(err)
 			return
 		}
-		stream = perf.NewStream(e, cl, wl)
+		stream = perf.NewStream(e, name, cl, cfg.Workload, nil)
 		stream.Start()
 		// The router's probe loops re-arm timers forever; close it once
 		// the stream drains so the engine can run out of events.

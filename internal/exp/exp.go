@@ -56,7 +56,8 @@ type Config struct {
 	// across them by offset (default 1). Each member queue gets its own
 	// link, server connection, and — for OAF runs — shared-memory region.
 	Queues int
-	// Workload is the per-stream pattern.
+	// Workload is the per-stream pattern; its Span defaults to
+	// SSDCapacity.
 	Workload perf.Workload
 	// TP carries the TCP-channel knobs (chunk size, in-capsule
 	// threshold, busy-poll budget) for TCP and OAF runs.
@@ -85,13 +86,10 @@ type Config struct {
 	// placement/replication router (Streams is forced to 1: the
 	// namespace is one logical volume).
 	ClusterTargets int
-	// ClusterReplicas / ClusterWriteQuorum / ClusterSpares /
-	// ClusterExtent tune the replication geometry; zero values take the
-	// cluster package defaults (R=2, W=majority, 128 KiB extents).
-	ClusterReplicas    int
-	ClusterWriteQuorum int
-	ClusterSpares      int
-	ClusterExtent      int64
+	// ClusterReplicas is the replication factor (default 2); writes wait
+	// for a majority of replicas, extents are 128 KiB and every member
+	// holds data (no spares).
+	ClusterReplicas int
 	// CrashDown > 0 schedules member CrashMember's target to crash at
 	// CrashAt and restart CrashDown later, mid-workload.
 	CrashMember        int
@@ -144,12 +142,10 @@ func (c Config) withDefaults() Config {
 	if c.SSDCapacity <= 0 {
 		c.SSDCapacity = 2 << 30
 	}
-	if c.Kind == "" {
-		c.Kind = OAF
+	if c.Workload.Span <= 0 {
+		c.Workload.Span = c.SSDCapacity
 	}
-	if c.Kind.Adaptive() && c.Design == core.DesignTCP {
-		c.Design = core.DesignSHMZeroCopy
-	}
+	c.Kind, c.Design = dial.Defaults(c.Kind, c.Design)
 	return c
 }
 
@@ -380,11 +376,6 @@ func Run(cfg Config) (*Result, error) {
 	e.Go("setup", func(p *sim.Proc) {
 		for i := 0; i < cfg.Streams; i++ {
 			wl := cfg.Workload
-			wl.Name = fmt.Sprintf("%s-s%d", cfg.Kind, i)
-			wl.Span = cfg.SSDCapacity
-			// Ring-mode streams report the ring.* metric group through the
-			// run's sink like every other subsystem.
-			wl.Telemetry = tel
 			ts := cfg.TenantFor(i)
 			if ts.QueueDepth > 0 {
 				wl.QueueDepth = ts.QueueDepth
@@ -420,7 +411,9 @@ func Run(cfg Config) (*Result, error) {
 			if len(members) > 1 {
 				q = transport.NewStriped(0, members...)
 			}
-			streams[i] = perf.NewStream(e, q, wl)
+			// Ring-mode streams report the ring.* metric group through the
+			// run's sink like every other subsystem.
+			streams[i] = perf.NewStream(e, fmt.Sprintf("%s-s%d", cfg.Kind, i), q, wl, tel)
 		}
 		for _, s := range streams {
 			s.Start()

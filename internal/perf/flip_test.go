@@ -9,23 +9,23 @@ import (
 
 // flipWorkload is the canonical phase-flip pattern: 4K random read for
 // the first half of the window, 128K sequential read for the second.
-func flipWorkload(name string) Workload {
+func flipWorkload() Workload {
 	return Workload{
-		Name: name, ReadPct: 100, IOSize: 4096,
+		ReadPct: 100, IOSize: 4096,
 		QueueDepth: 16, Duration: 200 * time.Millisecond,
 		FlipAt: 100 * time.Millisecond,
 		FlipTo: &Phase{Seq: true, ReadPct: 100, IOSize: 128 << 10},
 	}
 }
 
-// flipRun drives one flipped stream to completion.
-func flipRun(t *testing.T, seed int64, w Workload) *Result {
+// flipRun drives one flipped stream, named name, to completion.
+func flipRun(t *testing.T, seed int64, name string, w Workload) *Result {
 	t.Helper()
 	e, connect := rig(t, seed)
 	var res *Result
 	e.Go("main", func(p *sim.Proc) {
 		q := connect(p, w.QueueDepth)
-		s := NewStream(e, q, w)
+		s := NewStream(e, name, q, w, nil)
 		s.Start()
 		res = s.Wait(p)
 	})
@@ -36,7 +36,7 @@ func flipRun(t *testing.T, seed int64, w Workload) *Result {
 }
 
 func TestWorkloadFlipSwitchesPattern(t *testing.T) {
-	res := flipRun(t, 11, flipWorkload("flip"))
+	res := flipRun(t, 11, "flip", flipWorkload())
 	pf := res.PostFlip
 	if pf == nil {
 		t.Fatal("no post-flip sub-result")
@@ -66,8 +66,8 @@ func TestWorkloadFlipSwitchesPattern(t *testing.T) {
 }
 
 func TestWorkloadFlipDeterministic(t *testing.T) {
-	a := flipRun(t, 12, flipWorkload("det"))
-	b := flipRun(t, 12, flipWorkload("det"))
+	a := flipRun(t, 12, "det", flipWorkload())
+	b := flipRun(t, 12, "det", flipWorkload())
 	if a.Throughput.Ops != b.Throughput.Ops || a.Throughput.Bytes != b.Throughput.Bytes {
 		t.Fatalf("totals diverge: %+v vs %+v", a.Throughput, b.Throughput)
 	}
@@ -83,13 +83,10 @@ func TestWorkloadFlipDeterministic(t *testing.T) {
 func TestWorkloadFlipDifferentSeedsDiverge(t *testing.T) {
 	// Sanity check that the determinism test has teeth: with a 70:30
 	// mix, different seeds draw different read/write sequences.
-	mixed := func(name string) Workload {
-		w := flipWorkload(name)
-		w.ReadPct = 70
-		return w
-	}
-	a := flipRun(t, 13, mixed("s13"))
-	b := flipRun(t, 14, mixed("s14"))
+	mixed := flipWorkload()
+	mixed.ReadPct = 70
+	a := flipRun(t, 13, "s13", mixed)
+	b := flipRun(t, 14, "s14", mixed)
 	if a.ReadLatency.Count() == b.ReadLatency.Count() &&
 		a.WriteLatency.Count() == b.WriteLatency.Count() {
 		t.Fatal("different seeds produced identical read/write draws")
@@ -98,16 +95,16 @@ func TestWorkloadFlipDifferentSeedsDiverge(t *testing.T) {
 
 func TestWorkloadFlipBeforeWindowNoOps(t *testing.T) {
 	// A flip that never fires (FlipAt beyond the run) leaves PostFlip nil.
-	w := flipWorkload("late")
+	w := flipWorkload()
 	w.FlipAt = time.Hour
-	res := flipRun(t, 15, w)
+	res := flipRun(t, 15, "late", w)
 	if res.PostFlip != nil {
 		t.Fatalf("flip beyond the run produced a post-flip result: %+v", res.PostFlip.Throughput)
 	}
 }
 
 func TestMaxIOSizeCoversFlipPhase(t *testing.T) {
-	w := flipWorkload("max")
+	w := flipWorkload()
 	if got := w.MaxIOSize(); got != 128<<10 {
 		t.Fatalf("MaxIOSize = %d, want 128K from the flip phase", got)
 	}

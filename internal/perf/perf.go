@@ -23,8 +23,6 @@ import (
 
 // Workload describes one stream's I/O pattern.
 type Workload struct {
-	// Name labels the stream in results.
-	Name string
 	// Seq selects sequential offsets (wrapping over Span); otherwise
 	// offsets are uniformly random block-aligned positions.
 	Seq bool
@@ -55,9 +53,6 @@ type Workload struct {
 	// reaped in batches, no future or result allocated per op. Batch is
 	// ignored in ring mode — the refill train IS the batch.
 	Ring bool
-	// Telemetry, when Ring is set, receives the ring.* metric group
-	// (nil = off).
-	Telemetry *telemetry.Sink
 	// Span is the working-set size in bytes (defaults to 1 GiB).
 	Span int64
 	// Warmup is excluded from measurement.
@@ -161,6 +156,7 @@ type Stream struct {
 	e     *sim.Engine
 	q     transport.Queue
 	w     Workload
+	tel   *telemetry.Sink
 	rng   *rand.Rand
 	zipf  *zipfGen
 	res   *Result
@@ -175,8 +171,11 @@ type Stream struct {
 	freeIOs []*transport.IO
 }
 
-// NewStream prepares a stream; Start launches its driver process.
-func NewStream(e *sim.Engine, q transport.Queue, w Workload) *Stream {
+// NewStream prepares a stream; Start launches its driver process. name
+// labels the stream in results and names its process and RNG stream
+// ("perf/"+name); tel, when the workload is in Ring mode, receives the
+// ring.* metric group (nil = off).
+func NewStream(e *sim.Engine, name string, q transport.Queue, w Workload, tel *telemetry.Sink) *Stream {
 	w = w.withDefaults()
 	var z *zipfGen
 	if !w.Seq && w.Zipf > 0 {
@@ -187,9 +186,10 @@ func NewStream(e *sim.Engine, q transport.Queue, w Workload) *Stream {
 		e:    e,
 		q:    q,
 		w:    w,
-		rng:  e.Rand("perf/" + w.Name),
+		tel:  tel,
+		rng:  e.Rand("perf/" + name),
 		res: &Result{
-			Name:         w.Name,
+			Name:         name,
 			Latency:      stats.NewHistogram(),
 			ReadLatency:  stats.NewHistogram(),
 			WriteLatency: stats.NewHistogram(),
@@ -200,7 +200,7 @@ func NewStream(e *sim.Engine, q transport.Queue, w Workload) *Stream {
 
 // Start launches the driver process at the current virtual time.
 func (s *Stream) Start() {
-	s.e.Go("perf/"+s.w.Name, s.drive)
+	s.e.Go("perf/"+s.res.Name, s.drive)
 }
 
 // Wait blocks until the stream has drained after its measured window.
@@ -348,7 +348,7 @@ func (s *Stream) maybeFlip(seqOffset *int64) {
 		s.zipf = newZipf(s.w.Span/int64(ph.IOSize), ph.Zipf)
 	}
 	s.res.PostFlip = &Result{
-		Name:         s.w.Name + "/post-flip",
+		Name:         s.res.Name + "/post-flip",
 		Latency:      stats.NewHistogram(),
 		ReadLatency:  stats.NewHistogram(),
 		WriteLatency: stats.NewHistogram(),
@@ -388,7 +388,7 @@ func (s *Stream) driveRing(p *sim.Proc) {
 		SQSize:    depth,
 		Buffers:   1, // modeled payloads: the arena stays unused
 		BufSize:   transport.BlockSize,
-		Telemetry: s.w.Telemetry,
+		Telemetry: s.tel,
 	})
 	cq := make([]ring.CQE, depth)
 	var seqOffset int64

@@ -48,10 +48,10 @@ func TestStreamMeasuresThroughputAndLatency(t *testing.T) {
 	var res *Result
 	e.Go("main", func(p *sim.Proc) {
 		q := connect(p, 16)
-		s := NewStream(e, q, Workload{
-			Name: "t", Seq: true, ReadPct: 100, IOSize: 128 << 10,
+		s := NewStream(e, "t", q, Workload{
+			Seq: true, ReadPct: 100, IOSize: 128 << 10,
 			QueueDepth: 16, Warmup: 20 * time.Millisecond, Duration: 200 * time.Millisecond,
-		})
+		}, nil)
 		s.Start()
 		res = s.Wait(p)
 	})
@@ -80,10 +80,10 @@ func TestMixedWorkloadSplitsLatencies(t *testing.T) {
 	var res *Result
 	e.Go("main", func(p *sim.Proc) {
 		q := connect(p, 8)
-		s := NewStream(e, q, Workload{
-			Name: "mix", ReadPct: 70, IOSize: 4096,
+		s := NewStream(e, "mix", q, Workload{
+			ReadPct: 70, IOSize: 4096,
 			QueueDepth: 8, Duration: 100 * time.Millisecond,
-		})
+		}, nil)
 		s.Start()
 		res = s.Wait(p)
 	})
@@ -105,10 +105,10 @@ func TestWarmupExcluded(t *testing.T) {
 	var res *Result
 	e.Go("main", func(p *sim.Proc) {
 		q := connect(p, 4)
-		s := NewStream(e, q, Workload{
-			Name: "warm", Seq: true, ReadPct: 100, IOSize: 4096,
+		s := NewStream(e, "warm", q, Workload{
+			Seq: true, ReadPct: 100, IOSize: 4096,
 			QueueDepth: 4, Warmup: 50 * time.Millisecond, Duration: 100 * time.Millisecond,
-		})
+		}, nil)
 		s.Start()
 		res = s.Wait(p)
 	})
@@ -126,10 +126,10 @@ func TestQueueDepthScalesThroughput(t *testing.T) {
 		var res *Result
 		e.Go("main", func(p *sim.Proc) {
 			q := connect(p, qd)
-			s := NewStream(e, q, Workload{
-				Name: "qd", Seq: true, ReadPct: 100, IOSize: 4096,
+			s := NewStream(e, "qd", q, Workload{
+				Seq: true, ReadPct: 100, IOSize: 4096,
 				QueueDepth: qd, Duration: 100 * time.Millisecond,
-			})
+			}, nil)
 			s.Start()
 			res = s.Wait(p)
 		})
@@ -175,14 +175,14 @@ func TestSizeMixDistribution(t *testing.T) {
 	var res *Result
 	e.Go("main", func(p *sim.Proc) {
 		q := connect(p, 8)
-		s := NewStream(e, q, Workload{
-			Name: "mix-sizes", Seq: true, ReadPct: 100,
+		s := NewStream(e, "mix-sizes", q, Workload{
+			Seq: true, ReadPct: 100,
 			SizeMix: []SizeWeight{
 				{Size: 4096, Weight: 3},
 				{Size: 128 << 10, Weight: 1},
 			},
 			QueueDepth: 8, Duration: 100 * time.Millisecond,
-		})
+		}, nil)
 		s.Start()
 		res = s.Wait(p)
 	})

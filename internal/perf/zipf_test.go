@@ -138,10 +138,10 @@ func TestZipfWorkloadEndToEnd(t *testing.T) {
 	var s *Stream
 	e.Go("main", func(p *sim.Proc) {
 		q := connect(p, 8)
-		s = NewStream(e, q, Workload{
-			Name: "zipf-smoke", IOSize: 4096, QueueDepth: 8, ReadPct: 100,
+		s = NewStream(e, "zipf-smoke", q, Workload{
+			IOSize: 4096, QueueDepth: 8, ReadPct: 100,
 			Zipf: 0.99, Span: 16 << 20, Duration: 2 * time.Millisecond,
-		})
+		}, nil)
 		s.Start()
 	})
 	if err := e.Run(); err != nil {

@@ -326,3 +326,38 @@ func TestClusterMembersFailFast(t *testing.T) {
 		t.Error("found no cluster.New call outside internal/cluster: the guard is looking at the wrong name")
 	}
 }
+
+// TestOAFEnumsAreAliases keeps the public vocabulary with its owners:
+// package oaf declares no defined type over a basic type. A fabric,
+// design, cache mode or SLO tier is an alias of the type the owning
+// package declares (dial.Kind, core.Design, cache.Mode, qos.SLO), so
+// each name and each zero-value rule is written once and oaf carries no
+// translation table to keep in step.
+func TestOAFEnumsAreAliases(t *testing.T) {
+	basic := map[string]bool{
+		"bool": true, "string": true, "byte": true, "rune": true, "uintptr": true,
+		"int": true, "int8": true, "int16": true, "int32": true, "int64": true,
+		"uint": true, "uint8": true, "uint16": true, "uint32": true, "uint64": true,
+		"float32": true, "float64": true, "complex64": true, "complex128": true,
+	}
+	files := 0
+	walkSource(t, func(dir, file string, f *ast.File) {
+		if dir != "oaf" {
+			return
+		}
+		files++
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Assign.IsValid() {
+				return true
+			}
+			if id, ok := ts.Type.(*ast.Ident); ok && basic[id.Name] {
+				t.Errorf("%s: type %s %s mirrors an owner's enum: declare it as an alias of the owning package's type", file, ts.Name.Name, id.Name)
+			}
+			return true
+		})
+	})
+	if files == 0 {
+		t.Error("found no source in oaf: the guard is looking at the wrong directory")
+	}
+}

@@ -13,64 +13,32 @@ type Config struct {
 	// Period is the sampling/decision interval (default 20 ms of
 	// virtual time).
 	Period time.Duration
-	// Warmup discards score epochs before this much time has elapsed
-	// since Start, so connection setup and queue ramp do not poison the
-	// first baseline (default one period).
-	Warmup time.Duration
-	// ImproveFrac is the acceptance hysteresis: a trial is kept only
-	// when its score beats the baseline by at least this fraction
-	// (default 0.02). Hysteresis is what keeps simulator-level noise
-	// from walking the knobs randomly.
-	ImproveFrac float64
-	// Epsilon is the exploration probability: each new trial picks a
-	// uniformly random knob and direction instead of the scheduled
-	// coordinate with this probability (default 0.05), the bandit-style
-	// escape from local optima.
-	Epsilon float64
-	// PhaseFrac is the phase-change detector: once the search has
-	// quiesced, a score deviating from the quiet baseline by more than
-	// this fraction re-opens the search (default 0.25).
-	PhaseFrac float64
-	// Score maps one telemetry delta to the figure of merit being
-	// maximized. The default is the completion rate
-	// (client.completions per second) — IOPS.
-	Score func(telemetry.Delta) float64
 	// Telemetry is the sink sampled every period (required).
 	Telemetry *telemetry.Sink
-	// MaxMoves bounds the recorded trajectory (default 4096; the
-	// controller keeps tuning past it, later moves are dropped from the
-	// report, never from the search).
-	MaxMoves int
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Period <= 0 {
-		cfg.Period = 20 * time.Millisecond
-	}
-	if cfg.Warmup <= 0 {
-		cfg.Warmup = cfg.Period
-	}
-	if cfg.ImproveFrac <= 0 {
-		cfg.ImproveFrac = 0.02
-	}
-	if cfg.Epsilon < 0 {
-		cfg.Epsilon = 0
-	} else if cfg.Epsilon == 0 {
-		cfg.Epsilon = 0.05
-	}
-	if cfg.PhaseFrac <= 0 {
-		cfg.PhaseFrac = 0.25
-	}
-	if cfg.Score == nil {
-		cfg.Score = func(d telemetry.Delta) float64 {
-			return d.Rate(telemetry.CtrCompletions.String())
-		}
-	}
-	if cfg.MaxMoves <= 0 {
-		cfg.MaxMoves = 4096
-	}
-	return cfg
-}
+// The search's fixed constants. The score of an epoch is its completion
+// rate (client.completions per second): IOPS.
+const (
+	// improveFrac is the acceptance hysteresis: a trial is kept only
+	// when its score beats the baseline by at least this fraction.
+	// Hysteresis is what keeps simulator-level noise from walking the
+	// knobs randomly.
+	improveFrac = 0.02
+	// epsilon is the exploration probability: each new trial picks a
+	// uniformly random knob and direction instead of the scheduled
+	// coordinate with this probability, the bandit-style escape from
+	// local optima.
+	epsilon = 0.05
+	// phaseFrac is the phase-change detector: once the search has
+	// quiesced, a score deviating from the quiet baseline by more than
+	// this fraction re-opens the search.
+	phaseFrac = 0.25
+	// maxMoves bounds the recorded trajectory: the controller keeps
+	// tuning past it, later moves are dropped from the report, never
+	// from the search.
+	maxMoves = 4096
+)
 
 // Move is one decision in the tuner's trajectory.
 type Move struct {
@@ -146,7 +114,9 @@ type Controller struct {
 // several layers (queues, caches) are simply concatenated — coordinate
 // descent does not care which subsystem a coordinate belongs to.
 func NewController(e *sim.Engine, cfg Config, knobs []Knob) *Controller {
-	cfg = cfg.withDefaults()
+	if cfg.Period <= 0 {
+		cfg.Period = 20 * time.Millisecond
+	}
 	return &Controller{
 		e:     e,
 		cfg:   cfg,
@@ -202,10 +172,12 @@ func (c *Controller) loop(p *sim.Proc) {
 			// the delta is garbage for scoring. Skip the epoch.
 			continue
 		}
-		if p.Now() < c.started.Add(c.cfg.Warmup) {
+		// The first period after Start is warm-up: connection setup and
+		// queue ramp would poison the first baseline.
+		if p.Now() < c.started.Add(c.cfg.Period) {
 			continue
 		}
-		score := c.cfg.Score(delta)
+		score := delta.Rate(telemetry.CtrCompletions.String())
 		c.report.Epochs++
 		c.report.Scores = append(c.report.Scores, score)
 		c.decide(int64(p.Now()), score)
@@ -228,7 +200,7 @@ func (c *Controller) decide(atNs int64, score float64) {
 		c.beginTrial()
 	case stateTrial:
 		k := &c.knobs[c.knobIdx]
-		improved := score > c.baseline*(1+c.cfg.ImproveFrac)
+		improved := score > c.baseline*(1+improveFrac)
 		mv := Move{
 			AtNs: atNs, Knob: k.Name,
 			From: c.trialOld, To: k.Get(),
@@ -268,7 +240,7 @@ func (c *Controller) decide(atNs int64, score float64) {
 		if dev < 0 {
 			dev = -dev
 		}
-		if c.baseline > 0 && dev > c.cfg.PhaseFrac*c.baseline {
+		if c.baseline > 0 && dev > phaseFrac*c.baseline {
 			c.push(Move{
 				AtNs: atNs, Score: score, Baseline: c.baseline,
 				Kind: "phase-reset", Accepted: true,
@@ -285,11 +257,11 @@ func (c *Controller) decide(atNs int64, score float64) {
 	}
 }
 
-// beginTrial opens the next trial: with probability Epsilon an
+// beginTrial opens the next trial: with probability epsilon an
 // exploration step on a random knob/direction, otherwise the scheduled
 // coordinate (skipping coordinates already pinned at their bound).
 func (c *Controller) beginTrial() {
-	if c.rng.Float64() < c.cfg.Epsilon {
+	if c.rng.Float64() < epsilon {
 		idx := c.rng.Intn(len(c.knobs))
 		dir := +1
 		if c.rng.Intn(2) == 0 {
@@ -341,9 +313,9 @@ func (c *Controller) advance() {
 	c.knobIdx = (c.knobIdx + 1) % len(c.knobs)
 }
 
-// push appends a move, bounded by MaxMoves.
+// push appends a move, bounded by maxMoves.
 func (c *Controller) push(m Move) {
-	if len(c.report.Moves) < c.cfg.MaxMoves {
+	if len(c.report.Moves) < maxMoves {
 		c.report.Moves = append(c.report.Moves, m)
 	}
 }

@@ -6,7 +6,7 @@
 //     H5Dwrite is synchronous, so a naive connector issues one blocking
 //     I/O per call);
 //   - a pipelined direct path for large contiguous transfers, keeping a
-//     configurable number of chunk I/Os in flight;
+//     fixed number of chunk I/Os in flight;
 //   - an application-agnostic I/O coalescer (the optimization behind
 //     Fig 17): small writes accumulate in per-extent write-behind buffers
 //     that flush through the pipelined path, and sequential reads trigger
@@ -21,16 +21,20 @@ import (
 	"nvmeoaf/internal/sim"
 )
 
+// The pipelined direct path's geometry.
+const (
+	// transferSize is the chunk size of pipelined transfers.
+	transferSize = 1 << 20
+	// pipelineDepth is the number of outstanding chunk I/Os on the
+	// direct path.
+	pipelineDepth = 16
+	// directThreshold routes transfers of at least this size down the
+	// pipelined path; smaller ones are synchronous.
+	directThreshold = 8 << 20
+)
+
 // Config tunes the connector.
 type Config struct {
-	// TransferSize is the chunk size of pipelined transfers (default 1 MiB).
-	TransferSize int
-	// PipelineDepth is the number of outstanding chunk I/Os on the direct
-	// path (default 16).
-	PipelineDepth int
-	// DirectThreshold routes transfers of at least this size down the
-	// pipelined path (default 8 MiB); smaller ones are synchronous.
-	DirectThreshold int
 	// Coalesce enables the write-behind/readahead optimization.
 	Coalesce bool
 	// CoalesceBytes is the write-behind flush threshold (default 64 MiB:
@@ -43,15 +47,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TransferSize <= 0 {
-		c.TransferSize = 1 << 20
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 16
-	}
-	if c.DirectThreshold <= 0 {
-		c.DirectThreshold = 8 << 20
-	}
 	if c.CoalesceBytes <= 0 {
 		c.CoalesceBytes = 64 << 20
 	}
@@ -99,9 +94,9 @@ func (c *Connector) WriteAt(p *sim.Proc, off int64, data []byte, size int) error
 	if c.cfg.Coalesce {
 		return c.coalesceWrite(p, off, data, size)
 	}
-	if size >= c.cfg.DirectThreshold {
+	if size >= directThreshold {
 		c.DirectOps++
-		return c.f.Stream(p, true, off, data, size, c.cfg.TransferSize, c.cfg.PipelineDepth)
+		return c.f.Stream(p, true, off, data, size, transferSize, pipelineDepth)
 	}
 	c.SyncOps++
 	return c.f.WriteAt(p, off, data, size)
@@ -157,7 +152,7 @@ func (c *Connector) flushPending(p *sim.Proc) error {
 		c.DirectOps++
 		aligned := e.off%blockAlign == 0 && e.size%blockAlign == 0
 		if aligned {
-			if err := c.f.Stream(p, true, e.off, e.data, e.size, c.cfg.TransferSize, c.cfg.PipelineDepth); err != nil {
+			if err := c.f.Stream(p, true, e.off, e.data, e.size, transferSize, pipelineDepth); err != nil {
 				return err
 			}
 			continue
@@ -183,10 +178,10 @@ func (c *Connector) ReadAt(p *sim.Proc, off int64, buf []byte, size int) error {
 	if c.cfg.Coalesce && buf == nil {
 		return c.readAhead(p, off, size)
 	}
-	if size >= c.cfg.DirectThreshold {
+	if size >= directThreshold {
 		c.DirectOps++
 		if off%blockAlign == 0 && size%blockAlign == 0 {
-			return c.f.Stream(p, false, off, buf, size, c.cfg.TransferSize, c.cfg.PipelineDepth)
+			return c.f.Stream(p, false, off, buf, size, transferSize, pipelineDepth)
 		}
 	}
 	c.SyncOps++
@@ -221,7 +216,7 @@ func (c *Connector) readAhead(p *sim.Proc, off int64, size int) error {
 	}
 	c.Prefetches++
 	c.DirectOps++
-	if err := c.f.Stream(p, false, winStart, nil, int(winSize), c.cfg.TransferSize, c.cfg.PipelineDepth); err != nil {
+	if err := c.f.Stream(p, false, winStart, nil, int(winSize), transferSize, pipelineDepth); err != nil {
 		return err
 	}
 	c.windows = append(c.windows, window{off: winStart, end: winStart + winSize})

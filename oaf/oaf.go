@@ -42,58 +42,36 @@ import (
 	"nvmeoaf/internal/world"
 )
 
-// Design selects the shared-memory data-path design (the Fig 8 ablation).
-type Design int
+// Design selects the shared-memory data-path design (the Fig 8 ablation),
+// re-exported from the adaptive binding. The zero value on an adaptive
+// fabric is DesignZeroCopy.
+type Design = core.Design
 
 // Shared-memory designs, in ablation order. DesignZeroCopy is the paper's
 // headline configuration and the default.
 const (
-	DesignZeroCopy Design = iota
-	DesignFlowCtl
-	DesignLockFree
-	DesignBaseline
+	DesignZeroCopy = core.DesignSHMZeroCopy
+	DesignFlowCtl  = core.DesignSHMFlowCtl
+	DesignLockFree = core.DesignSHMLockFree
+	DesignBaseline = core.DesignSHMBaseline
 )
 
-func (d Design) internal() core.Design {
-	switch d {
-	case DesignBaseline:
-		return core.DesignSHMBaseline
-	case DesignLockFree:
-		return core.DesignSHMLockFree
-	case DesignFlowCtl:
-		return core.DesignSHMFlowCtl
-	default:
-		return core.DesignSHMZeroCopy
-	}
-}
-
-// Fabric selects the transport family for a connection.
-type Fabric int
+// Fabric names the transport family of a connection, re-exported from
+// the fabric table; the zero value is FabricAdaptive.
+type Fabric = dial.Kind
 
 // Supported fabrics. FabricAdaptive is NVMe-oAF: shared memory when
-// co-located, optimized TCP otherwise.
+// co-located, optimized TCP otherwise; FabricAdaptiveRDMACtl runs its
+// control plane over an intra-node RDMA path (the paper's future work).
 const (
-	FabricAdaptive Fabric = iota
-	FabricTCP10G
-	FabricTCP25G
-	FabricTCP100G
-	FabricRDMA56G
-	FabricRoCE100G
+	FabricAdaptive        = dial.OAF
+	FabricAdaptiveRDMACtl = dial.OAFRDMACtl
+	FabricTCP10G          = dial.TCP10G
+	FabricTCP25G          = dial.TCP25G
+	FabricTCP100G         = dial.TCP100G
+	FabricRDMA56G         = dial.RDMA56
+	FabricRoCE100G        = dial.RoCE100
 )
-
-// fabricKinds maps the public enum onto the fabric table; values outside
-// it mean adaptive.
-var fabricKinds = map[Fabric]dial.Kind{
-	FabricTCP10G: dial.TCP10G, FabricTCP25G: dial.TCP25G, FabricTCP100G: dial.TCP100G,
-	FabricRDMA56G: dial.RDMA56, FabricRoCE100G: dial.RoCE100,
-}
-
-func (f Fabric) kind() dial.Kind {
-	if k, ok := fabricKinds[f]; ok {
-		return k
-	}
-	return dial.OAF
-}
 
 // Config configures a cluster.
 type Config struct {
@@ -101,23 +79,17 @@ type Config struct {
 	Seed int64
 }
 
-// CacheMode selects the write policy of a target-side block cache.
-type CacheMode int
+// CacheMode selects the write policy of a target-side block cache,
+// re-exported from the cache.
+type CacheMode = cache.Mode
 
 const (
 	// CacheWriteThrough completes writes only after the backing SSD does.
-	CacheWriteThrough CacheMode = iota
+	CacheWriteThrough = cache.WriteThrough
 	// CacheWriteBack absorbs aligned writes in DRAM and flushes them in
 	// the background; OpFlush remains the durability barrier.
-	CacheWriteBack
+	CacheWriteBack = cache.WriteBack
 )
-
-func (m CacheMode) internal() cache.Mode {
-	if m == CacheWriteBack {
-		return cache.WriteBack
-	}
-	return cache.WriteThrough
-}
 
 // TargetConfig configures one storage service.
 type TargetConfig struct {
@@ -266,7 +238,7 @@ func (c *Cluster) AddTarget(hostName, nqn string, cfg TargetConfig) error {
 	}
 	svc, err := c.w.Service(h, nqn, world.Spec{
 		SSDName: "ssd-" + nqn, Capacity: cfg.SSDCapacity, Retain: cfg.RetainData,
-		Cache: cache.Config{Bytes: cfg.CacheBytes, Mode: cfg.CacheMode.internal(), TenantDirtyFrac: cfg.TenantDirtyFrac},
+		Cache: cache.Config{Bytes: cfg.CacheBytes, Mode: cfg.CacheMode, TenantDirtyFrac: cfg.TenantDirtyFrac},
 	})
 	if err != nil {
 		return err
@@ -508,6 +480,10 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 	if !ok {
 		return nil, fmt.Errorf("oaf: application host %q not registered", ctx.hostName)
 	}
+	kind, design := dial.Defaults(opts.Fabric, opts.Design)
+	if _, err := kind.Link(); err != nil {
+		return nil, fmt.Errorf("oaf: %w", err)
+	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 128
 	}
@@ -539,7 +515,7 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 	}
 
 	o := dial.Options{
-		Kind: opts.Fabric.kind(),
+		Kind: kind,
 		ConnOptions: session.ConnOptions{
 			QueueDepth:     opts.QueueDepth,
 			CommandTimeout: opts.CommandTimeout, MaxRetries: opts.MaxRetries,
@@ -548,7 +524,7 @@ func (ctx *Ctx) connectOne(targetNQN string, opts ConnectOptions) (*Queue, error
 		},
 		TargetQoS: tqos,
 		TP:        tp,
-		Design:    opts.Design.internal(),
+		Design:    design,
 	}
 	pr := c.w.Serve(clientHost, te.svc, o, opts.MaxIOSize)
 	if pr.Opts.Region != nil && opts.EncryptSHM {

@@ -111,7 +111,7 @@ func TestRemoteHostFallsBackToTCP(t *testing.T) {
 
 func TestAllFabricsConnect(t *testing.T) {
 	for _, f := range []oaf.Fabric{
-		oaf.FabricAdaptive, oaf.FabricTCP10G, oaf.FabricTCP25G,
+		oaf.FabricAdaptive, oaf.FabricAdaptiveRDMACtl, oaf.FabricTCP10G, oaf.FabricTCP25G,
 		oaf.FabricTCP100G, oaf.FabricRDMA56G, oaf.FabricRoCE100G,
 	} {
 		c := cluster(t)

@@ -2,39 +2,24 @@ package oaf
 
 import "nvmeoaf/internal/qos"
 
-// SLO classifies a tenant's service objective. The tier steers the
-// receive-path knobs of every connection the tenant opens (DESIGN.md
-// §5l): latency-sensitive tenants busy-poll with shallow trains,
-// throughput and batch tenants run interrupt-mode with deep coalescing.
-type SLO int
+// SLO classifies a tenant's service objective, re-exported from the QoS
+// layer. The tier steers the receive-path knobs of every connection the
+// tenant opens (DESIGN.md §5l): latency-sensitive tenants busy-poll with
+// shallow trains, throughput and batch tenants run interrupt-mode with
+// deep coalescing.
+type SLO = qos.SLO
 
 // SLO tiers.
 const (
 	// SLONone applies no receive-path steering (connection options rule).
-	SLONone SLO = iota
+	SLONone = qos.SLONone
 	// SLOLatencySensitive favors tail latency: busy-poll, batch=1.
-	SLOLatencySensitive
+	SLOLatencySensitive = qos.LatencySensitive
 	// SLOThroughput favors bandwidth: interrupt mode, deep trains.
-	SLOThroughput
+	SLOThroughput = qos.Throughput
 	// SLOBatch is background/bulk work: interrupt mode, deepest trains.
-	SLOBatch
+	SLOBatch = qos.Batch
 )
-
-func (s SLO) internal() qos.SLO {
-	switch s {
-	case SLOLatencySensitive:
-		return qos.LatencySensitive
-	case SLOThroughput:
-		return qos.Throughput
-	case SLOBatch:
-		return qos.Batch
-	default:
-		return qos.SLONone
-	}
-}
-
-// String names the tier ("latency", "throughput", "batch", "none").
-func (s SLO) String() string { return s.internal().String() }
 
 // TenantConfig registers one tenant with the cluster's QoS layer.
 type TenantConfig struct {
@@ -59,7 +44,7 @@ func (c *Cluster) AddTenant(tc TenantConfig) error {
 	}
 	return c.qosReg.Add(qos.Spec{
 		Name:       tc.Name,
-		SLO:        tc.SLO.internal(),
+		SLO:        tc.SLO,
 		RateBps:    int64(tc.RateMBps) << 20,
 		BurstBytes: tc.BurstBytes,
 	})

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	nvhost "nvmeoaf/internal/host"
+	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/perf"
 	"nvmeoaf/internal/stats"
 )
@@ -51,8 +52,7 @@ type WorkloadResult struct {
 // RunWorkload drives the workload against the queue from this context's
 // process and blocks until the measured window completes.
 func (ctx *Ctx) RunWorkload(q *Queue, w Workload) (*WorkloadResult, error) {
-	stream := perf.NewStream(ctx.cluster.w.Engine, q.inner, perf.Workload{
-		Name:       "oaf-workload",
+	stream := perf.NewStream(ctx.cluster.w.Engine, "oaf-workload", q.inner, perf.Workload{
 		Seq:        w.Sequential,
 		Zipf:       w.Zipf,
 		ReadPct:    w.ReadPercent,
@@ -60,7 +60,7 @@ func (ctx *Ctx) RunWorkload(q *Queue, w Workload) (*WorkloadResult, error) {
 		QueueDepth: w.QueueDepth,
 		Span:       w.Span,
 		Duration:   w.Duration,
-	})
+	}, nil)
 	stream.Start()
 	res := stream.Wait(ctx.proc)
 	us := func(v float64) time.Duration { return time.Duration(v * 1e3) }
@@ -96,9 +96,9 @@ func (q *Queue) Discover() ([]DiscoveredSubsystem, error) {
 	for _, e := range entries {
 		tr := "tcp"
 		switch e.TrType {
-		case 1:
+		case nvme.TrTypeRDMA:
 			tr = "rdma"
-		case 0xFA:
+		case nvme.TrTypeAdaptive:
 			tr = "adaptive"
 		}
 		out = append(out, DiscoveredSubsystem{NQN: e.SubNQN, Transport: tr, Address: e.TrAddr})
