@@ -20,7 +20,9 @@ type Device interface {
 	BlockSize() int
 	// Blocks returns the number of logical blocks.
 	Blocks() int64
-	// Submit issues a request and returns a future resolved on completion.
+	// Submit issues a request and returns a future resolved on completion,
+	// the request's own (ssd.Request.Arm) unless the device wraps it. The
+	// caller owns req and may reuse it once that future has resolved.
 	Submit(req *ssd.Request) *sim.Future[ssd.Result]
 }
 
@@ -77,7 +79,7 @@ func NewFaulty(e *sim.Engine, dev Device, n int, err error) *FaultyBdev {
 func (f *FaultyBdev) Submit(req *ssd.Request) *sim.Future[ssd.Result] {
 	f.count++
 	if f.Every > 0 && f.count%f.Every == 0 {
-		fut := sim.NewFuture[ssd.Result](f.e)
+		fut := req.Arm(f.e)
 		fut.Resolve(ssd.Result{Err: f.Err})
 		return fut
 	}

@@ -667,7 +667,7 @@ func (c *Cache) Submit(req *ssd.Request) *sim.Future[ssd.Result] {
 	case ssd.OpWrite:
 		return c.submitWrite(req)
 	case ssd.OpFlush:
-		return c.submitFlush()
+		return c.submitFlush(req)
 	default:
 		return c.backing.Submit(req)
 	}
@@ -707,7 +707,7 @@ func (c *Cache) submitRead(req *ssd.Request) *sim.Future[ssd.Result] {
 		return out
 	}
 
-	fut := sim.NewFuture[ssd.Result](c.e)
+	fut := req.Arm(c.e)
 	var dst []byte
 	if c.cfg.Retain {
 		dst = req.Data
@@ -764,7 +764,9 @@ func (f *readFill) complete(r ssd.Result) {
 	c, fut, dst := f.c, f.fut, f.dst
 	first, last, spanOff, off, size := f.first, f.last, f.req.Offset, f.off, f.size
 	// Back on the freelist before fut resolves: a callback may submit the
-	// next read, and the backing device is done with the request.
+	// next read, and the backing device is done with the request (its
+	// future detached this callback before running it, so re-arming f.req
+	// from here is safe).
 	f.fut, f.dst = nil, nil
 	c.freeFills = append(c.freeFills, f)
 	if r.Err != nil {
@@ -814,7 +816,7 @@ func (c *Cache) submitWrite(req *ssd.Request) *sim.Future[ssd.Result] {
 			if c.dirtyBytes >= hi/2 {
 				c.kick()
 			}
-			fut := sim.NewFuture[ssd.Result](c.e)
+			fut := req.Arm(c.e)
 			fut.Resolve(ssd.Result{})
 			return fut
 		}
@@ -1092,8 +1094,8 @@ func (c *Cache) Flush(p *sim.Proc) error {
 
 // submitFlush runs the Flush barrier from a spawned process so Submit
 // itself never blocks.
-func (c *Cache) submitFlush() *sim.Future[ssd.Result] {
-	fut := sim.NewFuture[ssd.Result](c.e)
+func (c *Cache) submitFlush(req *ssd.Request) *sim.Future[ssd.Result] {
+	fut := req.Arm(c.e)
 	c.e.Go("cache-flush/"+c.cfg.Name, func(p *sim.Proc) {
 		fut.Resolve(ssd.Result{Err: c.Flush(p)})
 	})

@@ -1,6 +1,6 @@
 // Package mempool implements DPDK-style fixed-element buffer pools: one
 // contiguous arena carved into equal elements with O(1) get/put, double-
-// free detection, and exhaustion accounting.
+// and stale-free detection, and exhaustion accounting.
 //
 // The NVMe-oF target allocates its data buffers from such pools (the
 // paper's Buffer Manager places buffers in the DPDK pool on the TCP path,
@@ -17,6 +17,7 @@ type Pool struct {
 	arena    []byte
 	free     []int32
 	inUse    []bool
+	gen      []uint32 // per element, advanced by every Free
 
 	// Gets counts successful allocations; Exhausted counts failed ones.
 	Gets, Puts, Exhausted int64
@@ -30,12 +31,16 @@ type Pool struct {
 // glaringly wrong instead of silently returning the previous payload.
 const PoisonByte = 0xDB
 
-// Buf is one element borrowed from a pool. B is the element's backing
-// slice; it must not be retained after Free.
+// Buf is one element borrowed from a pool, held by value: Get allocates
+// nothing. B is the element's backing slice; it must not be retained after
+// Free. A Buf remembers the element's generation at Get, so freeing it
+// twice, or through a copy kept after the element was freed and handed out
+// again, panics instead of freeing the next borrower's buffer.
 type Buf struct {
 	B    []byte
 	pool *Pool
 	idx  int32
+	gen  uint32
 }
 
 // New creates a pool of count elements of elemSize bytes each.
@@ -49,6 +54,7 @@ func New(name string, elemSize, count int) *Pool {
 		arena:    make([]byte, elemSize*count),
 		free:     make([]int32, 0, count),
 		inUse:    make([]bool, count),
+		gen:      make([]uint32, count),
 	}
 	for i := count - 1; i >= 0; i-- {
 		p.free = append(p.free, int32(i))
@@ -88,10 +94,10 @@ func (p *Pool) PeakInUse() int { return p.peakInUse }
 func (p *Pool) FootprintBytes() int { return len(p.arena) }
 
 // Get borrows an element; ok is false when the pool is exhausted.
-func (p *Pool) Get() (*Buf, bool) {
+func (p *Pool) Get() (Buf, bool) {
 	if len(p.free) == 0 {
 		p.Exhausted++
-		return nil, false
+		return Buf{}, false
 	}
 	idx := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
@@ -101,18 +107,19 @@ func (p *Pool) Get() (*Buf, bool) {
 		p.peakInUse = n
 	}
 	start := int(idx) * p.elemSize
-	return &Buf{B: p.arena[start : start+p.elemSize : start+p.elemSize], pool: p, idx: idx}, true
+	return Buf{B: p.arena[start : start+p.elemSize : start+p.elemSize], pool: p, idx: idx, gen: p.gen[idx]}, true
 }
 
-// Free returns the element to its pool. Freeing twice panics: that is a
-// use-after-free bug in the transport.
-func (b *Buf) Free() {
+// Free returns the element to its pool. Freeing twice, or through a stale
+// copy of the handle, panics: that is a use-after-free bug in the
+// transport.
+func (b Buf) Free() {
 	p := b.pool
 	if p == nil {
 		panic("mempool: Free of unpooled Buf")
 	}
-	if !p.inUse[b.idx] {
-		panic(fmt.Sprintf("mempool %s: double free of element %d", p.name, b.idx))
+	if !p.inUse[b.idx] || p.gen[b.idx] != b.gen {
+		panic(fmt.Sprintf("mempool %s: double or stale free of element %d", p.name, b.idx))
 	}
 	if p.poison {
 		start := int(b.idx) * p.elemSize
@@ -122,16 +129,16 @@ func (b *Buf) Free() {
 		}
 	}
 	p.inUse[b.idx] = false
+	p.gen[b.idx]++
 	p.free = append(p.free, b.idx)
 	p.Puts++
-	b.pool = nil
 }
 
 // Scatter copies src into the buffers at absolute payload offset off,
 // treating them as one contiguous payload split into equal elements.
 // Transports use it to land received bytes in pool elements (the DPDK
 // receive path) rather than private heap buffers.
-func Scatter(bufs []*Buf, off int, src []byte) {
+func Scatter(bufs []Buf, off int, src []byte) {
 	elem := len(bufs[0].B)
 	for len(src) > 0 {
 		b := bufs[off/elem].B
@@ -149,7 +156,7 @@ func Scatter(bufs []*Buf, off int, src []byte) {
 // Span returns the contiguous element slice covering [off, off+n), or
 // nil when the range crosses an element boundary (callers then bounce
 // through a scratch buffer and Scatter).
-func Span(bufs []*Buf, off, n int) []byte {
+func Span(bufs []Buf, off, n int) []byte {
 	elem := len(bufs[0].B)
 	if off/elem != (off+n-1)/elem {
 		return nil
@@ -162,7 +169,7 @@ func Span(bufs []*Buf, off, n int) []byte {
 // contiguous buffer. Reading from the pool elements here — not from a
 // private shadow copy — is what lets poison-on-free catch a transport
 // that freed them too early.
-func Gather(bufs []*Buf, size int) []byte {
+func Gather(bufs []Buf, size int) []byte {
 	elem := len(bufs[0].B)
 	out := make([]byte, size)
 	for off := 0; off < size; {

@@ -10,7 +10,7 @@ func TestGetPutCycle(t *testing.T) {
 	if p.Cap() != 4 || p.Available() != 4 || p.InUse() != 0 {
 		t.Fatal("fresh pool state")
 	}
-	bufs := make([]*Buf, 0, 4)
+	bufs := make([]Buf, 0, 4)
 	for i := 0; i < 4; i++ {
 		b, ok := p.Get()
 		if !ok {
@@ -40,7 +40,7 @@ func TestGetPutCycle(t *testing.T) {
 
 func TestElementsAreDisjoint(t *testing.T) {
 	p := New("disjoint", 64, 8)
-	var bufs []*Buf
+	var bufs []Buf
 	for i := 0; i < 8; i++ {
 		b, _ := p.Get()
 		for j := range b.B {
@@ -77,6 +77,29 @@ func TestDoubleFreePanics(t *testing.T) {
 	b.Free()
 }
 
+// A handle kept past its Free must not free the element's next borrower.
+func TestStaleFreePanics(t *testing.T) {
+	p := New("stale", 8, 1)
+	first, _ := p.Get()
+	first.Free()
+	second, ok := p.Get()
+	if !ok || second.idx != first.idx {
+		t.Fatal("the freed element was not handed out again")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("free through the stale handle did not panic")
+			}
+		}()
+		first.Free()
+	}()
+	if p.InUse() != 1 {
+		t.Fatalf("the stale free released the live element: in use %d", p.InUse())
+	}
+	second.Free()
+}
+
 func TestInvalidGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -101,7 +124,7 @@ func TestPoolInvariantProperty(t *testing.T) {
 	// and no element is handed out twice concurrently.
 	f := func(ops []bool) bool {
 		p := New("prop", 16, 8)
-		live := map[int32]*Buf{}
+		live := map[int32]Buf{}
 		for _, get := range ops {
 			if get {
 				b, ok := p.Get()

@@ -647,31 +647,16 @@ func (w *rdmaConnWire) TrType() uint8 { return nvme.TrTypeRDMA }
 
 func (w *rdmaConnWire) PreLoop() {}
 
+// DispatchRead serves a read as one RDMA write of the whole payload
+// (no pool, so one chunk) with the completion capsule behind it.
 func (w *rdmaConnWire) DispatchRead(cmd nvme.Command, transit time.Duration) {
-	c := w.c
-	size := int(cmd.NLB()) * transport.BlockSize
-	c.Target().Engine().Go("rdma-read-worker", func(p *sim.Proc) {
-		res := c.Target().Subsys().ExecuteAs(p, c.Target().NQN(), c.Tenant(), cmd, nil)
-		if res.CQE.Status.IsError() {
-			c.Post(c.Resp(res, transit, 0))
-			return
-		}
-		// One RDMA write moves the whole payload; the completion
-		// capsule rides behind it.
-		d := &pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Last: true}
-		if res.Data != nil {
-			d.Payload = res.Data
-		} else {
-			d.VirtualLen = size
-		}
-		c.Post(d, c.Resp(res, transit, 0))
-	})
+	w.c.StartRead(cmd, transit, nil)
 }
 
 func (w *rdmaConnWire) DispatchWrite(cap *pdu.CapsuleCmd, size int, transit time.Duration) {
 	// The HCA already placed the payload: execute straight from the
 	// capsule, no pool buffers, no R2T.
-	w.c.ExecWrite(cap.Cmd, size, cap.Data, transit, nil, 0)
+	w.c.ExecWrite(cap.Cmd, size, cap.Data, transit)
 }
 
 func (w *rdmaConnWire) HandlePDU(p *sim.Proc, u pdu.PDU, transit time.Duration) bool {

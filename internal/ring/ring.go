@@ -277,7 +277,7 @@ func (r *Ring) Submit(p *sim.Proc) int {
 		r.sqHead++
 		s := &r.slots[si]
 		if s.fut.Resolved() {
-			s.fut.Renew()
+			s.fut.Arm(p.Engine())
 		}
 		s.fut.OnResolve(s.cb)
 		r.q.SubmitInto(p, &s.io, s.fut)

@@ -295,7 +295,7 @@ func TestDeadlineTimerAllocsEqual(t *testing.T) {
 				if res := fut.Wait(p); res.Status != nvme.StatusSuccess {
 					t.Errorf("cycle completed with %v", res.Status)
 				}
-				fut.Renew()
+				fut.Arm(r.e)
 			}
 			for i := 0; i < 64; i++ {
 				cycle() // warm the pools, and let the timer fire and re-arm

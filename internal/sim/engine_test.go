@@ -73,12 +73,17 @@ func TestNestedSpawn(t *testing.T) {
 	}
 }
 
+// A parent joins a child by waiting on a signal the child fires as it ends.
 func TestJoinWaitsForChild(t *testing.T) {
 	e := NewEngine(1)
 	var joined Time
 	e.Go("parent", func(p *Proc) {
-		child := e.Go("child", func(c *Proc) { c.Sleep(100 * time.Microsecond) })
-		p.Join(child)
+		done := NewSignal(e)
+		e.Go("child", func(c *Proc) {
+			c.Sleep(100 * time.Microsecond)
+			done.Fire()
+		})
+		done.Wait(p)
 		joined = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -92,10 +97,11 @@ func TestJoinWaitsForChild(t *testing.T) {
 func TestJoinFinishedProcReturnsImmediately(t *testing.T) {
 	e := NewEngine(1)
 	e.Go("parent", func(p *Proc) {
-		child := e.Go("child", func(c *Proc) {})
+		done := NewSignal(e)
+		e.Go("child", func(c *Proc) { done.Fire() })
 		p.Sleep(time.Millisecond)
 		start := p.Now()
-		p.Join(child)
+		done.Wait(p)
 		if p.Now() != start {
 			t.Errorf("join of finished child advanced time")
 		}

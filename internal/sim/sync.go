@@ -101,26 +101,35 @@ func (f *Future[T]) Resolve(v T) {
 	}
 	f.val = v
 	f.sig.Fire()
-	if f.cb != nil {
-		f.cb(v)
-	}
-	for _, cb := range f.more {
+	// Detach the callbacks before running them: one may re-arm f for its
+	// owner's next operation (Arm) and register anew.
+	cb, more := f.cb, f.more
+	f.cb, f.more = nil, nil
+	if cb != nil {
 		cb(v)
 	}
-	// Truncate rather than nil: a renewed future re-registers callbacks
-	// into the retained capacity, keeping recycled futures allocation-free.
-	f.cb, f.more = nil, f.more[:0]
+	for _, fn := range more {
+		fn(v)
+	}
+	if f.more == nil {
+		// Keep the capacity: a re-armed future registers callbacks into
+		// it, keeping recycled futures allocation-free.
+		clear(more)
+		f.more = more[:0]
+	}
 }
 
-// Renew re-arms a RESOLVED future for reuse, dropping its value and
-// callbacks. It exists for pools that recycle futures on a hot path
-// (the ring layer) instead of allocating one per operation; renewing an
-// unresolved future panics, since waiters may still be parked on it.
-func (f *Future[T]) Renew() {
-	if !f.sig.Fired() {
-		panic("sim: Renew on unresolved Future")
+// Arm readies f to carry a new value on engine e, dropping the old value.
+// It is how an object that outlives one operation — a ring slot, a device
+// request — owns its completion future instead of allocating one per
+// operation. f must be the zero Future or a resolved one: arming a future
+// that may still have waiters panics. A waiter reads the value when it
+// resumes, so only the waiter itself re-arms a future it waited on.
+func (f *Future[T]) Arm(e *Engine) {
+	if f.sig.e != nil && !f.sig.fired {
+		panic("sim: Arm on unresolved Future")
 	}
-	f.sig.Reset()
+	f.sig.e, f.sig.fired = e, false
 	var zero T
 	f.val = zero
 }

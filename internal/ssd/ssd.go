@@ -65,6 +65,21 @@ type Request struct {
 	// cache with per-tenant dirty budgets partitions on it. Empty means
 	// unattributed (shared budget only).
 	Tenant string
+
+	// done completes the request (see Arm); enqueued is when it entered
+	// the device queue.
+	done     sim.Future[Result]
+	enqueued sim.Time
+}
+
+// Arm readies the request's own completion future on engine e and returns
+// it. A device completes a request through it, so a caller that keeps its
+// request storage (a target command slot) pays no allocation per command.
+// The request must not be in flight: submit it again only once the future
+// has resolved.
+func (r *Request) Arm(e *sim.Engine) *sim.Future[Result] {
+	r.done.Arm(e)
+	return &r.done
 }
 
 // Result is the completion of a Request.
@@ -86,7 +101,7 @@ type Device struct {
 
 	e      *sim.Engine
 	params model.SSDParams
-	queue  *sim.Queue[*pending]
+	queue  *sim.Queue[*Request]
 	rng    *rand.Rand
 	retain bool
 	pages  map[int64][]byte
@@ -98,12 +113,6 @@ type Device struct {
 	busy                  time.Duration    // summed channel busy time
 }
 
-type pending struct {
-	req      *Request
-	fut      *sim.Future[Result]
-	enqueued sim.Time
-}
-
 // New creates a device with the given capacity and parameters and starts
 // its channel servers on the engine. retainData controls whether write
 // payloads are stored for later reads.
@@ -113,7 +122,7 @@ func New(e *sim.Engine, name string, capacity int64, params model.SSDParams, ret
 		Capacity:    capacity,
 		e:           e,
 		params:      params,
-		queue:       sim.NewQueue[*pending](e, 0),
+		queue:       sim.NewQueue[*Request](e, 0),
 		rng:         e.Rand("ssd/" + name),
 		retain:      retainData,
 		pages:       make(map[int64][]byte),
@@ -139,15 +148,17 @@ func (d *Device) Utilization() float64 {
 	return d.busy.Seconds() / elapsed
 }
 
-// Submit enqueues a command and returns a future resolved at completion.
-// Validation errors resolve immediately.
+// Submit enqueues a command and returns its future (the request's own,
+// see Request.Arm), resolved at completion. Validation errors resolve
+// immediately.
 func (d *Device) Submit(req *Request) *sim.Future[Result] {
-	fut := sim.NewFuture[Result](d.e)
+	fut := req.Arm(d.e)
 	if err := d.validate(req); err != nil {
 		fut.Resolve(Result{Err: err})
 		return fut
 	}
-	d.queue.TryPut(&pending{req: req, fut: fut, enqueued: d.e.Now()})
+	req.enqueued = d.e.Now()
+	d.queue.TryPut(req)
 	return fut
 }
 
@@ -181,15 +192,16 @@ func (d *Device) validate(req *Request) error {
 // channelLoop is one flash channel: it serves commands one at a time.
 func (d *Device) channelLoop(p *sim.Proc) {
 	for {
-		pend, ok := d.queue.Get(p)
+		req, ok := d.queue.Get(p)
 		if !ok {
 			return
 		}
-		svc := d.serviceTime(pend.req)
+		svc := d.serviceTime(req)
 		p.Sleep(svc)
 		d.busy += svc
-		d.complete(pend)
-		d.ServiceHist.RecordDuration(p.Now().Sub(pend.enqueued))
+		// The request is its owner's again once complete resolves it.
+		d.ServiceHist.RecordDuration(p.Now().Sub(req.enqueued))
+		d.complete(req)
 	}
 }
 
@@ -215,8 +227,7 @@ func (d *Device) serviceTime(req *Request) time.Duration {
 	return base
 }
 
-func (d *Device) complete(pend *pending) {
-	req := pend.req
+func (d *Device) complete(req *Request) {
 	res := Result{}
 	switch req.Op {
 	case OpRead:
@@ -237,7 +248,7 @@ func (d *Device) complete(pend *pending) {
 			d.writePages(req.Offset, req.Data)
 		}
 	}
-	pend.fut.Resolve(res)
+	req.done.Resolve(res)
 }
 
 // writePages stores data at the byte offset in the sparse page map.

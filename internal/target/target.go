@@ -143,7 +143,7 @@ type ExecResult struct {
 // failures and device errors come back as typed NVMe statuses — the
 // transports propagate them to the host instead of dropping the command.
 func (t *Target) Execute(w *sim.Proc, nqn string, cmd nvme.Command, data []byte) ExecResult {
-	return t.ExecuteAs(w, nqn, "", cmd, data)
+	return t.ExecuteAs(w, nqn, "", cmd, data, new(ssd.Request))
 }
 
 // ExecuteAs is Execute with tenant attribution: the bdev request carries
@@ -156,7 +156,11 @@ func (t *Target) Execute(w *sim.Proc, nqn string, cmd nvme.Command, data []byte)
 // fills it and returns it as ExecResult.Data, so a transport can pass the
 // buffer it already reserved for the transfer; nil lets the device
 // allocate.
-func (t *Target) ExecuteAs(w *sim.Proc, nqn, tenant string, cmd nvme.Command, data []byte) ExecResult {
+//
+// req is the storage for the bdev request, owned by the caller (a
+// transport's command slot) and free for reuse once ExecuteAs returns, so
+// executing a command allocates nothing here.
+func (t *Target) ExecuteAs(w *sim.Proc, nqn, tenant string, cmd nvme.Command, data []byte, req *ssd.Request) ExecResult {
 	fail := func(st nvme.Status, other time.Duration) ExecResult {
 		return ExecResult{CQE: nvme.Completion{CID: cmd.CID, Status: st}, OtherTime: other}
 	}
@@ -173,7 +177,7 @@ func (t *Target) ExecuteAs(w *sim.Proc, nqn, tenant string, cmd nvme.Command, da
 		return fail(nvme.StatusInvalidNamespace, 0)
 	}
 
-	req := &ssd.Request{Tenant: tenant}
+	req.Offset, req.Size, req.Data, req.Tenant = 0, 0, nil, tenant
 	switch cmd.Opcode {
 	case nvme.OpFlush:
 		req.Op = ssd.OpFlush

@@ -11,7 +11,7 @@ import (
 type TunerOptions struct {
 	// Period is the sampling/decision epoch in virtual time: every period
 	// the tuner scores the last interval's completion rate and accepts or
-	// reverts one knob step (default 50 ms).
+	// reverts one knob step (0: internal/tune's default, 20 ms).
 	Period time.Duration
 }
 
@@ -42,10 +42,6 @@ type Tuner struct {
 // set). The tuner stops automatically when Run's application function
 // returns; knobs keep their tuned values.
 func (c *Cluster) AttachTuner(opts TunerOptions) (*Tuner, error) {
-	period := opts.Period
-	if period <= 0 {
-		period = 50 * time.Millisecond
-	}
 	var knobs []tune.Knob
 	for i, q := range c.queues {
 		tq, ok := q.inner.(tune.TunableQueue)
@@ -61,7 +57,7 @@ func (c *Cluster) AttachTuner(opts TunerOptions) (*Tuner, error) {
 		return nil, fmt.Errorf("oaf: nothing to tune — attach the tuner after connecting queues")
 	}
 	t := &Tuner{ctl: tune.NewController(c.w.Engine, tune.Config{
-		Period:    period,
+		Period:    opts.Period,
 		Telemetry: c.w.Tel,
 	}, knobs)}
 	t.ctl.Start()

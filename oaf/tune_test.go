@@ -118,3 +118,41 @@ func TestClusterSnapshotDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseReleasesWorld: after Run the cluster's daemons (connection
+// handlers, device channels, the tuner's loop) are still parked; Close
+// unwinds every one of them, so a dropped cluster pins nothing.
+func TestCloseReleasesWorld(t *testing.T) {
+	c := NewCluster(Config{Seed: 3})
+	if err := c.AddHost("h"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddTarget("h", "nqn.close", TargetConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	err := c.Run(func(ctx *Ctx) error {
+		q, err := ctx.Connect("nqn.close", ConnectOptions{Fabric: FabricTCP25G, QueueDepth: 8})
+		if err != nil {
+			return err
+		}
+		if _, err := ctx.Cluster().AttachTuner(TunerOptions{}); err != nil {
+			return err
+		}
+		for i := 0; i < 16; i++ {
+			if _, err := q.Wait(q.ReadAsyncModeled(int64(i)*4096, 4096)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.w.Engine.Live() == 0 {
+		t.Fatal("no process left parked after Run: nothing for Close to release")
+	}
+	c.Close()
+	if n := c.w.Engine.Live(); n != 0 {
+		t.Fatalf("%d processes still live after Close", n)
+	}
+}
