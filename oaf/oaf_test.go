@@ -2,6 +2,7 @@ package oaf_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +176,28 @@ func TestConcurrentTasks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A task's Ctx outlives its function only as a dangling handle: its process
+// is recycled when the function returns, so blocking through it must fail
+// the run instead of parking whichever process owns it now.
+func TestStaleCtxPanics(t *testing.T) {
+	c := cluster(t)
+	err := c.Run(func(ctx *oaf.Ctx) error {
+		var stale *oaf.Ctx
+		task := ctx.Go("short", func(ctx *oaf.Ctx) error {
+			stale = ctx
+			return nil
+		})
+		if err := task.Wait(ctx); err != nil {
+			return err
+		}
+		stale.Sleep(time.Microsecond)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "outside its own function") {
+		t.Fatalf("Run = %v, want the stale Ctx's Sleep to panic", err)
 	}
 }
 
