@@ -65,7 +65,10 @@ type oafWire struct {
 	chunk  *session.ChunkKnob // the TCP channel's live chunk size
 
 	// slotScratch backs the amortized multi-slot claim in StageSubmit.
-	slotScratch []*shm.Slot
+	slotScratch []shm.Slot
+	// h2c is the reactor's scratch for the H2CData PDUs of an R2T grant
+	// (SendPDUs encodes before it returns).
+	h2c pdu.Data
 }
 
 // Connect performs the adaptive-fabric handshake on ep. The Connection
@@ -199,10 +202,10 @@ func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
 	}
 	// Whole-I/O slot designs claim up front; on the TCP path and in the
 	// chunked designs (slots claimed after R2T) the payload is produced
-	// into a private buffer, which is what a nil slot means.
+	// into a private buffer, which is what the zero slot means.
 	region := w.region
 	whole := region != nil && !w.cfg.Design.Chunked()
-	var slots []*shm.Slot
+	var slots []shm.Slot
 	if whole {
 		// Another process may ring this queue while this one blocks in the
 		// claim, so the scratch is taken, not shared.
@@ -218,11 +221,10 @@ func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
 		switch {
 		case next < len(slots):
 			w.stageWrite(p, pend, slots[next])
-			slots[next] = nil
 			next++
 		case !whole || region.Revoked():
 			// Revoked mid-train: the remaining writes fall to TCP.
-			w.stageWrite(p, pend, nil)
+			w.stageWrite(p, pend, shm.Slot{})
 		default:
 			// The amortized claim ran out of immediate credits: claim
 			// the rest one by one (blocking, classic per-slot overhead).
@@ -235,16 +237,16 @@ func (w *oafWire) StageSubmit(p *sim.Proc, train *session.Pending) {
 }
 
 // stageWrite produces the write payload and moves it into the given
-// pre-claimed H2C slot (nil slot: TCP data path, private buffer only).
-func (w *oafWire) stageWrite(p *sim.Proc, pend *session.Pending, slot *shm.Slot) {
+// pre-claimed H2C slot (zero slot: TCP data path, private buffer only).
+func (w *oafWire) stageWrite(p *sim.Proc, pend *session.Pending, slot shm.Slot) {
 	io := pend.IO
 	fill := func() { w.h.FillPayload(p, io) }
-	if slot == nil {
+	if !slot.Valid() {
 		fill()
 		return
 	}
 	region := slot.Region()
-	pend.Stage = slot
+	pend.Slot = slot
 	if w.cfg.Design.ZeroCopy() && !region.Encrypted() {
 		// The application buffer *is* the slot: fill in place, no copy.
 		fill()
@@ -293,14 +295,13 @@ func (w *oafWire) MakeIOEntry(pend *session.Pending) pdu.BatchEntry {
 	// Retried writes pin the TCP data path: after a timeout or transfer
 	// failure the shared-memory channel is suspect, and TCP always works.
 	viaTCP := w.region == nil || pend.Attempts > 0
-	slot, _ := pend.Stage.(*shm.Slot)
 	switch {
-	case slot != nil:
+	case pend.Slot.Valid():
 		// Shared-memory flow control: the payload already sits in the
 		// slot; the capsule names it and no R2T round trip happens
 		// regardless of I/O size (steps 2 and 4 of Fig 7 eliminated).
 		cmd.Flags = session.CmdFlagSHMSlot
-		cmd.PRP1 = uint64(slot.Index)
+		cmd.PRP1 = uint64(pend.Slot.Index)
 		return pdu.BatchEntry{Cmd: cmd}
 	case !viaTCP:
 		// Chunked SHM design: conservative flow; wait for R2T, then move
@@ -362,11 +363,12 @@ func (w *oafWire) HandlePDU(p *sim.Proc, u pdu.PDU, transit time.Duration) bool 
 }
 
 // ReleaseAttempt reclaims a write's payload slot with the tolerant
-// release: the target may have consumed and freed it already.
+// release: the target may have consumed and freed it already, and the
+// slot's generation keeps a later claim of it safe.
 func (w *oafWire) ReleaseAttempt(pend *session.Pending) {
-	if slot, ok := pend.Stage.(*shm.Slot); ok && slot != nil {
-		slot.TryRelease()
-		pend.Stage = nil
+	if pend.Slot.Valid() {
+		pend.Slot.TryRelease()
+		pend.Slot = shm.Slot{}
 	}
 }
 
@@ -391,7 +393,8 @@ func (w *oafWire) onR2T(p *sim.Proc, r *pdu.R2T) {
 	}
 	transport.ChunkSizes(int(r.Length), w.chunk.Chunk(w.h.ICResp()), func(off, n int) {
 		dataOff := int(r.Offset) + off
-		d := &pdu.Data{
+		d := &w.h2c
+		*d = pdu.Data{
 			Dir:    pdu.TypeH2CData,
 			CID:    r.CID,
 			TTag:   r.TTag,
@@ -424,7 +427,7 @@ func (w *oafWire) sendWriteChunk(p *sim.Proc, pend *session.Pending) {
 	}
 	dataOff := pend.WNext
 	slot := region.Claim(p, shm.H2C)
-	if slot == nil {
+	if !slot.Valid() {
 		pend.DataLost = true
 		return
 	}

@@ -343,7 +343,7 @@ func (w *oafConnWire) sendReadOverSHM(p *sim.Proc, region *shm.Region, s *sessio
 		// Shared-memory flow control: one whole-I/O slot, one
 		// notification batched with the response.
 		slot := region.Claim(p, shm.C2H)
-		if slot == nil {
+		if !slot.Valid() {
 			c.SendReadOverTCP(s, res)
 			return
 		}
@@ -353,7 +353,7 @@ func (w *oafConnWire) sendReadOverSHM(p *sim.Proc, region *shm.Region, s *sessio
 		s.FreeBufs()
 		c.Kick()
 		s.Post(
-			&pdu.SHMNotify{CID: cid, Slot: slot.Index, Offset: 0, Length: uint32(size), Last: true},
+			s.Notify(pdu.SHMNotify{CID: cid, Slot: slot.Index, Offset: 0, Length: uint32(size), Last: true}),
 			s.Resp(res, copyTime))
 		s.Release()
 		return
@@ -377,7 +377,7 @@ func (w *oafConnWire) sendReadOverSHM(p *sim.Proc, region *shm.Region, s *sessio
 			n = size - off
 		}
 		slot := region.Claim(p, shm.C2H)
-		if slot == nil {
+		if !slot.Valid() {
 			// Region revoked mid-transfer: fail over, resending the
 			// whole payload over TCP (the client restarts reassembly).
 			if w.readAcks[cid] == ackQ {
@@ -394,11 +394,12 @@ func (w *oafConnWire) sendReadOverSHM(p *sim.Proc, region *shm.Region, s *sessio
 		slot.CopyIn(p, src, n)
 		copyTime += p.Now().Sub(t0)
 		last := off+n >= size
-		nf := &pdu.SHMNotify{CID: cid, Slot: slot.Index, Offset: uint64(off), Length: uint32(n), Last: last}
+		nf := s.Notify(pdu.SHMNotify{CID: cid, Slot: slot.Index, Offset: uint64(off), Length: uint32(n), Last: last})
 		if last {
 			s.Post(nf, s.Resp(res, copyTime))
 		} else {
-			c.Post(nf)
+			// The chunk's message holds the slot: its notify lives there.
+			s.Post(nf)
 			if _, ok := ackQ.Get(p); !ok {
 				// Teardown, revocation, or a CID-reusing retry closed the
 				// ack queue: abandon the transfer, reclaim the buffers.

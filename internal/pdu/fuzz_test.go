@@ -8,7 +8,7 @@ import (
 
 // FuzzDecode drives the PDU decoder with arbitrary bytes: it must never
 // panic and must either return a PDU that re-encodes within bounds or an
-// error. `go test` exercises the seed corpus; `go test -fuzz=FuzzDecode`
+// error, and a reused Decoder must agree with it. `go test` exercises the seed corpus; `go test -fuzz=FuzzDecode`
 // explores further.
 func FuzzDecode(f *testing.F) {
 	// Seed with one valid encoding of every PDU type.
@@ -38,7 +38,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0x04, 0x80, 8, 0, 0xFF, 0xFF, 0xFF, 0x7F})
 
+	// One decoder serves every input, as one connection's serves every
+	// message: each must decode exactly as Decode decodes it.
+	var dec Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDecode(t, &dec, data)
 		p, n, err := Decode(data)
 		if err != nil {
 			return

@@ -108,8 +108,71 @@ func putHeader(dst []byte, t Type, flags uint8, plen uint32) []byte {
 // bytes consumed. A decoded H2CData/C2HData Payload borrows buf: it is
 // valid only while buf is, and a caller that keeps the bytes longer copies
 // them out. Every other PDU owns what it holds (in-capsule command data is
-// copied).
+// copied). The PDU is allocated afresh; a connection decodes with a
+// Decoder instead.
 func Decode(buf []byte) (PDU, int, error) {
+	var d Decoder
+	return d.decode(buf)
+}
+
+// Decoder decodes messages into storage it keeps and reuses, so that a
+// connection decoding message after message allocates nothing once its
+// storage has grown to the largest message. What DecodeAll returns (the
+// slice, its PDUs and their batch entries) is valid until the next
+// DecodeAll on the same Decoder: a consumer copies what it keeps. Payloads
+// borrow and in-capsule data is copied exactly as with Decode. ICReq,
+// ICResp and Term, which are rare and kept by their consumers, are
+// allocated afresh. The zero Decoder is ready to use.
+type Decoder struct {
+	out     []PDU
+	cmds    []CapsuleCmd
+	resps   []CapsuleResp
+	data    []Data
+	r2ts    []R2T
+	notes   []SHMNotify
+	rels    []SHMRelease
+	batches []CmdBatch
+}
+
+// DecodeAll parses every PDU in buf (one network message) into d's
+// storage, reclaiming what the previous DecodeAll returned.
+func (d *Decoder) DecodeAll(buf []byte) ([]PDU, error) {
+	d.out, d.cmds, d.resps, d.data = d.out[:0], d.cmds[:0], d.resps[:0], d.data[:0]
+	d.r2ts, d.notes, d.rels, d.batches = d.r2ts[:0], d.notes[:0], d.rels[:0], d.batches[:0]
+	for len(buf) > 0 {
+		p, n, err := d.decode(buf)
+		if err != nil {
+			return nil, err
+		}
+		d.out = append(d.out, p)
+		buf = buf[n:]
+	}
+	return d.out, nil
+}
+
+// Capsule returns batch entry e as a standalone command capsule held in
+// d's storage, valid like the PDUs of the DecodeAll that produced e.
+func (d *Decoder) Capsule(e *BatchEntry) *CapsuleCmd {
+	c := next(&d.cmds)
+	*c = CapsuleCmd{Cmd: e.Cmd, Data: e.Data, VirtualLen: e.VirtualLen}
+	return c
+}
+
+// next extends *s by one element and returns it. Storage past the length
+// is reused as it stands (a CmdBatch keeps its entries' backing array);
+// every decode overwrites the whole value.
+func next[T any](s *[]T) *T {
+	if n := len(*s); n < cap(*s) {
+		*s = (*s)[:n+1]
+	} else {
+		var zero T
+		*s = append(*s, zero)
+	}
+	return &(*s)[len(*s)-1]
+}
+
+// decode parses the PDU at the head of buf into d's storage.
+func (d *Decoder) decode(buf []byte) (PDU, int, error) {
 	if len(buf) < headerSize {
 		return nil, 0, fmt.Errorf("pdu: short header: %d bytes", len(buf))
 	}
@@ -147,25 +210,34 @@ func Decode(buf []byte) (PDU, int, error) {
 	)
 	switch t {
 	case TypeICReq:
-		p, err = decodeICReq(body)
+		v := new(ICReq)
+		p, err = v, v.decode(body)
 	case TypeICResp:
-		p, err = decodeICResp(body)
+		v := new(ICResp)
+		p, err = v, v.decode(body)
 	case TypeCapsuleCmd:
-		p, err = decodeCapsuleCmd(body, flags)
+		v := next(&d.cmds)
+		p, err = v, v.decode(body, flags)
 	case TypeCapsuleResp:
-		p, err = decodeCapsuleResp(body)
+		v := next(&d.resps)
+		p, err = v, v.decode(body)
 	case TypeH2CData, TypeC2HData:
-		p, err = decodeData(t, body, flags)
+		v := next(&d.data)
+		p, err = v, v.decode(t, body, flags)
 	case TypeR2T:
-		p, err = decodeR2T(body)
+		v := next(&d.r2ts)
+		p, err = v, v.decode(body)
 	case TypeH2CTermReq, TypeC2HTermReq:
 		p = &Term{Dir: t}
 	case TypeSHMNotify:
-		p, err = decodeSHMNotify(body, flags)
+		v := next(&d.notes)
+		p, err = v, v.decode(body, flags)
 	case TypeSHMRelease:
-		p, err = decodeSHMRelease(body)
+		v := next(&d.rels)
+		p, err = v, v.decode(body)
 	case TypeCmdBatch:
-		p, err = decodeCmdBatch(body)
+		v := next(&d.batches)
+		p, err = v, v.decode(body)
 	default:
 		return nil, 0, fmt.Errorf("pdu: unknown type 0x%02x", uint8(t))
 	}
@@ -208,17 +280,18 @@ func (r *ICReq) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-func decodeICReq(body []byte) (PDU, error) {
+func (r *ICReq) decode(body []byte) error {
 	if len(body) < 24 {
-		return nil, fmt.Errorf("pdu: short ICReq body: %d", len(body))
+		return fmt.Errorf("pdu: short ICReq body: %d", len(body))
 	}
-	return &ICReq{
+	*r = ICReq{
 		PFV:     binary.LittleEndian.Uint16(body[0:]),
 		HPDA:    body[2],
 		MaxR2T:  binary.LittleEndian.Uint32(body[4:]),
 		AFCapab: body[8] == 1,
 		SHMKey:  binary.LittleEndian.Uint64(body[16:]),
-	}, nil
+	}
+	return nil
 }
 
 // ICResp completes connection initialization. When the target accepts the
@@ -259,12 +332,12 @@ func (r *ICResp) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-func decodeICResp(body []byte) (PDU, error) {
+func (r *ICResp) decode(body []byte) error {
 	if len(body) < 36 {
-		return nil, fmt.Errorf("pdu: short ICResp body: %d", len(body))
+		return fmt.Errorf("pdu: short ICResp body: %d", len(body))
 	}
 	le := binary.LittleEndian
-	return &ICResp{
+	*r = ICResp{
 		PFV:        le.Uint16(body[0:]),
 		CPDA:       body[2],
 		MaxH2CData: le.Uint32(body[4:]),
@@ -273,7 +346,8 @@ func decodeICResp(body []byte) (PDU, error) {
 		SHMSize:    le.Uint64(body[20:]),
 		SlotSize:   le.Uint32(body[28:]),
 		SlotCount:  le.Uint32(body[32:]),
-	}, nil
+	}
+	return nil
 }
 
 // flagVirtual marks PDUs whose payload length is modeled but not carried.
@@ -319,28 +393,28 @@ func (c *CapsuleCmd) Encode(dst []byte) []byte {
 	return append(dst, c.Data...)
 }
 
-func decodeCapsuleCmd(body []byte, flags uint8) (PDU, error) {
+func (c *CapsuleCmd) decode(body []byte, flags uint8) error {
 	if len(body) < nvme.CommandSize+4 {
-		return nil, fmt.Errorf("pdu: short CapsuleCmd body: %d", len(body))
+		return fmt.Errorf("pdu: short CapsuleCmd body: %d", len(body))
 	}
 	cmd, err := nvme.DecodeCommand(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	dlen := binary.LittleEndian.Uint32(body[nvme.CommandSize:])
-	c := &CapsuleCmd{Cmd: cmd}
+	*c = CapsuleCmd{Cmd: cmd}
 	rest := body[nvme.CommandSize+4:]
 	if flags&flagVirtual != 0 {
 		c.VirtualLen = int(dlen)
 	} else if dlen > 0 {
 		if int(dlen) > len(rest) {
-			return nil, fmt.Errorf("pdu: capsule data truncated: want %d have %d", dlen, len(rest))
+			return fmt.Errorf("pdu: capsule data truncated: want %d have %d", dlen, len(rest))
 		}
 		// Copied, unlike a Data payload: a target executes in-capsule write
 		// data on a device worker that outlives the message.
 		c.Data = append([]byte(nil), rest[:dlen]...)
 	}
-	return c, nil
+	return nil
 }
 
 // CapsuleResp carries one NVMe completion, plus a vendor-extension trailer
@@ -379,21 +453,22 @@ func (c *CapsuleResp) Encode(dst []byte) []byte {
 	return append(dst, tr[:]...)
 }
 
-func decodeCapsuleResp(body []byte) (PDU, error) {
+func (c *CapsuleResp) decode(body []byte) error {
 	cqe, err := nvme.DecodeCompletion(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(body) < nvme.CompletionSize+24 {
-		return nil, fmt.Errorf("pdu: short CapsuleResp trailer: %d", len(body))
+		return fmt.Errorf("pdu: short CapsuleResp trailer: %d", len(body))
 	}
 	le := binary.LittleEndian
-	return &CapsuleResp{
+	*c = CapsuleResp{
 		Rsp:        cqe,
 		IOTimeNs:   le.Uint64(body[nvme.CompletionSize:]),
 		TgtCommNs:  le.Uint64(body[nvme.CompletionSize+8:]),
 		TgtOtherNs: le.Uint64(body[nvme.CompletionSize+16:]),
-	}, nil
+	}
+	return nil
 }
 
 // Data is an H2CData or C2HData PDU: one chunk of a command's payload.
@@ -445,12 +520,12 @@ func (d *Data) Encode(dst []byte) []byte {
 	return append(dst, d.Payload...)
 }
 
-func decodeData(t Type, body []byte, flags uint8) (PDU, error) {
+func (d *Data) decode(t Type, body []byte, flags uint8) error {
 	if len(body) < 16 {
-		return nil, fmt.Errorf("pdu: short data body: %d", len(body))
+		return fmt.Errorf("pdu: short data body: %d", len(body))
 	}
 	le := binary.LittleEndian
-	d := &Data{
+	*d = Data{
 		Dir:    t,
 		CID:    le.Uint16(body[0:]),
 		TTag:   le.Uint16(body[2:]),
@@ -463,11 +538,11 @@ func decodeData(t Type, body []byte, flags uint8) (PDU, error) {
 		d.VirtualLen = int(plen)
 	} else if plen > 0 {
 		if int(plen) > len(rest) {
-			return nil, fmt.Errorf("pdu: data payload truncated: want %d have %d", plen, len(rest))
+			return fmt.Errorf("pdu: data payload truncated: want %d have %d", plen, len(rest))
 		}
 		d.Payload = rest[:plen:plen]
 	}
-	return d, nil
+	return nil
 }
 
 // R2T is the target's ready-to-transfer grant for a write command's data
@@ -498,17 +573,18 @@ func (r *R2T) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-func decodeR2T(body []byte) (PDU, error) {
+func (r *R2T) decode(body []byte) error {
 	if len(body) < 12 {
-		return nil, fmt.Errorf("pdu: short R2T body: %d", len(body))
+		return fmt.Errorf("pdu: short R2T body: %d", len(body))
 	}
 	le := binary.LittleEndian
-	return &R2T{
+	*r = R2T{
 		CID:    le.Uint16(body[0:]),
 		TTag:   le.Uint16(body[2:]),
 		Offset: le.Uint32(body[4:]),
 		Length: le.Uint32(body[8:]),
-	}, nil
+	}
+	return nil
 }
 
 // SHMNotify tells the peer that a payload for command CID sits in the
@@ -545,18 +621,19 @@ func (n *SHMNotify) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-func decodeSHMNotify(body []byte, flags uint8) (PDU, error) {
+func (n *SHMNotify) decode(body []byte, flags uint8) error {
 	if len(body) < 20 {
-		return nil, fmt.Errorf("pdu: short SHMNotify body: %d", len(body))
+		return fmt.Errorf("pdu: short SHMNotify body: %d", len(body))
 	}
 	le := binary.LittleEndian
-	return &SHMNotify{
+	*n = SHMNotify{
 		CID:    le.Uint16(body[0:]),
 		Slot:   le.Uint32(body[2:]),
 		Offset: le.Uint64(body[6:]),
 		Length: le.Uint32(body[14:]),
 		Last:   flags&flagLast != 0,
-	}, nil
+	}
+	return nil
 }
 
 // SHMRelease returns a slot to its owning side once the payload has been
@@ -584,14 +661,15 @@ func (r *SHMRelease) Encode(dst []byte) []byte {
 	return append(dst, b[:]...)
 }
 
-func decodeSHMRelease(body []byte) (PDU, error) {
+func (r *SHMRelease) decode(body []byte) error {
 	if len(body) < 6 {
-		return nil, fmt.Errorf("pdu: short SHMRelease body: %d", len(body))
+		return fmt.Errorf("pdu: short SHMRelease body: %d", len(body))
 	}
-	return &SHMRelease{
+	*r = SHMRelease{
 		CID:  binary.LittleEndian.Uint16(body[0:]),
 		Slot: binary.LittleEndian.Uint32(body[2:]),
-	}, nil
+	}
+	return nil
 }
 
 // batchPrefixSize is the CmdBatch body prefix: u16 entry count + u32
@@ -689,22 +767,27 @@ func (b *CmdBatch) Encode(dst []byte) []byte {
 	return dst
 }
 
-func decodeCmdBatch(body []byte) (PDU, error) {
+// decode fills b from body, reusing the backing array of b.Entries.
+func (b *CmdBatch) decode(body []byte) error {
 	if len(body) < batchPrefixSize {
-		return nil, fmt.Errorf("pdu: short CmdBatch body: %d", len(body))
+		return fmt.Errorf("pdu: short CmdBatch body: %d", len(body))
 	}
 	count := int(binary.LittleEndian.Uint16(body[0:]))
 	rest := body[batchPrefixSize:]
 	// The wire's count is untrusted until the entries parse: size the
 	// slice by what the body can hold, not by what it claims.
-	b := &CmdBatch{Entries: make([]BatchEntry, 0, min(count, len(rest)/(nvme.CommandSize+4)))}
+	if n := min(count, len(rest)/(nvme.CommandSize+4)); b.Entries == nil || cap(b.Entries) < n {
+		b.Entries = make([]BatchEntry, 0, n)
+	} else {
+		b.Entries = b.Entries[:0]
+	}
 	for i := 0; i < count; i++ {
 		if len(rest) < nvme.CommandSize+4 {
-			return nil, fmt.Errorf("pdu: CmdBatch entry %d truncated: %d bytes", i, len(rest))
+			return fmt.Errorf("pdu: CmdBatch entry %d truncated: %d bytes", i, len(rest))
 		}
 		cmd, err := nvme.DecodeCommand(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dl := binary.LittleEndian.Uint32(rest[nvme.CommandSize:])
 		rest = rest[nvme.CommandSize+4:]
@@ -714,7 +797,7 @@ func decodeCmdBatch(body []byte) (PDU, error) {
 			e.VirtualLen = n
 		} else if n > 0 {
 			if n > len(rest) {
-				return nil, fmt.Errorf("pdu: CmdBatch entry %d data truncated: want %d have %d", i, n, len(rest))
+				return fmt.Errorf("pdu: CmdBatch entry %d data truncated: want %d have %d", i, n, len(rest))
 			}
 			// Copied for the same reason as a CapsuleCmd's in-capsule data.
 			e.Data = append([]byte(nil), rest[:n]...)
@@ -723,9 +806,9 @@ func decodeCmdBatch(body []byte) (PDU, error) {
 		b.Entries = append(b.Entries, e)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("pdu: CmdBatch trailing bytes: %d", len(rest))
+		return fmt.Errorf("pdu: CmdBatch trailing bytes: %d", len(rest))
 	}
-	return b, nil
+	return nil
 }
 
 // Term requests orderly connection termination (H2CTermReq from the host,

@@ -403,3 +403,95 @@ func TestCmdBatchCountBeyondBody(t *testing.T) {
 		t.Fatalf("1000 decodes of a 14-byte batch allocated %d bytes", n)
 	}
 }
+
+// decodeEach decodes buf PDU by PDU with the allocating Decode.
+func decodeEach(buf []byte) ([]PDU, error) {
+	var out []PDU
+	for len(buf) > 0 {
+		p, n, err := Decode(buf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+		buf = buf[n:]
+	}
+	return out, nil
+}
+
+// sameDecode fails unless one Decoder's DecodeAll of buf equals, field by
+// field (nil and empty slices told apart), what Decode makes of it.
+func sameDecode(t *testing.T, dec *Decoder, buf []byte) {
+	t.Helper()
+	want, wantErr := decodeEach(buf)
+	got, err := dec.DecodeAll(buf)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("DecodeAll error %v, Decode error %v", err, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("DecodeAll gave %d PDUs, Decode %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("PDU %d: reused decoder %#v, fresh decode %#v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestDecoderReuseMatchesDecode runs one Decoder over a sequence of
+// messages in which each PDU type follows a value of the same type with
+// other fields set — a real payload after a virtual one, no payload after
+// a real one, a shorter batch after a longer one — so a value the decoder
+// did not fully overwrite shows as a field left over from the last
+// message.
+func TestDecoderReuseMatchesDecode(t *testing.T) {
+	msg := func(ps ...PDU) []byte {
+		var buf []byte
+		for _, p := range ps {
+			buf = p.Encode(buf)
+		}
+		return buf
+	}
+	msgs := [][]byte{
+		msg(
+			&CapsuleCmd{Cmd: nvme.NewWrite(1, 1, 0, 1), Data: []byte("in-capsule")},
+			&Data{Dir: TypeC2HData, CID: 1, TTag: 7, Offset: 512, Payload: []byte("payload"), Last: true},
+			&CapsuleResp{Rsp: nvme.Completion{CID: 1, Status: nvme.StatusInvalidField}, IOTimeNs: 9, TgtCommNs: 8, TgtOtherNs: 7},
+			&R2T{CID: 2, TTag: 2, Offset: 4096, Length: 8192},
+			&SHMNotify{CID: 3, Slot: 4, Offset: 4096, Length: 512, Last: true},
+			&SHMRelease{CID: 3, Slot: 4},
+			&CmdBatch{Entries: []BatchEntry{
+				{Cmd: nvme.NewWrite(10, 1, 0, 1), Data: []byte("abc")},
+				{Cmd: nvme.NewRead(11, 1, 8, 8)},
+				{Cmd: nvme.NewWrite(12, 1, 16, 8), VirtualLen: 4096},
+			}},
+		),
+		msg(
+			&CapsuleCmd{Cmd: nvme.NewWrite(5, 1, 8, 8), VirtualLen: 4096},
+			&Data{Dir: TypeH2CData, CID: 5, VirtualLen: 4096},
+			&CapsuleResp{Rsp: nvme.Completion{CID: 5}},
+			&R2T{CID: 6},
+			&SHMNotify{CID: 7},
+			&SHMRelease{CID: 7},
+			&CmdBatch{Entries: []BatchEntry{{Cmd: nvme.NewRead(13, 1, 0, 8)}}},
+		),
+		msg(
+			&CapsuleCmd{Cmd: nvme.NewRead(8, 1, 0, 8)},
+			&Data{Dir: TypeC2HData, CID: 8, Payload: []byte{}},
+			&Data{Dir: TypeC2HData, CID: 8, Payload: []byte("x"), Last: true},
+			&CmdBatch{},
+			&ICResp{AFEnabled: true, SHMKey: 3, SlotSize: 4096, SlotCount: 2},
+			&Term{Dir: TypeC2HTermReq},
+		),
+		{0x04, 0x00, 8, 0, 0xFF, 0, 0, 0}, // bad PLEN: an error, as with Decode
+		msg(&Data{Dir: TypeC2HData, CID: 9, VirtualLen: 512}, &CmdBatch{Entries: []BatchEntry{
+			{Cmd: nvme.NewWrite(14, 1, 0, 1), VirtualLen: 512},
+			{Cmd: nvme.NewWrite(15, 1, 1, 1), Data: []byte("def")},
+		}}),
+	}
+	var dec Decoder
+	for round := 0; round < 2; round++ {
+		for _, m := range msgs {
+			sameDecode(t, &dec, m)
+		}
+	}
+}

@@ -166,9 +166,11 @@ type Stream struct {
 	// whether the generator has switched yet.
 	flipAt  sim.Time
 	flipped bool
-	// freeIOs recycles request structs between submissions (driver-proc
-	// only; bounded by capacity).
-	freeIOs []*transport.IO
+	// The futures driver's completions, and the request records it
+	// recycles between submissions (driver-proc only; bounded by
+	// capacity).
+	completions *sim.Queue[compl]
+	freeRecs    []*ioRec
 }
 
 // NewStream prepares a stream; Start launches its driver process. name
@@ -212,12 +214,6 @@ func (s *Stream) Wait(p *sim.Proc) *Result {
 // Result returns the results (valid once the stream is done).
 func (s *Stream) Result() *Result { return s.res }
 
-// op is one in-flight operation's bookkeeping.
-type op struct {
-	write bool
-	size  int
-}
-
 // drive is the stream's single-core driver loop.
 func (s *Stream) drive(p *sim.Proc) {
 	if s.w.Ring {
@@ -230,7 +226,7 @@ func (s *Stream) drive(p *sim.Proc) {
 	measureTo := measureFrom.Add(s.w.Duration)
 	s.armFlip()
 
-	completions := sim.NewQueue[compl](s.e, 0)
+	s.completions = sim.NewQueue[compl](s.e, 0)
 	var seqOffset int64
 	outstanding := 0
 
@@ -240,34 +236,28 @@ func (s *Stream) drive(p *sim.Proc) {
 	if batch <= 1 {
 		batch = 1
 	}
-	// Preallocated train and recycled IO structs keep the steady-state
-	// driver loop allocation-free.
+	// Preallocated trains and recycled request records keep the
+	// steady-state driver loop down to the future each Submit returns.
 	train := make([]*transport.IO, 0, batch)
+	recs := make([]*ioRec, 0, batch)
 	futs := make([]*sim.Future[*transport.Result], 0, batch)
-	s.freeIOs = make([]*transport.IO, 0, s.w.QueueDepth+batch)
+	s.freeRecs = make([]*ioRec, 0, s.w.QueueDepth+batch)
 
-	finish := func(io *transport.IO, o op, submitAt sim.Time) func(*transport.Result) {
-		return func(r *transport.Result) {
-			completions.TryPut(compl{op: o, io: io, res: r, at: s.e.Now(), submitAt: submitAt})
-		}
-	}
 	submit := func() {
-		io := s.nextIO(&seqOffset)
-		o := op{write: io.Write, size: io.Size}
-		fut := transport.Submit(p, s.q, io)
-		fut.OnResolve(finish(io, o, p.Now()))
+		rec := s.nextRec(&seqOffset)
+		transport.Submit(p, s.q, &rec.io).OnResolve(rec.onDone)
 		outstanding++
 	}
 	submitTrain := func(n int) {
-		train = train[:0]
+		train, recs = train[:0], recs[:0]
 		for i := 0; i < n; i++ {
-			train = append(train, s.nextIO(&seqOffset))
+			rec := s.nextRec(&seqOffset)
+			recs = append(recs, rec)
+			train = append(train, &rec.io)
 		}
 		futs = transport.SubmitBatch(p, s.q, train, futs)
-		submitAt := p.Now()
 		for i, fut := range futs {
-			io := train[i]
-			fut.OnResolve(finish(io, op{write: io.Write, size: io.Size}, submitAt))
+			fut.OnResolve(recs[i].onDone)
 		}
 		outstanding += n
 	}
@@ -290,7 +280,7 @@ func (s *Stream) drive(p *sim.Proc) {
 
 	refill(s.w.QueueDepth)
 	for outstanding > 0 {
-		c, ok := completions.Get(p)
+		c, ok := s.completions.Get(p)
 		if !ok {
 			break
 		}
@@ -299,16 +289,14 @@ func (s *Stream) drive(p *sim.Proc) {
 		freed := 1
 		outstanding--
 		s.record(c, measureFrom, measureTo)
-		s.recycleIO(c.io)
 		for {
-			c, ok = completions.TryGet()
+			c, ok = s.completions.TryGet()
 			if !ok {
 				break
 			}
 			freed++
 			outstanding--
 			s.record(c, measureFrom, measureTo)
-			s.recycleIO(c.io)
 		}
 		if p.Now() < measureTo {
 			refill(freed)
@@ -442,35 +430,39 @@ func (s *Stream) recordCQE(c *ring.CQE, from, to sim.Time) {
 	}
 }
 
+// ioRec is one request of the futures driver: the IO the queue completes
+// into (its result lives there) and the completion callback, bound once
+// when the record is made, as a ring slot's is. Records recycle once
+// their completion is recorded.
+type ioRec struct {
+	io     transport.IO
+	onDone func(*transport.Result)
+}
+
+// compl is one completion waiting for the driver: res points into rec.io.
 type compl struct {
-	op       op
-	io       *transport.IO
-	res      *transport.Result
-	at       sim.Time
-	submitAt sim.Time
+	rec *ioRec
+	res *transport.Result
+	at  sim.Time
 }
 
-// recycleIO returns a completed request's IO struct to the freelist.
-func (s *Stream) recycleIO(io *transport.IO) {
-	if io == nil || len(s.freeIOs) == cap(s.freeIOs) {
-		return
-	}
-	s.freeIOs = append(s.freeIOs, io)
-}
-
-// record accounts one completion if it falls inside the measured window.
+// record accounts one completion if it falls inside the measured window,
+// then recycles its request record.
 func (s *Stream) record(c compl, from, to sim.Time) {
-	if c.res.Status.IsError() {
+	io, res := &c.rec.io, c.res
+	switch {
+	case res.Status.IsError():
 		s.res.Errors++
-		return
+	case c.at < from || c.at >= to: // outside the measured window
+	default:
+		s.recordSample(c.at, io.Write, int64(io.Size), int64(res.Latency))
+		s.res.BD.Add(res.IOTime, res.CommTime, res.OtherTime)
+		if pf := s.postFlipFor(c.at); pf != nil {
+			pf.BD.Add(res.IOTime, res.CommTime, res.OtherTime)
+		}
 	}
-	if c.at < from || c.at >= to {
-		return
-	}
-	s.recordSample(c.at, c.op.write, int64(c.op.size), int64(c.res.Latency))
-	s.res.BD.Add(c.res.IOTime, c.res.CommTime, c.res.OtherTime)
-	if pf := s.postFlipFor(c.at); pf != nil {
-		pf.BD.Add(c.res.IOTime, c.res.CommTime, c.res.OtherTime)
+	if len(s.freeRecs) < cap(s.freeRecs) {
+		s.freeRecs = append(s.freeRecs, c.rec)
 	}
 }
 
@@ -550,16 +542,21 @@ func (s *Stream) nextOp(seqOffset *int64) (write bool, off int64, size int) {
 	return write, off, size
 }
 
-// nextIO produces the next request as a (recycled) IO struct.
-func (s *Stream) nextIO(seqOffset *int64) *transport.IO {
+// nextRec draws the next request into a (recycled) request record.
+func (s *Stream) nextRec(seqOffset *int64) *ioRec {
 	write, off, size := s.nextOp(seqOffset)
-	if n := len(s.freeIOs); n > 0 {
-		io := s.freeIOs[n-1]
-		s.freeIOs = s.freeIOs[:n-1]
-		*io = transport.IO{Write: write, Offset: off, Size: size}
-		return io
+	var rec *ioRec
+	if n := len(s.freeRecs); n > 0 {
+		rec = s.freeRecs[n-1]
+		s.freeRecs = s.freeRecs[:n-1]
+	} else {
+		rec = &ioRec{}
+		rec.onDone = func(r *transport.Result) {
+			s.completions.TryPut(compl{rec: rec, res: r, at: s.e.Now()})
+		}
 	}
-	return &transport.IO{Write: write, Offset: off, Size: size}
+	rec.io = transport.IO{Write: write, Offset: off, Size: size}
+	return rec
 }
 
 // Aggregate combines several stream results into experiment-level

@@ -226,33 +226,35 @@ func (w *rdmaWire) MakeIOEntry(pend *session.Pending) pdu.BatchEntry {
 	return e
 }
 
-// Transmit posts one work request. I/O commands may stall on a memory-
-// registration miss; admin and flush commands ride the send queue
-// directly (their buffers were registered at connect time).
+// Transmit posts one work request through the engine's capsule scratch.
+// I/O commands may stall on a memory-registration miss; admin and flush
+// commands ride the send queue directly (their buffers were registered at
+// connect time).
 func (w *rdmaWire) Transmit(p *sim.Proc, e *pdu.BatchEntry) {
+	var delay time.Duration
+	if e.Cmd.Flags&transport.AdminFlag == 0 && e.Cmd.Opcode != nvme.OpFlush {
+		delay = w.postDelay(e)
+	}
+	if delay <= 0 {
+		w.h.SendCapsule(p, e)
+		return
+	}
+	// Registration runs on a kernel helper: only this command waits; the
+	// reactor keeps serving the queue. If its deadline reaps the command
+	// meanwhile, the CID may have a new owner by the time the registration
+	// is done: the capsule must not go out under it. The helper posts a
+	// capsule of its own, since the engine reuses its scratch before then.
 	capsule := &pdu.CapsuleCmd{Cmd: e.Cmd, Data: e.Data, VirtualLen: e.VirtualLen}
-	if e.Cmd.Flags&transport.AdminFlag != 0 || e.Cmd.Opcode == nvme.OpFlush {
-		transport.SendPDUs(p, w.ep, capsule)
-		return
-	}
-	if delay := w.postDelay(e); delay > 0 {
-		// Registration runs on a kernel helper: only this command waits;
-		// the reactor keeps serving the queue. If its deadline reaps the
-		// command meanwhile, the CID may have a new owner by the time the
-		// registration is done: the capsule must not go out under it.
-		ep := w.ep
-		tk, _ := w.h.TicketOf(e.Cmd.CID)
-		w.h.Engine().Go("rdma-memreg", func(q *sim.Proc) {
-			q.Sleep(delay)
-			if _, ok := w.h.Live(tk); !ok {
-				w.h.NoteLate()
-				return
-			}
-			transport.SendPDUs(q, ep, capsule)
-		})
-		return
-	}
-	transport.SendPDUs(p, w.ep, capsule)
+	ep := w.ep
+	tk, _ := w.h.TicketOf(e.Cmd.CID)
+	w.h.Engine().Go("rdma-memreg", func(q *sim.Proc) {
+		q.Sleep(delay)
+		if _, ok := w.h.Live(tk); !ok {
+			w.h.NoteLate()
+			return
+		}
+		transport.SendPDUs(q, ep, capsule)
+	})
 }
 
 // TransmitTrain posts a doorbell-coalesced train as one message: one

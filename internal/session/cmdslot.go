@@ -14,9 +14,9 @@ import (
 
 // CmdSlot is the target's home for one command from dispatch until its
 // last PDU is on the wire: the device request, the reserved pool
-// elements, the response capsule, the R2T or C2H data PDUs, and what the
-// command's device worker needs. It plays the part of SPDK's per-qpair
-// request tracker. A connection keeps its slots on a free list that grows
+// elements, the response capsule, the R2T, C2H data or shared-memory
+// notify PDUs, and what the command's device worker needs. It plays the
+// part of SPDK's per-qpair request tracker. A connection keeps its slots on a free list that grows
 // to its peak number of commands in flight, so serving a command
 // allocates none of these. Slots are not indexed by CID: a host may reuse
 // a CID while the target still executes the attempt it gave up on.
@@ -48,6 +48,7 @@ type CmdSlot struct {
 	req      ssd.Request
 	resp     pdu.CapsuleResp
 	r2t      pdu.R2T
+	notify   pdu.SHMNotify
 	chunks   []pdu.Data // a read's C2H PDUs, one per chunk
 
 	// Parked for buffers (see Conn.reserve).
@@ -120,6 +121,13 @@ func (s *CmdSlot) Resp(res target.ExecResult, copyTime time.Duration) *pdu.Capsu
 		TgtOtherNs: uint64(res.OtherTime + copyTime),
 	}
 	return &s.resp
+}
+
+// Notify stores n as the slot's shared-memory notify and returns it, for
+// a wire that posts payload notifications through the slot (see Post).
+func (s *CmdSlot) Notify(n pdu.SHMNotify) *pdu.SHMNotify {
+	s.notify = n
+	return &s.notify
 }
 
 // Fail answers the command with a bare status and releases it. Free the

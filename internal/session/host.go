@@ -51,7 +51,7 @@ type HostWire interface {
 	// HandlePDU handles transport-specific PDUs; returning false makes
 	// the engine panic on the unexpected PDU.
 	HandlePDU(p *sim.Proc, u pdu.PDU, transit time.Duration) bool
-	// ReleaseAttempt reclaims per-attempt staging resources (Stage)
+	// ReleaseAttempt reclaims per-attempt staging resources (Slot)
 	// when a command is torn down for retry or failure.
 	ReleaseAttempt(pend *Pending)
 }
@@ -160,12 +160,14 @@ type Host struct {
 	// since the last doorbell; stagedTail is its last element.
 	staged, stagedTail *Pending
 
-	// Hot-path recycling: pending-op freelist plus reactor-owned scratch
-	// structures for the batched submission path. The engine is
-	// cooperative, so plain slices suffice; scratch encode structures are
-	// only touched by the reactor (SendPDUs serializes before yielding).
+	// Hot-path recycling: pending-op freelist, the connection's decoder
+	// (what it returns is valid until the reactor's next message), plus
+	// reactor-owned scratch structures for the batched submission path.
+	// The engine is cooperative, so plain slices suffice; scratch encode
+	// structures are only touched by the reactor (SendPDUs serializes
+	// before yielding).
 	freePends []*Pending
-	rxPDUs    []pdu.PDU
+	dec       pdu.Decoder
 	batch     pdu.CmdBatch
 	capsule   pdu.CapsuleCmd
 	entry     pdu.BatchEntry
@@ -330,7 +332,7 @@ func (h *Host) pollBudget() time.Duration {
 func (h *Host) Handshake(p *sim.Proc) error {
 	transport.SendPDUs(p, h.ep, h.wire.BuildICReq(false))
 	msg := h.ep.Recv(p)
-	pdus, err := transport.DecodeAll(msg, nil)
+	pdus, err := transport.DecodeAll(msg, &h.dec)
 	if err != nil {
 		return fmt.Errorf("%s: handshake: %w", h.cfg.Label, err)
 	}
@@ -348,7 +350,7 @@ func (h *Host) fabricsConnect(p *sim.Proc) error {
 	cmd := nvme.Command{Opcode: nvme.FabricsCommandType, CID: ConnectCID, CDW10: nvme.FctypeConnect}
 	transport.SendPDUs(p, h.ep, &pdu.CapsuleCmd{Cmd: cmd, Data: nvme.EncodeConnectData(h.connectHostNQN(), h.cfg.NQN)})
 	msg := h.ep.Recv(p)
-	pdus, err := transport.DecodeAll(msg, nil)
+	pdus, err := transport.DecodeAll(msg, &h.dec)
 	if err != nil {
 		return fmt.Errorf("%s: connect: %w", h.cfg.Label, err)
 	}
@@ -499,15 +501,15 @@ func (h *Host) NoteLate() {
 // queued. It returns false when the command must not proceed.
 func (h *Host) admit(io *transport.IO, fut *sim.Future[*transport.Result]) bool {
 	if h.closing {
-		fut.Resolve(&transport.Result{Status: nvme.StatusAbortRequested})
+		io.Complete(fut, transport.Result{Status: nvme.StatusAbortRequested})
 		return false
 	}
 	if io.Admin == 0 && !io.Flush && (io.Size <= 0 || io.Size%transport.BlockSize != 0 || io.Offset%transport.BlockSize != 0) {
-		fut.Resolve(&transport.Result{Status: nvme.StatusInvalidField})
+		io.Complete(fut, transport.Result{Status: nvme.StatusInvalidField})
 		return false
 	}
 	if st := h.wire.Admit(io); st != nvme.StatusSuccess {
-		fut.Resolve(&transport.Result{Status: st})
+		io.Complete(fut, transport.Result{Status: st})
 		return false
 	}
 	return true
@@ -628,14 +630,14 @@ func (h *Host) reactor(p *sim.Proc) {
 				if !ok {
 					break
 				}
-				pend.Fut.Resolve(&transport.Result{
+				pend.IO.Complete(pend.Fut, transport.Result{
 					Status:  nvme.StatusTransientTransport,
 					Latency: p.Now().Sub(pend.SubmitAt),
 				})
 				worked = true
 			}
 			for _, pend := range h.qosParked {
-				pend.Fut.Resolve(&transport.Result{
+				pend.IO.Complete(pend.Fut, transport.Result{
 					Status:  nvme.StatusTransientTransport,
 					Latency: p.Now().Sub(pend.SubmitAt),
 				})
@@ -756,7 +758,7 @@ func (h *Host) requeueOrFail(p *sim.Proc, pend *Pending) {
 	pend.WNext, pend.WEnd = 0, 0
 	h.wire.ReleaseAttempt(pend)
 	if h.closing || pend.Attempts >= h.maxRetries() {
-		pend.Fut.Resolve(&transport.Result{
+		pend.IO.Complete(pend.Fut, transport.Result{
 			Status:  nvme.StatusTransientTransport,
 			Latency: p.Now().Sub(pend.SubmitAt),
 		})
@@ -771,7 +773,7 @@ func (h *Host) requeueOrFail(p *sim.Proc, pend *Pending) {
 	h.e.After(h.backoff(pend.Attempts), func() {
 		h.backlog--
 		if h.closing {
-			pend.Fut.Resolve(&transport.Result{
+			pend.IO.Complete(pend.Fut, transport.Result{
 				Status:  nvme.StatusTransientTransport,
 				Latency: h.e.Now().Sub(pend.SubmitAt),
 			})
@@ -924,8 +926,7 @@ func (h *Host) startTrain(p *sim.Proc, depth int) bool {
 // handle processes one received network message.
 func (h *Host) handle(p *sim.Proc, msg *netsim.Message) {
 	transit := p.Now().Sub(msg.SentAt)
-	pdus, err := transport.DecodeAll(msg, h.rxPDUs)
-	h.rxPDUs = pdus
+	pdus, err := transport.DecodeAll(msg, &h.dec)
 	if err != nil {
 		panic(fmt.Sprintf("%s client: bad message: %v", h.cfg.Label, err))
 	}

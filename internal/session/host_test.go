@@ -20,8 +20,8 @@ type attempt struct {
 	cid uint16
 }
 
-// stubWire is the least a HostWire can be: reads with modelled payload, one
-// capsule per command. With record set it notes every attempt's start
+// stubWire is the least a HostWire can be: reads, and writes with modelled
+// in-capsule payload, one capsule per command. With record set it notes every attempt's start
 // (MakeIOEntry runs right after alloc) and every teardown for retry.
 type stubWire struct {
 	h      *Host
@@ -46,7 +46,12 @@ func (w *stubWire) MakeIOEntry(pend *Pending) pdu.BatchEntry {
 	if w.record {
 		w.starts = append(w.starts, attempt{w.h.e.Now(), pend.CID})
 	}
-	return pdu.BatchEntry{Cmd: nvme.NewRead(pend.CID, 1, 0, uint32(pend.IO.Size/transport.BlockSize))}
+	io := pend.IO
+	nlb := uint32(io.Size / transport.BlockSize)
+	if io.Write {
+		return pdu.BatchEntry{Cmd: nvme.NewWrite(pend.CID, 1, uint64(io.Offset/transport.BlockSize), nlb), VirtualLen: io.Size}
+	}
+	return pdu.BatchEntry{Cmd: nvme.NewRead(pend.CID, 1, 0, nlb)}
 }
 
 func (w *stubWire) ReleaseAttempt(pend *Pending) {
@@ -99,20 +104,19 @@ func (r *rig) submit(p *sim.Proc, n int) []*sim.Future[*transport.Result] {
 
 // serve plays the target: every command capsule that arrives goes to
 // onCmd, on the peer's own process.
-func (r *rig) serve(onCmd func(p *sim.Proc, cid uint16)) {
+func (r *rig) serve(onCmd func(p *sim.Proc, cmd nvme.Command)) {
 	r.e.GoDaemon("peer", func(p *sim.Proc) {
-		var scratch []pdu.PDU
+		var dec pdu.Decoder
 		for {
 			msg := r.peer.Recv(p)
-			pdus, err := transport.DecodeAll(msg, scratch)
+			pdus, err := transport.DecodeAll(msg, &dec)
 			if err != nil {
 				panic(err)
 			}
-			scratch = pdus
 			msg.Release()
 			for _, u := range pdus {
 				if c, ok := u.(*pdu.CapsuleCmd); ok {
-					onCmd(p, c.Cmd.CID)
+					onCmd(p, c.Cmd)
 				}
 			}
 		}
@@ -211,10 +215,10 @@ func TestDeadlineTimerReapsOnTime(t *testing.T) {
 		r.w.record = true
 		fires := r.countFires(t)
 		answered := 0
-		r.serve(func(p *sim.Proc, cid uint16) {
-			if cid != 1 && answered < 2 {
+		r.serve(func(p *sim.Proc, cmd nvme.Command) {
+			if cmd.CID != 1 && answered < 2 {
 				answered++
-				r.respondAfter(10*time.Microsecond, cid)
+				r.respondAfter(10*time.Microsecond, cmd.CID)
 			}
 		})
 		r.e.Go("app", func(p *sim.Proc) {
@@ -249,10 +253,10 @@ func TestDeadlineTimerResponseWins(t *testing.T) {
 			r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4, CommandTimeout: timeout}}, instant)
 			defer r.e.Close()
 			first := true
-			r.serve(func(p *sim.Proc, cid uint16) {
+			r.serve(func(p *sim.Proc, cmd nvme.Command) {
 				if first {
 					first = false
-					r.respondAfter(tc.after, cid)
+					r.respondAfter(tc.after, cmd.CID)
 				}
 			})
 			var fut *sim.Future[*transport.Result]
@@ -281,8 +285,8 @@ func TestDeadlineTimerAllocsEqual(t *testing.T) {
 		r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4, CommandTimeout: timeout}, Host: model.DefaultHost()}, model.Loopback())
 		defer r.e.Close()
 		resp := &pdu.CapsuleResp{}
-		r.serve(func(p *sim.Proc, cid uint16) {
-			resp.Rsp.CID = cid
+		r.serve(func(p *sim.Proc, cmd nvme.Command) {
+			resp.Rsp.CID = cmd.CID
 			transport.SendPDUs(p, r.peer, resp)
 		})
 		var allocs float64
@@ -316,6 +320,63 @@ func TestDeadlineTimerAllocsEqual(t *testing.T) {
 	}
 }
 
+// TestHostCommandAllocatesNothing is the host side's allocation budget: a
+// steady-state 4 KiB read (its payload copied into the caller's buffer)
+// and a 4 KiB write, each staged with SubmitInto into a re-armed future,
+// rung, and completed through the connection's decoder, allocate nothing.
+// The result lives in the caller's IO.
+func TestHostCommandAllocatesNothing(t *testing.T) {
+	r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4}, Host: model.DefaultHost()}, instant)
+	defer r.e.Close()
+	payload := make([]byte, 4096)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	data := &pdu.Data{Dir: pdu.TypeC2HData, Payload: payload, Last: true}
+	resp := &pdu.CapsuleResp{}
+	r.serve(func(p *sim.Proc, cmd nvme.Command) {
+		resp.Rsp.CID = cmd.CID
+		if cmd.Opcode == nvme.OpRead {
+			data.CID = cmd.CID
+			transport.SendPDUs(p, r.peer, data, resp)
+			return
+		}
+		transport.SendPDUs(p, r.peer, resp)
+	})
+	var readAllocs, writeAllocs float64
+	r.e.Go("app", func(p *sim.Proc) {
+		read := &transport.IO{Size: 4096, Data: make([]byte, 4096)}
+		write := &transport.IO{Write: true, Offset: 4096, Size: 4096}
+		fut := sim.NewFuture[*transport.Result](r.e)
+		cycle := func(io *transport.IO) {
+			r.h.SubmitInto(p, io, fut)
+			r.h.RingDoorbell(p)
+			if res := fut.Wait(p); res.Status != nvme.StatusSuccess {
+				t.Errorf("cycle completed with %v", res.Status)
+			}
+			fut.Arm(r.e)
+		}
+		readCycle := func() { cycle(read) }
+		writeCycle := func() { cycle(write) }
+		for i := 0; i < 64; i++ {
+			readCycle()
+			writeCycle()
+		}
+		readAllocs = testing.AllocsPerRun(200, readCycle)
+		writeAllocs = testing.AllocsPerRun(200, writeCycle)
+		if !slices.Equal(read.Data, payload) {
+			t.Error("read payload did not reach the caller's buffer")
+		}
+	})
+	if err := r.e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("4 KiB read %.0f allocs, 4 KiB write %.0f allocs", readAllocs, writeAllocs)
+	if readAllocs != 0 || writeAllocs != 0 {
+		t.Errorf("host side allocates per command: read %.0f, write %.0f, want 0", readAllocs, writeAllocs)
+	}
+}
+
 // A Data PDU whose offset lies beyond the command's buffer (a late PDU that
 // reached the CID's next owner) is counted and dropped, not copied: with
 // recovery on the command re-drives, without it completes.
@@ -332,12 +393,12 @@ func TestDataBeyondBufferIsDropped(t *testing.T) {
 			r := newRig(HostConfig{ConnOptions: ConnOptions{QueueDepth: 4, CommandTimeout: tc.timeout}}, instant)
 			defer r.e.Close()
 			first := true
-			r.serve(func(p *sim.Proc, cid uint16) {
+			r.serve(func(p *sim.Proc, cmd nvme.Command) {
 				if first {
 					first = false
-					transport.SendPDUs(p, r.peer, &pdu.Data{Dir: pdu.TypeC2HData, CID: cid, Offset: 131072, Payload: make([]byte, 4096)})
+					transport.SendPDUs(p, r.peer, &pdu.Data{Dir: pdu.TypeC2HData, CID: cmd.CID, Offset: 131072, Payload: make([]byte, 4096)})
 				}
-				transport.SendPDUs(p, r.peer, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cid}})
+				transport.SendPDUs(p, r.peer, &pdu.CapsuleResp{Rsp: nvme.Completion{CID: cmd.CID}})
 			})
 			fut := sim.NewFuture[*transport.Result](r.e)
 			r.e.Go("app", func(p *sim.Proc) {

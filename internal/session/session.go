@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"nvmeoaf/internal/pdu"
+	"nvmeoaf/internal/shm"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/telemetry"
 	"nvmeoaf/internal/transport"
@@ -89,9 +90,8 @@ func (k *ChunkKnob) Chunk(icresp *pdu.ICResp) int {
 
 // Pending tracks one in-flight command on the host side. It embeds the
 // transport-level pending record and adds the recovery state the engine
-// maintains plus a transport-owned Stage slot for per-attempt staging
-// resources (e.g. a claimed shared-memory slot). Which attempt this is and
-// its deadline are the host's slot table's to know.
+// maintains plus the attempt's claimed shared-memory slot. Which attempt
+// this is and its deadline are the host's slot table's to know.
 type Pending struct {
 	transport.Pending
 	// WNext and WEnd track chunked-write progress for conservative
@@ -103,10 +103,10 @@ type Pending struct {
 	// DataLost marks payload that went missing mid-transfer (revoked
 	// region); the response alone cannot complete the command.
 	DataLost bool
-	// Stage holds transport-specific per-attempt staging state (the
-	// adaptive fabric stores its claimed H2C slot here). The engine
-	// clears it on recycle and asks the wire to release it on retry.
-	Stage any
+	// Slot is the H2C shared-memory slot the attempt's write payload was
+	// staged in (the zero Slot when there is none). The engine clears it
+	// on recycle and asks the wire to release it on retry.
+	Slot shm.Slot
 	// Next links a train staged by SubmitInto until its doorbell publishes
 	// it; a wire's StageSubmit walks it.
 	Next *Pending
@@ -177,6 +177,6 @@ func (h *Host) recyclePending(pend *Pending) {
 	}
 	pend.IO = nil
 	pend.Fut = nil
-	pend.Stage = nil
+	pend.Slot = shm.Slot{}
 	h.freePends = append(h.freePends, pend)
 }

@@ -262,7 +262,9 @@ type Conn struct {
 	// transmit path stays allocation-free).
 	txPDUs  []pdu.PDU
 	txSlots []*CmdSlot
-	rxPDUs  []pdu.PDU
+	// dec decodes received messages; what it returns is valid until the
+	// run loop's next message.
+	dec pdu.Decoder
 	// free holds the command slots no command holds, see CmdSlot.
 	free []*CmdSlot
 }
@@ -497,22 +499,15 @@ func SortedWriteCIDs(m map[uint16]*CmdSlot) []uint16 {
 }
 
 // retryWaits re-attempts buffer allocation for parked commands in FIFO
-// order, stopping at the first that still cannot be satisfied.
+// order, stopping at the first that still cannot be satisfied (it stays
+// at the head).
 func (c *Conn) retryWaits() {
-	for c.WaitsQ.Len() > 0 {
-		w, _ := c.WaitsQ.TryGet()
-		if !c.takeBufs(w, w.need) {
-			// Put it back at the head position, preserving FIFO order.
-			rest := []*CmdSlot{w}
-			for c.WaitsQ.Len() > 0 {
-				x, _ := c.WaitsQ.TryGet()
-				rest = append(rest, x)
-			}
-			for _, x := range rest {
-				c.WaitsQ.TryPut(x)
-			}
+	for {
+		w, ok := c.WaitsQ.Peek()
+		if !ok || !c.takeBufs(w, w.need) {
 			return
 		}
+		c.WaitsQ.TryGet()
 		c.t.tel.ObserveDuration(telemetry.HistBufWait, c.t.e.Now().Sub(w.since))
 		w.then(w)
 	}
@@ -522,8 +517,7 @@ func (c *Conn) retryWaits() {
 func (c *Conn) handle(p *sim.Proc, msg *netsim.Message) {
 	c.lastSeen = p.Now()
 	transit := p.Now().Sub(msg.SentAt)
-	pdus, err := transport.DecodeAll(msg, c.rxPDUs)
-	c.rxPDUs = pdus
+	pdus, err := transport.DecodeAll(msg, &c.dec)
 	if err != nil {
 		panic(fmt.Sprintf("%s server: bad message: %v", c.t.cfg.Label, err))
 	}
@@ -538,9 +532,8 @@ func (c *Conn) handle(p *sim.Proc, msg *netsim.Message) {
 			// A doorbell-batched capsule train: dispatch every entry as if
 			// it arrived in its own capsule. Fabric transit is attributed
 			// once (the train crossed the wire as one message). Reads
-			// dispatch straight off the command value — only entries that
-			// carry payload state need a capsule shell (which escapes
-			// through the wire interface and so must heap-allocate).
+			// dispatch straight off the command value; entries that carry
+			// payload state get a capsule shell from the decoder.
 			for i := range v.Entries {
 				e := &v.Entries[i]
 				if e.Cmd.Opcode == nvme.OpRead && e.Cmd.Flags&transport.AdminFlag == 0 {
@@ -548,8 +541,7 @@ func (c *Conn) handle(p *sim.Proc, msg *netsim.Message) {
 						c.wire.DispatchRead(e.Cmd, transit)
 					}
 				} else {
-					cc := pdu.CapsuleCmd{Cmd: e.Cmd, Data: e.Data, VirtualLen: e.VirtualLen}
-					c.onCommand(p, &cc, transit)
+					c.onCommand(p, c.dec.Capsule(e), transit)
 				}
 				transit = 0
 			}
@@ -682,22 +674,28 @@ func (c *Conn) execIdentify(cmd nvme.Command, comm time.Duration) {
 // StartConservativeWrite grants an R2T once buffers are reserved — the
 // conservative (non-in-capsule) write flow shared by the TCP data paths.
 func (c *Conn) StartConservativeWrite(cmd nvme.Command, size int, transit time.Duration) {
-	if stale, ok := c.Writes[cmd.CID]; ok {
-		// A retried command reused the CID of an abandoned earlier attempt
-		// whose half-received grant is still parked here: reclaim it before
-		// the new grant overwrites the map entry.
+	c.reclaimStaleWrite(cmd.CID)
+	s := c.Acquire(cmd, size, transit)
+	c.reserve(s, transport.Chunks(size, c.t.cfg.ChunkSize), (*CmdSlot).grantWrite)
+}
+
+// reclaimStaleWrite frees the half-received grant cid still holds in
+// Writes: a retried command reused the CID of an abandoned earlier
+// attempt. Both the retry's arrival and its grant check, since the two
+// attempts may wait for buffers together and be granted in turn.
+func (c *Conn) reclaimStaleWrite(cid uint16) {
+	if stale, ok := c.Writes[cid]; ok {
 		stale.FreeBufs()
-		delete(c.Writes, cmd.CID)
+		delete(c.Writes, cid)
 		stale.Release()
 		c.NoteStale()
 	}
-	s := c.Acquire(cmd, size, transit)
-	c.reserve(s, transport.Chunks(size, c.t.cfg.ChunkSize), (*CmdSlot).grantWrite)
 }
 
 // grantWrite registers a conservative write for its data PDUs and grants
 // the whole transfer.
 func (s *CmdSlot) grantWrite() {
+	s.c.reclaimStaleWrite(s.Cmd.CID)
 	s.c.Writes[s.Cmd.CID] = s
 	s.r2t = pdu.R2T{CID: s.Cmd.CID, TTag: s.Cmd.CID, Offset: 0, Length: uint32(s.Size)}
 	s.Post(&s.r2t)

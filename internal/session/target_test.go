@@ -34,15 +34,11 @@ func (w tcpStubConn) DispatchWrite(cap *pdu.CapsuleCmd, size int, transit time.D
 func (tcpStubConn) HandlePDU(*sim.Proc, pdu.PDU, time.Duration) bool { return false }
 func (tcpStubConn) Teardown()                                        {}
 
-// TestTargetCommandAllocatesNothing is the target side's allocation
-// budget: from a decoded command to its last PDU on the wire — buffer
-// reservation, the device worker, the bdev request and its completion,
-// the R2T, data reassembly, the response and data PDUs — a steady-state
-// 4 KiB read and a 4 KiB conservative write allocate nothing. The test
-// hands decoded PDUs straight to the connection (decoding belongs to the
-// pdu layer) and plays the host on a link that costs no time, receiving
-// each message without decoding it.
-func TestTargetCommandAllocatesNothing(t *testing.T) {
+// newAllocTarget serves nqn's 64 MiB namespace through the engine with a
+// pool of poolElems 4 KiB elements, over a link that costs no time; the
+// test plays the host on the link's B side.
+func newAllocTarget(t *testing.T, poolElems int) (*sim.Engine, *Conn, *mempool.Pool, *netsim.Link) {
+	t.Helper()
 	const nqn = "nqn.alloc"
 	e := sim.NewEngine(1)
 	tgt := target.New(e, model.DefaultHost())
@@ -53,7 +49,7 @@ func TestTargetCommandAllocatesNothing(t *testing.T) {
 	if _, err := sub.AddNamespace(1, bdev.NewSimSSD(e, "ssd", 64<<20, model.DefaultSSD(), false, 512)); err != nil {
 		t.Fatal(err)
 	}
-	pool := mempool.New("alloc", 4096, 16)
+	pool := mempool.New("alloc", 4096, poolElems)
 	link := netsim.NewLoopLink(e, instant)
 	conn := NewTarget(e, tgt, TargetConfig{
 		ServeOptions: ServeOptions{NQN: nqn},
@@ -61,6 +57,19 @@ func TestTargetCommandAllocatesNothing(t *testing.T) {
 		ChunkSize:    4096,
 		Pool:         pool,
 	}, tcpStubWire{}).Serve(link.A)
+	return e, conn, pool, link
+}
+
+// TestTargetCommandAllocatesNothing is the target side's allocation
+// budget: from a decoded command to its last PDU on the wire — buffer
+// reservation, the device worker, the bdev request and its completion,
+// the R2T, data reassembly, the response and data PDUs — a steady-state
+// 4 KiB read and a 4 KiB conservative write allocate nothing. The test
+// hands decoded PDUs straight to the connection (decoding belongs to the
+// pdu layer) and plays the host on a link that costs no time, receiving
+// each message without decoding it.
+func TestTargetCommandAllocatesNothing(t *testing.T) {
+	e, conn, pool, link := newAllocTarget(t, 16)
 
 	var readAllocs, writeAllocs float64
 	e.Go("host", func(p *sim.Proc) {
@@ -101,5 +110,40 @@ func TestTargetCommandAllocatesNothing(t *testing.T) {
 	}
 	if pool.InUse() != 0 || len(conn.Writes) != 0 {
 		t.Errorf("after the last cycle: %d pool elements in use, %d writes open", pool.InUse(), len(conn.Writes))
+	}
+}
+
+// TestRetriedWriteGrantedTwiceFreesTheFirst: with the pool exhausted, a
+// conservative write and its retry (same CID) both wait for buffers and
+// are granted in turn. The second grant must reclaim the first, or the
+// first grant's pool element and slot are never freed.
+func TestRetriedWriteGrantedTwiceFreesTheFirst(t *testing.T) {
+	e, conn, pool, link := newAllocTarget(t, 2)
+	e.GoDaemon("drain", func(p *sim.Proc) {
+		for {
+			link.B.Recv(p).Release()
+		}
+	})
+	cids := []uint16{1, 9, 3, 3} // 1 and 9 take the pool; 3 and its retry wait
+	e.Go("host", func(p *sim.Proc) {
+		for _, cid := range cids {
+			w := pdu.CapsuleCmd{Cmd: nvme.NewWrite(cid, 1, uint64(cid)*8, 8)}
+			conn.onCommand(p, &w, 0)
+		}
+		if got := conn.WaitsQ.Len(); got != 2 {
+			t.Fatalf("%d writes wait for buffers, want 2", got)
+		}
+		for _, cid := range cids {
+			d := pdu.Data{Dir: pdu.TypeH2CData, CID: cid, TTag: cid, VirtualLen: 4096, Last: true}
+			conn.onData(p, &d, 0)
+			p.Sleep(time.Millisecond) // the write executes; a waiter is granted
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.InUse() != 0 || len(conn.Writes) != 0 || conn.WaitsQ.Len() != 0 {
+		t.Errorf("after the run: %d pool elements in use, %d writes open, %d waiting; want 0, 0, 0",
+			pool.InUse(), len(conn.Writes), conn.WaitsQ.Len())
 	}
 }

@@ -47,12 +47,12 @@ func xorKeystream(buf []byte, key, slot uint64) {
 }
 
 // seal enciphers the first n bytes of the slot in place.
-func (s *Slot) seal(n int) {
+func (s Slot) seal(n int) {
 	if !s.r.Encrypted() {
 		return
 	}
-	xorKeystream(s.buf[:n], s.r.encKey, uint64(s.Index)|uint64(s.dir)<<32)
+	xorKeystream(s.Bytes()[:n], s.r.encKey, uint64(s.Index)|uint64(s.dir)<<32)
 }
 
 // unseal deciphers the first n bytes (XOR keystream is an involution).
-func (s *Slot) unseal(n int) { s.seal(n) }
+func (s Slot) unseal(n int) { s.seal(n) }

@@ -76,9 +76,13 @@ const (
 	ClaimFreeList
 )
 
+// A slot's state word holds its claim generation above a busy bit.
+// Claiming sets the bit; releasing clears it and advances the generation,
+// so a handle of an earlier claim no longer matches the word and cannot
+// free a later claim of the same slot.
 const (
-	slotFree uint32 = iota
-	slotBusy
+	slotBusy uint32 = 1
+	slotGen  uint32 = 2 // one generation step
 )
 
 // Region is one shared-memory mapping between a client and a target.
@@ -93,7 +97,7 @@ type Region struct {
 	policy ClaimPolicy
 	data   []byte // real backing bytes: [H2C slots][C2H slots]
 
-	state   [2][]uint32 // atomic slot ownership per half
+	state   [2][]uint32 // atomic slot state words per half, see slotBusy
 	rr      [2]uint32   // round-robin cursors
 	freeLst [2][]uint32 // free-list stacks (ClaimFreeList)
 	credits [2]*sim.Semaphore
@@ -207,14 +211,22 @@ func (r *Region) OnRevoke(fn func()) {
 	r.onRevoke = append(r.onRevoke, fn)
 }
 
-// Slot is a claimed element of the double buffer.
+// Slot is a handle on one claim of an element of the double buffer, held
+// by value: Claim, ClaimN and Open allocate nothing. It carries the
+// claim's generation, so releasing through a stale copy (a second release,
+// or one after the peer freed the slot and it was claimed again) cannot
+// free whoever holds the slot now: Release panics and TryRelease reports
+// false. The zero Slot names no claim.
 type Slot struct {
-	r      *Region
-	dir    Direction
-	Index  uint32
-	buf    []byte
-	closed bool
+	r     *Region
+	dir   Direction
+	Index uint32
+	word  uint32 // the slot's state word while this claim holds it
 }
+
+// Valid reports whether s names a claim: Claim returns the zero Slot when
+// the region has been revoked.
+func (s Slot) Valid() bool { return s.r != nil }
 
 // slotBytes returns the backing slice for (dir, idx).
 func (r *Region) slotBytes(dir Direction, idx uint32) []byte {
@@ -227,11 +239,12 @@ func (r *Region) slotBytes(dir Direction, idx uint32) []byte {
 // region until the peer consumes them, so slot credits bound the in-flight
 // data, §4.4.2). The claim itself is lock-free: an atomic CAS over the
 // round-robin cursor or free list.
-// Claim returns nil when the region has been revoked — including when the
-// revocation lands while the claimer is blocked on a slot credit.
-func (r *Region) Claim(p *sim.Proc, dir Direction) *Slot {
+// Claim returns the zero Slot when the region has been revoked —
+// including when the revocation lands while the claimer is blocked on a
+// slot credit.
+func (r *Region) Claim(p *sim.Proc, dir Direction) Slot {
 	if r.Revoked() {
-		return nil
+		return Slot{}
 	}
 	t0 := p.Now()
 	r.credits[dir].Acquire(p)
@@ -239,43 +252,53 @@ func (r *Region) Claim(p *sim.Proc, dir Direction) *Slot {
 	r.ClaimWait.RecordDuration(wait)
 	r.tel.ObserveDuration(telemetry.HistClaimWait, wait)
 	if r.Revoked() {
-		return nil
+		return Slot{}
 	}
 	p.Sleep(r.params.SlotOverhead)
 	if r.Revoked() {
-		return nil
+		return Slot{}
 	}
 
-	idx := r.claimIndex(dir)
+	s := r.claimSlot(dir)
 	r.Claims++
 	r.tel.Inc(telemetry.CtrSHMClaims)
-	return &Slot{r: r, dir: dir, Index: idx, buf: r.slotBytes(dir, idx)}
+	return s
 }
 
-// claimIndex picks one free slot in dir. The caller must hold a credit,
+// claimSlot claims one free slot in dir. The caller must hold a credit,
 // which guarantees a free slot exists.
-func (r *Region) claimIndex(dir Direction) uint32 {
-	var idx uint32
+func (r *Region) claimSlot(dir Direction) Slot {
+	st := r.state[dir]
 	switch r.policy {
 	case ClaimFreeList:
 		lst := r.freeLst[dir]
-		idx = lst[len(lst)-1]
+		idx := lst[len(lst)-1]
 		r.freeLst[dir] = lst[:len(lst)-1]
-		if !atomic.CompareAndSwapUint32(&r.state[dir][idx], slotFree, slotBusy) {
-			panic("shm: free-list slot was busy")
+		if w, ok := tryBusy(&st[idx]); ok {
+			return Slot{r: r, dir: dir, Index: idx, word: w}
 		}
+		panic("shm: free-list slot was busy")
 	default: // round-robin
 		for {
 			i := atomic.AddUint32(&r.rr[dir], 1) - 1
-			idx = i % uint32(r.SlotCount)
-			if atomic.CompareAndSwapUint32(&r.state[dir][idx], slotFree, slotBusy) {
-				break
+			idx := i % uint32(r.SlotCount)
+			if w, ok := tryBusy(&st[idx]); ok {
+				return Slot{r: r, dir: dir, Index: idx, word: w}
 			}
 			// Credit accounting guarantees a free slot exists; skip the
 			// busy ones (out-of-order completion leaves holes).
 		}
 	}
-	return idx
+}
+
+// tryBusy claims the slot whose state word is at w if it is free, and
+// returns the word the claim holds.
+func tryBusy(w *uint32) (uint32, bool) {
+	old := atomic.LoadUint32(w)
+	if old&slotBusy != 0 || !atomic.CompareAndSwapUint32(w, old, old|slotBusy) {
+		return 0, false
+	}
+	return old | slotBusy, true
 }
 
 // ClaimN acquires up to n slots in one doorbell-amortized operation for
@@ -289,7 +312,7 @@ func (r *Region) claimIndex(dir Direction) uint32 {
 // the caller falls back to per-slot Claim for whatever the train did
 // not cover. Returns nil when the region has been revoked — including
 // while blocked on the first credit.
-func (r *Region) ClaimN(p *sim.Proc, dir Direction, n int, dst []*Slot) []*Slot {
+func (r *Region) ClaimN(p *sim.Proc, dir Direction, n int, dst []Slot) []Slot {
 	if n <= 0 {
 		return dst
 	}
@@ -318,66 +341,52 @@ func (r *Region) ClaimN(p *sim.Proc, dir Direction, n int, dst []*Slot) []*Slot 
 		return nil
 	}
 	for i := 0; i < got; i++ {
-		idx := r.claimIndex(dir)
-		dst = append(dst, &Slot{r: r, dir: dir, Index: idx, buf: r.slotBytes(dir, idx)})
+		dst = append(dst, r.claimSlot(dir))
 	}
 	r.Claims += int64(got)
 	r.tel.Add(telemetry.CtrSHMClaims, int64(got))
 	return dst
 }
 
-// Open adopts an already-claimed slot by index, as the peer side does when
-// an out-of-band notification names the slot it should read.
-func (r *Region) Open(dir Direction, idx uint32) (*Slot, error) {
+// Open adopts the current claim of a slot by index, as the peer side does
+// when an out-of-band notification names the slot it should read.
+func (r *Region) Open(dir Direction, idx uint32) (Slot, error) {
 	if r.Revoked() {
-		return nil, fmt.Errorf("shm: region %d revoked", r.Key)
+		return Slot{}, fmt.Errorf("shm: region %d revoked", r.Key)
 	}
 	if int(idx) >= r.SlotCount {
-		return nil, fmt.Errorf("shm: slot %d out of range (%d)", idx, r.SlotCount)
+		return Slot{}, fmt.Errorf("shm: slot %d out of range (%d)", idx, r.SlotCount)
 	}
-	if atomic.LoadUint32(&r.state[dir][idx]) != slotBusy {
-		return nil, fmt.Errorf("shm: slot %s/%d not busy", dir, idx)
+	w := atomic.LoadUint32(&r.state[dir][idx])
+	if w&slotBusy == 0 {
+		return Slot{}, fmt.Errorf("shm: slot %s/%d not busy", dir, idx)
 	}
-	return &Slot{r: r, dir: dir, Index: idx, buf: r.slotBytes(dir, idx)}, nil
+	return Slot{r: r, dir: dir, Index: idx, word: w}, nil
 }
 
 // Release returns the slot to the allocator. Releasing into a revoked
-// region is a no-op (the mapping is gone). Releasing a slot someone else
-// already freed panics — use TryRelease where ownership is ambiguous.
-func (s *Slot) Release() {
-	if s.closed {
-		panic("shm: slot released twice")
+// region is a no-op (the mapping is gone). Releasing a claim that has
+// ended already (released twice, or freed by the peer) panics — use
+// TryRelease where ownership is ambiguous.
+func (s Slot) Release() {
+	if !s.r.Revoked() && !s.free() {
+		panic(fmt.Sprintf("shm: release of slot %s/%d through a stale handle", s.dir, s.Index))
 	}
-	s.closed = true
-	r := s.r
-	if r.Revoked() {
-		return
-	}
-	if !atomic.CompareAndSwapUint32(&r.state[s.dir][s.Index], slotBusy, slotFree) {
-		panic("shm: releasing a free slot")
-	}
-	if r.policy == ClaimFreeList {
-		r.freeLst[s.dir] = append(r.freeLst[s.dir], s.Index)
-	}
-	r.Releases++
-	r.tel.Inc(telemetry.CtrSHMReleases)
-	r.credits[s.dir].Release()
 }
 
-// TryRelease frees the slot if it is still busy and reports whether it
-// did. Recovery paths use it when slot ownership is ambiguous — a
-// timed-out command's slot may have been consumed and freed by the peer
-// already, which plain Release would treat as a fatal double-free.
-func (s *Slot) TryRelease() bool {
-	if s.closed {
-		return false
-	}
-	s.closed = true
+// TryRelease frees the slot if this handle's claim still holds it and
+// reports whether it did. Recovery paths use it when slot ownership is
+// ambiguous — a timed-out command's slot may have been consumed and freed
+// by the peer already, and even claimed again by another command, which
+// plain Release would treat as a fatal stale release.
+func (s Slot) TryRelease() bool {
+	return !s.r.Revoked() && s.free()
+}
+
+// free ends the handle's claim if it still holds the slot.
+func (s Slot) free() bool {
 	r := s.r
-	if r.Revoked() {
-		return false
-	}
-	if !atomic.CompareAndSwapUint32(&r.state[s.dir][s.Index], slotBusy, slotFree) {
+	if !atomic.CompareAndSwapUint32(&r.state[s.dir][s.Index], s.word, s.word&^slotBusy+slotGen) {
 		return false
 	}
 	if r.policy == ClaimFreeList {
@@ -391,10 +400,10 @@ func (s *Slot) TryRelease() bool {
 
 // Bytes exposes the slot's backing memory for zero-copy use: the
 // application fills (or reads) the shared bytes in place.
-func (s *Slot) Bytes() []byte { return s.buf }
+func (s Slot) Bytes() []byte { return s.r.slotBytes(s.dir, s.Index) }
 
 // Region returns the slot's owning region.
-func (s *Slot) Region() *Region { return s.r }
+func (s Slot) Region() *Region { return s.r }
 
 // copyCost returns the modeled time to move n bytes across the region
 // boundary.
@@ -427,7 +436,7 @@ func (r *Region) acquireLockIfNeeded(p *sim.Proc) func() {
 // be nil for modeled payloads: the time cost is charged either way, the
 // bytes only move when real. n is the payload size. On encrypted regions
 // the payload is enciphered on the way in and the cipher cost charged.
-func (s *Slot) CopyIn(p *sim.Proc, data []byte, n int) {
+func (s Slot) CopyIn(p *sim.Proc, data []byte, n int) {
 	if n > s.r.SlotSize {
 		panic(fmt.Sprintf("shm: payload %d exceeds slot size %d", n, s.r.SlotSize))
 	}
@@ -435,7 +444,7 @@ func (s *Slot) CopyIn(p *sim.Proc, data []byte, n int) {
 	defer unlock()
 	p.Sleep(s.r.copyCost(n) + s.r.cryptoCost(n))
 	if data != nil {
-		copy(s.buf, data[:n])
+		copy(s.Bytes(), data[:n])
 	}
 	s.seal(n)
 	s.r.CopiedBytes += int64(n)
@@ -444,7 +453,7 @@ func (s *Slot) CopyIn(p *sim.Proc, data []byte, n int) {
 // CopyOut moves payload bytes from the slot into a private buffer (nil
 // dst for modeled payloads). It returns the destination slice when real.
 // On encrypted regions the payload is deciphered on the way out.
-func (s *Slot) CopyOut(p *sim.Proc, dst []byte, n int) []byte {
+func (s Slot) CopyOut(p *sim.Proc, dst []byte, n int) []byte {
 	if n > s.r.SlotSize {
 		panic(fmt.Sprintf("shm: payload %d exceeds slot size %d", n, s.r.SlotSize))
 	}
@@ -454,7 +463,7 @@ func (s *Slot) CopyOut(p *sim.Proc, dst []byte, n int) []byte {
 	s.r.CopiedBytes += int64(n)
 	if dst != nil {
 		s.unseal(n)
-		copy(dst, s.buf[:n])
+		copy(dst, s.Bytes()[:n])
 		s.seal(n) // bytes at rest in the region stay enciphered
 		return dst[:n]
 	}
@@ -466,7 +475,7 @@ func (s *Slot) CopyOut(p *sim.Proc, dst []byte, n int) []byte {
 func (r *Region) Busy(dir Direction) int {
 	n := 0
 	for i := range r.state[dir] {
-		if atomic.LoadUint32(&r.state[dir][i]) == slotBusy {
+		if atomic.LoadUint32(&r.state[dir][i])&slotBusy != 0 {
 			n++
 		}
 	}

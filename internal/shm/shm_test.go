@@ -43,7 +43,7 @@ func TestClaimReleaseCycle(t *testing.T) {
 	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
 	e.Go("io", func(p *sim.Proc) {
 		seen := map[uint32]bool{}
-		var slots []*Slot
+		var slots []Slot
 		for i := 0; i < 4; i++ {
 			s := r.Claim(p, H2C)
 			if seen[s.Index] {
@@ -94,7 +94,7 @@ func TestSlotsDisjointWithinHalf(t *testing.T) {
 	e := sim.NewEngine(1)
 	r := mustRegion(t, e, 16, 8, ModeLockFree, ClaimRoundRobin)
 	e.Go("io", func(p *sim.Proc) {
-		var slots []*Slot
+		var slots []Slot
 		for i := 0; i < 8; i++ {
 			s := r.Claim(p, C2H)
 			for j := range s.Bytes() {
@@ -123,7 +123,7 @@ func TestClaimBlocksWhenExhausted(t *testing.T) {
 	r := mustRegion(t, e, 64, 4, ModeLockFree, ClaimRoundRobin)
 	var fifthAt sim.Time
 	e.Go("claimer", func(p *sim.Proc) {
-		var slots []*Slot
+		var slots []Slot
 		for i := 0; i < 4; i++ {
 			slots = append(slots, r.Claim(p, H2C))
 		}

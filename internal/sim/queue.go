@@ -80,6 +80,14 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return v, true
 }
 
+// Peek returns the head item without removing it.
+func (q *Queue[T]) Peek() (v T, ok bool) {
+	if q.items.n == 0 {
+		return v, false
+	}
+	return q.items.buf[q.items.head], true
+}
+
 // Close marks the queue closed: blocked and future getters drain remaining
 // items and then receive ok=false. Close is idempotent.
 func (q *Queue[T]) Close() {

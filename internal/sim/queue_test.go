@@ -107,6 +107,9 @@ func TestQueueTryOps(t *testing.T) {
 	if q.TryPut(8) {
 		t.Fatal("TryPut on full queue should fail")
 	}
+	if v, ok := q.Peek(); !ok || v != 7 || q.Len() != 1 {
+		t.Fatalf("Peek = (%d,%v) with %d queued, want (7,true) and 1 left", v, ok, q.Len())
+	}
 	v, ok := q.TryGet()
 	if !ok || v != 7 {
 		t.Fatalf("TryGet = (%d,%v)", v, ok)

@@ -53,11 +53,11 @@ func SplitAt(io *IO, unit int64) []*IO {
 	return segs
 }
 
-// AggregateResults resolves out (the caller's future for the whole io)
-// once every segment future of the split io completes. segs[i] is the
-// segment whose completion futs[i] carries (a nil segs means futs are
-// already in ascending offset order, as SplitAt emits them). Timing
-// reflects the slowest segment.
+// AggregateResults resolves out (the caller's future for the whole io,
+// with the result in io) once every segment future of the split io
+// completes. segs[i] is the segment whose completion futs[i] carries (a
+// nil segs means futs are already in ascending offset order, as SplitAt
+// emits them). Timing reflects the slowest segment.
 //
 // Status contract: on any failure the merged status is the status of the
 // FAILING SEGMENT WITH THE LOWEST OFFSET, regardless of the order the
@@ -77,7 +77,7 @@ func AggregateResults(out *sim.Future[*Result], io *IO, segs []*IO, futs []*sim.
 			if remaining > 0 {
 				return
 			}
-			merged := &Result{Status: nvme.StatusSuccess}
+			merged := Result{Status: nvme.StatusSuccess}
 			failAt := int64(-1)
 			for i, sf := range futs {
 				r, _ := sf.Value()
@@ -107,7 +107,7 @@ func AggregateResults(out *sim.Future[*Result], io *IO, segs []*IO, futs []*sim.
 			if !io.Write && io.Data != nil && merged.Status == nvme.StatusSuccess {
 				merged.Data = io.Data[:io.Size]
 			}
-			out.Resolve(merged)
+			io.Complete(out, merged)
 		})
 	}
 }

@@ -66,6 +66,18 @@ type IO struct {
 	// tenant attribution (used by replica fan-out so a quorum write
 	// debits one tenant budget once, not once per replica).
 	QoSExempt bool
+
+	// res is where the queue puts the completion (see Complete).
+	res Result
+}
+
+// Complete stores r as io's result and resolves fut with a pointer to it,
+// so completing an I/O allocates nothing. The result lives in io: the
+// caller owns io until it has consumed the result, and submits it again
+// (or to a second queue) only after that.
+func (io *IO) Complete(fut *sim.Future[*Result], r Result) {
+	io.res = r
+	fut.Resolve(&io.res)
 }
 
 // Nsid returns the effective namespace ID.
@@ -158,7 +170,7 @@ func (pd *Pending) Finish(now sim.Time, resp *pdu.CapsuleResp, data []byte) {
 	if other < 0 {
 		other = 0
 	}
-	pd.Fut.Resolve(&Result{
+	pd.IO.Complete(pd.Fut, Result{
 		Status:    resp.Rsp.Status,
 		Data:      data,
 		Latency:   total,
@@ -180,24 +192,13 @@ func SendPDUs(p *sim.Proc, ep *netsim.Endpoint, pdus ...pdu.PDU) {
 	ep.Send(p, msg)
 }
 
-// DecodeAll parses every PDU in a received message, appending to into[:0]
-// (the connection's scratch, valid until its next DecodeAll). A decoded
-// H2CData/C2HData payload borrows msg's buffer and is valid until
+// DecodeAll parses every PDU in a received message into the connection's
+// decoder: the PDUs are valid until that decoder's next DecodeAll. A
+// decoded H2CData/C2HData payload borrows msg's buffer and is valid until
 // msg.Release: a consumer copies what it keeps (into the host's read
-// buffer, the target's pool elements) before the message goes back. All
-// other decoded state is owned by the PDU.
-func DecodeAll(msg *netsim.Message, into []pdu.PDU) ([]pdu.PDU, error) {
-	out := into[:0]
-	buf := msg.Data
-	for len(buf) > 0 {
-		p, n, err := pdu.Decode(buf)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-		buf = buf[n:]
-	}
-	return out, nil
+// buffer, the target's pool elements) before the message goes back.
+func DecodeAll(msg *netsim.Message, dec *pdu.Decoder) ([]pdu.PDU, error) {
+	return dec.DecodeAll(msg.Data)
 }
 
 // Chunks returns the number of chunk-sized pieces needed for size bytes.

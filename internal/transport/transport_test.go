@@ -85,7 +85,7 @@ func TestSendPDUsBatchesOntoOneMessage(t *testing.T) {
 	e.Go("rx", func(p *sim.Proc) {
 		msg := link.B.Recv(p)
 		var err error
-		got, err = DecodeAll(msg, nil)
+		got, err = DecodeAll(msg, new(pdu.Decoder))
 		if err != nil {
 			t.Error(err)
 		}
