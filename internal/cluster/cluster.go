@@ -178,22 +178,30 @@ type memberState struct {
 // replState is one (extent, seat) replica record: the highest version
 // this seat's occupant has acknowledged, valid only while gen matches
 // the seat's current generation. chain serializes writes to this
-// replica so quorum-overlapped writes cannot reorder on the wire.
+// replica so quorum-overlapped writes cannot reorder on the wire: it is
+// the replica write issued last, in flight while its future is
+// unresolved, and that write's completion clears it before its record
+// can be recycled.
 type replState struct {
 	seat  int
 	gen   int64
 	acked int64
-	chain *sim.Future[*transport.Result]
+	chain *replWrite
 }
 
 // extentState is the per-extent routing record.
 type extentState struct {
 	idx       int64
+	pos       int   // first-touch position: index in extentList and the stale index
 	ver       int64 // latest version assigned to a write
 	committed int64 // highest quorum-acknowledged version
 	size      int   // bytes ever written within the extent (rebuild copy size)
 	repl      []replState
 }
+
+// extentChunk is how many extent records (and their replica records)
+// one slab allocation holds.
+const extentChunk = 256
 
 // Cluster is the replicated namespace router. It implements
 // transport.Queue, so perf streams, rings, the oaf facade, and striped
@@ -208,6 +216,24 @@ type Cluster struct {
 
 	extents    map[int64]*extentState
 	extentList []*extentState // deterministic iteration order for rebuild
+	extentSlab []extentState  // unused extent records of the current chunk
+	replSlab   []replState    // their replica records
+	seatBuf    []int          // reused Ring.Locate output
+
+	// The stale index (rebuild.go): bit i is set whenever extentList[i]
+	// may hold a stale replica, unless staleAll stands for every bit.
+	staleBits   []uint64
+	staleAll    bool
+	staleChecks int64  // staleRepl calls: a deterministic work count
+	indexProbe  func() // tests only: runs after every visit of the index
+
+	// Recycled per-I/O records, and the rebuild loop's own I/Os (it copies
+	// one extent at a time).
+	freeWrites *writeOp
+	freeReads  *readOp
+	rbRead     transport.IO
+	rbReadFut  sim.Future[*transport.Result]
+	rbCopy     replWrite
 
 	workQ   *sim.Queue[func(p *sim.Proc)]
 	dirty   *sim.Signal // wakes the rebuild loop
@@ -248,6 +274,7 @@ func New(e *sim.Engine, members []Member, opts Options) (*Cluster, error) {
 		dirty:   sim.NewSignal(e),
 		tel:     opts.Telemetry,
 	}
+	c.rbCopy.bind(c, nil)
 	for i, m := range members {
 		ms := &memberState{idx: i, name: m.Name, q: m.Queue, alive: true, seat: -1}
 		c.members = append(c.members, ms)
@@ -291,18 +318,32 @@ func (c *Cluster) defer_(fn func(p *sim.Proc)) { c.workQ.TryPut(fn) }
 func (c *Cluster) extentFor(off int64) int64 { return off / c.opts.ExtentSize }
 
 // extent returns (creating on first touch) the routing record for ext.
+// Records come from fixed-size slab chunks, so a first touch allocates
+// only when a chunk runs out.
 func (c *Cluster) extent(ext int64) *extentState {
 	st, ok := c.extents[ext]
 	if ok {
 		return st
 	}
-	st = &extentState{idx: ext, repl: make([]replState, 0, c.opts.Replicas)}
-	seats := c.ring.Locate(ext, make([]int, 0, c.opts.Replicas))
-	for _, s := range seats {
+	r := c.opts.Replicas
+	if len(c.extentSlab) == 0 {
+		c.extentSlab = make([]extentState, extentChunk)
+		c.replSlab = make([]replState, extentChunk*r)
+	}
+	st = &c.extentSlab[0]
+	c.extentSlab = c.extentSlab[1:]
+	st.idx, st.pos = ext, len(c.extentList)
+	st.repl = c.replSlab[:0:r]
+	c.replSlab = c.replSlab[r:]
+	c.seatBuf = c.ring.Locate(ext, c.seatBuf[:0])
+	for _, s := range c.seatBuf {
 		st.repl = append(st.repl, replState{seat: s, gen: c.seats[s].gen})
 	}
 	c.extents[ext] = st
 	c.extentList = append(c.extentList, st)
+	if st.pos>>6 == len(c.staleBits) {
+		c.staleBits = append(c.staleBits, 0)
+	}
 	return st
 }
 
@@ -411,23 +452,76 @@ func (c *Cluster) submitFlush(p *sim.Proc, io *transport.IO, fut *sim.Future[*tr
 }
 
 // writeOp tracks one replicated write until quorum (or until quorum
-// becomes unreachable).
+// becomes unreachable). Records are recycled through the cluster's free
+// list: one is returned once the write has resolved and every replica
+// write it issued has completed.
 type writeOp struct {
 	c        *Cluster
 	st       *extentState
 	v        int64
+	io       *transport.IO // the caller's: the result lands in it
 	out      *sim.Future[*transport.Result]
 	start    sim.Time
 	needed   int
 	pending  int // replica submissions still unresolved
 	acks     int
+	refs     int // issued replica writes not yet done, plus one while issuing
 	resolved bool
 	merged   transport.Result
 	errSt    nvme.Status
+	repl     []replWrite // indexed like st.repl
+	next     *writeOp    // free list
+}
+
+// replWrite is one replica's copy of a write (or a rebuild copy, w ==
+// nil): the IO sent to the seat's occupant, the future it completes
+// into, and the chained write to issue once it has resolved. Its
+// callbacks are bound once, when the record is made.
+type replWrite struct {
+	c      *Cluster
+	w      *writeOp
+	rs     *replState
+	ms     *memberState
+	gen    int64 // seat generation the write was issued under
+	io     transport.IO
+	fut    sim.Future[*transport.Result]
+	next   *replWrite
+	done   func(*transport.Result)
+	submit func(*sim.Proc)
+}
+
+// getWrite pops a write record, making one (its replica writes and their
+// bound callbacks included) when the free list is empty.
+func (c *Cluster) getWrite() *writeOp {
+	w := c.freeWrites
+	if w == nil {
+		w = &writeOp{c: c, repl: make([]replWrite, c.opts.Replicas)}
+		for i := range w.repl {
+			w.repl[i].bind(c, w)
+		}
+		return w
+	}
+	c.freeWrites = w.next
+	w.next = nil
+	return w
+}
+
+// unref drops one reference; the last returns the record to the free
+// list.
+func (w *writeOp) unref() {
+	if w.refs--; w.refs > 0 {
+		return
+	}
+	w.st, w.io, w.out = nil, nil, nil
+	w.pending, w.acks, w.resolved = 0, 0, false
+	w.merged, w.errSt = transport.Result{}, nvme.StatusSuccess
+	w.next = w.c.freeWrites
+	w.c.freeWrites = w
 }
 
 // ack folds one successful replica completion in; the W-th ack commits
-// the version and resolves the caller's future.
+// the version, marks the extent in the stale index (the replicas still
+// short of the new version are stale now) and completes the caller's IO.
 func (w *writeOp) ack(r *transport.Result) {
 	w.pending--
 	w.acks++
@@ -446,6 +540,7 @@ func (w *writeOp) ack(r *transport.Result) {
 	w.resolved = true
 	if w.v > w.st.committed {
 		w.st.committed = w.v
+		w.c.markStale(w.st)
 	}
 	w.c.writes++
 	w.c.tel.Inc(telemetry.CtrReplWrites)
@@ -455,7 +550,7 @@ func (w *writeOp) ack(r *transport.Result) {
 	if other := res.Latency - res.IOTime - res.CommTime; other > 0 {
 		res.OtherTime = other
 	}
-	w.out.Resolve(&res)
+	w.io.Complete(w.out, res)
 }
 
 // fail folds one replica failure in; when quorum can no longer be
@@ -471,7 +566,7 @@ func (w *writeOp) fail(st nvme.Status) {
 	w.resolved = true
 	w.c.quorumFails++
 	w.c.tel.Inc(telemetry.CtrReplQuorumFails)
-	w.out.Resolve(&transport.Result{
+	w.io.Complete(w.out, transport.Result{
 		Status:  w.errSt,
 		Latency: w.c.e.Now().Sub(w.start),
 	})
@@ -484,16 +579,14 @@ func (w *writeOp) fail(st nvme.Status) {
 func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO, out *sim.Future[*transport.Result]) {
 	st := c.extent(c.extentFor(io.Offset))
 	st.ver++
-	v := st.ver
 	if end := int(io.Offset + int64(io.Size) - st.idx*c.opts.ExtentSize); end > st.size {
 		st.size = end
 	}
-	w := &writeOp{
-		c: c, st: st, v: v,
-		out:    out,
-		start:  p.Now(),
-		needed: c.opts.WriteQuorum,
-	}
+	w := c.getWrite()
+	w.st, w.v, w.io, w.out = st, st.ver, io, out
+	w.start = p.Now()
+	w.needed = c.opts.WriteQuorum
+	w.refs = 1
 	issued := 0
 	first := true
 	for ri := range st.repl {
@@ -505,62 +598,98 @@ func (c *Cluster) submitWrite(p *sim.Proc, io *transport.IO, out *sim.Future[*tr
 		// Only the first replica copy is QoS-chargeable: a quorum write
 		// debits the tenant's budget once, the fan-out copies ride exempt
 		// but stay attributed for per-tenant telemetry.
-		wio := &transport.IO{
+		rw := &w.repl[ri]
+		rw.io = transport.IO{
 			Write: true, NSID: io.NSID, Offset: io.Offset, Size: io.Size,
 			Data: io.Data, NoFill: !first || io.NoFill,
 			Tenant: io.Tenant, QoSExempt: !first || io.QoSExempt,
 		}
+		rw.rs, rw.ms, rw.gen = rs, ms, c.seats[rs.seat].gen
 		first = false
 		issued++
 		w.pending++
+		w.refs++
 		c.tel.Inc(telemetry.CtrReplReplicaWrites)
-		c.replicaWrite(p, st, ri, ms, wio, v, w)
+		c.chainSubmit(p, rw)
 	}
 	if issued < len(st.repl) {
 		c.degradedIOs++
 		c.tel.Inc(telemetry.CtrReplDegraded)
 	}
-	if issued < w.needed {
+	if issued < w.needed && !w.resolved {
 		// Not enough live replicas to ever reach quorum: fail fast (the
 		// issued writes still complete in the background and record
 		// their acks for rebuild bookkeeping).
 		w.resolved = true
 		c.quorumFails++
 		c.tel.Inc(telemetry.CtrReplQuorumFails)
-		w.out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
+		io.Complete(out, transport.Result{Status: nvme.StatusNamespaceNotRdy})
 	}
+	w.unref()
 }
 
-// replicaWrite issues one replica's copy of write v through the
-// (extent, seat) chain and records the ack against the seat generation
-// it was issued under.
-func (c *Cluster) replicaWrite(p *sim.Proc, st *extentState, ri int, ms *memberState, io *transport.IO, v int64, w *writeOp) {
-	rs := &st.repl[ri]
-	gen := c.seats[rs.seat].gen
-	fut := c.chainSubmit(p, rs, ms.q, io)
-	fut.OnResolve(func(r *transport.Result) {
+// chainSubmit issues rw through its (extent, seat) chain: at once when
+// the replica's previous write has resolved, otherwise on the worker
+// process once it does. This prevents a quorum-overlapped later write
+// from passing an earlier one on the same replica queue. rw.done is
+// registered after the submission, as a caller of transport.Submit
+// would register it.
+func (c *Cluster) chainSubmit(p *sim.Proc, rw *replWrite) {
+	rw.fut.Arm(c.e)
+	prev := rw.rs.chain
+	rw.rs.chain = rw
+	if prev == nil || prev.fut.Resolved() {
+		rw.send(p)
+	} else {
+		prev.next = rw
+	}
+	rw.fut.OnResolve(rw.done)
+}
+
+// bind makes rw a replica write of w (a rebuild copy when w is nil) and
+// binds its callbacks.
+func (rw *replWrite) bind(c *Cluster, w *writeOp) {
+	rw.c, rw.w = c, w
+	rw.done = rw.resolved
+	rw.submit = rw.send
+}
+
+// send stages rw on its member queue and rings that member at once.
+func (rw *replWrite) send(p *sim.Proc) { submitNow(p, rw.ms.q, &rw.io, &rw.fut) }
+
+// resolved completes one replica write, in the order the rest of the
+// router relies on: the chain forgets rw, a foreground write records the
+// ack (against the seat generation it was issued under: a promoted spare
+// restarts from a clean one) and re-wakes rebuild if the extent is left
+// stale, and only then is the chained successor deferred.
+func (rw *replWrite) resolved(r *transport.Result) {
+	c, rs, w := rw.c, rw.rs, rw.w
+	if rs.chain == rw {
+		rs.chain = nil
+	}
+	if w != nil {
 		if r.Status == nvme.StatusSuccess {
-			c.noteSuccess(ms)
-			// The ack only counts while the member still holds the seat
-			// it was written through; a promoted spare restarts from a
-			// clean generation.
-			if c.seats[rs.seat].gen == gen {
-				rs.gen = gen
-				if v > rs.acked {
-					rs.acked = v
+			c.noteSuccess(rw.ms)
+			if c.seats[rs.seat].gen == rw.gen {
+				rs.gen = rw.gen
+				if w.v > rs.acked {
+					rs.acked = w.v
 				}
 			}
-			if w != nil {
-				w.ack(r)
-			}
-			return
-		}
-		c.noteFailure(ms, r.Status)
-		if w != nil {
+			w.ack(r)
+		} else {
+			c.noteFailure(rw.ms, r.Status)
 			w.fail(r.Status)
 		}
-	})
-	fut.OnResolve(func(*transport.Result) { c.wakeIfStale(st) })
+		c.wakeIfStale(w.st)
+	}
+	if next := rw.next; next != nil {
+		rw.next = nil
+		c.defer_(next.submit)
+	}
+	if w != nil {
+		w.unref()
+	}
 }
 
 // wakeIfStale re-wakes the rebuild loop when a write resolution leaves
@@ -569,54 +698,58 @@ func (c *Cluster) replicaWrite(p *sim.Proc, st *extentState, ri int, ms *memberS
 // chained write, so the write's own completion must re-trigger the pass
 // that decides whether a copy is still needed.
 func (c *Cluster) wakeIfStale(st *extentState) {
-	if c.closing {
-		return
-	}
-	for ri := range st.repl {
-		if c.staleRepl(st, ri) {
-			c.dirty.Fire()
-			return
-		}
+	if !c.closing && c.anyStale(st) {
+		c.dirty.Fire()
 	}
 }
 
-// chainSubmit serializes submissions per (extent, seat): the new I/O is
-// issued immediately when the previous one has completed, otherwise it
-// is deferred to the worker process and issued on completion. This
-// prevents a quorum-overlapped later write from passing an earlier one
-// on the same replica queue.
-func (c *Cluster) chainSubmit(p *sim.Proc, rs *replState, q transport.Queue, io *transport.IO) *sim.Future[*transport.Result] {
-	out := sim.NewFuture[*transport.Result](c.e)
-	prev := rs.chain
-	rs.chain = out
-	if prev == nil || prev.Resolved() {
-		submitNow(p, q, io, out)
-		return out
-	}
-	prev.OnResolve(func(*transport.Result) {
-		c.defer_(func(dp *sim.Proc) { submitNow(dp, q, io, out) })
-	})
-	return out
-}
-
-// readOp tracks one replicated read across failover attempts.
+// readOp tracks one replicated read across failover attempts. Records
+// are recycled through the cluster's free list once the read resolves.
 type readOp struct {
 	c     *Cluster
 	st    *extentState
 	io    *transport.IO
 	out   *sim.Future[*transport.Result]
-	tried []bool
+	tried uint64       // replica indices already tried
+	ms    *memberState // occupant serving the current attempt
+	ri    int          // its replica index
+	fut   sim.Future[*transport.Result]
+	done  func(*transport.Result)
+	retry func(*sim.Proc)
+	next  *readOp // free list
+}
+
+// getRead pops a read record, making one (its callbacks bound) when the
+// free list is empty.
+func (c *Cluster) getRead() *readOp {
+	op := c.freeReads
+	if op == nil {
+		op = &readOp{c: c}
+		op.done = op.resolved
+		op.retry = op.resubmit
+		return op
+	}
+	c.freeReads = op.next
+	op.next = nil
+	return op
+}
+
+// put returns the record to the free list.
+func (op *readOp) put() {
+	op.st, op.io, op.out, op.ms = nil, nil, nil, nil
+	op.next = op.c.freeReads
+	op.c.freeReads = op
 }
 
 // pickReplica returns the next untried eligible replica for st, -1 when
 // none remain. Rotation spreads read load across the eligible set.
-func (c *Cluster) pickReplica(st *extentState, tried []bool) int {
+func (c *Cluster) pickReplica(st *extentState, tried uint64) int {
 	n := len(st.repl)
 	start := c.rr
 	c.rr++
 	for k := 0; k < n; k++ {
 		ri := (start + k) % n
-		if tried != nil && tried[ri] {
+		if tried&(1<<uint(ri)) != 0 {
 			continue
 		}
 		if c.eligible(st, ri) {
@@ -626,32 +759,38 @@ func (c *Cluster) pickReplica(st *extentState, tried []bool) int {
 	return -1
 }
 
-// attach wires the failover handler to one read attempt: a typed error
+// resolved is the failover handler of one read attempt: a typed error
 // marks the replica suspect and re-drives the read on the next eligible
 // one; running out of replicas surfaces the last error.
-func (op *readOp) attach(ri int, ms *memberState, fut *sim.Future[*transport.Result]) {
-	fut.OnResolve(func(r *transport.Result) {
-		if r.Status == nvme.StatusSuccess {
-			op.c.noteSuccess(ms)
-			op.c.reads++
-			op.c.tel.Inc(telemetry.CtrReplReads)
-			op.out.Resolve(r)
-			return
-		}
-		op.c.noteFailure(ms, r.Status)
-		op.tried[ri] = true
-		next := op.c.pickReplica(op.st, op.tried)
-		if next < 0 {
-			op.out.Resolve(r)
-			return
-		}
-		op.c.readFailovers++
-		op.c.tel.Inc(telemetry.CtrReplReadFailovers)
-		nm := op.c.occupant(op.st.repl[next].seat)
-		op.c.defer_(func(dp *sim.Proc) {
-			op.attach(next, nm, transport.Submit(dp, nm.q, op.io))
-		})
-	})
+func (op *readOp) resolved(r *transport.Result) {
+	c := op.c
+	if r.Status == nvme.StatusSuccess {
+		c.noteSuccess(op.ms)
+		c.reads++
+		c.tel.Inc(telemetry.CtrReplReads)
+		op.out.Resolve(r)
+		op.put()
+		return
+	}
+	c.noteFailure(op.ms, r.Status)
+	op.tried |= 1 << uint(op.ri)
+	next := c.pickReplica(op.st, op.tried)
+	if next < 0 {
+		op.out.Resolve(r)
+		op.put()
+		return
+	}
+	c.readFailovers++
+	c.tel.Inc(telemetry.CtrReplReadFailovers)
+	op.ri, op.ms = next, c.occupant(op.st.repl[next].seat)
+	c.defer_(op.retry)
+}
+
+// resubmit sends the read to the replica the failover picked.
+func (op *readOp) resubmit(p *sim.Proc) {
+	op.fut.Arm(op.c.e)
+	submitNow(p, op.ms.q, op.io, &op.fut)
+	op.fut.OnResolve(op.done)
 }
 
 // stageRead routes one extent-contained read to an up-to-date replica:
@@ -659,16 +798,18 @@ func (op *readOp) attach(ri int, ms *memberState, fut *sim.Future[*transport.Res
 // to ring (nil when no replica can serve the read; out is resolved then).
 func (c *Cluster) stageRead(p *sim.Proc, io *transport.IO, out *sim.Future[*transport.Result]) *memberState {
 	st := c.extent(c.extentFor(io.Offset))
-	ri := c.pickReplica(st, nil)
+	ri := c.pickReplica(st, 0)
 	if ri < 0 {
-		out.Resolve(&transport.Result{Status: nvme.StatusNamespaceNotRdy})
+		io.Complete(out, transport.Result{Status: nvme.StatusNamespaceNotRdy})
 		return nil
 	}
-	op := &readOp{c: c, st: st, io: io, out: out, tried: make([]bool, len(st.repl))}
-	ms := c.occupant(st.repl[ri].seat)
-	fut := sim.NewFuture[*transport.Result](c.e)
-	ms.q.SubmitInto(p, io, fut)
-	op.attach(ri, ms, fut)
+	op := c.getRead()
+	op.st, op.io, op.out, op.tried = st, io, out, 0
+	op.ri, op.ms = ri, c.occupant(st.repl[ri].seat)
+	op.fut.Arm(c.e)
+	op.ms.q.SubmitInto(p, io, &op.fut)
+	ms := op.ms // op may be recycled once the callback has run
+	op.fut.OnResolve(op.done)
 	return ms
 }
 
@@ -705,6 +846,7 @@ func (c *Cluster) noteSuccess(ms *memberState) {
 		return
 	}
 	ms.alive = true
+	c.staleAll = true // its replicas count again, stale ones included
 	c.replicaUps++
 	c.tel.Inc(telemetry.CtrReplicaUp)
 	c.tel.Trace(int64(c.e.Now()), telemetry.EvReplicaUp, 0, "", ms.name)
@@ -775,6 +917,7 @@ func (c *Cluster) declareDead(ms *memberState) {
 func (c *Cluster) installSeat(seat int, sp *memberState) {
 	c.seats[seat].member = sp.idx
 	c.seats[seat].gen++
+	c.staleAll = true // every replica on the seat is stale now
 	sp.seat = seat
 	c.kickRebuild(sp.name)
 }

@@ -60,6 +60,10 @@ func (q *fakeTarget) SubmitInto(p *sim.Proc, io *transport.IO, fut *sim.Future[*
 func (q *fakeTarget) RingDoorbell(*sim.Proc) {}
 func (q *fakeTarget) Close()                 {}
 
+// onRig, when set, sees every cluster rig builds (the stale-index
+// oracle watches the scenarios below through it).
+var onRig func(*Cluster)
+
 // rig builds a cluster over n fake targets with the given options.
 func rig(t *testing.T, e *sim.Engine, n int, capacity int, opts Options) (*Cluster, []*fakeTarget) {
 	t.Helper()
@@ -73,6 +77,9 @@ func rig(t *testing.T, e *sim.Engine, n int, capacity int, opts Options) (*Clust
 	c, err := New(e, members, opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
+	}
+	if onRig != nil {
+		onRig(c)
 	}
 	return c, fakes
 }
@@ -297,6 +304,11 @@ func TestRevivedMemberResumesSeatAndCatchesUp(t *testing.T) {
 		// Writes while member 1 is down: it misses these versions.
 		for i := 0; i < 8; i++ {
 			writeAt(i, byte(0x80+i))
+		}
+		// A dead member's replicas are no rebuild backlog: nothing can be
+		// copied to them until it serves its seat again.
+		if got := c.Stats().StaleExtents; got != 0 {
+			t.Fatalf("stale extents with member 1 dead = %d, want 0", got)
 		}
 		fakes[1].down = false
 		p.Sleep(5 * time.Millisecond) // revival + rebuild

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/telemetry"
@@ -12,7 +14,7 @@ import (
 // current seat generation — from an up-to-date survivor to the seat's
 // occupant. It runs as one engine daemon, woken whenever a replica is
 // declared dead, promoted, or revived, and sweeps passes over the
-// extent table until a full pass finds nothing stale. Copies ride the
+// stale index (below) until a pass copies nothing. Copies ride the
 // same per-(extent, seat) write chain as foreground writes, so a
 // rebuild copy can never overwrite a newer concurrent write.
 
@@ -54,6 +56,7 @@ func (c *Cluster) rebuildLoop(p *sim.Proc) {
 // has committed data its seat occupant (live, present) has not
 // acknowledged under the current generation.
 func (c *Cluster) staleRepl(st *extentState, ri int) bool {
+	c.staleChecks++
 	if st.committed == 0 {
 		return false
 	}
@@ -65,26 +68,90 @@ func (c *Cluster) staleRepl(st *extentState, ri int) bool {
 	return rs.gen != c.seats[rs.seat].gen || rs.acked < st.committed
 }
 
+// The stale index keeps rebuild passes from walking every extent ever
+// touched. Its invariant: every replica staleRepl reports is on an
+// extent whose bit is set, or staleAll is. Only three events make a
+// replica stale, and each marks: a quorum ack that advances committed
+// marks its extent (writeOp.ack), and a seat changing hands
+// (installSeat) or a member coming back to life (noteSuccess) sets
+// staleAll. A bit is cleared only by a visit that finds the extent
+// whole, so visiting set bits in position order visits the stale
+// replicas the full first-touch-order scan would, in the same order.
+
+// markStale sets st's bit in the stale index.
+func (c *Cluster) markStale(st *extentState) {
+	c.staleBits[st.pos>>6] |= 1 << uint(st.pos&63)
+}
+
+// clearStale clears st's bit in the stale index.
+func (c *Cluster) clearStale(st *extentState) {
+	c.staleBits[st.pos>>6] &^= 1 << uint(st.pos&63)
+}
+
+// nextStale returns the first position in [i, n) whose bit is set, -1
+// when there is none. A pending staleAll is spread over every bit first,
+// so a seat change in the middle of a pass reaches the positions ahead.
+func (c *Cluster) nextStale(i, n int) int {
+	if c.staleAll {
+		c.staleAll = false
+		for k := range c.staleBits {
+			c.staleBits[k] = ^uint64(0)
+		}
+	}
+	for i < n {
+		if word := c.staleBits[i>>6] >> uint(i&63); word != 0 {
+			if i += bits.TrailingZeros64(word); i < n {
+				return i
+			}
+			return -1
+		}
+		i = (i>>6 + 1) << 6
+	}
+	return -1
+}
+
+// visitStale calls fn on every stale replica, in first-touch order over
+// the extents that exist when it starts, and clears the bits of the
+// extents it finds whole. fn must not block.
+func (c *Cluster) visitStale(fn func(st *extentState, ri int)) {
+	n := len(c.extentList)
+	for i := c.nextStale(0, n); i >= 0; i = c.nextStale(i+1, n) {
+		st := c.extentList[i]
+		whole := true
+		for ri := range st.repl {
+			if c.staleRepl(st, ri) {
+				whole = false
+				fn(st, ri)
+			}
+		}
+		if whole {
+			c.clearStale(st)
+		}
+	}
+	if c.indexProbe != nil {
+		c.indexProbe()
+	}
+}
+
 // staleCount counts extent replicas still awaiting a copy.
 func (c *Cluster) staleCount() int {
 	n := 0
-	for _, st := range c.extentList {
-		for ri := range st.repl {
-			if c.staleRepl(st, ri) {
-				n++
-			}
-		}
-	}
+	c.visitStale(func(*extentState, int) { n++ })
 	return n
 }
 
-// rebuildPass sweeps the extent table once, copying every stale replica
+// rebuildPass visits the stale index once, copying every stale replica
 // it can, and returns the number of successful copies. Extent order is
 // the deterministic first-touch order, so rebuild schedules replay per
 // seed.
 func (c *Cluster) rebuildPass(p *sim.Proc) int {
+	if c.indexProbe != nil {
+		defer c.indexProbe()
+	}
 	copied := 0
-	for _, st := range c.extentList {
+	n := len(c.extentList)
+	for i := c.nextStale(0, n); i >= 0; i = c.nextStale(i+1, n) {
+		st := c.extentList[i]
 		for ri := range st.repl {
 			if c.closing {
 				return copied
@@ -96,8 +163,23 @@ func (c *Cluster) rebuildPass(p *sim.Proc) int {
 				copied++
 			}
 		}
+		// Copies block and the extent can change meanwhile, so it is
+		// judged whole afresh.
+		if !c.anyStale(st) {
+			c.clearStale(st)
+		}
 	}
 	return copied
+}
+
+// anyStale reports whether some replica of st is stale.
+func (c *Cluster) anyStale(st *extentState) bool {
+	for ri := range st.repl {
+		if c.staleRepl(st, ri) {
+			return true
+		}
+	}
+	return false
 }
 
 // rebuildExtent copies one extent from an eligible survivor to the
@@ -135,11 +217,14 @@ func (c *Cluster) rebuildExtent(p *sim.Proc, st *extentState, ri int) bool {
 	// Rebuild traffic is system-internal: never charged to any tenant's
 	// token budget (QoSExempt, and untenanted so it lands in the ambient
 	// per-queue attribution if the member queue carries one).
-	rio := &transport.IO{Offset: base, Size: size, QoSExempt: true}
+	rio := &c.rbRead
+	*rio = transport.IO{Offset: base, Size: size, QoSExempt: true}
 	if c.opts.RetainData {
 		rio.Data = make([]byte, size)
 	}
-	rr := transport.Submit(p, srcMS.q, rio).Wait(p)
+	c.rbReadFut.Arm(c.e)
+	submitNow(p, srcMS.q, rio, &c.rbReadFut)
+	rr := c.rbReadFut.Wait(p)
 	if rr.Status != nvme.StatusSuccess {
 		c.noteFailure(srcMS, rr.Status)
 		return false
@@ -157,13 +242,16 @@ func (c *Cluster) rebuildExtent(p *sim.Proc, st *extentState, ri int) bool {
 	// version while the ack bookkeeping still reports it present (a
 	// silent stale-read hole). The write's resolution re-wakes the
 	// rebuild loop, which re-copies only if still needed.
-	if dstRS.chain != nil && !dstRS.chain.Resolved() {
+	if dstRS.chain != nil && !dstRS.chain.fut.Resolved() {
 		return false
 	}
 	dstMS = c.occupant(dstRS.seat)
 	gen := c.seats[dstRS.seat].gen
-	wio := &transport.IO{Write: true, Offset: base, Size: size, Data: rio.Data, NoFill: true, QoSExempt: true}
-	wr := c.chainSubmit(p, dstRS, dstMS.q, wio).Wait(p)
+	cp := &c.rbCopy
+	cp.io = transport.IO{Write: true, Offset: base, Size: size, Data: rio.Data, NoFill: true, QoSExempt: true}
+	cp.rs, cp.ms = dstRS, dstMS
+	c.chainSubmit(p, cp)
+	wr := cp.fut.Wait(p)
 	if wr.Status != nvme.StatusSuccess {
 		c.noteFailure(dstMS, wr.Status)
 		return false

@@ -65,14 +65,10 @@ func (c *Cluster) Stats() Stats {
 		RebuildBytes:   c.rebuildBytes,
 	}
 	staleBySeat := make(map[int]int)
-	for _, st := range c.extentList {
-		for ri := range st.repl {
-			if c.staleRepl(st, ri) {
-				staleBySeat[st.repl[ri].seat]++
-				s.StaleExtents++
-			}
-		}
-	}
+	c.visitStale(func(st *extentState, ri int) {
+		staleBySeat[st.repl[ri].seat]++
+		s.StaleExtents++
+	})
 	for _, ms := range c.members {
 		m := MemberStats{Name: ms.name, Seat: ms.seat, Alive: ms.alive}
 		if ms.seat < 0 {

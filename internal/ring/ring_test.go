@@ -1,9 +1,11 @@
 package ring
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"nvmeoaf/internal/cluster"
 	"nvmeoaf/internal/nvme"
 	"nvmeoaf/internal/sim"
 	"nvmeoaf/internal/telemetry"
@@ -111,17 +113,18 @@ func TestRingRoundTrip(t *testing.T) {
 
 // TestRingHotPathZeroAlloc is the CI allocation gate required by the
 // ring contract: on the steady state, one full claim -> push -> submit
-// -> reap -> release cycle performs ZERO heap allocations — over a queue
-// and over a striped group of queues alike, since a group forwards each
-// unsplit entry, future and all, to the member owning its offset. The
-// stubs resolve synchronously so the measurement isolates the ring and
-// the composition above it (telemetry stays enabled — it is part of the
-// hot path).
+// -> reap -> release cycle performs ZERO heap allocations — over a queue,
+// over a striped group of queues, since a group forwards each unsplit
+// entry, future and all, to the member owning its offset, and over a
+// replicated namespace (R=3, W=2), whose router recycles its op records.
+// The stubs resolve synchronously so the measurement isolates the ring
+// and the composition above it (telemetry stays enabled — it is part of
+// the hot path).
 func TestRingHotPathZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		members int
-	}{{"queue", 1}, {"striped", 4}} {
+	}{{"queue", 1}, {"striped", 4}, {"replicated", 3}} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := sim.NewEngine(2)
 			stubs := make([]*stubQueue, tc.members)
@@ -131,11 +134,26 @@ func TestRingHotPathZeroAlloc(t *testing.T) {
 				members[i] = stubs[i]
 			}
 			q := members[0]
-			if tc.members > 1 {
+			var repl *cluster.Cluster
+			switch tc.name {
+			case "striped":
 				q = transport.NewStriped(4096, members...)
+			case "replicated":
+				cm := make([]cluster.Member, len(members))
+				for i, m := range members {
+					cm[i] = cluster.Member{Name: fmt.Sprintf("m%d", i), Queue: m}
+				}
+				var err error
+				if repl, err = cluster.New(e, cm, cluster.Options{Replicas: 3, WriteQuorum: 2, Telemetry: telemetry.New()}); err != nil {
+					t.Fatal(err)
+				}
+				q = repl
 			}
 			r := New(e, q, Config{SQSize: 16, BufSize: 4096, Telemetry: telemetry.New()})
 			e.Go("app", func(p *sim.Proc) {
+				if repl != nil {
+					defer repl.Close()
+				}
 				var cq [16]CQE
 				cycle := func(depth int) {
 					for i := 0; i < depth; i++ {
@@ -168,6 +186,13 @@ func TestRingHotPathZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, st := range stubs {
+				if repl != nil {
+					// Every replica takes every write: 8 per cycle.
+					if st.subs < 8*202 {
+						t.Errorf("member %d: %d entries, want every write's replica copy", i, st.subs)
+					}
+					continue
+				}
 				if st.subs == 0 || st.bells*16 != st.subs*tc.members {
 					t.Errorf("member %d: %d entries, %d doorbells; want an even share and one doorbell per train", i, st.subs, st.bells)
 				}

@@ -28,9 +28,6 @@ type Proc struct {
 	next     *Proc
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.engine }
 
