@@ -397,7 +397,7 @@ func Fig13(o Options) ([]Fig13Row, error) {
 // FormatFig13 renders the percentiles.
 func FormatFig13(rows []Fig13Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 13: tail latency, seq mixed 70:30 128K (QD128, 4 streams)\n")
+	fmt.Fprintf(&b, "Fig 13: tail latency, seq mixed 70:30 128K (QD4, 4 streams)\n")
 	fmt.Fprintf(&b, "  %-18s %9s %9s %10s %10s\n", "fabric", "avg_us", "p99_us", "p99.9_us", "p99.99_us")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-18s %9.1f %9.1f %10.1f %10.1f\n", r.Fabric, r.AvgUs, r.P99Us, r.P999Us, r.P9999Us)
