@@ -7,158 +7,67 @@
 //	figures -fig 2              # one figure
 //	figures -fig table1         # the testbed table
 //	figures -quick              # shorter measurement windows
+//	figures -json               # each row's labels, run document and point
+//
+// The exit status is 2 for an unknown figure or flag, 1 when a run fails,
+// and 0 otherwise.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"nvmeoaf/internal/figures"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: table1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, or all")
-	quick := flag.Bool("quick", false, "use short measurement windows")
-	seed := flag.Int64("seed", 42, "simulation seed")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run regenerates the figures args select and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: table1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, or all")
+	quick := fs.Bool("quick", false, "use short measurement windows")
+	seed := fs.Int64("seed", 42, "simulation seed")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	opts := figures.Defaults()
 	if *quick {
 		opts = figures.Quick()
 	}
 	opts.Seed = *seed
-
-	want := func(name string) bool {
-		return *fig == "all" || *fig == name
+	figs, err := figures.Select(figures.Table(opts), *fig)
+	if err != nil {
+		fmt.Fprintln(stderr, "figures:", err)
+		return 2
 	}
-	ran := false
-	fail := func(name string, err error) {
-		fmt.Fprintf(os.Stderr, "figures: %s: %v\n", name, err)
-		os.Exit(1)
-	}
-	jsonOut := map[string]interface{}{}
-	emit := func(name, text string, data interface{}) {
-		if *asJSON {
-			jsonOut[name] = data
-			return
+	runner := figures.NewRunner()
+	for i := range figs {
+		if err := runner.Run(&figs[i]); err != nil {
+			fmt.Fprintf(stderr, "figures: fig %s: %v\n", figs[i].Names[0], err)
+			return 1
 		}
-		fmt.Println(text)
-	}
-
-	if want("table1") {
-		ran = true
-		emit("table1", figures.Table1(), figures.Table1())
-	}
-	if want("2") || want("3") {
-		ran = true
-		rows, err := figures.Fig2(opts)
-		if err != nil {
-			fail("fig2", err)
+		if !*asJSON {
+			fmt.Fprintln(stdout, figures.Format(figs[i]))
 		}
-		emit("fig2", figures.FormatMicroRows(
-			"Fig 2+3: existing NVMe-oF transports, 4 clients x 4 SSDs (QD128); comm/io/other columns are the Fig 3 breakdown", rows), rows)
-	}
-	if want("8") {
-		ran = true
-		rows, err := figures.Fig8(opts)
-		if err != nil {
-			fail("fig8", err)
-		}
-		emit("fig8", figures.FormatFig8(rows), rows)
-	}
-	if want("9") {
-		ran = true
-		rows, err := figures.Fig9(opts)
-		if err != nil {
-			fail("fig9", err)
-		}
-		emit("fig9", figures.FormatFig9(rows), rows)
-	}
-	if want("10") {
-		ran = true
-		rows, err := figures.Fig10(opts)
-		if err != nil {
-			fail("fig10", err)
-		}
-		emit("fig10", figures.FormatFig10(rows), rows)
-	}
-	if want("11") || want("12") {
-		ran = true
-		rows, err := figures.Fig11(opts)
-		if err != nil {
-			fail("fig11", err)
-		}
-		emit("fig11", figures.FormatMicroRows(
-			"Fig 11+12: NVMe-oAF vs existing transports, 4 clients x 4 SSDs (QD128); comm/io/other columns are the Fig 12 breakdown", rows), rows)
-	}
-	if want("13") {
-		ran = true
-		rows, err := figures.Fig13(opts)
-		if err != nil {
-			fail("fig13", err)
-		}
-		emit("fig13", figures.FormatFig13(rows), rows)
-	}
-	if want("14") {
-		ran = true
-		rows, err := figures.Fig14(opts)
-		if err != nil {
-			fail("fig14", err)
-		}
-		emit("fig14", figures.FormatFig14(rows), rows)
-	}
-	if want("15") {
-		ran = true
-		rows, err := figures.Fig15(opts)
-		if err != nil {
-			fail("fig15", err)
-		}
-		emit("fig15", figures.FormatFig15(rows), rows)
-	}
-	if want("16") {
-		ran = true
-		rows, err := figures.Fig16(opts)
-		if err != nil {
-			fail("fig16", err)
-		}
-		emit("fig16", figures.FormatH5("Fig 16: h5bench config-1 (1 dataset x 16M particles)", rows), rows)
-	}
-	if want("17") {
-		ran = true
-		rows, err := figures.Fig17(opts)
-		if err != nil {
-			fail("fig17", err)
-		}
-		emit("fig17", figures.FormatH5("Fig 17: h5bench config-2 (8 datasets x 8M particles)", rows), rows)
-	}
-	if want("18") {
-		ran = true
-		rows, err := figures.Fig18(opts)
-		if err != nil {
-			fail("fig18", err)
-		}
-		emit("fig18", figures.FormatScale("Fig 18: scale-out case-1 (clients on one node, remote SSDs)", rows), rows)
-	}
-	if want("19") {
-		ran = true
-		rows, err := figures.Fig19(opts)
-		if err != nil {
-			fail("fig19", err)
-		}
-		emit("fig19", figures.FormatScale("Fig 19: scale-out case-2 (co-located clients and SSDs)", rows), rows)
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "figures: unknown figure %q (try: table1, 2, 8..19, all)\n", *fig)
-		os.Exit(2)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonOut); err != nil {
-			fail("json", err)
+		if err := enc.Encode(figs); err != nil {
+			fmt.Fprintln(stderr, "figures:", err)
+			return 1
 		}
 	}
+	return 0
 }

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"nvmeoaf/internal/cache"
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
+	"nvmeoaf/internal/exp"
+	"nvmeoaf/internal/figures"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/qos"
 )
@@ -147,5 +151,73 @@ func TestSpanReachesTheRun(t *testing.T) {
 	}
 	if whole, one := perf(""), perf(`, "Span": 4096`); whole == one {
 		t.Fatalf("Span 4096 left the perf section unchanged: %s", one)
+	}
+}
+
+// TestFigureRowsDecodeUnchanged: every exp.Config row document of the
+// figure table survives JSON encoding and this command's decode
+// unchanged, so oafperf given a row's document runs exactly that row,
+// and it already names the kind and design that run.
+func TestFigureRowsDecodeUnchanged(t *testing.T) {
+	rows := 0
+	for _, f := range figures.Table(figures.Quick()) {
+		for _, r := range f.Rows {
+			cfg, ok := r.Doc.(exp.Config)
+			if !ok {
+				continue
+			}
+			rows++
+			if k, d := dial.Defaults(cfg.Kind, cfg.Design); k != cfg.Kind || d != cfg.Design {
+				t.Errorf("Fig %s %v: the document says %s/%s, the run is %s/%s", f.Names[0], r.Labels, cfg.Kind, cfg.Design, k, d)
+			}
+			doc, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := decode(string(doc))
+			if err != nil || !reflect.DeepEqual(got, cfg) {
+				t.Errorf("Fig %s %v: %s decoded to %+v (%v)", f.Names[0], r.Labels, doc, got, err)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("the figure table has no exp.Config rows")
+	}
+}
+
+// TestFigureRowMatchesFigurePoint: Fig 8's shm-0-copy row run through
+// oafperf reports the GB/s and p99.99 of its figure point.
+func TestFigureRowMatchesFigurePoint(t *testing.T) {
+	figs, err := figures.Select(figures.Table(figures.Quick()), "8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	for _, r := range figs[0].Rows {
+		if r.Labels[0] == "shm-0-copy" {
+			doc = r.Doc
+		}
+	}
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{string(b)}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	var rep struct {
+		Perf summary `json:"perf"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	p, err := figures.NewRunner().Point(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Perf.GBps != p.GBps || rep.Perf.P9999Us != p.P9999Us {
+		t.Fatalf("oafperf: %.3f GB/s, p99.99 %.1f us; figure point: %.3f GB/s, p99.99 %.1f us",
+			rep.Perf.GBps, rep.Perf.P9999Us, p.GBps, p.P9999Us)
 	}
 }

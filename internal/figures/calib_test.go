@@ -1,58 +1,24 @@
 package figures
 
-// Calibration probes: run each remaining figure with quick options and
-// log the series so shapes can be compared against the paper. The real
-// shape assertions live in figures_test.go.
+// Calibration probes: log each figure's quick-window series so shapes
+// can be compared against the paper. The real shape assertions live in
+// figures_test.go, whose points the shared runner reuses here.
 
 import "testing"
 
-func TestCalibFig8(t *testing.T) {
-	rows, err := Fig8(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFig8(rows))
-}
+func TestCalibFig8(t *testing.T) { t.Log("\n" + Format(figure(t, "8"))) }
 
-func TestCalibFig9(t *testing.T) {
-	rows, err := Fig9(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFig9(rows))
-}
+func TestCalibFig9(t *testing.T) { t.Log("\n" + Format(figure(t, "9"))) }
 
-func TestCalibFig10(t *testing.T) {
-	rows, err := Fig10(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFig10(rows))
-}
+func TestCalibFig10(t *testing.T) { t.Log("\n" + Format(figure(t, "10"))) }
 
-func TestCalibFig13(t *testing.T) {
-	rows, err := Fig13(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFig13(rows))
-}
+func TestCalibFig13(t *testing.T) { t.Log("\n" + Format(figure(t, "13"))) }
 
 func TestCalibFig14(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep; run without -short for the full shape check")
 	}
-	rows, err := Fig14(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFig14(rows))
+	t.Log("\n" + Format(figure(t, "14")))
 }
 
-func TestCalibFig15(t *testing.T) {
-	rows, err := Fig15(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + FormatFig15(rows))
-}
+func TestCalibFig15(t *testing.T) { t.Log("\n" + Format(figure(t, "15"))) }

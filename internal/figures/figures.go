@@ -1,17 +1,23 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation (§3 and §5). Each FigNN function runs the corresponding
-// experiment configuration on the simulated testbed and returns structured
-// series; String renders the rows the paper plots. cmd/figures prints
-// them, bench_test.go wraps them as benchmarks, and the shape tests in
-// this package assert the paper's headline ratios.
+// evaluation (§3 and §5). Table lists them: a figure is a title, its
+// columns and its rows, and each row is its label cells plus one complete
+// run document (an exp.Config, an exp.H5Config or a Scale). A Runner runs
+// each distinct document once and fills the row's Point; Format prints
+// the series the paper plots. cmd/figures prints them, and the shape
+// tests in this package assert the paper's headline ratios.
 package figures
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"nvmeoaf/internal/core"
+	"nvmeoaf/internal/dial"
 	"nvmeoaf/internal/exp"
 	"nvmeoaf/internal/h5bench"
 	"nvmeoaf/internal/model"
@@ -39,58 +45,53 @@ func Quick() Options {
 	return Options{Duration: 250 * time.Millisecond, Warmup: 50 * time.Millisecond, Seed: 42}
 }
 
-// micro runs one microbenchmark configuration.
-func (o Options) micro(kind exp.Kind, streams int, w perf.Workload, mut func(*exp.Config)) (*exp.Result, error) {
-	w.Duration = o.Duration
-	w.Warmup = o.Warmup
-	cfg := exp.Config{Kind: kind, Streams: streams, Workload: w, Seed: o.Seed}
-	if mut != nil {
-		mut(&cfg)
-	}
-	return exp.Run(cfg)
+// Figure is one table or figure of the paper: the names it answers to
+// (Fig 3 prints with Fig 2's rows, Fig 12 with Fig 11's), its title, and
+// its columns and rows. Table 1 is a title alone.
+type Figure struct {
+	Names []string
+	Title string
+	Cols  []Column `json:"-"`
+	Rows  []Row
 }
 
-// MicroRow is one (fabric, workload) measurement.
-type MicroRow struct {
-	Fabric  exp.Kind
-	Op      string // "read" or "write"
-	IOSize  int
-	GBps    float64
-	AvgUs   float64
-	IOUs    float64 // device component
-	CommUs  float64 // fabric component
-	OtherUs float64 // preparation/processing component
-	P99Us   float64
-	P999Us  float64
-	P9999Us float64
+// Column is one printed column: the row's next label when Field is
+// empty, else the Point field Field printed with Verb. A negative Width
+// left-aligns.
+type Column struct {
+	Head  string
+	Width int
+	Field string
+	Verb  string
 }
 
-func rowFrom(kind exp.Kind, op string, size int, res *exp.Result) MicroRow {
-	return MicroRow{
-		Fabric: kind, Op: op, IOSize: size,
-		GBps:    res.Agg.Throughput.GBps(),
-		AvgUs:   res.Agg.BD.MeanTotal(),
-		IOUs:    res.Agg.BD.MeanIO(),
-		CommUs:  res.Agg.BD.MeanComm(),
-		OtherUs: res.Agg.BD.MeanOther(),
-		P99Us:   float64(res.Agg.Latency.P99()) / 1e3,
-		P999Us:  float64(res.Agg.Latency.P999()) / 1e3,
-		P9999Us: float64(res.Agg.Latency.P9999()) / 1e3,
-	}
+// Row is one data point: its label cells, the document that measures it
+// (exp.Config, exp.H5Config or Scale), and the Point a Runner fills in.
+type Row struct {
+	Labels []string
+	Doc    any
+	Point  Point
 }
 
-// seqWorkload builds a sequential workload.
-func seqWorkload(readPct, size, qd int) perf.Workload {
-	return perf.Workload{Seq: true, ReadPct: readPct, IOSize: size, QueueDepth: qd}
+// Scale is the document of a Fig 18/19 point: four h5bench kernels in
+// the Case topology, SHMKernels of them over the shared-memory channel.
+type Scale struct {
+	Case       exp.ScaleCase
+	SHMKernels int
+	Seed       int64
 }
 
-// randWorkload builds a random workload.
-func randWorkload(readPct, size, qd int) perf.Workload {
-	return perf.Workload{Seq: false, ReadPct: readPct, IOSize: size, QueueDepth: qd}
+// Point is what one run measured. A microbenchmark fills the bandwidth,
+// the paper's latency breakdown (io/comm/other), the tail percentiles and
+// the target pool memory; an h5bench or scale-out run fills the kernel
+// bandwidths.
+type Point struct {
+	GBps                         float64
+	AvgUs, IOUs, CommUs, OtherUs float64
+	P99Us, P999Us, P9999Us       float64
+	PoolMB                       float64
+	WriteGBps, ReadGBps          float64
 }
-
-// ------------------------------------------------------------------
-// Table 1 — experiment configuration.
 
 // Table1 renders the simulated testbed inventory, the counterpart of the
 // paper's hardware table.
@@ -114,73 +115,170 @@ func Table1() string {
 	shm := model.DefaultSHM()
 	fmt.Fprintf(&b, "  %-22s memcpy %.1f GB/s, slot overhead %v, lock hold %v\n",
 		"ivshmem region", shm.CopyBytesPerSec/1e9, shm.SlotOverhead, shm.LockHold)
-	fmt.Fprintf(&b, "  %-22s QD 128, 1 client per SSD, 4 KB .. 2 MB I/O\n", "workloads")
+	fmt.Fprintf(&b, "  %-22s QD 128, 1 client per SSD, 4 KB .. 2 MB I/O", "workloads")
 	return b.String()
 }
 
-// ------------------------------------------------------------------
-// Figures 2 & 3 — existing transports: bandwidth, latency, breakdown.
+// The sweep axes of Figs 9, 10, 14 and 15.
+var (
+	fig9Chunks  = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20}
+	fig9IOSizes = []int{64 << 10, 512 << 10, 2 << 20}
+	fig10Polls  = []time.Duration{0, 25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond}
+	fig14QDs    = []int{1, 2, 4, 8, 16, 32, 64, 128}
+	fig15Mixes  = []int{95, 50, 5}
+)
 
-// Fig2Fabrics lists the transports of the characterization study.
-var Fig2Fabrics = []exp.Kind{exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56}
+// Table returns every table and figure in print order, with each row's
+// document measured over o's window and seed.
+func Table(o Options) []Figure {
+	gbps := Column{"GB/s", 9, "GBps", ".3f"}
+	us := func(head string, width int, field string) Column { return Column{head, width, field, ".1f"} }
+	micro := []Column{{Head: "fabric", Width: -11}, {Head: "op", Width: -5}, {Head: "size", Width: 7}, gbps,
+		us("avg_us", 9, "AvgUs"), us("io_us", 9, "IOUs"), us("comm_us", 9, "CommUs"),
+		us("other_us", 9, "OtherUs"), us("p99.99_us", 10, "P9999Us")}
+	h5 := []Column{{Head: "backend", Width: -14}, {"write_GB/s", 10, "WriteGBps", ".3f"}, {"read_GB/s", 10, "ReadGBps", ".3f"}}
+	scale := append([]Column{{Head: "SHM%", Width: -8}}, h5[1:]...)
 
-// Fig2 measures bandwidth and average latency of the existing NVMe-oF
-// transports: 4 clients to 4 SSDs, sequential read and write, 4 KB and
-// 128 KB (Fig 2), with the latency decomposition of Fig 3 carried in the
-// same rows.
-func Fig2(o Options) ([]MicroRow, error) {
-	var rows []MicroRow
-	for _, size := range []int{4 << 10, 128 << 10} {
-		for _, op := range []string{"read", "write"} {
-			readPct := 100
-			if op == "write" {
-				readPct = 0
-			}
-			for _, kind := range Fig2Fabrics {
-				res, err := o.micro(kind, 4, seqWorkload(readPct, size, 128), nil)
-				if err != nil {
-					return nil, err
+	row := func(doc any, labels ...string) Row { return Row{Labels: labels, Doc: doc} }
+	// Figs 2 and 11: 4 clients to 4 SSDs, sequential read and write, 4 KB
+	// and 128 KB; the latency split is Fig 3's and Fig 12's breakdown.
+	readPct := map[string]int{"read": 100, "write": 0}
+	microRows := func(kinds ...exp.Kind) (rows []Row) {
+		for _, size := range []int{4 << 10, 128 << 10} {
+			for _, op := range []string{"read", "write"} {
+				for _, kind := range kinds {
+					rows = append(rows, row(o.config(kind, 4, workload(true, readPct[op], size, 128)), string(kind), op, sizeLabel(size)))
 				}
-				rows = append(rows, rowFrom(kind, op, size, res))
 			}
 		}
+		return rows
 	}
-	return rows, nil
-}
 
-// Fig11 repeats Fig 2 with NVMe-oAF included: the overall-benefit figure.
-func Fig11(o Options) ([]MicroRow, error) {
-	fabrics := append(append([]exp.Kind{}, Fig2Fabrics...), exp.OAF)
-	var rows []MicroRow
-	for _, size := range []int{4 << 10, 128 << 10} {
-		for _, op := range []string{"read", "write"} {
-			readPct := 100
-			if op == "write" {
-				readPct = 0
-			}
-			for _, kind := range fabrics {
-				res, err := o.micro(kind, 4, seqWorkload(readPct, size, 128), nil)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, rowFrom(kind, op, size, res))
-			}
+	// Fig 8: the sequential-read 512 KB single-stream ablation over the
+	// four successive shared-memory designs, after the NVMe/TCP-25G
+	// reference the paper compares the baseline against.
+	fig8 := []Row{row(o.config(exp.TCP25G, 1, workload(true, 100, 512<<10, 128)), "tcp-25g(ref)")}
+	for _, d := range []core.Design{core.DesignSHMBaseline, core.DesignSHMLockFree, core.DesignSHMFlowCtl, core.DesignSHMZeroCopy} {
+		c := o.config(exp.OAF, 1, workload(true, 100, 512<<10, 128))
+		c.Design = d
+		fig8 = append(fig8, row(c, d.String()))
+	}
+
+	// Fig 9: the NVMe/TCP application-level chunk size for random reads
+	// over 25 GbE, with the target buffer-pool memory it costs.
+	var fig9 []Row
+	for _, chunk := range fig9Chunks {
+		for _, size := range fig9IOSizes {
+			c := o.config(exp.TCP25G, 1, workload(false, 100, size, 64))
+			c.TP = model.DefaultTCPTransport()
+			c.TP.ChunkSize = chunk
+			fig9 = append(fig9, row(c, sizeLabel(chunk), sizeLabel(size)))
 		}
 	}
-	return rows, nil
+
+	// Fig 10: the socket busy-poll budget for sequential 128 KB streams
+	// over 10 GbE. The queue depth is chosen per workload so the polling
+	// effects are not masked by wire saturation: writes run at QD8 (R2T
+	// round trips dominate), reads at QD4 (the wire saturates above that
+	// and flattens every budget).
+	var fig10 []Row
+	for _, w := range []struct {
+		name        string
+		readPct, qd int
+	}{{"seq-write", 0, 8}, {"seq-read", 100, 4}} {
+		for _, poll := range fig10Polls {
+			c := o.config(exp.TCP10G, 4, workload(true, w.readPct, 128<<10, w.qd))
+			c.TP = model.DefaultTCPTransport()
+			c.TP.BusyPoll = poll
+			fig10 = append(fig10, row(c, w.name, pollLabel(poll)))
+		}
+	}
+
+	// Fig 13: tail latency of the sequential mixed 70:30 128 KB workload,
+	// plus the long-run RDMA variant (3x the window) showing registration
+	// events diluting out of the tail (§5.4). No warmup is excluded (the
+	// tail of short-running applications is what the experiment studies),
+	// and the queue depth is moderate so service latency, not queueing,
+	// dominates.
+	short := o
+	short.Warmup = 0
+	long := short
+	long.Duration *= 3
+	var fig13 []Row
+	for _, kind := range []exp.Kind{exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56, exp.OAF} {
+		fig13 = append(fig13, row(short.config(kind, 4, workload(true, 70, 128<<10, 4)), string(kind)))
+	}
+	fig13 = append(fig13, row(long.config(exp.RDMA56, 4, workload(true, 70, 128<<10, 4)), "rdma-ib56(3x run)"))
+
+	// Fig 14: queue depth for one 128 KB sequential read stream on one
+	// SSD; Fig 15: random 512 KB workloads of three read:write mixes.
+	var fig14, fig15 []Row
+	for _, kind := range []exp.Kind{exp.TCP25G, exp.TCP100G, exp.RoCE100, exp.OAF} {
+		for _, qd := range fig14QDs {
+			fig14 = append(fig14, row(o.config(kind, 1, workload(true, 100, 128<<10, qd)), string(kind), strconv.Itoa(qd)))
+		}
+	}
+	for _, kind := range []exp.Kind{exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56, exp.RoCE100, exp.OAF} {
+		for _, mix := range fig15Mixes {
+			fig15 = append(fig15, row(o.config(kind, 1, workload(false, mix, 512<<10, 128)), string(kind), strconv.Itoa(mix)))
+		}
+	}
+
+	// Figs 16 and 17: h5bench over oAF and NFS; Figs 18 and 19: the
+	// scale-out shared-memory fraction sweeps.
+	h5Rows := func(kernel h5bench.Config, backends ...exp.H5Backend) (rows []Row) {
+		for _, b := range backends {
+			rows = append(rows, row(exp.H5Config{Backend: b, Kernel: kernel, Seed: o.Seed}, string(b)))
+		}
+		return rows
+	}
+	scaleRows := func(c exp.ScaleCase, maxSHM int) (rows []Row) {
+		for n := 0; n <= maxSHM; n++ {
+			rows = append(rows, row(Scale{c, n, o.Seed}, strconv.Itoa(n*25)))
+		}
+		return rows
+	}
+
+	return []Figure{
+		{Names: []string{"table1"}, Title: Table1()},
+		{[]string{"2", "3"}, "Fig 2+3: existing NVMe-oF transports, 4 clients x 4 SSDs (QD128); comm/io/other columns are the Fig 3 breakdown",
+			micro, microRows(exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56)},
+		{[]string{"8"}, "Fig 8: NVMe-oSHM design ablation (seq read 512K, 1 stream, QD128)",
+			[]Column{{Head: "design", Width: -14}, gbps, us("p99.99_us", 12, "P9999Us")}, fig8},
+		{[]string{"9"}, "Fig 9: chunk-size sweep, rand read over TCP-25G (QD64)",
+			[]Column{{Head: "chunk", Width: -7}, {Head: "iosize", Width: -7}, gbps, us("pool_MB", 9, "PoolMB")}, fig9},
+		{[]string{"10"}, "Fig 10: busy-poll sweep, seq 128K over TCP-10G (4 streams; QD8 writes, QD4 reads)",
+			[]Column{{Head: "workload", Width: -10}, {Head: "poll", Width: -10}, gbps}, fig10},
+		{[]string{"11", "12"}, "Fig 11+12: NVMe-oAF vs existing transports, 4 clients x 4 SSDs (QD128); comm/io/other columns are the Fig 12 breakdown",
+			micro, microRows(exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56, exp.OAF)},
+		{[]string{"13"}, "Fig 13: tail latency, seq mixed 70:30 128K (QD4, 4 streams)",
+			[]Column{{Head: "fabric", Width: -18}, us("avg_us", 9, "AvgUs"), us("p99_us", 9, "P99Us"),
+				us("p99.9_us", 10, "P999Us"), us("p99.99_us", 10, "P9999Us")}, fig13},
+		{[]string{"14"}, "Fig 14: concurrency, seq read 128K on one SSD",
+			[]Column{{Head: "fabric", Width: -11}, {Head: "qd", Width: 5}, gbps}, fig14},
+		{[]string{"15"}, "Fig 15: random mixed workloads, 512K, 1 stream (QD128)",
+			[]Column{{Head: "fabric", Width: -11}, {Head: "read%", Width: 8}, gbps}, fig15},
+		{[]string{"16"}, "Fig 16: h5bench config-1 (1 dataset x 16M particles)",
+			h5, h5Rows(h5bench.Config1(), exp.H5OAF, exp.H5NFS)},
+		{[]string{"17"}, "Fig 17: h5bench config-2 (8 datasets x 8M particles)",
+			h5, h5Rows(h5bench.Config2(), exp.H5OAF, exp.H5NFS, exp.H5OAFCoalesce)},
+		{[]string{"18"}, "Fig 18: scale-out case-1 (clients on one node, remote SSDs)", scale, scaleRows(exp.Case1, 3)},
+		{[]string{"19"}, "Fig 19: scale-out case-2 (co-located clients and SSDs)", scale, scaleRows(exp.Case2, 4)},
+	}
 }
 
-// FormatMicroRows renders rows as a table.
-func FormatMicroRows(title string, rows []MicroRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-11s %-5s %7s %9s %9s %9s %9s %9s %10s\n",
-		"fabric", "op", "size", "GB/s", "avg_us", "io_us", "comm_us", "other_us", "p99.99_us")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-11s %-5s %7s %9.3f %9.1f %9.1f %9.1f %9.1f %10.1f\n",
-			r.Fabric, r.Op, sizeLabel(r.IOSize), r.GBps, r.AvgUs, r.IOUs, r.CommUs, r.OtherUs, r.P9999Us)
-	}
-	return b.String()
+// config is a microbenchmark row's document: w over o's window. It
+// applies the zero-value rules, so the document names the design that
+// runs.
+func (o Options) config(kind exp.Kind, streams int, w perf.Workload) exp.Config {
+	w.Duration, w.Warmup = o.Duration, o.Warmup
+	c := exp.Config{Kind: kind, Streams: streams, Workload: w, Seed: o.Seed}
+	c.Kind, c.Design = dial.Defaults(c.Kind, c.Design)
+	return c
+}
+
+func workload(seq bool, readPct, size, qd int) perf.Workload {
+	return perf.Workload{Seq: seq, ReadPct: readPct, IOSize: size, QueueDepth: qd}
 }
 
 func sizeLabel(n int) string {
@@ -194,387 +292,109 @@ func sizeLabel(n int) string {
 	}
 }
 
-// ------------------------------------------------------------------
-// Figure 8 — the NVMe-oSHM design ablation.
-
-// Fig8Row is one design's bandwidth and tail latency.
-type Fig8Row struct {
-	Design  string
-	GBps    float64
-	P9999Us float64
+func pollLabel(d time.Duration) string {
+	if d == 0 {
+		return "interrupt"
+	}
+	return d.String()
 }
 
-// Fig8 runs the sequential-read 512 KB single-stream ablation over the
-// four successive shared-memory designs, plus the NVMe/TCP-25G reference
-// the paper compares the baseline against.
-func Fig8(o Options) ([]Fig8Row, error) {
-	var rows []Fig8Row
-	ref, err := o.micro(exp.TCP25G, 1, seqWorkload(100, 512<<10, 128), nil)
+// Select returns the figure that answers to name, or every figure for
+// "all".
+func Select(figs []Figure, name string) ([]Figure, error) {
+	if name == "all" {
+		return figs, nil
+	}
+	for _, f := range figs {
+		if slices.Contains(f.Names, name) {
+			return []Figure{f}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown figure %q (try: table1, 2, 3, 8..19, all)", name)
+}
+
+// Runner runs row documents, each distinct one once: a figure that
+// repeats another's rows (Fig 11 holds Fig 2's) reuses their points. It
+// is not safe for concurrent use.
+type Runner struct{ done map[string]Point }
+
+// NewRunner returns a runner that has run nothing.
+func NewRunner() *Runner { return &Runner{done: map[string]Point{}} }
+
+// Run fills the Point of every row of f.
+func (r *Runner) Run(f *Figure) error {
+	for i := range f.Rows {
+		p, err := r.Point(f.Rows[i].Doc)
+		if err != nil {
+			return fmt.Errorf("%s: %w", strings.Join(f.Rows[i].Labels, "/"), err)
+		}
+		f.Rows[i].Point = p
+	}
+	return nil
+}
+
+// Point runs doc, an exp.Config, exp.H5Config or Scale, unless this
+// runner has run one with the same type and JSON.
+func (r *Runner) Point(doc any) (Point, error) {
+	b, err := json.Marshal(doc)
 	if err != nil {
-		return nil, err
+		return Point{}, fmt.Errorf("figures: encode a %T document: %w", doc, err)
 	}
-	rows = append(rows, Fig8Row{Design: "tcp-25g(ref)", GBps: ref.Agg.Throughput.GBps(),
-		P9999Us: float64(ref.Agg.Latency.P9999()) / 1e3})
-	for _, d := range []core.Design{core.DesignSHMBaseline, core.DesignSHMLockFree, core.DesignSHMFlowCtl, core.DesignSHMZeroCopy} {
-		d := d
-		res, err := o.micro(exp.OAF, 1, seqWorkload(100, 512<<10, 128), func(c *exp.Config) { c.Design = d })
-		if err != nil {
-			return nil, err
+	key := fmt.Sprintf("%T%s", doc, b)
+	if p, ok := r.done[key]; ok {
+		return p, nil
+	}
+	var p Point
+	switch d := doc.(type) {
+	case exp.Config:
+		var res *exp.Result
+		if res, err = exp.Run(d); err == nil {
+			a, us := res.Agg, func(ns int64) float64 { return float64(ns) / 1e3 }
+			p = Point{GBps: a.Throughput.GBps(),
+				AvgUs: a.BD.MeanTotal(), IOUs: a.BD.MeanIO(), CommUs: a.BD.MeanComm(), OtherUs: a.BD.MeanOther(),
+				P99Us: us(a.Latency.P99()), P999Us: us(a.Latency.P999()), P9999Us: us(a.Latency.P9999()),
+				PoolMB: float64(res.PoolFootprint) / 1e6}
 		}
-		rows = append(rows, Fig8Row{Design: d.String(), GBps: res.Agg.Throughput.GBps(),
-			P9999Us: float64(res.Agg.Latency.P9999()) / 1e3})
+	case exp.H5Config:
+		var res exp.H5Result
+		if res, err = exp.RunH5(d); err == nil {
+			p.WriteGBps, p.ReadGBps = res.Write.GBps(), res.Read.GBps()
+		}
+	case Scale:
+		p.WriteGBps, p.ReadGBps, err = exp.RunH5Scale(d.Case, d.SHMKernels, d.Seed)
+	default:
+		err = fmt.Errorf("figures: no runner for a %T document", doc)
 	}
-	return rows, nil
+	if err != nil {
+		return Point{}, err
+	}
+	r.done[key] = p
+	return p, nil
 }
 
-// FormatFig8 renders the ablation.
-func FormatFig8(rows []Fig8Row) string {
+// Format renders f: its title, then a header and one line per row.
+func Format(f Figure) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 8: NVMe-oSHM design ablation (seq read 512K, 1 stream, QD128)\n")
-	fmt.Fprintf(&b, "  %-14s %9s %12s\n", "design", "GB/s", "p99.99_us")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %9.3f %12.1f\n", r.Design, r.GBps, r.P9999Us)
+	b.WriteString(f.Title + "\n")
+	if len(f.Cols) == 0 {
+		return b.String()
 	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figure 9 — chunk-size sweep.
-
-// Fig9Row is one (chunk, ioSize) point.
-type Fig9Row struct {
-	Chunk  int
-	IOSize int
-	GBps   float64
-	PoolMB float64
-}
-
-// Fig9Chunks and Fig9IOSizes are the sweep axes.
-var (
-	Fig9Chunks  = []int{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20}
-	Fig9IOSizes = []int{64 << 10, 512 << 10, 2 << 20}
-)
-
-// Fig9 sweeps the NVMe/TCP application-level chunk size for random reads
-// over 25 GbE and reports bandwidth and target buffer-pool memory.
-func Fig9(o Options) ([]Fig9Row, error) {
-	var rows []Fig9Row
-	for _, chunk := range Fig9Chunks {
-		for _, size := range Fig9IOSizes {
-			chunk := chunk
-			res, err := o.micro(exp.TCP25G, 1, randWorkload(100, size, 64), func(c *exp.Config) {
-				c.TP = model.DefaultTCPTransport()
-				c.TP.ChunkSize = chunk
-			})
-			if err != nil {
-				return nil, err
+	b.WriteString(" ")
+	for _, c := range f.Cols {
+		fmt.Fprintf(&b, " %*s", c.Width, c.Head)
+	}
+	for _, r := range f.Rows {
+		b.WriteString("\n ")
+		labels := r.Labels
+		for _, c := range f.Cols {
+			if c.Field == "" {
+				fmt.Fprintf(&b, " %*s", c.Width, labels[0])
+				labels = labels[1:]
+			} else {
+				fmt.Fprintf(&b, " %*"+c.Verb, c.Width, reflect.ValueOf(r.Point).FieldByName(c.Field).Float())
 			}
-			rows = append(rows, Fig9Row{
-				Chunk: chunk, IOSize: size,
-				GBps:   res.Agg.Throughput.GBps(),
-				PoolMB: float64(res.PoolFootprint) / 1e6,
-			})
 		}
 	}
-	return rows, nil
-}
-
-// FormatFig9 renders the sweep.
-func FormatFig9(rows []Fig9Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 9: chunk-size sweep, rand read over TCP-25G (QD64)\n")
-	fmt.Fprintf(&b, "  %-7s %-7s %9s %9s\n", "chunk", "iosize", "GB/s", "pool_MB")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-7s %-7s %9.3f %9.1f\n", sizeLabel(r.Chunk), sizeLabel(r.IOSize), r.GBps, r.PoolMB)
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figure 10 — busy-poll duration sweep.
-
-// Fig10Row is one (workload, poll budget) throughput point.
-type Fig10Row struct {
-	Workload string
-	Poll     time.Duration
-	GBps     float64
-}
-
-// Fig10Polls are the evaluated budgets (0 = interrupt mode).
-var Fig10Polls = []time.Duration{0, 25 * time.Microsecond, 50 * time.Microsecond, 100 * time.Microsecond}
-
-// Fig10 sweeps the socket busy-poll duration for sequential 128 KB read
-// and write streams over 10 GbE (AF in TCP-only mode). The queue depth is
-// chosen per workload so the polling effects are not masked by wire
-// saturation: writes run at QD8 (R2T round trips dominate), reads at QD4
-// (the wire saturates above that and flattens every budget).
-func Fig10(o Options) ([]Fig10Row, error) {
-	var rows []Fig10Row
-	for _, wl := range []struct {
-		name    string
-		readPct int
-		qd      int
-	}{{"seq-write", 0, 8}, {"seq-read", 100, 4}} {
-		for _, poll := range Fig10Polls {
-			poll := poll
-			res, err := o.micro(exp.TCP10G, 4, seqWorkload(wl.readPct, 128<<10, wl.qd), func(c *exp.Config) {
-				c.TP = model.DefaultTCPTransport()
-				c.TP.BusyPoll = poll
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Fig10Row{Workload: wl.name, Poll: poll, GBps: res.Agg.Throughput.GBps()})
-		}
-	}
-	return rows, nil
-}
-
-// FormatFig10 renders the sweep.
-func FormatFig10(rows []Fig10Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 10: busy-poll sweep, seq 128K over TCP-10G (4 streams; QD8 writes, QD4 reads)\n")
-	fmt.Fprintf(&b, "  %-10s %-10s %9s\n", "workload", "poll", "GB/s")
-	for _, r := range rows {
-		poll := "interrupt"
-		if r.Poll > 0 {
-			poll = r.Poll.String()
-		}
-		fmt.Fprintf(&b, "  %-10s %-10s %9.3f\n", r.Workload, poll, r.GBps)
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figure 13 — tail latency, mixed 70:30 128 KB.
-
-// Fig13Row is one fabric's latency percentiles.
-type Fig13Row struct {
-	Fabric  string
-	AvgUs   float64
-	P99Us   float64
-	P999Us  float64
-	P9999Us float64
-}
-
-// Fig13 measures tail latency for the sequential mixed 70:30 128 KB
-// workload across fabrics, plus the long-run RDMA variant (3x the window)
-// showing the registration events diluting out of the tail (§5.4). The
-// run has no warmup exclusion (tail behaviour of short-running
-// applications is exactly what the experiment studies) and a moderate
-// queue depth so service latency, not queueing, dominates.
-func Fig13(o Options) ([]Fig13Row, error) {
-	o.Warmup = 0
-	var rows []Fig13Row
-	run := func(label string, kind exp.Kind, opts Options) error {
-		opts.Warmup = 0
-		res, err := opts.micro(kind, 4, seqWorkload(70, 128<<10, 4), nil)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, Fig13Row{
-			Fabric:  label,
-			AvgUs:   res.Agg.BD.MeanTotal(),
-			P99Us:   float64(res.Agg.Latency.P99()) / 1e3,
-			P999Us:  float64(res.Agg.Latency.P999()) / 1e3,
-			P9999Us: float64(res.Agg.Latency.P9999()) / 1e3,
-		})
-		return nil
-	}
-	for _, kind := range []exp.Kind{exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56, exp.OAF} {
-		if err := run(string(kind), kind, o); err != nil {
-			return nil, err
-		}
-	}
-	long := o
-	long.Duration = o.Duration * 3
-	if err := run("rdma-ib56(3x run)", exp.RDMA56, long); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// FormatFig13 renders the percentiles.
-func FormatFig13(rows []Fig13Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 13: tail latency, seq mixed 70:30 128K (QD4, 4 streams)\n")
-	fmt.Fprintf(&b, "  %-18s %9s %9s %10s %10s\n", "fabric", "avg_us", "p99_us", "p99.9_us", "p99.99_us")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-18s %9.1f %9.1f %10.1f %10.1f\n", r.Fabric, r.AvgUs, r.P99Us, r.P999Us, r.P9999Us)
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figure 14 — concurrency (queue-depth) scaling.
-
-// Fig14Row is one (fabric, qd) bandwidth point.
-type Fig14Row struct {
-	Fabric exp.Kind
-	QD     int
-	GBps   float64
-}
-
-// Fig14QDs is the swept queue depth axis.
-var Fig14QDs = []int{1, 2, 4, 8, 16, 32, 64, 128}
-
-// Fig14 sweeps queue depth for a single 128 KB sequential read stream on
-// one SSD across fabrics.
-func Fig14(o Options) ([]Fig14Row, error) {
-	var rows []Fig14Row
-	for _, kind := range []exp.Kind{exp.TCP25G, exp.TCP100G, exp.RoCE100, exp.OAF} {
-		for _, qd := range Fig14QDs {
-			res, err := o.micro(kind, 1, seqWorkload(100, 128<<10, qd), nil)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Fig14Row{Fabric: kind, QD: qd, GBps: res.Agg.Throughput.GBps()})
-		}
-	}
-	return rows, nil
-}
-
-// FormatFig14 renders the sweep.
-func FormatFig14(rows []Fig14Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 14: concurrency, seq read 128K on one SSD\n")
-	fmt.Fprintf(&b, "  %-11s %5s %9s\n", "fabric", "qd", "GB/s")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-11s %5d %9.3f\n", r.Fabric, r.QD, r.GBps)
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figure 15 — random mixed workloads.
-
-// Fig15Row is one (fabric, mix) throughput point.
-type Fig15Row struct {
-	Fabric  exp.Kind
-	ReadPct int
-	GBps    float64
-}
-
-// Fig15Mixes are the read percentages of the three random workloads.
-var Fig15Mixes = []int{95, 50, 5}
-
-// Fig15 measures random 512 KB workloads of varying read:write mix on a
-// single stream/SSD.
-func Fig15(o Options) ([]Fig15Row, error) {
-	var rows []Fig15Row
-	for _, kind := range []exp.Kind{exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56, exp.RoCE100, exp.OAF} {
-		for _, mix := range Fig15Mixes {
-			res, err := o.micro(kind, 1, randWorkload(mix, 512<<10, 128), nil)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Fig15Row{Fabric: kind, ReadPct: mix, GBps: res.Agg.Throughput.GBps()})
-		}
-	}
-	return rows, nil
-}
-
-// FormatFig15 renders the matrix.
-func FormatFig15(rows []Fig15Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig 15: random mixed workloads, 512K, 1 stream (QD128)\n")
-	fmt.Fprintf(&b, "  %-11s %8s %9s\n", "fabric", "read%", "GB/s")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-11s %8d %9.3f\n", r.Fabric, r.ReadPct, r.GBps)
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figures 16 & 17 — h5bench vs NFS.
-
-// Fig16Row is one backend's write/read kernel bandwidth.
-type Fig16Row struct {
-	Backend string
-	WriteGB float64
-	ReadGB  float64
-}
-
-// Fig16 runs h5bench config-1 (one dataset, 16M particles) over oAF and
-// NFS.
-func Fig16(o Options) ([]Fig16Row, error) {
-	var rows []Fig16Row
-	for _, backend := range []exp.H5Backend{exp.H5OAF, exp.H5NFS} {
-		res, err := exp.RunH5(exp.H5Config{Backend: backend, Kernel: h5bench.Config1(), Seed: o.Seed})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig16Row{Backend: string(backend), WriteGB: res.Write.GBps(), ReadGB: res.Read.GBps()})
-	}
-	return rows, nil
-}
-
-// Fig17 runs h5bench config-2 (8 datasets, 8M particles each) over plain
-// oAF, NFS, and oAF with I/O coalescing.
-func Fig17(o Options) ([]Fig16Row, error) {
-	var rows []Fig16Row
-	for _, backend := range []exp.H5Backend{exp.H5OAF, exp.H5NFS, exp.H5OAFCoalesce} {
-		res, err := exp.RunH5(exp.H5Config{Backend: backend, Kernel: h5bench.Config2(), Seed: o.Seed})
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig16Row{Backend: string(backend), WriteGB: res.Write.GBps(), ReadGB: res.Read.GBps()})
-	}
-	return rows, nil
-}
-
-// FormatH5 renders an h5bench comparison.
-func FormatH5(title string, rows []Fig16Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-14s %10s %10s\n", "backend", "write_GB/s", "read_GB/s")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %10.3f %10.3f\n", r.Backend, r.WriteGB, r.ReadGB)
-	}
-	return b.String()
-}
-
-// ------------------------------------------------------------------
-// Figures 18 & 19 — scale-out SHM fraction sweeps.
-
-// ScaleRow is one SHM-fraction point.
-type ScaleRow struct {
-	SHMPct  int
-	WriteGB float64
-	ReadGB  float64
-}
-
-// Fig18 sweeps the shared-memory fraction for case-1 (clients on one
-// node, SSDs on four remote nodes; SHM kernels get co-located targets).
-func Fig18(o Options) ([]ScaleRow, error) {
-	return scaleSweep(exp.Case1, []int{0, 1, 2, 3}, o.Seed)
-}
-
-// Fig19 sweeps the shared-memory fraction for case-2 (clients co-located
-// with their SSDs; non-SHM kernels use intra-node TCP).
-func Fig19(o Options) ([]ScaleRow, error) {
-	return scaleSweep(exp.Case2, []int{0, 1, 2, 3, 4}, o.Seed)
-}
-
-func scaleSweep(scase exp.ScaleCase, fractions []int, seed int64) ([]ScaleRow, error) {
-	var rows []ScaleRow
-	for _, n := range fractions {
-		w, r, err := exp.RunH5Scale(scase, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, ScaleRow{SHMPct: n * 25, WriteGB: w, ReadGB: r})
-	}
-	return rows, nil
-}
-
-// FormatScale renders a scale-out sweep.
-func FormatScale(title string, rows []ScaleRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "  %-8s %10s %10s\n", "SHM%", "write_GB/s", "read_GB/s")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-8d %10.3f %10.3f\n", r.SHMPct, r.WriteGB, r.ReadGB)
-	}
+	b.WriteString("\n")
 	return b.String()
 }

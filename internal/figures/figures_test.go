@@ -1,58 +1,75 @@
 package figures
 
 import (
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 )
 
-// find returns the row matching the predicate.
-func findMicro(t *testing.T, rows []MicroRow, fabric, op string, size int) MicroRow {
+// runner is shared by every test in the package, so each distinct row
+// document runs once per test binary: the calibration logs and the shape
+// tests share points, and Fig 11 reuses Fig 2's.
+var runner = NewRunner()
+
+// figure returns the quick-window figure called name with its points.
+func figure(t *testing.T, name string) Figure {
 	t.Helper()
-	for _, r := range rows {
-		if string(r.Fabric) == fabric && r.Op == op && r.IOSize == size {
-			return r
+	figs, err := Select(Table(Quick()), name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runner.Run(&figs[0]); err != nil {
+		t.Fatal(err)
+	}
+	return figs[0]
+}
+
+// point returns the point of the row labelled labels.
+func point(t *testing.T, f Figure, labels ...string) Point {
+	t.Helper()
+	for _, r := range f.Rows {
+		if slices.Equal(r.Labels, labels) {
+			return r.Point
 		}
 	}
-	t.Fatalf("row %s/%s/%d not found", fabric, op, size)
-	return MicroRow{}
+	t.Fatalf("Fig %s: row %v not found", f.Names[0], labels)
+	return Point{}
 }
 
 func TestFig2PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep; run without -short for the full shape check")
 	}
-	rows, err := Fig2(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := figure(t, "2")
 	// 128K read bandwidth ordering: 10G < 25G < 100G < RDMA.
 	prev := 0.0
-	for _, f := range []string{"tcp-10g", "tcp-25g", "tcp-100g", "rdma-ib56"} {
-		r := findMicro(t, rows, f, "read", 128<<10)
+	for _, fabric := range []string{"tcp-10g", "tcp-25g", "tcp-100g", "rdma-ib56"} {
+		r := point(t, f, fabric, "read", "128K")
 		if r.GBps <= prev {
-			t.Fatalf("read ordering violated at %s: %.2f <= %.2f", f, r.GBps, prev)
+			t.Fatalf("read ordering violated at %s: %.2f <= %.2f", fabric, r.GBps, prev)
 		}
 		prev = r.GBps
 	}
 	// Peak gaps (paper: RDMA ~1.46x TCP-100G read, ~1.85x write).
-	readGap := findMicro(t, rows, "rdma-ib56", "read", 128<<10).GBps /
-		findMicro(t, rows, "tcp-100g", "read", 128<<10).GBps
+	readGap := point(t, f, "rdma-ib56", "read", "128K").GBps /
+		point(t, f, "tcp-100g", "read", "128K").GBps
 	if readGap < 1.2 || readGap > 1.9 {
 		t.Fatalf("RDMA/TCP-100G read gap %.2f, paper ~1.46", readGap)
 	}
-	writeGap := findMicro(t, rows, "rdma-ib56", "write", 128<<10).GBps /
-		findMicro(t, rows, "tcp-100g", "write", 128<<10).GBps
+	writeGap := point(t, f, "rdma-ib56", "write", "128K").GBps /
+		point(t, f, "tcp-100g", "write", "128K").GBps
 	if writeGap < 1.2 || writeGap > 2.3 {
 		t.Fatalf("RDMA/TCP-100G write gap %.2f, paper ~1.85", writeGap)
 	}
 	// 4K: 25G barely beats 10G (network speed does not help small I/O).
-	r10 := findMicro(t, rows, "tcp-10g", "read", 4<<10).GBps
-	r25 := findMicro(t, rows, "tcp-25g", "read", 4<<10).GBps
+	r10 := point(t, f, "tcp-10g", "read", "4K").GBps
+	r25 := point(t, f, "tcp-25g", "read", "4K").GBps
 	if r25 > r10*1.25 {
 		t.Fatalf("4K: TCP-25G (%.2f) should be close to TCP-10G (%.2f)", r25, r10)
 	}
 	// Fig 3 breakdown: comm time dominates I/O time for TCP at 128K.
-	bd := findMicro(t, rows, "tcp-10g", "read", 128<<10)
+	bd := point(t, f, "tcp-10g", "read", "128K")
 	if bd.CommUs <= bd.IOUs {
 		t.Fatalf("TCP-10G 128K comm (%.0f) should dominate io (%.0f)", bd.CommUs, bd.IOUs)
 	}
@@ -62,13 +79,10 @@ func TestFig11PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep; run without -short for the full shape check")
 	}
-	rows, err := Fig11(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	oaf := findMicro(t, rows, "nvme-oaf", "read", 128<<10)
-	tcp10 := findMicro(t, rows, "tcp-10g", "read", 128<<10)
-	rdma := findMicro(t, rows, "rdma-ib56", "read", 128<<10)
+	f := figure(t, "11")
+	oaf := point(t, f, "nvme-oaf", "read", "128K")
+	tcp10 := point(t, f, "tcp-10g", "read", "128K")
+	rdma := point(t, f, "rdma-ib56", "read", "128K")
 	// Paper: oAF ~7.1x TCP-10G peak read bandwidth, ~1.78x RDMA.
 	if ratio := oaf.GBps / tcp10.GBps; ratio < 5 || ratio > 10 {
 		t.Fatalf("oAF/TCP-10G read ratio %.2f, paper ~7.1", ratio)
@@ -81,33 +95,26 @@ func TestFig11PaperShape(t *testing.T) {
 		t.Fatalf("TCP-10G/oAF read latency ratio %.2f, paper ~4.2", ratio)
 	}
 	// Paper: TCP-25G 128K write latency ~2.97x oAF's.
-	oafW := findMicro(t, rows, "nvme-oaf", "write", 128<<10)
-	tcp25W := findMicro(t, rows, "tcp-25g", "write", 128<<10)
+	oafW := point(t, f, "nvme-oaf", "write", "128K")
+	tcp25W := point(t, f, "tcp-25g", "write", "128K")
 	if ratio := tcp25W.AvgUs / oafW.AvgUs; ratio < 2 || ratio > 8 {
 		t.Fatalf("TCP-25G/oAF write latency ratio %.2f, paper ~2.97", ratio)
 	}
 	// Fig 12: oAF "other" time for writes is small (zero-copy removes the
 	// client buffer preparation) compared to TCP's.
-	tcpOther := findMicro(t, rows, "tcp-100g", "write", 128<<10).OtherUs
+	tcpOther := point(t, f, "tcp-100g", "write", "128K").OtherUs
 	if oafW.OtherUs > tcpOther/2 {
 		t.Fatalf("oAF write other time %.0fus should be well under TCP's %.0fus", oafW.OtherUs, tcpOther)
 	}
 }
 
 func TestFig8PaperShape(t *testing.T) {
-	rows, err := Fig8(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]Fig8Row{}
-	for _, r := range rows {
-		byName[r.Design] = r
-	}
-	tcp := byName["tcp-25g(ref)"]
-	base := byName["shm-baseline"]
-	lf := byName["shm-lock-free"]
-	fc := byName["shm-flow-ctl"]
-	zc := byName["shm-0-copy"]
+	f := figure(t, "8")
+	tcp := point(t, f, "tcp-25g(ref)")
+	base := point(t, f, "shm-baseline")
+	lf := point(t, f, "shm-lock-free")
+	fc := point(t, f, "shm-flow-ctl")
+	zc := point(t, f, "shm-0-copy")
 	// Paper: naive shared memory already beats TCP-25G (~1.83x).
 	if base.GBps < 1.2*tcp.GBps {
 		t.Fatalf("baseline (%.2f) should beat TCP-25G (%.2f)", base.GBps, tcp.GBps)
@@ -132,19 +139,8 @@ func TestFig8PaperShape(t *testing.T) {
 }
 
 func TestFig9PaperShape(t *testing.T) {
-	rows, err := Fig9(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(chunk, size int) Fig9Row {
-		for _, r := range rows {
-			if r.Chunk == chunk && r.IOSize == size {
-				return r
-			}
-		}
-		t.Fatalf("row %d/%d missing", chunk, size)
-		return Fig9Row{}
-	}
+	f := figure(t, "9")
+	at := func(chunk, size int) Point { return point(t, f, sizeLabel(chunk), sizeLabel(size)) }
 	// Small chunks hurt large-I/O bandwidth (paper: "choosing a very low
 	// chunk size hurts bandwidth").
 	if at(64<<10, 2<<20).GBps >= at(512<<10, 2<<20).GBps*0.95 {
@@ -153,9 +149,9 @@ func TestFig9PaperShape(t *testing.T) {
 	}
 	// 512K is near-optimal: within 7% of the best chunk for every I/O
 	// size (paper: "close to the highest bandwidth").
-	for _, size := range Fig9IOSizes {
+	for _, size := range fig9IOSizes {
 		best := 0.0
-		for _, chunk := range Fig9Chunks {
+		for _, chunk := range fig9Chunks {
 			if g := at(chunk, size).GBps; g > best {
 				best = g
 			}
@@ -172,19 +168,8 @@ func TestFig9PaperShape(t *testing.T) {
 }
 
 func TestFig10PaperShape(t *testing.T) {
-	rows, err := Fig10(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(wl string, poll time.Duration) float64 {
-		for _, r := range rows {
-			if r.Workload == wl && r.Poll == poll {
-				return r.GBps
-			}
-		}
-		t.Fatalf("row %s/%v missing", wl, poll)
-		return 0
-	}
+	f := figure(t, "10")
+	at := func(wl string, poll time.Duration) float64 { return point(t, f, wl, pollLabel(poll)).GBps }
 	// Writes: the long budget wins, the short budget underperforms it
 	// and does not beat interrupt mode (paper §4.5).
 	w0 := at("seq-write", 0)
@@ -209,23 +194,11 @@ func TestFig10PaperShape(t *testing.T) {
 }
 
 func TestFig13PaperShape(t *testing.T) {
-	rows, err := Fig13(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(f string) Fig13Row {
-		for _, r := range rows {
-			if r.Fabric == f {
-				return r
-			}
-		}
-		t.Fatalf("fabric %s missing", f)
-		return Fig13Row{}
-	}
-	oaf := at("nvme-oaf")
-	tcp100 := at("tcp-100g")
-	rdma := at("rdma-ib56")
-	long := at("rdma-ib56(3x run)")
+	f := figure(t, "13")
+	oaf := point(t, f, "nvme-oaf")
+	tcp100 := point(t, f, "tcp-100g")
+	rdma := point(t, f, "rdma-ib56")
+	long := point(t, f, "rdma-ib56(3x run)")
 	// Paper: oAF tail ~3x below TCP-100G and RDMA.
 	if tcp100.P9999Us < 1.7*oaf.P9999Us {
 		t.Fatalf("TCP-100G tail %.0f should be ~3x oAF %.0f", tcp100.P9999Us, oaf.P9999Us)
@@ -248,19 +221,8 @@ func TestFig14PaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep; run without -short for the full shape check")
 	}
-	rows, err := Fig14(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(f string, qd int) float64 {
-		for _, r := range rows {
-			if string(r.Fabric) == f && r.QD == qd {
-				return r.GBps
-			}
-		}
-		t.Fatalf("row %s/%d missing", f, qd)
-		return 0
-	}
+	f := figure(t, "14")
+	at := func(fabric string, qd int) float64 { return point(t, f, fabric, strconv.Itoa(qd)).GBps }
 	// TCP: queue depth beyond 8 barely helps (paper: "almost constant").
 	if at("tcp-25g", 128) > 1.6*at("tcp-25g", 8) {
 		t.Fatalf("TCP-25G should flatten after QD8: %.2f vs %.2f", at("tcp-25g", 128), at("tcp-25g", 8))
@@ -281,20 +243,9 @@ func TestFig14PaperShape(t *testing.T) {
 }
 
 func TestFig15PaperShape(t *testing.T) {
-	rows, err := Fig15(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := func(f string, mix int) float64 {
-		for _, r := range rows {
-			if string(r.Fabric) == f && r.ReadPct == mix {
-				return r.GBps
-			}
-		}
-		t.Fatalf("row %s/%d missing", f, mix)
-		return 0
-	}
-	for _, mix := range Fig15Mixes {
+	f := figure(t, "15")
+	at := func(fabric string, mix int) float64 { return point(t, f, fabric, strconv.Itoa(mix)).GBps }
+	for _, mix := range fig15Mixes {
 		// Paper: network speed has slight impact on TCP throughput.
 		if at("tcp-100g", mix) > 1.25*at("tcp-10g", mix) {
 			t.Fatalf("mix %d: TCP insensitive to network speed expected", mix)
