@@ -6,7 +6,8 @@
 //	figures -fig all            # every table and figure (long)
 //	figures -fig 2              # one figure
 //	figures -fig table1         # the testbed table
-//	figures -quick              # shorter measurement windows
+//	figures -fig ablations      # the ablation and extension figures
+//	figures -quick              # shorter windows (not Figs 16-19)
 //	figures -json               # each row's labels, run document and point
 //
 // The exit status is 2 for an unknown figure or flag, 1 when a run fails,
@@ -30,8 +31,10 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fig := fs.String("fig", "all", "figure to regenerate: table1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, or all")
-	quick := fs.Bool("quick", false, "use short measurement windows")
+	fig := fs.String("fig", "all", "figure to regenerate: table1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, "+
+		figures.Ablations+", ablations (all six), or all")
+	quick := fs.Bool("quick", false, "use short measurement windows (Figs 16-19 and the coalesce ablation "+
+		"run whole h5bench kernels, which take no window, so they do not shorten)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
 	if err := fs.Parse(args); err != nil {

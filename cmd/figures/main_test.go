@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,7 +22,8 @@ import (
 func TestFigureNamesResolve(t *testing.T) {
 	table := figures.Table(figures.Quick())
 	shared := map[string]string{"3": "2", "12": "11"}
-	for _, name := range []string{"table1", "2", "3", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19"} {
+	for _, name := range []string{"table1", "2", "3", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19",
+		"incapsule", "coalesce", "shm-write", "regcache", "rdmactl", "streams"} {
 		figs, err := figures.Select(table, name)
 		if err != nil || len(figs) != 1 {
 			t.Errorf("-fig %s: %d figures, %v", name, len(figs), err)
@@ -37,6 +39,9 @@ func TestFigureNamesResolve(t *testing.T) {
 	}
 	if all, err := figures.Select(table, "all"); err != nil || len(all) != len(table) {
 		t.Errorf("-fig all: %d of %d figures, %v", len(all), len(table), err)
+	}
+	if abl, err := figures.Select(table, "ablations"); err != nil || len(abl) != len(strings.Split(figures.Ablations, ",")) {
+		t.Errorf("-fig ablations: %d figures, %v; want one per name in %q", len(abl), err, figures.Ablations)
 	}
 
 	point := reflect.TypeOf(figures.Point{})
@@ -65,69 +70,136 @@ func TestFigureNamesResolve(t *testing.T) {
 	}
 }
 
+// runSite is one call of exp.Run, exp.RunH5 or exp.RunH5Scale (inside
+// package exp, of the bare name): its package directory and the function
+// or method that makes it, nil outside a function.
+type runSite struct {
+	dir string
+	pos token.Position
+	fn  *ast.FuncDecl
+}
+
+// scanModule parses every Go file of the root module, tests included and
+// bench/'s own module not, and returns every run call and every top-level
+// function, keyed by its directory, package name and name.
+func scanModule(t *testing.T) (sites []runSite, funcs map[[3]string]*ast.FuncDecl) {
+	runs := map[string]bool{"Run": true, "RunH5": true, "RunH5Scale": true}
+	root := filepath.Join("..", "..")
+	funcs = map[[3]string]*ast.FuncDecl{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" {
+				return filepath.SkipDir // another module, or not Go source
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.Dir(path)
+		inExp := dir == filepath.Join(root, "internal", "exp") && f.Name.Name == "exp"
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"nvmeoaf/internal/exp"` {
+				local = "exp"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		for _, decl := range f.Decls {
+			fd, _ := decl.(*ast.FuncDecl)
+			if fd != nil && fd.Recv == nil {
+				funcs[[3]string{dir, f.Name.Name, fd.Name.Name}] = fd
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, _ := n.(*ast.CallExpr)
+				if call == nil {
+					return true
+				}
+				name := ""
+				switch fn := call.Fun.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := fn.X.(*ast.Ident); ok && local != "" && x.Name == local {
+						name = fn.Sel.Name
+					}
+				case *ast.Ident:
+					if inExp {
+						name = fn.Name
+					}
+				}
+				if runs[name] {
+					sites = append(sites, runSite{dir, fset.Position(call.Pos()), fd})
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sites, funcs
+}
+
 // TestOnlyTheRunnerRuns: in internal/figures and cmd/figures, tests
 // included, only a method of figures.Runner names exp.Run, exp.RunH5 or
 // exp.RunH5Scale, so every run goes through the runner's memo of
 // documents it has run.
 func TestOnlyTheRunnerRuns(t *testing.T) {
-	runs := map[string]bool{"Run": true, "RunH5": true, "RunH5Scale": true}
+	sites, _ := scanModule(t)
 	inRunner := 0
-	fset := token.NewFileSet()
-	for _, dir := range []string{filepath.Join("..", "..", "internal", "figures"), "."} {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	for _, s := range sites {
+		if s.dir != filepath.Join("..", "..", "internal", "figures") && s.dir != filepath.Join("..", "..", "cmd", "figures") {
+			continue
 		}
-		for _, ent := range entries {
-			if !strings.HasSuffix(ent.Name(), ".go") {
-				continue
-			}
-			path := filepath.Join(dir, ent.Name())
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			local := ""
-			for _, imp := range f.Imports {
-				if imp.Path.Value == `"nvmeoaf/internal/exp"` {
-					local = "exp"
-					if imp.Name != nil {
-						local = imp.Name.Name
-					}
-				}
-			}
-			if local == "" {
-				continue
-			}
-			for _, decl := range f.Decls {
-				runner := false
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
-					typ := fd.Recv.List[0].Type
-					if star, ok := typ.(*ast.StarExpr); ok {
-						typ = star.X
-					}
-					id, ok := typ.(*ast.Ident)
-					runner = ok && id.Name == "Runner"
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok || !runs[sel.Sel.Name] {
-						return true
-					}
-					if x, ok := sel.X.(*ast.Ident); !ok || x.Name != local {
-						return true
-					}
-					if runner {
-						inRunner++
-					} else {
-						t.Errorf("%s: exp.%s outside the Runner", fset.Position(sel.Pos()), sel.Sel.Name)
-					}
-					return true
-				})
-			}
+		if s.fn != nil && s.fn.Recv != nil && strings.TrimPrefix(types.ExprString(s.fn.Recv.List[0].Type), "*") == "Runner" {
+			inRunner++
+		} else {
+			t.Errorf("%s: an exp run outside the Runner", s.pos)
 		}
 	}
-	if inRunner < len(runs) {
-		t.Errorf("the Runner names %d run functions, want %d: the guard is looking at the wrong code", inRunner, len(runs))
+	if inRunner < 3 {
+		t.Errorf("the Runner makes %d run calls, want 3: the guard is looking at the wrong code", inRunner)
+	}
+}
+
+// TestNoBenchmarkRunsAnExperiment: no Benchmark function in this module
+// runs exp.Run, exp.RunH5 or exp.RunH5Scale, directly or through a
+// function of its own package, so the paper's numbers come from the
+// figure table and the simulator's own cost from bench/run.sh.
+func TestNoBenchmarkRunsAnExperiment(t *testing.T) {
+	sites, funcs := scanModule(t)
+	// A function runs an experiment if it calls a run function or a
+	// function of its own package that does.
+	runsExp := map[*ast.FuncDecl]bool{}
+	for _, s := range sites {
+		runsExp[s.fn] = s.fn != nil
+	}
+	for changed := true; changed; {
+		changed = false
+		for key, fd := range funcs {
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && !runsExp[fd] {
+					if id, ok := call.Fun.(*ast.Ident); ok && runsExp[funcs[[3]string{key[0], key[1], id.Name}]] {
+						runsExp[fd], changed = true, true
+					}
+				}
+				return !runsExp[fd]
+			})
+		}
+	}
+	for key, fd := range funcs {
+		if strings.HasPrefix(key[2], "Benchmark") && runsExp[fd] {
+			t.Errorf("%s: %s runs an experiment: make it a figure row", key[0], key[2])
+		}
 	}
 }

@@ -185,39 +185,43 @@ func TestFigureRowsDecodeUnchanged(t *testing.T) {
 	}
 }
 
-// TestFigureRowMatchesFigurePoint: Fig 8's shm-0-copy row run through
-// oafperf reports the GB/s and p99.99 of its figure point.
+// TestFigureRowMatchesFigurePoint: Fig 8's shm-0-copy row and the
+// registration-cache ablation's regcache row, run through oafperf, report
+// the GB/s and p99.99 of their figure points.
 func TestFigureRowMatchesFigurePoint(t *testing.T) {
-	figs, err := figures.Select(figures.Table(figures.Quick()), "8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc any
-	for _, r := range figs[0].Rows {
-		if r.Labels[0] == "shm-0-copy" {
-			doc = r.Doc
+	table := figures.Table(figures.Quick())
+	for _, want := range []struct{ fig, label string }{{"8", "shm-0-copy"}, {"regcache", "regcache"}} {
+		figs, err := figures.Select(table, want.fig)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	b, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut bytes.Buffer
-	if code := run([]string{string(b)}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	var rep struct {
-		Perf summary `json:"perf"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	p, err := figures.NewRunner().Point(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Perf.GBps != p.GBps || rep.Perf.P9999Us != p.P9999Us {
-		t.Fatalf("oafperf: %.3f GB/s, p99.99 %.1f us; figure point: %.3f GB/s, p99.99 %.1f us",
-			rep.Perf.GBps, rep.Perf.P9999Us, p.GBps, p.P9999Us)
+		var doc any
+		for _, r := range figs[0].Rows {
+			if r.Labels[0] == want.label {
+				doc = r.Doc
+			}
+		}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		if code := run([]string{string(b)}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d: %s", want.label, code, errOut.String())
+		}
+		var rep struct {
+			Perf summary `json:"perf"`
+		}
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		p, err := figures.NewRunner().Point(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Perf.GBps != p.GBps || rep.Perf.P9999Us != p.P9999Us {
+			t.Errorf("%s: oafperf: %.3f GB/s, p99.99 %.1f us; figure point: %.3f GB/s, p99.99 %.1f us",
+				want.label, rep.Perf.GBps, rep.Perf.P9999Us, p.GBps, p.P9999Us)
+		}
 	}
 }

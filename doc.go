@@ -3,7 +3,7 @@
 // Workloads on HPC Cloud" (Kashyap & Lu, HPDC '22) on a deterministic
 // simulation of the paper's testbed.
 //
-// The public API lives in package oaf; the per-figure reproduction
-// harness is the benchmark suite in this package (bench_test.go) and the
-// cmd/figures tool. See README.md, DESIGN.md, and EXPERIMENTS.md.
+// The public API lives in package oaf; cmd/figures regenerates every
+// figure of the paper and the ablations beyond it. See README.md,
+// DESIGN.md, and EXPERIMENTS.md.
 package nvmeoaf

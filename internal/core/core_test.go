@@ -113,17 +113,17 @@ func TestRemotePairFallsBackToTCP(t *testing.T) {
 func TestLocalityProvisioning(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := NewFabric(e, model.DefaultSHM())
-	if r, err := f.Provision("hostA", "hostB", 4096, 4, shm.ModeLockFree, shm.ClaimRoundRobin); r != nil || err != nil {
+	if r, err := f.Provision("hostA", "hostB", 4096, 4, shm.ModeLockFree); r != nil || err != nil {
 		t.Fatal("cross-host provision must yield no region")
 	}
-	if r, err := f.Provision("", "", 4096, 4, shm.ModeLockFree, shm.ClaimRoundRobin); r != nil || err != nil {
+	if r, err := f.Provision("", "", 4096, 4, shm.ModeLockFree); r != nil || err != nil {
 		t.Fatal("empty host names must yield no region")
 	}
-	r1, err := f.Provision("hostA", "hostA", 4096, 4, shm.ModeLockFree, shm.ClaimRoundRobin)
+	r1, err := f.Provision("hostA", "hostA", 4096, 4, shm.ModeLockFree)
 	if err != nil || r1 == nil {
 		t.Fatal("co-located provision failed")
 	}
-	r2, err := f.Provision("hostA", "hostA", 4096, 4, shm.ModeLockFree, shm.ClaimRoundRobin)
+	r2, err := f.Provision("hostA", "hostA", 4096, 4, shm.ModeLockFree)
 	if err != nil || r2 == nil || r1.Key == r2.Key {
 		t.Fatal("tenants must get distinct regions")
 	}
@@ -266,7 +266,7 @@ func TestSlotCreditsBlockSubmit(t *testing.T) {
 	r := newRig(t, DesignSHMZeroCopy, false, nil)
 	e := sim.NewEngine(7)
 	_ = e
-	region, _ := r.fabric.Provision("h", "h", 1<<20, 2, shm.ModeLockFree, shm.ClaimRoundRobin)
+	region, _ := r.fabric.Provision("h", "h", 1<<20, 2, shm.ModeLockFree)
 	r.region = region
 	var submitted []sim.Time
 	r.e.Go("app", func(p *sim.Proc) {

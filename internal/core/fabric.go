@@ -54,7 +54,7 @@ func (f *Fabric) FailProvisions(err error) { f.failErr = err }
 // fallback rather than a fatal condition. Each co-located pair gets its
 // own region (the paper's security posture: tenants never share a
 // mapping).
-func (f *Fabric) Provision(clientHost, targetHost string, slotSize, slotCount int, mode shm.Mode, policy shm.ClaimPolicy) (*shm.Region, error) {
+func (f *Fabric) Provision(clientHost, targetHost string, slotSize, slotCount int, mode shm.Mode) (*shm.Region, error) {
 	if clientHost == "" || clientHost != targetHost {
 		return nil, nil
 	}
@@ -65,7 +65,7 @@ func (f *Fabric) Provision(clientHost, targetHost string, slotSize, slotCount in
 	}
 	key := f.nextKey
 	f.nextKey++
-	r, err := shm.NewRegion(f.e, key, slotSize, slotCount, f.params, mode, policy)
+	r, err := shm.NewRegion(f.e, key, slotSize, slotCount, f.params, mode, shm.ClaimRoundRobin)
 	if err != nil {
 		f.tel.Inc(telemetry.CtrProvisionFailed)
 		f.tel.Trace(int64(f.e.Now()), telemetry.EvProvisionFailed, 0, "tcp", "geometry")
@@ -104,5 +104,5 @@ func (f *Fabric) RegionFor(design Design, clientHost, targetHost string, maxIO, 
 		n := (maxIO + chunk - 1) / chunk
 		slotCount = depth * n
 	}
-	return f.Provision(clientHost, targetHost, slotSize, slotCount, design.LockMode(), shm.ClaimRoundRobin)
+	return f.Provision(clientHost, targetHost, slotSize, slotCount, design.LockMode())
 }

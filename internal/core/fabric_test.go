@@ -19,7 +19,7 @@ func TestProvisionBadGeometryReturnsError(t *testing.T) {
 	f := NewFabric(e, model.DefaultSHM())
 	tel := telemetry.New()
 	f.AttachTelemetry(tel)
-	r, err := f.Provision("h", "h", 0, 4, shm.ModeLockFree, shm.ClaimRoundRobin)
+	r, err := f.Provision("h", "h", 0, 4, shm.ModeLockFree)
 	if err == nil || r != nil {
 		t.Fatalf("bad geometry: region=%v err=%v", r, err)
 	}

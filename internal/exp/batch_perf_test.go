@@ -87,37 +87,3 @@ func TestStripedQueuesScaleCleanly(t *testing.T) {
 			striped.Agg.Throughput.IOPS(), single.Agg.Throughput.IOPS())
 	}
 }
-
-// benchRun is the common body of the wall-clock benchmarks: each
-// iteration simulates one full measured window; the reported metrics are
-// wall-clock ns/op (the simulator's own cost), allocs/op, plus the
-// simulated GB/s and IOPS the configuration achieved.
-func benchRun(b *testing.B, cfg Config) {
-	b.ReportAllocs()
-	var last *Result
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Agg.Throughput.GBps(), "sim-GB/s")
-	b.ReportMetric(last.Agg.Throughput.IOPS(), "sim-IOPS")
-}
-
-func BenchmarkQD64TCPUnbatched(b *testing.B) {
-	benchRun(b, batchCfg(TCP25G, 0, 1, 100*time.Millisecond))
-}
-
-func BenchmarkQD64TCPBatched(b *testing.B) {
-	benchRun(b, batchCfg(TCP25G, 16, 1, 100*time.Millisecond))
-}
-
-func BenchmarkQD64OAFBatched(b *testing.B) {
-	benchRun(b, batchCfg(OAF, 16, 1, 100*time.Millisecond))
-}
-
-func BenchmarkQD64OAFBatchedStriped(b *testing.B) {
-	benchRun(b, batchCfg(OAF, 16, 4, 100*time.Millisecond))
-}

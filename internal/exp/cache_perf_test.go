@@ -81,8 +81,3 @@ func TestCacheUniformLargeIOStaysNeutral(t *testing.T) {
 		t.Error("large reads were admitted: bypass counter is zero")
 	}
 }
-
-func BenchmarkQD64OAFCachedZipf(b *testing.B) {
-	w := perf.Workload{IOSize: 4096, QueueDepth: 64, ReadPct: 100, Zipf: 0.99}
-	benchRun(b, cacheCfg(256<<20, w, 100*time.Millisecond))
-}

@@ -70,9 +70,6 @@ type Config struct {
 	SSD model.SSDParams
 	// SSDCapacity per device (default 2 GiB).
 	SSDCapacity int64
-	// RDMA overrides the RDMA fabric parameters (nil = model defaults),
-	// for ablations such as disabling registration-cache misses.
-	RDMA *model.RDMAParams
 	// CacheBytes, when positive, fronts every SSD with a target-side
 	// DRAM block cache of this capacity.
 	CacheBytes int64
@@ -291,7 +288,6 @@ func (c Config) dialOptions(tel *telemetry.Sink, reg *qos.Registry) dial.Options
 		ConnOptions: session.ConnOptions{Telemetry: tel, QoS: reg.Shaper("host", tel)},
 		TP:          c.TP,
 		Design:      c.Design,
-		RDMA:        c.RDMA,
 		RegCache:    c.RDMARegCache, Merge: c.RDMAMerge, DynDoorbell: c.RDMADynDoorbell,
 	}
 	if c.TargetQoS {

@@ -94,21 +94,6 @@ func TestShape4KLatency(t *testing.T) {
 	}
 }
 
-func TestExtensionRDMAControlPathCutsSmallIOLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow sweep; run without -short for the full shape check")
-	}
-	// Future-work variant (§5.5): RDMA control plane should cut oAF's
-	// 4K latency, where control messages dominate.
-	base := quick(t, Config{Kind: OAF, Streams: 4, Workload: seqRead(4096, 16), Seed: 9})
-	fast := quick(t, Config{Kind: OAFRDMACtl, Streams: 4, Workload: seqRead(4096, 16), Seed: 9})
-	t.Logf("oaf 4K avg %.1fus, oaf+rdma-ctl %.1fus", base.Agg.BD.MeanTotal(), fast.Agg.BD.MeanTotal())
-	if fast.Agg.BD.MeanTotal() >= base.Agg.BD.MeanTotal() {
-		t.Fatalf("RDMA control plane (%.1fus) should cut latency vs TCP control (%.1fus)",
-			fast.Agg.BD.MeanTotal(), base.Agg.BD.MeanTotal())
-	}
-}
-
 func TestUnknownFabricRejected(t *testing.T) {
 	if _, err := Run(Config{Kind: Kind("bogus-fabric"), Workload: seqRead(4096, 4)}); err == nil {
 		t.Fatal("unknown fabric accepted")

@@ -83,11 +83,3 @@ func TestRDMAFastPathCollapsesTailAtQD64(t *testing.T) {
 		t.Errorf("fast path lost throughput: %.0f < 0.95 x %.0f IOPS", fsIOPS, lgIOPS)
 	}
 }
-
-func BenchmarkQD64RDMALegacy(b *testing.B) {
-	benchRun(b, rdmaCfg(false, 64, 100*time.Millisecond))
-}
-
-func BenchmarkQD64RDMAFastPath(b *testing.B) {
-	benchRun(b, rdmaCfg(true, 64, 100*time.Millisecond))
-}

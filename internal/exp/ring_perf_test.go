@@ -105,23 +105,3 @@ func TestRingMatchesFuturesResults(t *testing.T) {
 		})
 	}
 }
-
-func BenchmarkQD64TCPFutures(b *testing.B) {
-	benchRun(b, ringCfg(TCP25G, 64, false, 100*time.Millisecond))
-}
-
-func BenchmarkQD64TCPRing(b *testing.B) {
-	benchRun(b, ringCfg(TCP25G, 64, true, 100*time.Millisecond))
-}
-
-func BenchmarkQD256TCPFutures(b *testing.B) {
-	benchRun(b, ringCfg(TCP25G, 256, false, 100*time.Millisecond))
-}
-
-func BenchmarkQD256TCPRing(b *testing.B) {
-	benchRun(b, ringCfg(TCP25G, 256, true, 100*time.Millisecond))
-}
-
-func BenchmarkQD256OAFRing(b *testing.B) {
-	benchRun(b, ringCfg(OAF, 256, true, 100*time.Millisecond))
-}

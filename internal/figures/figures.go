@@ -8,6 +8,7 @@
 package figures
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -22,6 +23,7 @@ import (
 	"nvmeoaf/internal/h5bench"
 	"nvmeoaf/internal/model"
 	"nvmeoaf/internal/perf"
+	"nvmeoaf/internal/vol"
 )
 
 // Options controls measurement windows for all figures.
@@ -157,12 +159,15 @@ func Table(o Options) []Figure {
 	// Fig 8: the sequential-read 512 KB single-stream ablation over the
 	// four successive shared-memory designs, after the NVMe/TCP-25G
 	// reference the paper compares the baseline against.
-	fig8 := []Row{row(o.config(exp.TCP25G, 1, workload(true, 100, 512<<10, 128)), "tcp-25g(ref)")}
-	for _, d := range []core.Design{core.DesignSHMBaseline, core.DesignSHMLockFree, core.DesignSHMFlowCtl, core.DesignSHMZeroCopy} {
-		c := o.config(exp.OAF, 1, workload(true, 100, 512<<10, 128))
-		c.Design = d
-		fig8 = append(fig8, row(c, d.String()))
+	designRows := func(readPct int) (rows []Row) {
+		for _, d := range []core.Design{core.DesignSHMBaseline, core.DesignSHMLockFree, core.DesignSHMFlowCtl, core.DesignSHMZeroCopy} {
+			c := o.config(exp.OAF, 1, workload(true, readPct, 512<<10, 128))
+			c.Design = d
+			rows = append(rows, row(c, d.String()))
+		}
+		return rows
 	}
+	fig8 := append([]Row{row(o.config(exp.TCP25G, 1, workload(true, 100, 512<<10, 128)), "tcp-25g(ref)")}, designRows(100)...)
 
 	// Fig 9: the NVMe/TCP application-level chunk size for random reads
 	// over 25 GbE, with the target buffer-pool memory it costs.
@@ -239,6 +244,41 @@ func Table(o Options) []Figure {
 		return rows
 	}
 
+	// The ablations of design choices beyond Fig 8, and two extensions
+	// the paper leaves as future work; all answer to "ablations". The
+	// in-capsule threshold sets the largest write that travels inside its
+	// command capsule; 0 sends every write through an R2T round trip.
+	var inCapsule []Row
+	for _, thr := range []int{0, 8 << 10, 64 << 10} {
+		c := o.config(exp.TCP25G, 1, workload(true, 0, 4<<10, 16))
+		c.TP = model.DefaultTCPTransport()
+		c.TP.InCapsuleThreshold = thr
+		inCapsule = append(inCapsule, row(c, sizeLabel(thr)))
+	}
+	// The VOL coalescer's flush window under config-2's interleaved
+	// datasets. 0 is the connector's 64M default, so that row is Fig 17's
+	// oaf-coalesce document.
+	var coalesce []Row
+	for _, w := range []int{8 << 20, 16 << 20, 0} {
+		coalesce = append(coalesce, row(exp.H5Config{Backend: exp.H5OAFCoalesce, Kernel: h5bench.Config2(),
+			Seed: o.Seed, VOL: vol.Config{CoalesceBytes: w}}, sizeLabel(cmp.Or(w, 64<<20))))
+	}
+	// The registration cache: Fig 13's rdma-ib56 run under the legacy
+	// registration model and with the mechanistic MR cache.
+	legacy := short.config(exp.RDMA56, 4, workload(true, 70, 128<<10, 4))
+	regCache := legacy
+	regCache.RDMARegCache = true
+	var rdmaCtl, streams []Row
+	for _, kind := range []exp.Kind{exp.OAF, exp.OAFRDMACtl} {
+		rdmaCtl = append(rdmaCtl, row(o.config(kind, 4, workload(true, 100, 4<<10, 16)), string(kind)))
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, kind := range []exp.Kind{exp.OAF, exp.TCP25G} {
+			streams = append(streams, row(o.config(kind, n, workload(true, 100, 128<<10, 64)), string(kind), strconv.Itoa(n)))
+		}
+	}
+	tail := []Column{us("avg_us", 9, "AvgUs"), us("p99_us", 9, "P99Us"), us("p99.9_us", 10, "P999Us"), us("p99.99_us", 10, "P9999Us")}
+
 	return []Figure{
 		{Names: []string{"table1"}, Title: Table1()},
 		{[]string{"2", "3"}, "Fig 2+3: existing NVMe-oF transports, 4 clients x 4 SSDs (QD128); comm/io/other columns are the Fig 3 breakdown",
@@ -252,8 +292,7 @@ func Table(o Options) []Figure {
 		{[]string{"11", "12"}, "Fig 11+12: NVMe-oAF vs existing transports, 4 clients x 4 SSDs (QD128); comm/io/other columns are the Fig 12 breakdown",
 			micro, microRows(exp.TCP10G, exp.TCP25G, exp.TCP100G, exp.RDMA56, exp.OAF)},
 		{[]string{"13"}, "Fig 13: tail latency, seq mixed 70:30 128K (QD4, 4 streams)",
-			[]Column{{Head: "fabric", Width: -18}, us("avg_us", 9, "AvgUs"), us("p99_us", 9, "P99Us"),
-				us("p99.9_us", 10, "P999Us"), us("p99.99_us", 10, "P9999Us")}, fig13},
+			append([]Column{{Head: "fabric", Width: -18}}, tail...), fig13},
 		{[]string{"14"}, "Fig 14: concurrency, seq read 128K on one SSD",
 			[]Column{{Head: "fabric", Width: -11}, {Head: "qd", Width: 5}, gbps}, fig14},
 		{[]string{"15"}, "Fig 15: random mixed workloads, 512K, 1 stream (QD128)",
@@ -264,6 +303,18 @@ func Table(o Options) []Figure {
 			h5, h5Rows(h5bench.Config2(), exp.H5OAF, exp.H5NFS, exp.H5OAFCoalesce)},
 		{[]string{"18"}, "Fig 18: scale-out case-1 (clients on one node, remote SSDs)", scale, scaleRows(exp.Case1, 3)},
 		{[]string{"19"}, "Fig 19: scale-out case-2 (co-located clients and SSDs)", scale, scaleRows(exp.Case2, 4)},
+		{[]string{"incapsule", "ablations"}, "Ablation: in-capsule write threshold, seq write 4K over TCP-25G (1 stream, QD16)",
+			[]Column{{Head: "threshold", Width: -9}, gbps, us("avg_us", 9, "AvgUs"), us("p99.99_us", 10, "P9999Us")}, inCapsule},
+		{[]string{"coalesce", "ablations"}, "Ablation: VOL coalescer flush window, h5bench config-2 over oaf-coalesce",
+			append([]Column{{Head: "window", Width: -14}}, h5[1:]...), coalesce},
+		{[]string{"shm-write", "ablations"}, "Ablation: NVMe-oSHM designs under seq write 512K (1 stream, QD128)",
+			[]Column{{Head: "design", Width: -14}, gbps, us("p99.99_us", 12, "P9999Us")}, designRows(0)},
+		{[]string{"regcache", "ablations"}, "Ablation: RDMA registration cache on Fig 13's rdma-ib56 run (seq mixed 70:30 128K, QD4, 4 streams)",
+			append([]Column{{Head: "registration", Width: -18}}, tail...), []Row{row(legacy, "legacy"), row(regCache, "regcache")}},
+		{[]string{"rdmactl", "ablations"}, "Extension: oAF control plane over intra-node RDMA, seq read 4K (4 streams, QD16)",
+			[]Column{{Head: "fabric", Width: -16}, gbps, us("avg_us", 9, "AvgUs")}, rdmaCtl},
+		{[]string{"streams", "ablations"}, "Extension: stream scaling on one host, seq read 128K (QD64 per stream)",
+			[]Column{{Head: "fabric", Width: -11}, {Head: "streams", Width: 8}, gbps}, streams},
 	}
 }
 
@@ -299,19 +350,26 @@ func pollLabel(d time.Duration) string {
 	return d.String()
 }
 
-// Select returns the figure that answers to name, or every figure for
+// Select returns every figure that answers to name, or every figure for
 // "all".
 func Select(figs []Figure, name string) ([]Figure, error) {
 	if name == "all" {
 		return figs, nil
 	}
+	var sel []Figure
 	for _, f := range figs {
 		if slices.Contains(f.Names, name) {
-			return []Figure{f}, nil
+			sel = append(sel, f)
 		}
 	}
-	return nil, fmt.Errorf("unknown figure %q (try: table1, 2, 3, 8..19, all)", name)
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown figure %q (try: table1, 2, 3, 8..19, %s, ablations, all)", name, Ablations)
+	}
+	return sel, nil
 }
+
+// Ablations lists the names of the figures that "ablations" selects.
+const Ablations = "incapsule, coalesce, shm-write, regcache, rdmactl, streams"
 
 // Runner runs row documents, each distinct one once: a figure that
 // repeats another's rows (Fig 11 holds Fig 2's) reuses their points. It

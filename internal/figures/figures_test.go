@@ -267,3 +267,38 @@ func TestTable1Renders(t *testing.T) {
 		t.Fatalf("table too short:\n%s", s)
 	}
 }
+
+// TestAblationShapes: the ablation and extension figures show what
+// EXPERIMENTS.md says of them.
+func TestAblationShapes(t *testing.T) {
+	// Sending every 4K write through an R2T round trip costs latency.
+	inCapsule := figure(t, "incapsule")
+	if off, on := point(t, inCapsule, "0B").AvgUs, point(t, inCapsule, "8K").AvgUs; off <= on {
+		t.Errorf("in-capsule threshold 0: avg %.1f us, not above 8K's %.1f us", off, on)
+	}
+	// A wider coalescer window flushes deeper and writes faster.
+	coalesce := figure(t, "coalesce")
+	w := func(window string) float64 { return point(t, coalesce, window).WriteGBps }
+	if w("8M") >= w("16M") || w("16M") >= w("64M") {
+		t.Errorf("coalescer write GB/s at 8M/16M/64M windows: %.3f/%.3f/%.3f, not rising", w("8M"), w("16M"), w("64M"))
+	}
+	// The MR cache takes the registration spikes out of the tail.
+	regCache := figure(t, "regcache")
+	if rc, lg := point(t, regCache, "regcache").P9999Us, point(t, regCache, "legacy").P9999Us; rc >= lg {
+		t.Errorf("regcache p99.99 %.1f us, not below the legacy model's %.1f us", rc, lg)
+	}
+	// An RDMA control plane cuts small-I/O latency.
+	rdmaCtl := figure(t, "rdmactl")
+	if ctl, tcp := point(t, rdmaCtl, "nvme-oaf-rdmactl").AvgUs, point(t, rdmaCtl, "nvme-oaf").AvgUs; ctl >= tcp {
+		t.Errorf("rdmactl avg %.1f us, not below nvme-oaf's %.1f us", ctl, tcp)
+	}
+	// oAF scales with streams; TCP-25G's shared wire is full by 4.
+	streams := figure(t, "streams")
+	at := func(fabric string, n int) float64 { return point(t, streams, fabric, strconv.Itoa(n)).GBps }
+	if at("nvme-oaf", 8) < 7*at("nvme-oaf", 1) {
+		t.Errorf("nvme-oaf: 8 streams %.3f GB/s, under 7x 1 stream's %.3f", at("nvme-oaf", 8), at("nvme-oaf", 1))
+	}
+	if s4, s8 := at("tcp-25g", 4), at("tcp-25g", 8); s8 > 1.1*s4 || s8 < 0.9*s4 {
+		t.Errorf("tcp-25g: 8 streams %.3f GB/s, not within 10%% of 4 streams' %.3f", s8, s4)
+	}
+}

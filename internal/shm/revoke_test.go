@@ -9,7 +9,7 @@ import (
 
 func TestRevokeFailsNewClaims(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 4, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		if s := r.Claim(p, H2C); !s.Valid() {
 			t.Fatal("claim before revoke failed")
@@ -34,7 +34,7 @@ func TestRevokeFailsNewClaims(t *testing.T) {
 
 func TestRevokeWakesBlockedClaimers(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 1, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 1, ModeLockFree)
 	woke := false
 	e.Go("blocker", func(p *sim.Proc) {
 		if s := r.Claim(p, H2C); !s.Valid() {
@@ -61,7 +61,7 @@ func TestRevokeWakesBlockedClaimers(t *testing.T) {
 
 func TestOpenFailsAfterRevoke(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 4, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, C2H)
 		if !s.Valid() {
@@ -79,7 +79,7 @@ func TestOpenFailsAfterRevoke(t *testing.T) {
 
 func TestTryReleaseIsTolerant(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 4, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, H2C)
 		if !s.TryRelease() {
@@ -106,7 +106,7 @@ func TestTryReleaseIsTolerant(t *testing.T) {
 // Release through it must panic.
 func TestStaleHandleCannotFreeNewClaim(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 1, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 1, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		a := r.Claim(p, H2C)
 		peer, err := r.Open(H2C, a.Index)
@@ -148,7 +148,7 @@ func TestStaleHandleCannotFreeNewClaim(t *testing.T) {
 // release move value handles only.
 func TestSlotHandlesAllocateNothing(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 4, ModeLockFree)
 	var allocs float64
 	e.Go("io", func(p *sim.Proc) {
 		dst := make([]Slot, 0, 2)
@@ -175,7 +175,7 @@ func TestSlotHandlesAllocateNothing(t *testing.T) {
 
 func TestOnRevokeCallbacks(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 4, ModeLockFree)
 	calls := 0
 	r.OnRevoke(func() { calls++ })
 	r.Revoke()

@@ -9,8 +9,7 @@
 // the I/O size, one per queue-depth entry. Slot ownership is claimed with
 // atomic compare-and-swap in round-robin order, so concurrent I/O streams
 // touch disjoint offsets without a lock. A legacy locked mode reproduces
-// the paper's "SHM-baseline" design for the Fig 8 ablation, and a
-// free-list claimer exists as an ablation alternative to round-robin.
+// the paper's "SHM-baseline" design for the Fig 8 ablation.
 package shm
 
 import (
@@ -64,17 +63,13 @@ func (m Mode) String() string {
 	return "lock-free"
 }
 
-// ClaimPolicy selects how slots are picked within a half.
+// ClaimPolicy selects how slots are picked within a half. There is one
+// policy: round-robin.
 type ClaimPolicy int
 
-const (
-	// ClaimRoundRobin walks slots in order relative to the I/O depth, as
-	// the paper describes (§4.4.1).
-	ClaimRoundRobin ClaimPolicy = iota
-	// ClaimFreeList pops the most recently released slot (ablation
-	// alternative; better cache locality, more contention on the head).
-	ClaimFreeList
-)
+// ClaimRoundRobin walks slots in order relative to the I/O depth, as the
+// paper describes (§4.4.1).
+const ClaimRoundRobin ClaimPolicy = 0
 
 // A slot's state word holds its claim generation above a busy bit.
 // Claiming sets the bit; releasing clears it and advances the generation,
@@ -94,12 +89,10 @@ type Region struct {
 	e      *sim.Engine
 	params model.SHMParams
 	mode   Mode
-	policy ClaimPolicy
 	data   []byte // real backing bytes: [H2C slots][C2H slots]
 
 	state   [2][]uint32 // atomic slot state words per half, see slotBusy
 	rr      [2]uint32   // round-robin cursors
-	freeLst [2][]uint32 // free-list stacks (ClaimFreeList)
 	credits [2]*sim.Semaphore
 	lock    *sim.Semaphore // region lock (ModeLocked)
 
@@ -126,8 +119,8 @@ type Region struct {
 }
 
 // NewRegion allocates a region with slotCount slots of slotSize bytes in
-// each direction.
-func NewRegion(e *sim.Engine, key uint64, slotSize, slotCount int, params model.SHMParams, mode Mode, policy ClaimPolicy) (*Region, error) {
+// each direction. Slots are claimed round-robin whatever the policy.
+func NewRegion(e *sim.Engine, key uint64, slotSize, slotCount int, params model.SHMParams, mode Mode, _ ClaimPolicy) (*Region, error) {
 	if slotSize <= 0 || slotCount <= 0 {
 		return nil, fmt.Errorf("shm: invalid geometry %dx%d", slotCount, slotSize)
 	}
@@ -139,7 +132,6 @@ func NewRegion(e *sim.Engine, key uint64, slotSize, slotCount int, params model.
 		e:         e,
 		params:    params,
 		mode:      mode,
-		policy:    policy,
 		data:      make([]byte, total),
 		lock:      sim.NewSemaphore(e, 1),
 		rng:       e.Rand(fmt.Sprintf("shm/%d", key)),
@@ -150,12 +142,6 @@ func NewRegion(e *sim.Engine, key uint64, slotSize, slotCount int, params model.
 	for d := 0; d < 2; d++ {
 		r.state[d] = make([]uint32, slotCount)
 		r.credits[d] = sim.NewSemaphore(e, slotCount)
-		if policy == ClaimFreeList {
-			r.freeLst[d] = make([]uint32, 0, slotCount)
-			for i := slotCount - 1; i >= 0; i-- {
-				r.freeLst[d] = append(r.freeLst[d], uint32(i))
-			}
-		}
 	}
 	return r, nil
 }
@@ -238,7 +224,7 @@ func (r *Region) slotBytes(dir Direction, idx uint32) []byte {
 // are busy (this is the shared-memory flow control: payloads stay in the
 // region until the peer consumes them, so slot credits bound the in-flight
 // data, §4.4.2). The claim itself is lock-free: an atomic CAS over the
-// round-robin cursor or free list.
+// round-robin cursor.
 // Claim returns the zero Slot when the region has been revoked —
 // including when the revocation lands while the claimer is blocked on a
 // slot credit.
@@ -269,25 +255,14 @@ func (r *Region) Claim(p *sim.Proc, dir Direction) Slot {
 // which guarantees a free slot exists.
 func (r *Region) claimSlot(dir Direction) Slot {
 	st := r.state[dir]
-	switch r.policy {
-	case ClaimFreeList:
-		lst := r.freeLst[dir]
-		idx := lst[len(lst)-1]
-		r.freeLst[dir] = lst[:len(lst)-1]
+	for {
+		i := atomic.AddUint32(&r.rr[dir], 1) - 1
+		idx := i % uint32(r.SlotCount)
 		if w, ok := tryBusy(&st[idx]); ok {
 			return Slot{r: r, dir: dir, Index: idx, word: w}
 		}
-		panic("shm: free-list slot was busy")
-	default: // round-robin
-		for {
-			i := atomic.AddUint32(&r.rr[dir], 1) - 1
-			idx := i % uint32(r.SlotCount)
-			if w, ok := tryBusy(&st[idx]); ok {
-				return Slot{r: r, dir: dir, Index: idx, word: w}
-			}
-			// Credit accounting guarantees a free slot exists; skip the
-			// busy ones (out-of-order completion leaves holes).
-		}
+		// Credit accounting guarantees a free slot exists; skip the busy
+		// ones (out-of-order completion leaves holes).
 	}
 }
 
@@ -388,9 +363,6 @@ func (s Slot) free() bool {
 	r := s.r
 	if !atomic.CompareAndSwapUint32(&r.state[s.dir][s.Index], s.word, s.word&^slotBusy+slotGen) {
 		return false
-	}
-	if r.policy == ClaimFreeList {
-		r.freeLst[s.dir] = append(r.freeLst[s.dir], s.Index)
 	}
 	r.Releases++
 	r.tel.Inc(telemetry.CtrSHMReleases)

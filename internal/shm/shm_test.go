@@ -15,9 +15,9 @@ func calmSHM() model.SHMParams {
 	return p
 }
 
-func mustRegion(t *testing.T, e *sim.Engine, slotSize, slots int, mode Mode, policy ClaimPolicy) *Region {
+func mustRegion(t *testing.T, e *sim.Engine, slotSize, slots int, mode Mode) *Region {
 	t.Helper()
-	r, err := NewRegion(e, 1, slotSize, slots, calmSHM(), mode, policy)
+	r, err := NewRegion(e, 1, slotSize, slots, calmSHM(), mode, ClaimRoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestGeometryValidation(t *testing.T) {
 	if _, err := NewRegion(e, 1, 4096, -1, calmSHM(), ModeLockFree, ClaimRoundRobin); err == nil {
 		t.Fatal("negative slot count accepted")
 	}
-	r := mustRegion(t, e, 4096, 8, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 8, ModeLockFree)
 	if r.Size() != 2*4096*8 {
 		t.Fatalf("size %d", r.Size())
 	}
@@ -40,7 +40,7 @@ func TestGeometryValidation(t *testing.T) {
 
 func TestClaimReleaseCycle(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 4, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		seen := map[uint32]bool{}
 		var slots []Slot
@@ -72,7 +72,7 @@ func TestClaimReleaseCycle(t *testing.T) {
 
 func TestDirectionsAreIndependent(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 64, 2, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 64, 2, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		a := r.Claim(p, H2C)
 		b := r.Claim(p, C2H)
@@ -92,7 +92,7 @@ func TestDirectionsAreIndependent(t *testing.T) {
 
 func TestSlotsDisjointWithinHalf(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 16, 8, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 16, 8, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		var slots []Slot
 		for i := 0; i < 8; i++ {
@@ -120,7 +120,7 @@ func TestClaimBlocksWhenExhausted(t *testing.T) {
 	// Slot credits are the shared-memory flow control: a fifth claim on a
 	// four-slot half must wait for a release.
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 64, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 64, 4, ModeLockFree)
 	var fifthAt sim.Time
 	e.Go("claimer", func(p *sim.Proc) {
 		var slots []Slot
@@ -152,7 +152,7 @@ func TestClaimBlocksWhenExhausted(t *testing.T) {
 
 func TestRoundRobinSkipsBusySlots(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 64, 3, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 64, 3, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		a := r.Claim(p, H2C) // slot 0
 		b := r.Claim(p, H2C) // slot 1
@@ -173,27 +173,9 @@ func TestRoundRobinSkipsBusySlots(t *testing.T) {
 	}
 }
 
-func TestFreeListPolicy(t *testing.T) {
-	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 64, 4, ModeLockFree, ClaimFreeList)
-	e.Go("io", func(p *sim.Proc) {
-		a := r.Claim(p, H2C)
-		idx := a.Index
-		a.Release()
-		b := r.Claim(p, H2C) // LIFO: most recently freed comes back first
-		if b.Index != idx {
-			t.Errorf("free list returned %d, want %d", b.Index, idx)
-		}
-		b.Release()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCopyInOutRealBytes(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 2, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 2, ModeLockFree)
 	payload := bytes.Repeat([]byte{0x5A}, 3000)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, H2C)
@@ -221,7 +203,7 @@ func TestCopyInOutRealBytes(t *testing.T) {
 
 func TestVirtualCopyChargesTimeOnly(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 1<<20, 2, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 1<<20, 2, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, C2H)
 		t0 := p.Now()
@@ -239,7 +221,7 @@ func TestVirtualCopyChargesTimeOnly(t *testing.T) {
 
 func TestOversizePayloadPanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 512, 1, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 512, 1, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, H2C)
 		s.CopyIn(p, nil, 1024) // exceeds slot
@@ -251,7 +233,7 @@ func TestOversizePayloadPanics(t *testing.T) {
 
 func TestDoubleReleasePanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 64, 1, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 64, 1, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, H2C)
 		s.Release()
@@ -264,7 +246,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 
 func TestOpenByIndex(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 256, 4, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 256, 4, ModeLockFree)
 	e.Go("io", func(p *sim.Proc) {
 		s := r.Claim(p, H2C)
 		copy(s.Bytes(), "hello")
@@ -329,7 +311,7 @@ func TestLockedModeSerializesCopies(t *testing.T) {
 
 func TestLockWaitRecordedInLockedMode(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 1<<20, 2, ModeLocked, ClaimRoundRobin)
+	r := mustRegion(t, e, 1<<20, 2, ModeLocked)
 	wg := sim.NewWaitGroup(e)
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
@@ -359,7 +341,7 @@ func TestModeAndDirectionStrings(t *testing.T) {
 
 func TestEncryptionRoundTripAndAtRestCiphertext(t *testing.T) {
 	e := sim.NewEngine(1)
-	r := mustRegion(t, e, 4096, 2, ModeLockFree, ClaimRoundRobin)
+	r := mustRegion(t, e, 4096, 2, ModeLockFree)
 	r.EnableEncryption(0xDEADBEEF, 1.5e9)
 	if !r.Encrypted() {
 		t.Fatal("encryption not enabled")
@@ -391,7 +373,7 @@ func TestEncryptionRoundTripAndAtRestCiphertext(t *testing.T) {
 func TestEncryptionChargesCipherCost(t *testing.T) {
 	elapsed := func(encrypted bool) sim.Time {
 		e := sim.NewEngine(1)
-		r := mustRegion(t, e, 1<<20, 2, ModeLockFree, ClaimRoundRobin)
+		r := mustRegion(t, e, 1<<20, 2, ModeLockFree)
 		if encrypted {
 			r.EnableEncryption(7, 1e9)
 		}
