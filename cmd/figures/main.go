@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"nvmeoaf/internal/figures"
 )
@@ -32,7 +33,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fig := fs.String("fig", "all", "figure to regenerate: table1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, "+
-		figures.Ablations+", ablations (all six), or all")
+		strings.Join(figures.Ablations(figures.Table(figures.Defaults())), ", ")+", ablations (every ablation above), or all")
 	quick := fs.Bool("quick", false, "use short measurement windows (Figs 16-19 and the coalesce ablation "+
 		"run whole h5bench kernels, which take no window, so they do not shorten)")
 	seed := fs.Int64("seed", 42, "simulation seed")

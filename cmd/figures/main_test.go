@@ -7,8 +7,10 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,8 +24,8 @@ import (
 func TestFigureNamesResolve(t *testing.T) {
 	table := figures.Table(figures.Quick())
 	shared := map[string]string{"3": "2", "12": "11"}
-	for _, name := range []string{"table1", "2", "3", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19",
-		"incapsule", "coalesce", "shm-write", "regcache", "rdmactl", "streams"} {
+	ablations := []string{"incapsule", "coalesce", "shm-write", "regcache", "rdmactl", "streams"}
+	for _, name := range append([]string{"table1", "2", "3", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17", "18", "19"}, ablations...) {
 		figs, err := figures.Select(table, name)
 		if err != nil || len(figs) != 1 {
 			t.Errorf("-fig %s: %d figures, %v", name, len(figs), err)
@@ -40,8 +42,11 @@ func TestFigureNamesResolve(t *testing.T) {
 	if all, err := figures.Select(table, "all"); err != nil || len(all) != len(table) {
 		t.Errorf("-fig all: %d of %d figures, %v", len(all), len(table), err)
 	}
-	if abl, err := figures.Select(table, "ablations"); err != nil || len(abl) != len(strings.Split(figures.Ablations, ",")) {
-		t.Errorf("-fig ablations: %d figures, %v; want one per name in %q", len(abl), err, figures.Ablations)
+	if names := figures.Ablations(table); !slices.Equal(names, ablations) {
+		t.Errorf("ablation figures %v, want %v", names, ablations)
+	}
+	if abl, err := figures.Select(table, "ablations"); err != nil || len(abl) != len(ablations) {
+		t.Errorf("-fig ablations: %d figures, %v; want %d", len(abl), err, len(ablations))
 	}
 
 	point := reflect.TypeOf(figures.Point{})
@@ -68,24 +73,35 @@ func TestFigureNamesResolve(t *testing.T) {
 	if code := run([]string{"-fig", "7"}, &out, &errOut); code != 2 || out.Len() != 0 {
 		t.Errorf("-fig 7: exit %d with %d bytes of output, want exit 2 and none", code, out.Len())
 	}
+	for _, name := range ablations {
+		if !strings.Contains(errOut.String(), name) {
+			t.Errorf("-fig 7's error does not list %s:\n%s", name, errOut.String())
+		}
+	}
 }
 
-// runSite is one call of exp.Run, exp.RunH5 or exp.RunH5Scale (inside
-// package exp, of the bare name): its package directory and the function
-// or method that makes it, nil outside a function.
+// runSite is one mention of exp.Run, exp.RunH5 or exp.RunH5Scale, called
+// or not (inside package exp, the bare name): where it is and the
+// top-level declaration it is in.
 type runSite struct {
-	dir string
 	pos token.Position
-	fn  *ast.FuncDecl
+	in  decl
 }
+
+// decl is a top-level declaration of this module: its package directory
+// and name. A method belongs to its receiver's type.
+type decl [2]string
 
 // scanModule parses every Go file of the root module, tests included and
-// bench/'s own module not, and returns every run call and every top-level
-// function, keyed by its directory, package name and name.
-func scanModule(t *testing.T) (sites []runSite, funcs map[[3]string]*ast.FuncDecl) {
-	runs := map[string]bool{"Run": true, "RunH5": true, "RunH5Scale": true}
+// bench/'s own module not. It returns every run mention and, for each
+// top-level declaration, the declarations it names: bare names of its own
+// package (or a dot-imported one) and selectors on an imported package of
+// this module. It matches names, not types, so a local that shadows a
+// declaration counts as naming it.
+func scanModule(t *testing.T) (sites []runSite, refs map[decl][]decl) {
 	root := filepath.Join("..", "..")
-	funcs = map[[3]string]*ast.FuncDecl{}
+	expDir := filepath.Join(root, "internal", "exp")
+	refs = map[decl][]decl{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil || path == root {
@@ -105,101 +121,134 @@ func scanModule(t *testing.T) (sites []runSite, funcs map[[3]string]*ast.FuncDec
 			return err
 		}
 		dir := filepath.Dir(path)
-		inExp := dir == filepath.Join(root, "internal", "exp") && f.Name.Name == "exp"
-		local := ""
+		imports := map[string]string{} // local name → directory, for this module's packages
+		bare := []string{dir}          // the packages a bare name may be declared in
 		for _, imp := range f.Imports {
-			if imp.Path.Value == `"nvmeoaf/internal/exp"` {
-				local = "exp"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
+			ip := strings.Trim(imp.Path.Value, `"`)
+			if ip != "nvmeoaf" && !strings.HasPrefix(ip, "nvmeoaf/") {
+				continue
+			}
+			name, to := pathpkg.Base(ip), filepath.Join(root, strings.TrimPrefix(ip, "nvmeoaf"))
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			if name == "." {
+				bare = append(bare, to)
+			} else {
+				imports[name] = to
 			}
 		}
-		for _, decl := range f.Decls {
-			fd, _ := decl.(*ast.FuncDecl)
-			if fd != nil && fd.Recv == nil {
-				funcs[[3]string{dir, f.Name.Name, fd.Name.Name}] = fd
+		for _, d := range f.Decls {
+			var in decl
+			fd, _ := d.(*ast.FuncDecl)
+			ref := func(to decl, at ast.Node) {
+				if to[0] == expDir && (to[1] == "Run" || to[1] == "RunH5" || to[1] == "RunH5Scale") {
+					sites = append(sites, runSite{fset.Position(at.Pos()), in})
+				}
+				refs[in] = append(refs[in], to)
 			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				call, _ := n.(*ast.CallExpr)
-				if call == nil {
-					return true
-				}
-				name := ""
-				switch fn := call.Fun.(type) {
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
 				case *ast.SelectorExpr:
-					if x, ok := fn.X.(*ast.Ident); ok && local != "" && x.Name == local {
-						name = fn.Sel.Name
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						ref(decl{imports[x.Name], n.Sel.Name}, n)
+						return false
 					}
+					ast.Inspect(n.X, visit)
+					return false // n.Sel is a field or method
 				case *ast.Ident:
-					if inExp {
-						name = fn.Name
+					if fd == nil || n != fd.Name {
+						for _, b := range bare {
+							ref(decl{b, n.Name}, n)
+						}
 					}
-				}
-				if runs[name] {
-					sites = append(sites, runSite{dir, fset.Position(call.Pos()), fd})
 				}
 				return true
-			})
+			}
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				in = decl{dir, d.Name.Name}
+				if d.Recv != nil {
+					in[1], _, _ = strings.Cut(strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*"), "[")
+				}
+				ast.Inspect(d, visit)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						in = decl{dir, s.Name.Name}
+						ast.Inspect(s, visit)
+					case *ast.ValueSpec:
+						for _, name := range s.Names {
+							in = decl{dir, name.Name}
+							ast.Inspect(s, visit)
+						}
+					}
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sites, funcs
+	return sites, refs
 }
 
 // TestOnlyTheRunnerRuns: in internal/figures and cmd/figures, tests
 // included, only a method of figures.Runner names exp.Run, exp.RunH5 or
-// exp.RunH5Scale, so every run goes through the runner's memo of
-// documents it has run.
+// exp.RunH5Scale, called or not, so every run goes through the runner's
+// memo of documents it has run.
 func TestOnlyTheRunnerRuns(t *testing.T) {
 	sites, _ := scanModule(t)
 	inRunner := 0
 	for _, s := range sites {
-		if s.dir != filepath.Join("..", "..", "internal", "figures") && s.dir != filepath.Join("..", "..", "cmd", "figures") {
+		if s.in[0] != filepath.Join("..", "..", "internal", "figures") && s.in[0] != filepath.Join("..", "..", "cmd", "figures") {
 			continue
 		}
-		if s.fn != nil && s.fn.Recv != nil && strings.TrimPrefix(types.ExprString(s.fn.Recv.List[0].Type), "*") == "Runner" {
+		if s.in[1] == "Runner" {
 			inRunner++
 		} else {
 			t.Errorf("%s: an exp run outside the Runner", s.pos)
 		}
 	}
 	if inRunner < 3 {
-		t.Errorf("the Runner makes %d run calls, want 3: the guard is looking at the wrong code", inRunner)
+		t.Errorf("the Runner names %d run functions, want 3: the guard is looking at the wrong code", inRunner)
 	}
 }
 
 // TestNoBenchmarkRunsAnExperiment: no Benchmark function in this module
-// runs exp.Run, exp.RunH5 or exp.RunH5Scale, directly or through a
-// function of its own package, so the paper's numbers come from the
-// figure table and the simulator's own cost from bench/run.sh.
+// names a declaration that runs exp.Run, exp.RunH5 or exp.RunH5Scale, so
+// the paper's numbers come from the figure table and the simulator's own
+// cost from bench/run.sh. A declaration runs one if it names a run
+// function or a declaration that does; a type runs one if one of its
+// methods does, so a Benchmark holding a figures.Runner fails too.
 func TestNoBenchmarkRunsAnExperiment(t *testing.T) {
-	sites, funcs := scanModule(t)
-	// A function runs an experiment if it calls a run function or a
-	// function of its own package that does.
-	runsExp := map[*ast.FuncDecl]bool{}
+	sites, refs := scanModule(t)
+	runsExp := map[decl]bool{}
 	for _, s := range sites {
-		runsExp[s.fn] = s.fn != nil
+		runsExp[s.in] = true
 	}
 	for changed := true; changed; {
 		changed = false
-		for key, fd := range funcs {
-			ast.Inspect(fd, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok && !runsExp[fd] {
-					if id, ok := call.Fun.(*ast.Ident); ok && runsExp[funcs[[3]string{key[0], key[1], id.Name}]] {
-						runsExp[fd], changed = true, true
-					}
-				}
-				return !runsExp[fd]
-			})
+		for d, to := range refs {
+			if !runsExp[d] && slices.ContainsFunc(to, func(to decl) bool { return runsExp[to] }) {
+				runsExp[d], changed = true, true
+			}
 		}
 	}
-	for key, fd := range funcs {
-		if strings.HasPrefix(key[2], "Benchmark") && runsExp[fd] {
-			t.Errorf("%s: %s runs an experiment: make it a figure row", key[0], key[2])
+	var bad []string
+	for d := range runsExp {
+		if strings.HasPrefix(d[1], "Benchmark") {
+			bad = append(bad, filepath.Join(d[0], d[1]))
 		}
+	}
+	slices.Sort(bad)
+	for _, b := range bad {
+		t.Errorf("%s runs an experiment: make it a figure row", b)
+	}
+	if !runsExp[decl{filepath.Join("..", "..", "internal", "figures"), "NewRunner"}] {
+		t.Error("figures.NewRunner does not run an experiment: the guard is looking at the wrong code")
 	}
 }

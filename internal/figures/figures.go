@@ -363,13 +363,23 @@ func Select(figs []Figure, name string) ([]Figure, error) {
 		}
 	}
 	if len(sel) == 0 {
-		return nil, fmt.Errorf("unknown figure %q (try: table1, 2, 3, 8..19, %s, ablations, all)", name, Ablations)
+		return nil, fmt.Errorf("unknown figure %q (try: table1, 2, 3, 8..19, %s, ablations, all)",
+			name, strings.Join(Ablations(figs), ", "))
 	}
 	return sel, nil
 }
 
-// Ablations lists the names of the figures that "ablations" selects.
-const Ablations = "incapsule, coalesce, shm-write, regcache, rdmactl, streams"
+// Ablations returns the first name of every figure that "ablations"
+// selects, in print order.
+func Ablations(figs []Figure) []string {
+	var names []string
+	for _, f := range figs {
+		if slices.Contains(f.Names, "ablations") {
+			names = append(names, f.Names[0])
+		}
+	}
+	return names
+}
 
 // Runner runs row documents, each distinct one once: a figure that
 // repeats another's rows (Fig 11 holds Fig 2's) reuses their points. It

@@ -271,6 +271,9 @@ func TestTable1Renders(t *testing.T) {
 // TestAblationShapes: the ablation and extension figures show what
 // EXPERIMENTS.md says of them.
 func TestAblationShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow sweep; run without -short for the full shape check")
+	}
 	// Sending every 4K write through an R2T round trip costs latency.
 	inCapsule := figure(t, "incapsule")
 	if off, on := point(t, inCapsule, "0B").AvgUs, point(t, inCapsule, "8K").AvgUs; off <= on {
